@@ -197,7 +197,8 @@ def cascaded_zero_shot_baseline(
     score(image | clip) = cosine between the teacher prototypes of the
     clip's predicted class and the image's predicted class. Ties break
     by the image's own classification confidence (descending), then by
-    gallery index.
+    gallery index. Clips with the same predicted class share one
+    read-only ranking.
     """
     for what, labels in (("audio", audio.labels), ("image", images.labels)):
         missing = np.setdiff1d(np.unique(labels), teacher_prototypes.labels)
@@ -216,13 +217,23 @@ def cascaded_zero_shot_baseline(
     order = np.argsort(teacher_prototypes.labels, kind="stable")
     teacher_sorted = teacher_prototypes.take(order)
     proto_cos = similarity_matrix(teacher_sorted, teacher_sorted)
-    audio_pos = np.searchsorted(teacher_sorted.labels, audio_pred)
     image_pos = np.searchsorted(teacher_sorted.labels, image_pred)
-
-    gallery_index = np.arange(images.n_items)
-    ranked: List[RankedList] = []
-    for i in range(audio.n_items):
-        scores = proto_cos[audio_pos[i], image_pos]
-        ranking = np.lexsort((gallery_index, -image_conf, -scores))
-        ranked.append(RankedList(query_index=i, gallery_order=ranking, scores=scores[ranking]))
-    return ranked
+    # A clip's ranking depends only on its predicted class: rank the
+    # gallery once per predicted class and share that ranking.
+    classes, clip_class = np.unique(
+        np.searchsorted(teacher_sorted.labels, audio_pred), return_inverse=True
+    )
+    scores = proto_cos[classes[:, None], image_pos]
+    shape = scores.shape
+    rankings = np.lexsort(
+        (np.broadcast_to(np.arange(images.n_items), shape), np.broadcast_to(-image_conf, shape), -scores),
+        axis=-1,
+    )
+    ranked_scores = np.take_along_axis(scores, rankings, axis=-1)
+    # Clips of one class share these rows, so none of them may write.
+    rankings.flags.writeable = False
+    ranked_scores.flags.writeable = False
+    return [
+        RankedList(query_index=i, gallery_order=rankings[c], scores=ranked_scores[c])
+        for i, c in enumerate(clip_class)
+    ]

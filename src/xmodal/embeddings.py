@@ -147,11 +147,23 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
     return min(1.0, max(-1.0, value))
 
 
+# Below this norm a row's squared entries are subnormal or underflow to zero.
+_TINY_NORM = np.sqrt(np.finfo(np.float64).tiny)
+
+
 def _unit_rows(matrix: np.ndarray, side: str) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVectorError(f"{side} row {int(zero[0])} is all zeros")
+    tiny = np.flatnonzero(norms < _TINY_NORM)
+    if tiny.size:
+        # Scale those rows by their largest magnitude first; every other
+        # row keeps the direct division.
+        peaks = np.max(np.abs(matrix[tiny]), axis=1, initial=0.0)
+        zero = tiny[peaks == 0.0]
+        if zero.size:
+            raise ZeroVectorError(f"{side} row {int(zero[0])} is all zeros")
+        matrix = matrix.copy()
+        matrix[tiny] /= peaks[:, None]
+        norms[tiny] = np.linalg.norm(matrix[tiny], axis=1)
     return matrix / norms[:, None]
 
 

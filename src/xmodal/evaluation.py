@@ -5,17 +5,29 @@ ascending gallery index, so every metric is deterministic. Truncated
 mean average precision (mAP@K) normalizes each query by
 min(total relevant, K), the standard convention.
 
-Average precision and metric means are accumulated with plain
-sequential summation. The numbers involved are few and well scaled, and
-sequential order makes results reproducible operation for operation
-against straightforward reference implementations.
+Metrics work on row blocks of the score matrix, not query by query. A
+block holds at most ``_BLOCK_CELLS`` cells (its height is that budget
+over the gallery width), so the ranking temporaries stay near a megabyte
+each whatever the number of queries. Within a block:
+
+* ranking is one stable ``argsort`` of the negated scores along each row;
+* average precision takes ``hits / rank`` at each relevant position and
+  0.0 elsewhere, and sums every row left to right with
+  ``np.add.accumulate``. Adding 0.0 is exact, so this is the plain
+  sequential sum of a one-query loop, bit for bit; pairwise ``np.sum``
+  would round differently;
+* kNN selects with ``np.partition``: it keeps every column scoring at or
+  above the row's k-th largest score, so boundary ties are all kept, and
+  sorts those by (-score, index). That is exactly the first k columns of
+  the full stable ranking.
+
+Metric means are plain sequential sums over the per-query values.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +56,10 @@ __all__ = [
     "class_prototypes",
     "nearest_prototype",
 ]
+
+# Cells in one row block of a score matrix. Block temporaries (negated
+# scores, order, running sums) are then 1 MB each at float64/int64.
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -80,7 +96,10 @@ class RankedList:
         scores = np.asarray(self.scores, dtype=np.float64)
         if order.shape != scores.shape or order.ndim != 1:
             raise InvalidConfigError("gallery_order and scores must be flat and aligned")
-        if not np.array_equal(np.sort(order), np.arange(order.size)):
+        # n entries in [0, n), none of them repeated: a permutation, in O(n).
+        if order.size and (
+            order.min() < 0 or order.max() >= order.size or np.bincount(order).max() > 1
+        ):
             raise InvalidConfigError("gallery_order must be a permutation of the gallery")
         if order.size > 1 and np.any(np.diff(scores) > 0):
             raise InvalidConfigError("scores must be non-increasing along the ranking")
@@ -88,10 +107,52 @@ class RankedList:
         object.__setattr__(self, "scores", scores)
 
 
+def _row_blocks(n_rows: int, width: int) -> Iterator[slice]:
+    """Consecutive row slices of at most ``_BLOCK_CELLS`` cells each."""
+    height = max(1, _BLOCK_CELLS // max(width, 1))
+    for start in range(0, n_rows, height):
+        yield slice(start, min(start + height, n_rows))
+
+
 def rank_by_score(scores: np.ndarray) -> np.ndarray:
-    """Gallery order: descending score, ties by ascending index."""
+    """Gallery order: descending score, ties by ascending index.
+
+    Sorts along the last axis, so a score row gives one ranking and a
+    block of rows gives one ranking per row.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    return np.argsort(-scores, kind="stable")
+    return np.argsort(-scores, axis=-1, kind="stable")
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """``rank_by_score(scores)[:, :k]`` without sorting whole rows.
+
+    Keeps every column scoring at or above its row's k-th largest score,
+    boundary ties included, and sorts only those by (-score, index). NaN
+    ranks last, as in the full sort: a row whose k-th entry is NaN keeps
+    all of its columns.
+    """
+    negated = -scores
+    kth = np.partition(negated, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero((negated <= kth) | np.isnan(kth))
+    ranked = cols[np.lexsort((cols, negated[rows, cols], rows))]
+    counts = np.bincount(rows, minlength=scores.shape[0])
+    starts = np.cumsum(counts) - counts
+    return ranked[starts[:, None] + np.arange(k)]
+
+
+def _ap_rows(relevant: np.ndarray, denom) -> np.ndarray:
+    """AP of each row of a ranked boolean relevance matrix.
+
+    Precision ``hits / rank`` at each relevant position and 0.0 elsewhere,
+    summed left to right by ``np.add.accumulate``: adding 0.0 is exact, so
+    this is the one-query loop's sequential sum, bit for bit.
+    """
+    if relevant.shape[1] == 0:
+        return np.zeros(relevant.shape[0])
+    hits = np.cumsum(relevant, axis=1)
+    precision = np.where(relevant, hits / np.arange(1, relevant.shape[1] + 1), 0.0)
+    return np.add.accumulate(precision, axis=1)[:, -1] / denom
 
 
 def average_precision(ranked_relevance: Sequence, n_relevant: Optional[int] = None) -> float:
@@ -100,21 +161,57 @@ def average_precision(ranked_relevance: Sequence, n_relevant: Optional[int] = No
     ``n_relevant`` overrides the normalizer; pass min(total relevant, k)
     when the list was truncated at k. Raises when nothing is relevant.
     """
-    flags = [bool(r) for r in ranked_relevance]
-    denom = sum(flags) if n_relevant is None else int(n_relevant)
+    relevant = np.asarray(ranked_relevance, dtype=bool).reshape(1, -1)
+    denom = int(relevant.sum()) if n_relevant is None else int(n_relevant)
     if denom <= 0:
         raise NoRelevantItemsError("average precision is undefined with no relevant items")
-    hits = 0
-    total = 0.0
-    for rank, flag in enumerate(flags, start=1):
-        if flag:
-            hits += 1
-            total += hits / rank
-    return total / denom
+    return float(_ap_rows(relevant, denom)[0])
 
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
+
+
+def _relevant_counts(query_labels: np.ndarray, gallery_labels: np.ndarray) -> np.ndarray:
+    """Number of gallery items that share each query's label."""
+    classes, counts = np.unique(gallery_labels, return_counts=True)
+    slot = np.minimum(np.searchsorted(classes, query_labels), classes.size - 1)
+    return np.where(classes[slot] == query_labels, counts[slot], 0)
+
+
+def _map_report(
+    order_blocks: Iterable[np.ndarray],
+    query_labels: np.ndarray,
+    gallery_labels: np.ndarray,
+    k: Optional[int],
+    metric_name: Optional[str],
+) -> EvalReport:
+    """mAP over blocks of gallery orders; ``query_labels`` follow their rows."""
+    totals = _relevant_counts(query_labels, gallery_labels)
+    per_query: List[float] = []
+    start = 0
+    for order in order_blocks:
+        rows = slice(start, start + order.shape[0])
+        start = rows.stop
+        relevant = gallery_labels[order[:, :k]] == query_labels[rows, None]
+        total = totals[rows]
+        denom = total if k is None else np.minimum(total, k)
+        # Queries with nothing relevant are dropped; 1 only spares them 0/0.
+        ap = _ap_rows(relevant, np.maximum(denom, 1))
+        per_query.extend(ap[total > 0].tolist())
+    if not per_query:
+        raise NoRelevantItemsError("no query has any relevant gallery item")
+    name = metric_name or ("map" if k is None else f"map@{k}")
+    return EvalReport(
+        metric_name=name,
+        value=_mean(per_query),
+        per_query=tuple(per_query),
+        k=k,
+        metadata={
+            "excluded_queries": query_labels.size - len(per_query),
+            "n_queries": query_labels.size,
+        },
+    )
 
 
 def map_retrieval(
@@ -133,11 +230,8 @@ def map_retrieval(
     if gallery.n_items == 0:
         raise EmptyGalleryError("cannot rank an empty gallery")
     scores = similarity_matrix(queries, gallery)
-    lists = []
-    for i in range(queries.n_items):
-        order = rank_by_score(scores[i])
-        lists.append(RankedList(query_index=i, gallery_order=order, scores=scores[i][order]))
-    return map_from_ranked(lists, queries.labels, gallery.labels, k=k, metric_name=metric_name)
+    orders = (rank_by_score(scores[rows]) for rows in _row_blocks(queries.n_items, gallery.n_items))
+    return _map_report(orders, queries.labels, gallery.labels, k, metric_name)
 
 
 def map_from_ranked(
@@ -154,28 +248,14 @@ def map_from_ranked(
     gallery_labels = np.asarray(gallery_labels, dtype=np.int64)
     if gallery_labels.size == 0:
         raise EmptyGalleryError("cannot rank an empty gallery")
-    per_query: List[float] = []
-    excluded = 0
-    for ranked in ranked_lists:
-        label = query_labels[ranked.query_index]
-        total_relevant = int(np.sum(gallery_labels == label))
-        if total_relevant == 0:
-            excluded += 1
-            continue
-        order = ranked.gallery_order if k is None else ranked.gallery_order[:k]
-        rel = gallery_labels[order] == label
-        denom = total_relevant if k is None else min(total_relevant, k)
-        per_query.append(average_precision(rel, n_relevant=denom))
-    if not per_query:
-        raise NoRelevantItemsError("no query has any relevant gallery item")
-    name = metric_name or ("map" if k is None else f"map@{k}")
-    return EvalReport(
-        metric_name=name,
-        value=_mean(per_query),
-        per_query=tuple(per_query),
-        k=k,
-        metadata={"excluded_queries": excluded, "n_queries": len(ranked_lists)},
+    if any(ranked.gallery_order.size != gallery_labels.size for ranked in ranked_lists):
+        raise InvalidConfigError("every ranked list must order the whole gallery")
+    index = np.array([ranked.query_index for ranked in ranked_lists], dtype=np.int64)
+    orders = (
+        np.stack([ranked.gallery_order for ranked in ranked_lists[rows]])
+        for rows in _row_blocks(len(ranked_lists), gallery_labels.size)
     )
+    return _map_report(orders, query_labels[index], gallery_labels, k, metric_name)
 
 
 def chance_map_oracle(
@@ -199,10 +279,11 @@ def chance_map_oracle(
     labels = np.repeat(np.arange(n_classes), n_per_class)
     denom = n_per_class if k is None else min(n_per_class, k)
     values: List[float] = []
-    for trial in range(trials):
-        perm = rng_for(seed, "chance", trial).permutation(labels.size)
-        ranked = labels[perm] if k is None else labels[perm][:k]
-        values.append(average_precision(ranked == 0, n_relevant=denom))
+    for rows in _row_blocks(trials, labels.size):
+        perms = np.stack(
+            [rng_for(seed, "chance", t).permutation(labels.size) for t in range(rows.start, rows.stop)]
+        )
+        values.extend(_ap_rows(labels[perms[:, :k]] == 0, denom).tolist())
     return _mean(values)
 
 
@@ -236,14 +317,15 @@ def knn_classify(queries: EmbeddingSet, reference: EmbeddingSet, k: int) -> Eval
     if exclude_self:
         np.fill_diagonal(scores, -np.inf)
     per_query: List[float] = []
-    for i in range(queries.n_items):
-        order = rank_by_score(scores[i])[:k]
-        neighbor_labels = reference.labels[order]
-        votes = Counter(int(lbl) for lbl in neighbor_labels)
-        top_count = max(votes.values())
-        tied = {lbl for lbl, count in votes.items() if count == top_count}
-        prediction = next(int(lbl) for lbl in neighbor_labels if int(lbl) in tied)
-        per_query.append(float(prediction == int(queries.labels[i])))
+    # A block row also holds a k-by-k vote table.
+    for rows in _row_blocks(queries.n_items, max(reference.n_items, k * k)):
+        neighbor_labels = reference.labels[_top_k(scores[rows], k)]
+        # Votes for each neighbor's class; the first-ranked neighbor of a
+        # most-voted class is the prediction, so vote ties go by rank.
+        votes = (neighbor_labels[:, :, None] == neighbor_labels[:, None, :]).sum(axis=2)
+        first = np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)
+        prediction = neighbor_labels[np.arange(first.size), first]
+        per_query.extend((prediction == queries.labels[rows]).astype(np.float64).tolist())
     return EvalReport(
         metric_name=f"knn@{k}_accuracy",
         value=_mean(per_query),

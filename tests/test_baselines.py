@@ -1,15 +1,19 @@
 """Baselines: random projection, text mapping, cascaded zero-shot."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmodal import (
     BaselineKind,
     EmbeddingSet,
     MissingPrototypeError,
     Modality,
+    NoRelevantItemsError,
     SpeciesMismatchError,
     TrainConfig,
     WorldConfig,
@@ -22,12 +26,14 @@ from xmodal import (
     text_mapping_audio_embeddings,
     text_mapping_baseline,
 )
+from xmodal import evaluation
 from xmodal.baselines import mapping_forward
 from xmodal.evaluation import chance_map_oracle
 from xmodal.pipeline import teacher_prototype_set
 from xmodal.rng import rng_for
 
-from conftest import SMALL_WORLD
+from conftest import EXACT_PALETTE, SMALL_WORLD, exact_sets
+from test_acceptance import oracle_ap, oracle_pair_scores
 
 
 def eset(matrix, labels, modality=Modality.AUDIO) -> EmbeddingSet:
@@ -248,6 +254,8 @@ class TestCascadedZeroShot:
         for i, r in enumerate(ranked):
             assert r.query_index == i
             assert r.gallery_order.size == images.n_items
+            # Clips of one predicted class share the ranking arrays.
+            assert not r.gallery_order.flags.writeable and not r.scores.flags.writeable
 
     def test_audio_misclassification_propagates(self):
         # Stage one maps the clip to species B, so B's images rank above
@@ -299,3 +307,66 @@ class TestCascadedZeroShot:
         b = cascaded_zero_shot_baseline(*args)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.gallery_order, rb.gallery_order)
+
+
+def oracle_cascade_orders(audio, images, student_prototypes, teacher_prototypes):
+    """Per-clip cascade rankings from per-pair scores and Python sorts."""
+
+    def predict(items, prototypes):
+        scores = oracle_pair_scores(items.matrix, prototypes.matrix)
+        labels = [int(label) for label in prototypes.labels]
+        best = [min(range(len(labels)), key=lambda j: (-scores[i, j], labels[j])) for i in range(items.n_items)]
+        return [labels[j] for j in best], [scores[i, j] for i, j in enumerate(best)]
+
+    audio_pred, _ = predict(audio, student_prototypes)
+    image_pred, image_conf = predict(images, teacher_prototypes)
+    proto_cos = oracle_pair_scores(teacher_prototypes.matrix, teacher_prototypes.matrix)
+    row = {int(label): j for j, label in enumerate(teacher_prototypes.labels)}
+    orders = []
+    for predicted in audio_pred:
+        scores = [proto_cos[row[predicted], row[p]] for p in image_pred]
+        orders.append(sorted(range(images.n_items), key=lambda j: (-scores[j], -image_conf[j], j)))
+    return orders
+
+
+@st.composite
+def cascade_inputs(draw):
+    """Audio, images and both prototype tables over negative-capable labels."""
+    classes = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True))
+    labels = st.sampled_from(classes)
+
+    def prototypes(modality):
+        picks = draw(st.lists(st.integers(0, len(EXACT_PALETTE) - 1), min_size=len(classes), max_size=len(classes)))
+        return EmbeddingSet(EXACT_PALETTE[picks], classes, modality)
+
+    return (
+        draw(exact_sets(labels)),
+        draw(exact_sets(labels, modality=Modality.IMAGE)),
+        prototypes(Modality.AUDIO),
+        prototypes(Modality.TEACHER_TEXT),
+    )
+
+
+class TestCascadeMatchesNaiveOracle:
+    @given(cascade_inputs(), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_rankings_and_map(self, inputs, cells):
+        audio, images = inputs[:2]
+        orders = oracle_cascade_orders(*inputs)
+        ranked = cascaded_zero_shot_baseline(*inputs)
+        assert [r.gallery_order.tolist() for r in ranked] == orders
+
+        per_query = []
+        for i, order in enumerate(orders):
+            label = int(audio.labels[i])
+            n_rel = int(np.sum(images.labels == label))
+            if n_rel:
+                per_query.append(oracle_ap([int(images.labels[j]) == label for j in order], n_rel))
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            if not per_query:
+                with pytest.raises(NoRelevantItemsError):
+                    map_from_ranked(ranked, audio.labels, images.labels)
+                return
+            report = map_from_ranked(ranked, audio.labels, images.labels)
+        assert report.value == sum(per_query) / len(per_query)
+        assert report.per_query == tuple(per_query)

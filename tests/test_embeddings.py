@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -224,9 +224,12 @@ class TestNormalizeRows:
         st.tuples(st.integers(1, 6), st.integers(1, 6)),
         elements=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False),
     ))
+    # Nonzero rows whose squared entries are subnormal, or underflow to 0.
+    @example(np.array([[2.17e-159]]))
+    @example(np.array([[1e-170]]))
     @settings(max_examples=60, deadline=None)
     def test_unit_norms(self, matrix):
-        if np.any(np.linalg.norm(matrix, axis=1) == 0.0):
+        if np.any(np.all(matrix == 0.0, axis=1)):
             return
         out = normalize_rows(eset(matrix))
         assert np.allclose(np.linalg.norm(out.matrix, axis=1), 1.0, atol=1e-9)

@@ -1,8 +1,11 @@
 """Retrieval and classification metrics against hand-computed oracles."""
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xmodal import (
@@ -26,10 +29,12 @@ from xmodal import (
     nearest_prototype,
     zero_shot_classify,
 )
+from xmodal import evaluation
 from xmodal.evaluation import rank_by_score
 from xmodal.rng import rng_for
 
-from conftest import brute_force_scores
+from conftest import brute_force_scores, exact_sets
+from test_acceptance import oracle_ap, oracle_knn_loo, oracle_map, oracle_pair_scores, oracle_rank
 
 
 def eset(matrix, labels, modality=Modality.AUDIO) -> EmbeddingSet:
@@ -57,6 +62,18 @@ class TestRankedList:
     def test_order_must_be_permutation(self):
         with pytest.raises(InvalidConfigError, match="permutation"):
             RankedList(query_index=0, gallery_order=[0, 0, 1], scores=[1.0, 0.5, 0.4])
+
+    # Duplicates, entries past the end and negative entries are all drawn.
+    @given(st.lists(st.integers(-2, 6), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_exactly_the_permutations(self, order):
+        is_permutation = sorted(order) == list(range(len(order)))
+        try:
+            RankedList(query_index=0, gallery_order=order, scores=np.zeros(len(order)))
+        except InvalidConfigError:
+            assert not is_permutation
+        else:
+            assert is_permutation
 
     def test_scores_must_be_sorted(self):
         with pytest.raises(InvalidConfigError, match="non-increasing"):
@@ -102,6 +119,7 @@ class TestAveragePrecision:
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_perfection(self, flags):
         ap = average_precision(flags)
+        assert ap == oracle_ap(flags, sum(flags))
         assert 0.0 < ap <= 1.0
         n_rel = sum(flags)
         if flags[:n_rel] == [True] * n_rel:
@@ -222,6 +240,11 @@ class TestMapFromRanked:
     def test_empty_gallery_labels(self):
         with pytest.raises(EmptyGalleryError):
             map_from_ranked([], np.array([0]), np.array([], dtype=np.int64))
+
+    def test_list_must_rank_the_whole_gallery(self):
+        partial = RankedList(query_index=0, gallery_order=[1, 0], scores=[0.9, 0.1])
+        with pytest.raises(InvalidConfigError, match="whole gallery"):
+            map_from_ranked([partial], np.array([0]), np.array([0, 1, 0]))
 
 
 class TestChanceMapOracle:
@@ -399,3 +422,127 @@ class TestZeroShot:
         protos = eset([[1.0, 0.0], [0.0, 1.0]], [0, 99])
         q = eset([[0.9, 0.05]], [0])
         assert zero_shot_classify(q, protos).value == 1.0
+
+
+# -- batched evaluation against the acceptance gate's naive oracles -------------
+#
+# Rows come from an exact palette (see conftest.exact_sets), so the naive
+# per-pair scores equal the library's BLAS scores bit for bit and every
+# difference is the batched code's. Labels go negative, query labels reach
+# beyond the gallery's (queries with no relevant item), and the block
+# budget is patched down to a few cells so row blocks split the queries.
+
+QUERY_LABELS = st.integers(-4, 4)
+GALLERY_LABELS = st.integers(-3, 3)
+BLOCK_CELLS = st.integers(1, 40)
+
+
+def oracle_map_at(queries, gallery, k):
+    """oracle_map truncated at k, normalized by min(total relevant, k)."""
+    scores = oracle_pair_scores(queries.matrix, gallery.matrix)
+    per_query = []
+    for i in range(queries.n_items):
+        label = int(queries.labels[i])
+        n_rel = int(np.sum(gallery.labels == label))
+        if n_rel == 0:
+            continue
+        flags = [int(gallery.labels[j]) == label for j in oracle_rank(scores[i])[:k]]
+        per_query.append(oracle_ap(flags, min(n_rel, k)))
+    return sum(per_query) / len(per_query), tuple(per_query)
+
+
+def oracle_knn(queries, reference, k):
+    """oracle_knn_loo for a separate reference set: nothing is excluded."""
+    scores = oracle_pair_scores(queries.matrix, reference.matrix)
+    per_query = []
+    for i in range(queries.n_items):
+        neighbor_labels = [int(reference.labels[j]) for j in oracle_rank(scores[i])[:k]]
+        votes = Counter(neighbor_labels)
+        top = max(votes.values())
+        tied = {label for label, count in votes.items() if count == top}
+        prediction = next(label for label in neighbor_labels if label in tied)
+        per_query.append(float(prediction == int(queries.labels[i])))
+    return sum(per_query) / len(per_query), tuple(per_query)
+
+
+class TestBatchedMatchesNaiveOracles:
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([1.0, 0.5, 0.0, -0.0, -0.5, -np.inf]), min_size=5, max_size=5),
+            min_size=1,
+            max_size=9,
+        ),
+        st.integers(1, 5),
+        BLOCK_CELLS,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ranking_and_top_k(self, rows, k, cells):
+        scores = np.array(rows)
+        expected = [oracle_rank(row) for row in rows]
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            assert rank_by_score(scores).tolist() == expected
+            assert evaluation._top_k(scores, k).tolist() == [order[:k] for order in expected]
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([1.0, 0.0, -0.0, -1.0, -np.inf, np.nan]), min_size=4, max_size=4),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_top_k_ranks_nan_last_like_the_full_sort(self, rows, k):
+        # Python's sort has no order for NaN keys, so the full stable
+        # argsort is the reference here.
+        scores = np.array(rows)
+        assert evaluation._top_k(scores, k).tolist() == rank_by_score(scores)[:, :k].tolist()
+
+    @given(st.data(), BLOCK_CELLS)
+    @settings(max_examples=100, deadline=None)
+    def test_map_retrieval(self, data, cells):
+        queries = data.draw(exact_sets(QUERY_LABELS))
+        gallery = data.draw(exact_sets(GALLERY_LABELS))
+        k = data.draw(st.none() | st.integers(1, gallery.n_items + 3))
+        if not np.isin(queries.labels, gallery.labels).any():
+            with pytest.raises(NoRelevantItemsError):
+                map_retrieval(queries, gallery, k=k)
+            return
+        value, per_query = oracle_map(queries, gallery) if k is None else oracle_map_at(queries, gallery, k)
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            report = map_retrieval(queries, gallery, k=k)
+        assert report.value == value and report.per_query == per_query
+        assert report.metadata["excluded_queries"] == queries.n_items - len(per_query)
+
+    @given(st.data(), BLOCK_CELLS)
+    @settings(max_examples=100, deadline=None)
+    def test_knn_self_excluded(self, data, cells):
+        items = data.draw(exact_sets(GALLERY_LABELS, min_size=2))
+        k = data.draw(st.integers(1, items.n_items - 1))
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            report = knn_classify(items, items, k)
+        assert (report.value, report.per_query) == oracle_knn_loo(items, k)
+
+    @given(st.data(), BLOCK_CELLS)
+    @settings(max_examples=100, deadline=None)
+    def test_knn_cross_set(self, data, cells):
+        queries = data.draw(exact_sets(QUERY_LABELS))
+        reference = data.draw(exact_sets(GALLERY_LABELS))
+        assume(not evaluation._same_set(queries, reference))
+        k = data.draw(st.integers(1, reference.n_items))
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            report = knn_classify(queries, reference, k)
+        assert (report.value, report.per_query) == oracle_knn(queries, reference, k)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.none() | st.integers(1, 20), st.integers(1, 12), BLOCK_CELLS)
+    @settings(max_examples=50, deadline=None)
+    def test_chance_map(self, n_per_class, n_classes, k, trials, cells):
+        labels = np.repeat(np.arange(n_classes), n_per_class)
+        denom = n_per_class if k is None else min(n_per_class, k)
+        values = [
+            oracle_ap(list(labels[rng_for(3, "chance", t).permutation(labels.size)][:k] == 0), denom)
+            for t in range(trials)
+        ]
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            value = chance_map_oracle(n_per_class, n_classes, k=k, trials=trials, seed=3)
+        assert value == sum(values) / len(values)

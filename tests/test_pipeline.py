@@ -1,6 +1,7 @@
 """End-to-end experiment pipeline: preparation, evaluation, artifacts."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -213,7 +214,16 @@ class TestRunExperiment:
         assert adapter_config_for(bad).d_in == 9
 
 
+# SHA-256 of the default config's summary.txt, the README run. Evaluation
+# may get faster but must not move a byte of it.
+DEFAULT_SUMMARY_SHA256 = "0067f866022d7c982067f6da633a67cde21d65173e33750429bd36722efc27b5"
+
+
 class TestDefaultConfigOrdering:
+    def test_summary_bytes_pinned(self, default_experiment):
+        result, _ = default_experiment
+        assert hashlib.sha256(result.summary.encode("utf-8")).hexdigest() == DEFAULT_SUMMARY_SHA256
+
     def test_distilled_clears_text_mapping_and_random(self, default_experiment):
         result, _ = default_experiment
         maps = {m: result.reports[f"audio_image_map.{m}"].value for m in SUMMARY_METHOD_ORDER}
