@@ -17,15 +17,7 @@ from .baselines import (
     text_mapping_audio_embeddings,
     text_mapping_baseline,
 )
-from .embeddings import (
-    Embedding,
-    EmbeddingSet,
-    Modality,
-    TaxonLabel,
-    cosine_similarity,
-    normalize_rows,
-    similarity_matrix,
-)
+from .embeddings import EmbeddingSet, Modality, TaxonLabel, normalize_rows, similarity_matrix
 from .errors import (
     ConfigTypeError,
     DimensionMismatchError,

@@ -7,8 +7,10 @@ also has access to:
   matrix into teacher space. Lower bound; no learning at all.
 * ``text_mapping``: a small nonlinear map from student text space to
   teacher text space, trained on per-species text pairs only (no audio).
-  At inference an audio clip is classified to a species with audio-space
-  class prototypes, then represented by its mapped species text.
+  It is the trainer's layer-table MLP (``map1`` + ReLU, ``map2``) with the
+  same optimizer. At inference an audio clip is classified to a species
+  with audio-space class prototypes, then represented by its mapped
+  species text.
 * ``cascaded_zero_shot``: two independent zero-shot classifiers (audio
   vs audio-space prototypes, image vs teacher text prototypes) chained
   by scoring each image with the cosine between the two predicted class
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,20 +36,16 @@ from .errors import (
 from .evaluation import RankedList, nearest_prototype
 from .objective import distill_loss
 from .rng import rng_for
-from .trainer import TrainConfig, make_optimizer, xavier_uniform
+from .trainer import Layer, Params, TrainConfig, _mlp_backward, _mlp_forward, _mlp_init, make_optimizer
 
 __all__ = [
     "BaselineKind",
     "TextMappingReport",
     "random_projection_baseline",
-    "mapping_forward",
     "text_mapping_baseline",
     "text_mapping_audio_embeddings",
     "cascaded_zero_shot_baseline",
 ]
-
-Params = Dict[str, np.ndarray]
-
 
 class BaselineKind(enum.Enum):
     RANDOM_PROJECTION = "random_projection"
@@ -80,35 +78,9 @@ class TextMappingReport:
     mapped_prototypes: EmbeddingSet
 
 
-def mapping_forward(params: Params, rows: np.ndarray) -> Tuple[np.ndarray, dict]:
-    """One-hidden-layer ReLU map; returns output rows and a cache."""
-    x = np.asarray(rows, dtype=np.float64)
-    pre = x @ params["map1_w"].T + params["map1_b"]
-    hidden = np.maximum(pre, 0.0)
-    out = hidden @ params["map2_w"].T + params["map2_b"]
-    return out, {"x": x, "pre": pre, "hidden": hidden}
-
-
-def _mapping_backward(params: Params, cache: dict, grad_out: np.ndarray) -> Params:
-    grads: Params = {
-        "map2_w": grad_out.T @ cache["hidden"],
-        "map2_b": grad_out.sum(axis=0),
-    }
-    d_hidden = grad_out @ params["map2_w"]
-    d_hidden = np.where(cache["pre"] > 0.0, d_hidden, 0.0)
-    grads["map1_w"] = d_hidden.T @ cache["x"]
-    grads["map1_b"] = d_hidden.sum(axis=0)
-    return grads
-
-
-def _init_mapping(d_student: int, d_teacher: int, seed: int) -> Params:
+def _text_map_layers(d_student: int, d_teacher: int) -> Tuple[Layer, ...]:
     # Hidden width equals d_teacher: minimal nonlinearity between the spaces.
-    return {
-        "map1_w": xavier_uniform(rng_for(seed, "textmap", "map1_w"), d_teacher, d_student),
-        "map1_b": np.zeros(d_teacher, dtype=np.float64),
-        "map2_w": xavier_uniform(rng_for(seed, "textmap", "map2_w"), d_teacher, d_teacher),
-        "map2_b": np.zeros(d_teacher, dtype=np.float64),
-    }
+    return (("map1", d_student, d_teacher, True), ("map2", d_teacher, d_teacher, False))
 
 
 def text_mapping_baseline(
@@ -135,10 +107,12 @@ def text_mapping_baseline(
         raise SpeciesMismatchError("text sets must have exactly one row per species")
 
     n = student_sorted.n_items
+    layers = _text_map_layers(student_text.dim, teacher_text.dim)
+    # A copy of the dict: make_optimizer rebinds its entries to buffer views.
     params = (
-        {k: np.array(v, dtype=np.float64) for k, v in initial_params.items()}
+        dict(initial_params)
         if initial_params is not None
-        else _init_mapping(student_text.dim, teacher_text.dim, train_config.seed)
+        else _mlp_init(layers, train_config.seed, "textmap")
     )
     step_fn = make_optimizer(train_config, params)
 
@@ -151,18 +125,17 @@ def text_mapping_baseline(
             batch = perm[start : start + train_config.batch_size]
             if batch.size < 2:
                 continue
-            out, cache = mapping_forward(params, student_sorted.matrix[batch])
+            out, cache = _mlp_forward(layers, params, student_sorted.matrix[batch])
             result = distill_loss(out, teacher_sorted.matrix[batch], train_config.tau)
             if not math.isfinite(result.loss):
                 raise NonFiniteLossError(step)
-            grads = _mapping_backward(params, cache, result.grad_student)
-            step_fn(params, grads)
+            step_fn(_mlp_backward(layers, params, cache, result.grad_student))
             step += 1
             epoch_losses.append(result.loss)
         if epoch_losses:
             loss_curve.append(sum(epoch_losses) / len(epoch_losses))
 
-    mapped, _ = mapping_forward(params, student_sorted.matrix)
+    mapped, _ = _mlp_forward(layers, params, student_sorted.matrix)
     prototypes = EmbeddingSet(mapped, student_sorted.labels, student_text.modality, normalized=False)
     return TextMappingReport(params=params, loss_curve=tuple(loss_curve), mapped_prototypes=prototypes)
 

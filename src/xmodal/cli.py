@@ -37,7 +37,7 @@ from .pipeline import (
 )
 from .runconfig import RunConfig, adapter_config_for, config_hash, parse_config
 from .storage import load_params, save_params
-from .trainer import train_adapter
+from .trainer import check_params, train_adapter
 
 __all__ = ["main", "build_parser"]
 
@@ -107,6 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"params blob at {out / 'params.xmpb'} was trained under config {stored_hash}, "
                     f"but the current config hashes to {run_hash}"
                 )
+            check_params(adapter_config_for(config), params)
             prepared = prepare_world(config)
             reports = evaluate_trained(config, prepared, params)
             chance = chance_map(config, prepared)

@@ -1,4 +1,4 @@
-"""Dense embedding primitives: vectors, labeled sets, cosine similarity.
+"""Dense embedding primitives: labeled sets, cosine similarity matrices.
 
 All arithmetic is float64. Containers are immutable after construction
 (their numpy buffers are marked read-only), so they can be shared across
@@ -28,55 +28,17 @@ class Modality(enum.Enum):
     STUDENT_TEXT = "student_text"
 
 
-def _readonly_f64(values, ndim: int) -> np.ndarray:
-    arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-    if arr.ndim != ndim:
-        raise DimensionMismatchError(f"expected a {ndim}-d array, got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """One dense vector with an explicit dimensionality tag."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly_f64(self.values, ndim=1))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def normalize(self) -> "Embedding":
-        """Return a unit-norm copy; raises ZeroVectorError on the zero vector."""
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroVectorError("cannot normalize the zero vector")
-        return Embedding(self.values / n)
-
-
 @dataclass(frozen=True)
 class TaxonLabel:
     """Hierarchical class identity: family > genus > species.
 
     ``species_id`` is globally unique and determines the (genus, family)
-    pair; ``variant_count`` is the number of text prompt variants each
-    species carries.
+    pair.
     """
 
     family_id: int
     genus_id: int
     species_id: int
-    variant_count: int
-
-    def __post_init__(self):
-        if self.variant_count < 1:
-            raise ValueError("variant_count must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,7 +55,10 @@ class EmbeddingSet:
     normalized: bool = field(default=False)
 
     def __post_init__(self):
-        matrix = _readonly_f64(self.matrix, ndim=2)
+        matrix = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.float64))
+        if matrix.ndim != 2:
+            raise DimensionMismatchError(f"expected a 2-d array, got shape {matrix.shape}")
+        matrix.flags.writeable = False
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
         labels.flags.writeable = False
         if labels.ndim != 1 or labels.shape[0] != matrix.shape[0]:
@@ -116,35 +81,12 @@ class EmbeddingSet:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, i: int) -> Embedding:
-        return Embedding(self.matrix[i])
-
     def take(self, indices) -> "EmbeddingSet":
         """Subset of rows (by position), preserving order and labels."""
         idx = np.asarray(indices, dtype=np.int64)
         return EmbeddingSet(
             self.matrix[idx], self.labels[idx], self.modality, normalized=self.normalized
         )
-
-
-def cosine_similarity(a: Embedding, b: Embedding) -> float:
-    """Cosine of the angle between two embeddings, in [-1, 1].
-
-    Symmetric and invariant to positive rescaling of either argument.
-
-    Raises:
-        DimensionMismatchError: if the vectors differ in length.
-        ZeroVectorError: if either vector is all zeros.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    na = a.norm()
-    nb = b.norm()
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine similarity is undefined for zero vectors")
-    value = float(np.dot(a.values, b.values) / (na * nb))
-    # Guard against float drift past the mathematical range.
-    return min(1.0, max(-1.0, value))
 
 
 # Below this norm a row's squared entries are subnormal or underflow to zero.
@@ -170,9 +112,11 @@ def _unit_rows(matrix: np.ndarray, side: str) -> np.ndarray:
 def similarity_matrix(queries: EmbeddingSet, gallery: EmbeddingSet) -> np.ndarray:
     """Pairwise cosine similarities, shape (n_queries, n_gallery).
 
-    Entry (i, j) equals ``cosine_similarity(queries.row(i), gallery.row(j))``.
-    Each entry is an independent dot product, so parallel evaluation over
-    query rows cannot change the result.
+    Entry (i, j) is the cosine of the angle between query row i and
+    gallery row j, in [-1, 1] up to rounding (not clipped). Zero rows
+    raise ZeroVectorError naming their side. Each entry is an independent
+    dot product, so parallel evaluation over query rows cannot change the
+    result.
     """
     if queries.dim != gallery.dim:
         raise DimensionMismatchError(f"dims differ: {queries.dim} vs {gallery.dim}")

@@ -22,6 +22,7 @@ so readers never observe a partial file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -49,6 +50,7 @@ HEADER = struct.Struct("<4sIBBQQQ")
 
 PARAMS_MAGIC = b"XMPB"
 PARAMS_HEADER = struct.Struct("<4sI16sI")
+_INT64_MAX = 2**63 - 1
 
 _MODALITY_CODES = {
     Modality.AUDIO: 0,
@@ -174,7 +176,10 @@ def load_params(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], str]:
         offset += 2
         if offset + name_len + 1 > len(raw):
             raise PayloadTooShortError(offset + name_len + 1, len(raw), "params blob")
-        name = raw[offset : offset + name_len].decode("utf-8")
+        try:
+            name = raw[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"array name at byte {offset} is not UTF-8") from exc
         offset += name_len
         (ndim,) = struct.unpack_from("<B", raw, offset)
         offset += 1
@@ -182,7 +187,10 @@ def load_params(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], str]:
             raise PayloadTooShortError(offset + 8 * ndim, len(raw), "params blob")
         shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
         offset += 8 * ndim
-        n_values = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        # NumPy counts the bytes of the nonzero axes in a signed 64-bit int.
+        if 8 * math.prod(max(n, 1) for n in shape) > _INT64_MAX:
+            raise FileFormatError(f"array {name!r} has shape {shape}, too large for any array")
+        n_values = math.prod(shape)
         end = offset + 8 * n_values
         if end > len(raw):
             raise PayloadTooShortError(end, len(raw), "params blob")
@@ -194,4 +202,6 @@ def load_params(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], str]:
         offset = end
     if offset != len(raw):
         raise FileFormatError(f"{len(raw) - offset} trailing bytes after declared arrays")
+    if not hash_bytes.isascii():
+        raise FileFormatError(f"config hash {hash_bytes!r} is not ASCII")
     return params, hash_bytes.decode("ascii")

@@ -7,11 +7,14 @@ Two architectures are supported:
 * ``mlp_encoder_plus_head``: a one-hidden-layer ReLU encoder producing
   the student embedding, followed by an affine head into teacher space.
 
-Forward, backward, and both optimizers (Adam and SGD with momentum) are
-implemented directly on numpy arrays; parameters live in a plain dict
-keyed by layer name. Training minimizes the contrastive distillation
-objective against teacher text rows, drawing each item's prompt variant
-from a configurable mixture every epoch. The teacher set is read-only
+Every network here, and the text mapping in :mod:`xmodal.baselines`, is a
+layer table of ``(name, fan_in, fan_out, relu)`` rows with one init, one
+forward and one backward. Parameters are a dict of ``<name>_w``/``<name>_b``
+arrays; for training the optimizer moves them into one contiguous float64
+buffer and updates it with whole-vector operations (Adam or SGD with
+momentum). Training minimizes the contrastive distillation objective
+against teacher text rows, drawing each item's prompt variant from a
+configurable mixture every epoch. The teacher set is read-only
 throughout; only adapter parameters are updated.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "init_params",
+    "check_params",
     "adapter_forward",
     "adapter_backward",
     "embed_audio",
@@ -52,6 +56,8 @@ ADAPTER_MODES = ("linear_head_only", "mlp_encoder_plus_head")
 OPTIMIZERS = ("adam", "sgd_momentum")
 
 Params = Dict[str, np.ndarray]
+# One affine layer: (name, fan_in, fan_out, relu); tables list them input first.
+Layer = Tuple[str, int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -72,9 +78,15 @@ class AdapterConfig:
                 raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
-    def head_in(self) -> int:
-        """Input width of the projection head."""
-        return self.d_in if self.mode == "linear_head_only" else self.d_student
+    def layers(self) -> Tuple[Layer, ...]:
+        """Layer table of this architecture, input side first."""
+        if self.mode == "linear_head_only":
+            return (("head", self.d_in, self.d_teacher, False),)
+        return (
+            ("enc1", self.d_in, self.d_hidden, True),
+            ("enc2", self.d_hidden, self.d_student, False),
+            ("head", self.d_student, self.d_teacher, False),
+        )
 
 
 @dataclass(frozen=True)
@@ -155,24 +167,61 @@ def xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
+def _mlp_init(layers: Sequence[Layer], seed: int, stream: str) -> Params:
+    """Weights Xavier-uniform from ``(seed, stream, key)``, biases zero."""
+    params: Params = {}
+    for name, fan_in, fan_out, _ in layers:
+        params[f"{name}_w"] = xavier_uniform(rng_for(seed, stream, f"{name}_w"), fan_out, fan_in)
+        params[f"{name}_b"] = np.zeros(fan_out, dtype=np.float64)
+    return params
+
+
+def _mlp_forward(layers: Sequence[Layer], params: Params, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Output rows and the cache: the input of every layer."""
+    inputs = []
+    for name, _, _, relu in layers:
+        inputs.append(x)
+        x = x @ params[f"{name}_w"].T + params[f"{name}_b"]
+        if relu:
+            x = np.maximum(x, 0.0)
+    return x, inputs
+
+
+def _mlp_backward(layers: Sequence[Layer], params: Params, inputs: List[np.ndarray], grad: np.ndarray) -> Params:
+    """Parameter gradients given d(loss)/d(output)."""
+    grads: Params = {}
+    for i in reversed(range(len(layers))):
+        name = layers[i][0]
+        grads[f"{name}_w"] = grad.T @ inputs[i]
+        grads[f"{name}_b"] = grad.sum(axis=0)
+        if i:
+            grad = grad @ params[f"{name}_w"]
+            if layers[i - 1][3]:
+                # A ReLU output is positive exactly where its input was.
+                grad = np.where(inputs[i] > 0.0, grad, 0.0)
+    return grads
+
+
 def init_params(config: AdapterConfig, seed: int) -> Params:
     """Fresh parameters; weights Xavier-uniform, biases zero."""
-    if config.mode == "linear_head_only":
-        return {
-            "head_w": xavier_uniform(rng_for(seed, "init", "head_w"), config.d_teacher, config.d_in),
-            "head_b": np.zeros(config.d_teacher, dtype=np.float64),
-        }
-    return {
-        "enc1_w": xavier_uniform(rng_for(seed, "init", "enc1_w"), config.d_hidden, config.d_in),
-        "enc1_b": np.zeros(config.d_hidden, dtype=np.float64),
-        "enc2_w": xavier_uniform(rng_for(seed, "init", "enc2_w"), config.d_student, config.d_hidden),
-        "enc2_b": np.zeros(config.d_student, dtype=np.float64),
-        "head_w": xavier_uniform(rng_for(seed, "init", "head_w"), config.d_teacher, config.d_student),
-        "head_b": np.zeros(config.d_teacher, dtype=np.float64),
-    }
+    return _mlp_init(config.layers, seed, "init")
 
 
-def adapter_forward(config: AdapterConfig, params: Params, inputs: np.ndarray) -> Tuple[np.ndarray, dict]:
+def check_params(config: AdapterConfig, params: Params) -> None:
+    """Raise ShapeMismatchError unless ``params`` fit the layer table."""
+    expected = {}
+    for name, fan_in, fan_out, _ in config.layers:
+        expected[f"{name}_w"] = (fan_out, fan_in)
+        expected[f"{name}_b"] = (fan_out,)
+    got = {key: np.shape(value) for key, value in params.items()}
+    if got != expected:
+        raise ShapeMismatchError(
+            f"parameters {sorted(got.items())} do not fit the {config.mode} adapter, "
+            f"which needs {sorted(expected.items())}"
+        )
+
+
+def adapter_forward(config: AdapterConfig, params: Params, inputs: np.ndarray) -> Tuple[np.ndarray, list]:
     """Map raw inputs (n, d_in) to teacher space (n, d_teacher).
 
     Returns unnormalized teacher-space rows (the objective's cosine does
@@ -181,35 +230,12 @@ def adapter_forward(config: AdapterConfig, params: Params, inputs: np.ndarray) -
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.d_in:
         raise ShapeMismatchError(f"expected inputs of shape (n, {config.d_in}), got {x.shape}")
-    if config.mode == "linear_head_only":
-        z = x @ params["head_w"].T + params["head_b"]
-        return z, {"x": x}
-    pre1 = x @ params["enc1_w"].T + params["enc1_b"]
-    h1 = np.maximum(pre1, 0.0)
-    student = h1 @ params["enc2_w"].T + params["enc2_b"]
-    z = student @ params["head_w"].T + params["head_b"]
-    return z, {"x": x, "pre1": pre1, "h1": h1, "student": student}
+    return _mlp_forward(config.layers, params, x)
 
 
-def adapter_backward(config: AdapterConfig, params: Params, cache: dict, grad_z: np.ndarray) -> Params:
+def adapter_backward(config: AdapterConfig, params: Params, cache: list, grad_z: np.ndarray) -> Params:
     """Parameter gradients given d(loss)/d(teacher-space output)."""
-    if config.mode == "linear_head_only":
-        return {
-            "head_w": grad_z.T @ cache["x"],
-            "head_b": grad_z.sum(axis=0),
-        }
-    grads: Params = {
-        "head_w": grad_z.T @ cache["student"],
-        "head_b": grad_z.sum(axis=0),
-    }
-    d_student = grad_z @ params["head_w"]
-    grads["enc2_w"] = d_student.T @ cache["h1"]
-    grads["enc2_b"] = d_student.sum(axis=0)
-    d_h1 = d_student @ params["enc2_w"]
-    d_h1 = np.where(cache["pre1"] > 0.0, d_h1, 0.0)
-    grads["enc1_w"] = d_h1.T @ cache["x"]
-    grads["enc1_b"] = d_h1.sum(axis=0)
-    return grads
+    return _mlp_backward(config.layers, params, cache, grad_z)
 
 
 def embed_audio(config: AdapterConfig, params: Params, inputs: np.ndarray) -> np.ndarray:
@@ -225,33 +251,60 @@ def dataset_loss(view: WorldView, config: AdapterConfig, params: Params, tau: fl
     return distill_loss(z, targets, tau).loss
 
 
-def make_optimizer(train_config: TrainConfig, params: Params) -> Callable[[Params, Params], None]:
-    """In-place parameter update rule closed over its own state."""
-    if train_config.optimizer == "sgd_momentum":
-        velocity = {k: np.zeros_like(v) for k, v in params.items()}
+def make_optimizer(train_config: TrainConfig, params: Params) -> Callable[[Params], None]:
+    """Update rule over one buffer holding every parameter.
 
-        def sgd_step(p: Params, grads: Params) -> None:
-            for key in p:
-                velocity[key] = train_config.momentum * velocity[key] + grads[key]
-                p[key] -= train_config.learning_rate * velocity[key]
+    Copies ``params`` into one contiguous float64 vector and rebinds each
+    entry of the dict to a view of it. The returned step takes a gradient
+    dict with the same keys and updates every parameter in place, with
+    whole-vector operations into preallocated buffers.
+    """
+    names = list(params)
+    flat = np.concatenate([params[name] for name in names], axis=None, dtype=np.float64)
+    offset = 0
+    for name in names:
+        shape = np.shape(params[name])
+        size = math.prod(shape)
+        params[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    grad = np.empty_like(flat)
+    lr = train_config.learning_rate
+
+    if train_config.optimizer == "sgd_momentum":
+        velocity = np.zeros_like(flat)
+
+        def sgd_step(grads: Params) -> None:
+            # In-place operators rebind their target name, hence nonlocal.
+            nonlocal flat, velocity
+            np.concatenate([grads[name] for name in names], axis=None, out=grad)
+            velocity *= train_config.momentum
+            velocity += grad
+            flat -= np.multiply(velocity, lr, out=grad)
 
         return sgd_step
 
-    first = {k: np.zeros_like(v) for k, v in params.items()}
-    second = {k: np.zeros_like(v) for k, v in params.items()}
-    t = {"step": 0}
+    b1, b2, eps = train_config.beta1, train_config.beta2, train_config.adam_eps
+    first = np.zeros_like(flat)
+    second = np.zeros_like(flat)
+    update = np.empty_like(flat)
+    t = 0
 
-    def adam_step(p: Params, grads: Params) -> None:
-        t["step"] += 1
-        b1, b2 = train_config.beta1, train_config.beta2
-        correction1 = 1.0 - b1 ** t["step"]
-        correction2 = 1.0 - b2 ** t["step"]
-        for key in p:
-            first[key] = b1 * first[key] + (1.0 - b1) * grads[key]
-            second[key] = b2 * second[key] + (1.0 - b2) * grads[key] ** 2
-            m_hat = first[key] / correction1
-            v_hat = second[key] / correction2
-            p[key] -= train_config.learning_rate * m_hat / (np.sqrt(v_hat) + train_config.adam_eps)
+    def adam_step(grads: Params) -> None:
+        nonlocal flat, grad, first, second, update, t
+        t += 1
+        np.concatenate([grads[name] for name in names], axis=None, out=grad)
+        first *= b1
+        first += np.multiply(grad, 1.0 - b1, out=update)
+        second *= b2
+        second += np.multiply(np.square(grad, out=grad), 1.0 - b2, out=grad)
+        # lr * m_hat / (sqrt(v_hat) + eps), operation for operation.
+        np.divide(first, 1.0 - b1**t, out=update)
+        update *= lr
+        np.divide(second, 1.0 - b2**t, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += eps
+        update /= grad
+        flat -= update
 
     return adam_step
 
@@ -313,8 +366,7 @@ def train_adapter(
             out = distill_loss(z, teacher_rows, train_config.tau)
             if not math.isfinite(out.loss):
                 raise NonFiniteLossError(step)
-            grads = adapter_backward(adapter_config, params, cache, out.grad_student)
-            step_fn(params, grads)
+            step_fn(adapter_backward(adapter_config, params, cache, out.grad_student))
             step += 1
             epoch_losses.append(out.loss)
         if not epoch_losses:

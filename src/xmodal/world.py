@@ -7,7 +7,7 @@ family > genus > species hierarchy, each observed through four channels.
   ``variant_count`` prompt phrasings per species (variant 0 is the
   canonical common-name prompt used at evaluation time).
 * ``images``: teacher embeddings of photographs, clustered tightly
-  around the species' text prototype.
+  around the species' teacher-space centre.
 * ``audio_features``: raw acoustic feature vectors in their own space,
   with per-coordinate observation noise. These are the student inputs.
 * ``student_text``: embeddings of species names from a small student
@@ -104,11 +104,15 @@ class WorldConfig:
 
 @dataclass(frozen=True)
 class World:
-    """Generated world: embedding sets for all four channels plus labels."""
+    """Generated world: embedding sets for all four channels plus labels.
+
+    ``species_centres`` holds the noise-free unit teacher-space centre of
+    each species; teacher text and image rows are noisy draws around it.
+    """
 
     config: WorldConfig
     labels: Tuple[TaxonLabel, ...]
-    teacher_prototypes: np.ndarray
+    species_centres: np.ndarray
     teacher_text: EmbeddingSet
     student_text: EmbeddingSet
     images: EmbeddingSet
@@ -117,13 +121,6 @@ class World:
     @property
     def n_species(self) -> int:
         return len(self.labels)
-
-    def teacher_row_index(self, species_id: int, variant: int) -> int:
-        """Row of ``teacher_text`` holding the given species/variant pair."""
-        v = self.config.variant_count
-        if not (0 <= species_id < self.n_species and 0 <= variant < v):
-            raise IndexError(f"no teacher text row for species {species_id} variant {variant}")
-        return species_id * v + variant
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,7 @@ def generate_world(config: WorldConfig) -> World:
     n_species = config.n_species
 
     labels = []
-    prototypes = np.empty((n_species, d_t), dtype=np.float64)
+    centres = np.empty((n_species, d_t), dtype=np.float64)
     s = 0
     for f in range(config.n_families):
         family_center = _norm_relative(rng_for(seed, "family", f), config.sigma_family, d_t)
@@ -177,17 +174,16 @@ def generate_world(config: WorldConfig) -> World:
                 raw = genus_center + _norm_relative(
                     rng_for(seed, "species", f, g, k), config.sigma_species, d_t
                 )
-                prototypes[s] = _unit(raw, f"prototype of species {s}")
+                centres[s] = _unit(raw, f"centre of species {s}")
                 labels.append(
                     TaxonLabel(
                         family_id=f,
                         genus_id=f * config.genera_per_family + g,
                         species_id=s,
-                        variant_count=config.variant_count,
                     )
                 )
                 s += 1
-    prototypes.setflags(write=False)
+    centres.setflags(write=False)
 
     teacher_rows = np.empty((n_species * config.variant_count, d_t), dtype=np.float64)
     teacher_labels = np.empty(teacher_rows.shape[0], dtype=np.int64)
@@ -195,7 +191,7 @@ def generate_world(config: WorldConfig) -> World:
         for v in range(config.variant_count):
             row = sp * config.variant_count + v
             noise = _norm_relative(rng_for(seed, "teacher_text", sp, v), config.sigma_variant, d_t)
-            teacher_rows[row] = _unit(prototypes[sp] + noise, f"teacher text {sp}/{v}")
+            teacher_rows[row] = _unit(centres[sp] + noise, f"teacher text {sp}/{v}")
             teacher_labels[row] = sp
     teacher_text = EmbeddingSet(
         matrix=teacher_rows,
@@ -210,7 +206,7 @@ def generate_world(config: WorldConfig) -> World:
         for i in range(config.images_per_species):
             row = sp * config.images_per_species + i
             noise = _norm_relative(rng_for(seed, "image", sp, i), config.sigma_image, d_t)
-            image_rows[row] = _unit(prototypes[sp] + noise, f"image {sp}/{i}")
+            image_rows[row] = _unit(centres[sp] + noise, f"image {sp}/{i}")
             image_labels[row] = sp
     images = EmbeddingSet(
         matrix=image_rows,
@@ -265,7 +261,7 @@ def generate_world(config: WorldConfig) -> World:
     return World(
         config=config,
         labels=tuple(labels),
-        teacher_prototypes=prototypes,
+        species_centres=centres,
         teacher_text=teacher_text,
         student_text=student_text,
         images=images,

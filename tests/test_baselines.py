@@ -27,7 +27,6 @@ from xmodal import (
     text_mapping_baseline,
 )
 from xmodal import evaluation
-from xmodal.baselines import mapping_forward
 from xmodal.evaluation import chance_map_oracle
 from xmodal.pipeline import teacher_prototype_set
 from xmodal.rng import rng_for
@@ -104,20 +103,6 @@ class TestTextMapping:
         assert report.loss_curve == ()
         assert np.allclose(report.mapped_prototypes.matrix, teacher_protos.matrix, atol=1e-12)
         assert np.array_equal(report.mapped_prototypes.labels, teacher_protos.labels)
-
-    def test_mapping_forward_is_relu_mlp(self):
-        rng = rng_for(0, "mapfwd")
-        params = {
-            "map1_w": rng.standard_normal((4, 3)),
-            "map1_b": rng.standard_normal(4),
-            "map2_w": rng.standard_normal((5, 4)),
-            "map2_b": rng.standard_normal(5),
-        }
-        x = rng.standard_normal((6, 3))
-        out, cache = mapping_forward(params, x)
-        hidden = np.maximum(x @ params["map1_w"].T + params["map1_b"], 0.0)
-        assert np.allclose(out, hidden @ params["map2_w"].T + params["map2_b"], atol=1e-12)
-        assert np.array_equal(cache["hidden"], hidden)
 
     def test_training_reduces_loss(self, small_world):
         tc = TrainConfig(batch_size=4, epochs=25, seed=2)

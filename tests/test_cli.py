@@ -1,9 +1,11 @@
 """CLI subcommands, exercised in-process through main()."""
 
+import re
+
 import numpy as np
 import pytest
 
-from xmodal import load_params, read_embedding_set
+from xmodal import load_params, read_embedding_set, save_params
 from xmodal.cli import build_parser, main
 
 SMALL_CONFIG = """
@@ -110,6 +112,27 @@ class TestEval:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "trained under config" in err
+
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: {("w1" if k == "enc1_w" else k): v for k, v in p.items()}, "w1"),
+            (lambda p: {**p, "enc1_w": p["enc1_w"][:, :-1]}, r"\('enc1_w', \(16, 7\)\)"),
+        ],
+        ids=["renamed_array", "wrong_shape"],
+    )
+    def test_eval_rejects_params_that_do_not_fit(self, config_path, tmp_path, capsys, edit, message):
+        run_cli("train", "--config", str(config_path))
+        blob = tmp_path / "out" / "params.xmpb"
+        params, stored_hash = load_params(blob)
+        save_params(edit(params), blob, stored_hash)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameters ")
+        assert "do not fit the mlp_encoder_plus_head adapter" in err
+        assert re.search(message, err)
 
 
 class TestBaseline:

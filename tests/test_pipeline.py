@@ -23,10 +23,12 @@ from xmodal.pipeline import (
     render_summary,
     run_experiment,
     teacher_prototype_set,
+    write_train_log,
     write_world_artifacts,
 )
-from xmodal.runconfig import adapter_config_for, config_hash
-from xmodal.trainer import embed_audio, init_params
+from xmodal.runconfig import adapter_config_for, config_hash, parse_config
+from xmodal.storage import save_params
+from xmodal.trainer import embed_audio, init_params, train_adapter
 
 EXPECTED_REPORT_KEYS = {
     "audio_image_map.distilled",
@@ -217,6 +219,46 @@ class TestRunExperiment:
 # SHA-256 of the default config's summary.txt, the README run. Evaluation
 # may get faster but must not move a byte of it.
 DEFAULT_SUMMARY_SHA256 = "0067f866022d7c982067f6da633a67cde21d65173e33750429bd36722efc27b5"
+
+
+# SHA-256 of (params.xmpb, train_log.txt) trained on the default world,
+# for each adapter mode and optimizer. Training may be restructured or
+# sped up but must not move a byte of either file.
+TRAINING_ARTIFACT_SHA256 = {
+    "": (
+        "8c75e369a1cb4c25f79a41b70a63253c6f2f1bad4ebff0fae7fa56636141d5db",
+        "8ea02f5c8c0b2822a2cda96749c97bda0ed92c2bb5a8aeb553ba92a249f0797c",
+    ),
+    "adapter.mode = linear_head_only": (
+        "fa5b326a8a8cc747d4fd5f8cb89c53b33dc2b442e8c76bfda2c896e42dedc5f2",
+        "b8b3c9c3c2f8693c183121369f504c805fdfeb33c9b50f1c98a341a26986de1b",
+    ),
+    "train.optimizer = sgd_momentum": (
+        "6f36a40c1a680eae5e4acc1b4960456c109ecae6696cc9f80999be9bec9c0543",
+        "ba271cc3b7a02d95986eada5a2ba07bc5a4c86e657632f318da4ab3319328476",
+    ),
+    "adapter.mode = linear_head_only\ntrain.optimizer = sgd_momentum": (
+        "23fe00aa7632840428b643bb9c19963212b95a4fff160855326f6df02c7306b3",
+        "71b3f010731f64926e52ceb503c8718f38b99b40bded62df8b01c7874975d782",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "overrides", list(TRAINING_ARTIFACT_SHA256), ids=["default", "linear", "sgd", "linear_sgd"]
+)
+def test_training_artifact_bytes_pinned(overrides, tmp_path):
+    config = parse_config(overrides)
+    prepared = prepare_world(config)
+    report = train_adapter(prepared.train_view, adapter_config_for(config), config.train)
+    run_hash = config_hash(config)
+    save_params(report.final_params, tmp_path / "params.xmpb", run_hash)
+    write_train_log(report, tmp_path / "train_log.txt", run_hash)
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("params.xmpb", "train_log.txt")
+    )
+    assert digests == TRAINING_ARTIFACT_SHA256[overrides]
 
 
 class TestDefaultConfigOrdering:

@@ -231,3 +231,35 @@ class TestParamsBlob:
         save_params(dict(reversed(params.items())), tmp_path / "y.xmpb", config_hash="1" * 16)
         # Arrays are written sorted by name, so dict order cannot leak.
         assert (tmp_path / "x.xmpb").read_bytes() == (tmp_path / "y.xmpb").read_bytes()
+
+    # Hand-written blobs: header (magic, version 1, 16-byte hash, one
+    # array), then the array record (name length, name, ndim, shape).
+    ONE_ARRAY = b"XMPB" + b"\x01\x00\x00\x00" + b"0123456789abcdef" + b"\x01\x00\x00\x00"
+
+    def test_non_utf8_name(self, tmp_path):
+        path = tmp_path / "name.xmpb"
+        path.write_bytes(self.ONE_ARRAY + b"\x02\x00" + b"\xff\xfe" + b"\x00" + b"\x00" * 8)
+        with pytest.raises(FileFormatError, match="not UTF-8"):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # (2**62, 8): 2**65 values, which wraps to 0 in an int64 product.
+            b"\x00\x00\x00\x00\x00\x00\x00\x40" + b"\x08\x00\x00\x00\x00\x00\x00\x00",
+            # (0, 2**62): no values, but NumPy cannot build the shape.
+            b"\x00\x00\x00\x00\x00\x00\x00\x00" + b"\x00\x00\x00\x00\x00\x00\x00\x40",
+        ],
+        ids=["2**62x8", "0x2**62"],
+    )
+    def test_shape_beyond_int64(self, tmp_path, shape):
+        path = tmp_path / "shape.xmpb"
+        path.write_bytes(self.ONE_ARRAY + b"\x01\x00" + b"w" + b"\x02" + shape)
+        with pytest.raises(FileFormatError, match="too large"):
+            load_params(path)
+
+    def test_non_ascii_hash(self, tmp_path):
+        path = tmp_path / "hash.xmpb"
+        path.write_bytes(b"XMPB" + b"\x01\x00\x00\x00" + b"\xff" * 16 + b"\x00\x00\x00\x00")
+        with pytest.raises(FileFormatError, match="not ASCII"):
+            load_params(path)

@@ -21,8 +21,12 @@ from xmodal import (
     init_params,
     train_adapter,
 )
+from xmodal.baselines import _text_map_layers
 from xmodal.rng import rng_for
 from xmodal.trainer import (
+    _mlp_backward,
+    _mlp_forward,
+    _mlp_init,
     adapter_backward,
     dataset_loss,
     make_optimizer,
@@ -44,10 +48,10 @@ class TestAdapterConfig:
         assert (c.d_in, c.d_student, c.d_teacher, c.d_hidden) == (20, 24, 32, 512)
 
     def test_head_in_depends_on_mode(self):
-        mlp = AdapterConfig(mode="mlp_encoder_plus_head", d_in=6, d_student=9, d_teacher=7)
-        lin = AdapterConfig(mode="linear_head_only", d_in=6, d_student=9, d_teacher=7)
-        assert mlp.head_in == 9
-        assert lin.head_in == 6
+        mlp = AdapterConfig(mode="mlp_encoder_plus_head", d_in=6, d_student=9, d_teacher=7, d_hidden=5)
+        lin = AdapterConfig(mode="linear_head_only", d_in=6, d_student=9, d_teacher=7, d_hidden=5)
+        assert mlp.layers == (("enc1", 6, 5, True), ("enc2", 5, 9, False), ("head", 9, 7, False))
+        assert lin.layers == (("head", 6, 7, False),)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(InvalidConfigError, match="adapter mode"):
@@ -148,7 +152,7 @@ class TestForward:
         x = rng.standard_normal((6, 5))
         z, cache = adapter_forward(cfg, params, x)
         assert np.allclose(z, x @ params["head_w"].T + params["head_b"], atol=1e-10)
-        assert np.array_equal(cache["x"], x)
+        assert len(cache) == 1 and np.array_equal(cache[0], x)
 
     def test_identity_head_passthrough(self):
         cfg = AdapterConfig(mode="linear_head_only", d_in=4, d_student=4, d_teacher=4)
@@ -174,7 +178,10 @@ class TestForward:
         student = h1 @ params["enc2_w"].T + params["enc2_b"]
         expected = student @ params["head_w"].T + params["head_b"]
         assert np.allclose(z, expected, atol=1e-12)
-        assert np.allclose(cache["student"], student, atol=1e-12)
+        assert [c.shape for c in cache] == [x.shape, h1.shape, student.shape]
+        assert np.array_equal(cache[0], x)
+        assert np.allclose(cache[1], h1, atol=1e-12)
+        assert np.allclose(cache[2], student, atol=1e-12)
 
     def test_shape_errors(self):
         params = init_params(SMALL_ADAPTER, seed=0)
@@ -190,32 +197,32 @@ class TestForward:
         assert np.array_equal(embed_audio(SMALL_ADAPTER, params, x), z)
 
 
-def loss_through_adapter(cfg, params, x, targets, tau):
-    z, _ = adapter_forward(cfg, params, x)
-    return distill_loss(z, targets, tau).loss
-
-
 @pytest.mark.parametrize(
-    "cfg",
+    "layers",
     [
-        AdapterConfig(mode="linear_head_only", d_in=4, d_student=4, d_teacher=5, d_hidden=3),
-        AdapterConfig(mode="mlp_encoder_plus_head", d_in=4, d_student=4, d_teacher=5, d_hidden=3),
+        AdapterConfig(mode="linear_head_only", d_in=4, d_student=4, d_teacher=5, d_hidden=3).layers,
+        AdapterConfig(mode="mlp_encoder_plus_head", d_in=4, d_student=4, d_teacher=5, d_hidden=3).layers,
+        _text_map_layers(4, 5),
     ],
-    ids=["linear", "mlp"],
+    ids=["linear", "mlp", "text_map"],
 )
-def test_backward_matches_finite_differences(cfg):
-    # End-to-end check: loss -> head -> (encoder) -> every parameter.
-    # Jittered params keep biases nonzero so no ReLU column is fully
-    # dead (a dead network emits zero rows, which cosine rejects).
-    rng = rng_for(4, "backprop", cfg.mode)
-    init = init_params(cfg, seed=13)
+def test_backward_matches_finite_differences(layers):
+    # End-to-end check: loss -> every layer -> every parameter, for each
+    # layer table in the package. Jittered params keep biases nonzero so
+    # no ReLU column is fully dead (a dead network emits zero rows, which
+    # cosine rejects).
+    rng = rng_for(4, "backprop", *(name for name, *_ in layers))
+    init = _mlp_init(layers, seed=13, stream="fd")
     params = {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in init.items()}
-    x = rng.standard_normal((3, cfg.d_in))
-    targets = rng.standard_normal((3, cfg.d_teacher))
+    x = rng.standard_normal((3, layers[0][1]))
+    targets = rng.standard_normal((3, layers[-1][2]))
     tau = 0.2
 
-    z, cache = adapter_forward(cfg, params, x)
-    analytic = adapter_backward(cfg, params, cache, distill_loss(z, targets, tau).grad_student)
+    def loss() -> float:
+        return distill_loss(_mlp_forward(layers, params, x)[0], targets, tau).loss
+
+    z, cache = _mlp_forward(layers, params, x)
+    analytic = _mlp_backward(layers, params, cache, distill_loss(z, targets, tau).grad_student)
     assert set(analytic) == set(params)
 
     step = 1e-6
@@ -225,22 +232,89 @@ def test_backward_matches_finite_differences(cfg):
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + step
-            plus = loss_through_adapter(cfg, params, x, targets, tau)
+            plus = loss()
             flat[idx] = original - step
-            minus = loss_through_adapter(cfg, params, x, targets, tau)
+            minus = loss()
             flat[idx] = original
             numeric = (plus - minus) / (2 * step)
             err = abs(grad_flat[idx] - numeric) / (abs(numeric) + 1e-12)
             assert err < 1e-4, f"{key}[{idx}]: analytic {grad_flat[idx]} vs numeric {numeric}"
 
 
+def reference_optimizer(train_config, params):
+    """The per-key Adam and SGD loops the buffer optimizer replaced."""
+    if train_config.optimizer == "sgd_momentum":
+        velocity = {k: np.zeros_like(v) for k, v in params.items()}
+
+        def sgd_step(p, grads):
+            for key in p:
+                velocity[key] = train_config.momentum * velocity[key] + grads[key]
+                p[key] -= train_config.learning_rate * velocity[key]
+
+        return sgd_step
+
+    first = {k: np.zeros_like(v) for k, v in params.items()}
+    second = {k: np.zeros_like(v) for k, v in params.items()}
+    t = {"step": 0}
+
+    def adam_step(p, grads):
+        t["step"] += 1
+        b1, b2 = train_config.beta1, train_config.beta2
+        correction1 = 1.0 - b1 ** t["step"]
+        correction2 = 1.0 - b2 ** t["step"]
+        for key in p:
+            first[key] = b1 * first[key] + (1.0 - b1) * grads[key]
+            second[key] = b2 * second[key] + (1.0 - b2) * grads[key] ** 2
+            m_hat = first[key] / correction1
+            v_hat = second[key] / correction2
+            p[key] -= train_config.learning_rate * m_hat / (np.sqrt(v_hat) + train_config.adam_eps)
+
+    return adam_step
+
+
 class TestOptimizers:
+    @pytest.mark.parametrize(
+        "tc",
+        [
+            TrainConfig(learning_rate=0.03),
+            TrainConfig(learning_rate=0.2, beta1=0.5, beta2=0.75, adam_eps=1e-3),
+            TrainConfig(optimizer="sgd_momentum", learning_rate=0.07, momentum=0.6),
+        ],
+        ids=["adam", "adam_odd_betas", "sgd_momentum"],
+    )
+    def test_buffer_equals_per_key_reference(self, tc):
+        rng = rng_for(6, "optimizer", tc.optimizer, tc.beta1)
+        shapes = {"enc_w": (5, 3), "enc_b": (5,), "head_w": (2, 5), "scale": ()}
+        start = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+        params = {k: v.copy() for k, v in start.items()}
+        expected = {k: v.copy() for k, v in start.items()}
+        step = make_optimizer(tc, params)
+        reference = reference_optimizer(tc, expected)
+        assert params.keys() == start.keys()
+        for _ in range(4):
+            # Reversed key order: the step must match gradients by name.
+            grads = {k: rng.standard_normal(shapes[k]) for k in reversed(list(shapes))}
+            grads["enc_b"][0] = 0.0
+            step(grads)
+            reference(expected, grads)
+            for key in shapes:
+                assert np.shape(params[key]) == shapes[key]
+                assert np.array_equal(params[key], expected[key]), key
+
+    def test_params_become_views_of_one_buffer(self):
+        params = {"a": np.ones((2, 3)), "b": np.zeros(4)}
+        make_optimizer(TrainConfig(), params)
+        base = params["a"].base
+        assert base is not None and params["b"].base is base
+        assert base.shape == (10,) and base.flags.c_contiguous
+        assert np.shares_memory(params["a"], base) and np.shares_memory(params["b"], base)
+
     def test_adam_single_step_oracle(self):
         tc = TrainConfig(learning_rate=0.1)
         params = {"w": np.array([1.0, -2.0, 3.0])}
         step = make_optimizer(tc, params)
         g = np.array([0.5, -1.0, 2.0])
-        step(params, {"w": g})
+        step({"w": g})
         # After one step the bias corrections cancel: update = lr*g/(|g|+eps).
         expected = np.array([1.0, -2.0, 3.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(params["w"], expected, atol=1e-12)
@@ -252,8 +326,8 @@ class TestOptimizers:
         step = make_optimizer(tc, params)
         g1 = np.array([1.0, -2.0])
         g2 = np.array([-0.5, 0.25])
-        step(params, {"w": g1})
-        step(params, {"w": g2})
+        step({"w": g1})
+        step({"w": g2})
 
         m = np.zeros(2)
         v = np.zeros(2)
@@ -272,10 +346,10 @@ class TestOptimizers:
         step = make_optimizer(tc, params)
         g1 = np.array([2.0, -4.0])
         g2 = np.array([1.0, 1.0])
-        step(params, {"w": g1})
+        step({"w": g1})
         p1 = np.array([1.0, 1.0]) - 0.1 * g1
         assert np.allclose(params["w"], p1, atol=1e-15)
-        step(params, {"w": g2})
+        step({"w": g2})
         v2 = 0.5 * g1 + g2
         assert np.allclose(params["w"], p1 - 0.1 * v2, atol=1e-15)
 
@@ -283,7 +357,7 @@ class TestOptimizers:
         tc = TrainConfig(learning_rate=0.0)
         params = {"w": np.array([1.0, 2.0])}
         before = params["w"].copy()
-        make_optimizer(tc, params)(params, {"w": np.array([100.0, -100.0])})
+        make_optimizer(tc, params)({"w": np.array([100.0, -100.0])})
         assert np.array_equal(params["w"], before)
 
 

@@ -59,7 +59,7 @@ class TestGenerateWorld:
     def test_shapes(self, small_world):
         c = small_world.config
         assert small_world.n_species == 8
-        assert small_world.teacher_prototypes.shape == (8, c.d_teacher)
+        assert small_world.species_centres.shape == (8, c.d_teacher)
         assert small_world.teacher_text.matrix.shape == (8 * c.variant_count, c.d_teacher)
         assert small_world.images.matrix.shape == (8 * c.images_per_species, c.d_teacher)
         assert small_world.audio_features.matrix.shape == (8 * c.audio_per_species, c.d_student_in)
@@ -76,15 +76,14 @@ class TestGenerateWorld:
         assert not small_world.audio_features.normalized
 
     def test_prototypes_unit_norm_and_readonly(self, small_world):
-        norms = np.linalg.norm(small_world.teacher_prototypes, axis=1)
+        norms = np.linalg.norm(small_world.species_centres, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
-        assert not small_world.teacher_prototypes.flags.writeable
+        assert not small_world.species_centres.flags.writeable
 
     def test_labels_structure(self, small_world):
         c = small_world.config
         for sp, label in enumerate(small_world.labels):
             assert label.species_id == sp
-            assert label.variant_count == c.variant_count
             genus = sp // c.species_per_genus
             assert label.genus_id == genus
             assert label.family_id == genus // c.genera_per_family
@@ -99,20 +98,9 @@ class TestGenerateWorld:
             small_world.audio_features.labels, np.repeat(np.arange(8), c.audio_per_species)
         )
 
-    def test_teacher_row_index(self, small_world):
-        v = small_world.config.variant_count
-        assert small_world.teacher_row_index(0, 0) == 0
-        assert small_world.teacher_row_index(3, 1) == 3 * v + 1
-        with pytest.raises(IndexError):
-            small_world.teacher_row_index(8, 0)
-        with pytest.raises(IndexError):
-            small_world.teacher_row_index(0, v)
-        with pytest.raises(IndexError):
-            small_world.teacher_row_index(-1, 0)
-
     def test_bitwise_determinism(self, small_world):
         again = generate_world(SMALL_WORLD)
-        assert np.array_equal(again.teacher_prototypes, small_world.teacher_prototypes)
+        assert np.array_equal(again.species_centres, small_world.species_centres)
         assert np.array_equal(again.teacher_text.matrix, small_world.teacher_text.matrix)
         assert np.array_equal(again.student_text.matrix, small_world.student_text.matrix)
         assert np.array_equal(again.images.matrix, small_world.images.matrix)
@@ -120,7 +108,7 @@ class TestGenerateWorld:
 
     def test_seed_changes_world(self, small_world):
         other = generate_world(dataclasses.replace(SMALL_WORLD, seed=12))
-        assert not np.array_equal(other.teacher_prototypes, small_world.teacher_prototypes)
+        assert not np.array_equal(other.species_centres, small_world.species_centres)
         assert not np.array_equal(other.audio_features.matrix, small_world.audio_features.matrix)
 
     def test_zero_variant_noise_collapses_variants(self):
@@ -130,16 +118,16 @@ class TestGenerateWorld:
             rows = world.teacher_text.matrix[sp * v : (sp + 1) * v]
             # All variants reduce to the prototype when variant noise is off.
             assert np.array_equal(rows[0], rows[1])
-            assert np.allclose(rows[0], world.teacher_prototypes[sp], atol=1e-12)
+            assert np.allclose(rows[0], world.species_centres[sp], atol=1e-12)
 
     def test_zero_image_noise_collapses_images(self):
         world = generate_world(dataclasses.replace(SMALL_WORLD, sigma_image=0.0))
         for sp in range(world.n_species):
             block = world.images.matrix[world.images.labels == sp]
-            assert np.allclose(block, world.teacher_prototypes[sp], atol=1e-12)
+            assert np.allclose(block, world.species_centres[sp], atol=1e-12)
 
     def test_hierarchy_cosine_ordering(self, default_world):
-        protos = default_world.teacher_prototypes
+        protos = default_world.species_centres
         labels = default_world.labels
         sims = protos @ protos.T
         same_genus, same_family, cross_family = [], [], []
@@ -155,7 +143,7 @@ class TestGenerateWorld:
         assert np.mean(same_genus) > np.mean(same_family) > np.mean(cross_family)
 
     def test_images_cluster_around_own_prototype(self, default_world):
-        protos = default_world.teacher_prototypes
+        protos = default_world.species_centres
         own = np.einsum(
             "ij,ij->i", default_world.images.matrix, protos[default_world.images.labels]
         )
