@@ -19,6 +19,7 @@ from .baselines import (
 )
 from .embeddings import EmbeddingSet, Modality, TaxonLabel, normalize_rows, similarity_matrix
 from .errors import (
+    ConfigFileError,
     ConfigTypeError,
     DimensionMismatchError,
     EmptyGalleryError,

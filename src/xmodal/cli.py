@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .baselines import BaselineKind
-from .errors import XmodalError
+from .errors import ConfigFileError, XmodalError
 from .pipeline import (
     baseline_report,
     chance_map,
@@ -65,9 +65,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config_text(config_path: Path) -> str:
+    try:
+        return config_path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigFileError(f"cannot read config {config_path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ConfigFileError(
+            f"config {config_path} is not UTF-8 text: byte 0x{byte:02x} at offset {exc.start}"
+        ) from exc
+
+
 def _load_config(config_path: Optional[Path], seed: Optional[int]) -> RunConfig:
-    text = config_path.read_text(encoding="utf-8") if config_path is not None else ""
-    config = parse_config(text)
+    config = parse_config(_read_config_text(config_path) if config_path is not None else "")
     if seed is not None:
         config = replace(
             config,

@@ -61,6 +61,10 @@ class UnknownKeyError(XmodalError):
     """The config file contains a key the schema does not define."""
 
 
+class ConfigFileError(XmodalError):
+    """The config file cannot be read as UTF-8 text."""
+
+
 class ConfigTypeError(XmodalError):
     """A config value failed to parse or violates a bound; names the line."""
 

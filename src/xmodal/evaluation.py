@@ -10,7 +10,11 @@ block holds at most ``_BLOCK_CELLS`` cells (its height is that budget
 over the gallery width), so the ranking temporaries stay near a megabyte
 each whatever the number of queries. Within a block:
 
-* ranking is one stable ``argsort`` of the negated scores along each row;
+* ranking is one ``argsort`` of the negated scores along each row with
+  NumPy's default (unstable) kind. A row of distinct non-NaN scores has
+  exactly one descending order; only rows whose sorted scores hold an
+  equal adjacent pair, or a NaN, are sorted again stably, so the result
+  is the stable ranking bit for bit;
 * average precision takes ``hits / rank`` at each relevant position and
   0.0 elsewhere, and sums every row left to right with
   ``np.add.accumulate``. Adding 0.0 is exact, so this is the plain
@@ -41,7 +45,7 @@ from .errors import (
     SpeciesMismatchError,
     TooFewItemsError,
 )
-from .rng import rng_for
+from .rng import draw_streams
 
 __all__ = [
     "EvalReport",
@@ -118,10 +122,21 @@ def rank_by_score(scores: np.ndarray) -> np.ndarray:
     """Gallery order: descending score, ties by ascending index.
 
     Sorts along the last axis, so a score row gives one ranking and a
-    block of rows gives one ranking per row.
+    block of rows gives one ranking per row. The default (unstable) sort
+    kind ranks every row; a row of distinct non-NaN scores has exactly one
+    descending order, so only rows whose sorted scores hold an equal
+    adjacent pair, or a NaN, are sorted again stably.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.argsort(-scores, axis=-1, kind="stable")
+    negated = -np.asarray(scores, dtype=np.float64)
+    order = np.argsort(negated, axis=-1)
+    ranked = np.take_along_axis(negated, order, axis=-1)
+    # ``==``, not a zero difference: inf - inf is NaN, so differences miss
+    # tied infinities. NaN sorts last in every kind, so a row holding one
+    # ends in one.
+    tied = (ranked[..., 1:] == ranked[..., :-1]).any(axis=-1) | np.isnan(ranked[..., -1:]).any(axis=-1)
+    if tied.any():
+        order[tied] = np.argsort(negated[tied], axis=-1, kind="stable")
+    return order
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -280,9 +295,9 @@ def chance_map_oracle(
     denom = n_per_class if k is None else min(n_per_class, k)
     values: List[float] = []
     for rows in _row_blocks(trials, labels.size):
-        perms = np.stack(
-            [rng_for(seed, "chance", t).permutation(labels.size) for t in range(rows.start, rows.stop)]
-        )
+        keys = [(t,) for t in range(rows.start, rows.stop)]
+        perms = np.empty((len(keys), labels.size), dtype=np.int64)
+        draw_streams(perms, seed, "chance", keys, "permutation", labels.size)
         values.extend(_ap_rows(labels[perms[:, :k]] == 0, denom).tolist())
     return _mean(values)
 

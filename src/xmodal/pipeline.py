@@ -4,7 +4,8 @@ Stages recompute the world from its config instead of reading back the
 written embedding files: generation is deterministic and float64, while
 the files quantize to float32 and exist for interchange with other
 tools. Every artifact directory gets a manifest carrying the config
-hash; text artifacts embed the hash directly.
+hash and each artifact's size and SHA-256; text artifacts embed the hash
+directly.
 
 The summary is deliberately free of wallclock or environment data so
 that reruns of the same config are byte-identical.
@@ -12,6 +13,7 @@ that reruns of the same config are byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -247,7 +249,11 @@ def write_world_artifacts(config: RunConfig, world: World, out_dir: Union[str, P
 
 
 def _write_manifest(out: Path, run_hash: str, names: List[str]) -> None:
-    lines = [f"config_hash = {run_hash}"] + [f"artifact = {name}" for name in sorted(names)]
+    """``artifact = NAME BYTES SHA256`` per artifact, sorted by name."""
+    lines = [f"config_hash = {run_hash}"]
+    for name in sorted(names):
+        data = (out / name).read_bytes()
+        lines.append(f"artifact = {name} {len(data)} {hashlib.sha256(data).hexdigest()}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

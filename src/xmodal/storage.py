@@ -76,7 +76,11 @@ def write_embedding_set(embedding_set: EmbeddingSet, path: Union[str, Path]) -> 
         embedding_set.n_items,
         4 * embedding_set.n_items,
     )
-    payload = np.ascontiguousarray(embedding_set.matrix, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):  # beyond binary32 becomes Inf, rejected next
+        values = np.ascontiguousarray(embedding_set.matrix, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise FileFormatError("embedding values must be finite binary32 reals; readers reject NaN and Inf")
+    payload = values.tobytes()
     label_table = np.ascontiguousarray(labels, dtype="<u4").tobytes()
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -118,11 +122,14 @@ def read_embedding_set(path: Union[str, Path]) -> EmbeddingSet:
         raise FileFormatError(f"{len(raw) - expected} trailing bytes after declared payload")
 
     labels = np.frombuffer(raw, dtype="<u4", count=n_items, offset=HEADER.size).astype(np.int64)
-    matrix = (
-        np.frombuffer(raw, dtype="<f4", count=n_items * dim, offset=HEADER.size + label_bytes)
-        .astype(np.float64)
-        .reshape(n_items, dim)
-    )
+    payload = np.frombuffer(raw, dtype="<f4", count=n_items * dim, offset=HEADER.size + label_bytes)
+    finite = np.isfinite(payload)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise FileFormatError(
+            f"non-finite value {payload[first]} at row {first // dim}, column {first % dim}"
+        )
+    matrix = payload.astype(np.float64).reshape(n_items, dim)
     return EmbeddingSet(matrix, labels, _CODE_MODALITIES[modality_code], normalized=False)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, Modality, TaxonLabel
 from .errors import InvalidConfigError, TooFewItemsError, ZeroVectorError
-from .rng import rng_for
+from .rng import draw_streams
 
 __all__ = ["WorldConfig", "World", "WorldView", "generate_world", "world_split"]
 
@@ -142,117 +142,98 @@ class WorldView:
     image_indices: np.ndarray
 
 
-def _norm_relative(rng: np.random.Generator, sigma: float, dim: int) -> np.ndarray:
-    """Gaussian draw whose expected norm is sigma, not sigma*sqrt(dim)."""
-    return sigma * rng.standard_normal(dim) / math.sqrt(dim)
+def _gaussian_rows(seed: int, name: str, keys, dim: int) -> np.ndarray:
+    """Row i is ``standard_normal(dim)`` of the stream ``(seed, name, *keys[i])``."""
+    return draw_streams(np.empty((len(keys), dim)), seed, name, keys, "standard_normal", dim)
 
 
-def _unit(vector: np.ndarray, what: str) -> np.ndarray:
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise ZeroVectorError(f"cannot normalize all-zero {what}; sigmas too degenerate")
-    return vector / norm
+def _norm_relative_rows(seed: int, name: str, keys, sigma: float, dim: int) -> np.ndarray:
+    """Gaussian rows whose expected norm is sigma, not sigma*sqrt(dim)."""
+    return sigma * _gaussian_rows(seed, name, keys, dim) / math.sqrt(dim)
+
+
+def _unit_rows(rows: np.ndarray, keys, what: str) -> np.ndarray:
+    """Divide each row by its norm in place; ``keys`` name the rows in errors.
+
+    ``row.dot(row)`` is the BLAS ``ddot`` that ``np.linalg.norm`` takes of
+    a 1-D float64 vector, so each norm is the one-row norm, bit for bit.
+    """
+    norms = np.empty(rows.shape[0])
+    for i, row in enumerate(rows):
+        norms[i] = math.sqrt(row.dot(row))
+        if norms[i] == 0.0:
+            path = "/".join(str(part) for part in keys[i])
+            raise ZeroVectorError(f"cannot normalize all-zero {what} {path}; sigmas too degenerate")
+    rows /= norms[:, None]
+    return rows
 
 
 def generate_world(config: WorldConfig) -> World:
-    """Generate the full world deterministically from its config."""
+    """Generate the full world deterministically from its config.
+
+    Each channel is drawn as one matrix, one keyed stream per row, and
+    built with whole-matrix arithmetic that matches the per-row formulas
+    element for element.
+    """
     seed = config.seed
     d_t = config.d_teacher
     d_in = config.d_student_in
     n_species = config.n_species
+    families = [(f,) for f in range(config.n_families)]
+    genera = [(f, g) for f in range(config.n_families) for g in range(config.genera_per_family)]
+    species = [(f, g, k) for f, g in genera for k in range(config.species_per_genus)]
+    species_genus = np.repeat(np.arange(config.n_genera), config.species_per_genus)
+    labels = tuple(
+        TaxonLabel(family_id=f, genus_id=f * config.genera_per_family + g, species_id=s)
+        for s, (f, g, _) in enumerate(species)
+    )
 
-    labels = []
-    centres = np.empty((n_species, d_t), dtype=np.float64)
-    s = 0
-    for f in range(config.n_families):
-        family_center = _norm_relative(rng_for(seed, "family", f), config.sigma_family, d_t)
-        for g in range(config.genera_per_family):
-            genus_center = family_center + _norm_relative(
-                rng_for(seed, "genus", f, g), config.sigma_genus, d_t
-            )
-            for k in range(config.species_per_genus):
-                raw = genus_center + _norm_relative(
-                    rng_for(seed, "species", f, g, k), config.sigma_species, d_t
-                )
-                centres[s] = _unit(raw, f"centre of species {s}")
-                labels.append(
-                    TaxonLabel(
-                        family_id=f,
-                        genus_id=f * config.genera_per_family + g,
-                        species_id=s,
-                    )
-                )
-                s += 1
+    family_centres = _norm_relative_rows(seed, "family", families, config.sigma_family, d_t)
+    genus_offsets = _norm_relative_rows(seed, "genus", genera, config.sigma_genus, d_t)
+    genus_centres = np.repeat(family_centres, config.genera_per_family, axis=0) + genus_offsets
+    species_offsets = _norm_relative_rows(seed, "species", species, config.sigma_species, d_t)
+    centres = _unit_rows(genus_centres[species_genus] + species_offsets, species, "species centre")
     centres.setflags(write=False)
 
-    teacher_rows = np.empty((n_species * config.variant_count, d_t), dtype=np.float64)
-    teacher_labels = np.empty(teacher_rows.shape[0], dtype=np.int64)
-    for sp in range(n_species):
-        for v in range(config.variant_count):
-            row = sp * config.variant_count + v
-            noise = _norm_relative(rng_for(seed, "teacher_text", sp, v), config.sigma_variant, d_t)
-            teacher_rows[row] = _unit(centres[sp] + noise, f"teacher text {sp}/{v}")
-            teacher_labels[row] = sp
-    teacher_text = EmbeddingSet(
-        matrix=teacher_rows,
-        labels=teacher_labels,
-        modality=Modality.TEACHER_TEXT,
-        normalized=True,
-    )
-
-    image_rows = np.empty((n_species * config.images_per_species, d_t), dtype=np.float64)
-    image_labels = np.empty(image_rows.shape[0], dtype=np.int64)
-    for sp in range(n_species):
-        for i in range(config.images_per_species):
-            row = sp * config.images_per_species + i
-            noise = _norm_relative(rng_for(seed, "image", sp, i), config.sigma_image, d_t)
-            image_rows[row] = _unit(centres[sp] + noise, f"image {sp}/{i}")
-            image_labels[row] = sp
-    images = EmbeddingSet(
-        matrix=image_rows,
-        labels=image_labels,
-        modality=Modality.IMAGE,
-        normalized=True,
-    )
-
-    anchors = np.empty((config.n_genera, d_in), dtype=np.float64)
-    for genus in range(config.n_genera):
-        anchors[genus] = config.sigma_family * rng_for(seed, "audio_anchor", genus).standard_normal(d_in)
-    audio_latents = np.empty((n_species, d_in), dtype=np.float64)
-    for sp in range(n_species):
-        offset = (
-            AUDIO_OFFSET_RATIO
-            * config.sigma_family
-            * rng_for(seed, "audio_latent", sp).standard_normal(d_in)
+    def around_centres(name: str, per_species: int, sigma: float, modality: Modality) -> EmbeddingSet:
+        keys = [(sp, i) for sp in range(n_species) for i in range(per_species)]
+        rows = np.repeat(centres, per_species, axis=0) + _norm_relative_rows(seed, name, keys, sigma, d_t)
+        return EmbeddingSet(
+            matrix=_unit_rows(rows, keys, name),
+            labels=np.repeat(np.arange(n_species, dtype=np.int64), per_species),
+            modality=modality,
+            normalized=True,
         )
-        audio_latents[sp] = _unit(anchors[labels[sp].genus_id] + offset, f"audio latent {sp}")
-    audio_rows = np.empty((n_species * config.audio_per_species, d_in), dtype=np.float64)
-    audio_labels = np.empty(audio_rows.shape[0], dtype=np.int64)
-    for sp in range(n_species):
-        for j in range(config.audio_per_species):
-            row = sp * config.audio_per_species + j
-            noise = config.sigma_audio * rng_for(seed, "audio", sp, j).standard_normal(d_in)
-            audio_rows[row] = audio_latents[sp] + noise
-            audio_labels[row] = sp
+
+    teacher_text = around_centres(
+        "teacher_text", config.variant_count, config.sigma_variant, Modality.TEACHER_TEXT
+    )
+    images = around_centres("image", config.images_per_species, config.sigma_image, Modality.IMAGE)
+
+    genus_keys = [(genus,) for genus in range(config.n_genera)]
+    species_keys = [(sp,) for sp in range(n_species)]
+    anchors = config.sigma_family * _gaussian_rows(seed, "audio_anchor", genus_keys, d_in)
+    audio_offsets = AUDIO_OFFSET_RATIO * config.sigma_family * _gaussian_rows(
+        seed, "audio_latent", species_keys, d_in
+    )
+    audio_latents = _unit_rows(anchors[species_genus] + audio_offsets, species_keys, "audio latent")
+    clip_keys = [(sp, j) for sp in range(n_species) for j in range(config.audio_per_species)]
     audio = EmbeddingSet(
-        matrix=audio_rows,
-        labels=audio_labels,
+        matrix=np.repeat(audio_latents, config.audio_per_species, axis=0)
+        + config.sigma_audio * _gaussian_rows(seed, "audio", clip_keys, d_in),
+        labels=np.repeat(np.arange(n_species, dtype=np.int64), config.audio_per_species),
         modality=Modality.AUDIO,
         normalized=False,
     )
 
-    student_rows = np.empty((n_species, config.d_student), dtype=np.float64)
-    genus_anchor_cache: dict = {}
-    for sp in range(n_species):
-        genus = labels[sp].genus_id
-        if genus not in genus_anchor_cache:
-            genus_anchor_cache[genus] = _norm_relative(
-                rng_for(seed, "student_anchor", genus), config.sigma_family, config.d_student
-            )
-        offset = _norm_relative(rng_for(seed, "student_text", sp), config.sigma_genus, config.d_student)
-        student_rows[sp] = _unit(genus_anchor_cache[genus] + offset, f"student text {sp}")
+    student_anchors = _norm_relative_rows(
+        seed, "student_anchor", genus_keys, config.sigma_family, config.d_student
+    )
+    student_offsets = _norm_relative_rows(
+        seed, "student_text", species_keys, config.sigma_genus, config.d_student
+    )
     student_text = EmbeddingSet(
-        matrix=student_rows,
+        matrix=_unit_rows(student_anchors[species_genus] + student_offsets, species_keys, "student text"),
         labels=np.arange(n_species, dtype=np.int64),
         modality=Modality.STUDENT_TEXT,
         normalized=True,
@@ -260,7 +241,7 @@ def generate_world(config: WorldConfig) -> World:
 
     return World(
         config=config,
-        labels=tuple(labels),
+        labels=labels,
         species_centres=centres,
         teacher_text=teacher_text,
         student_text=student_text,
@@ -288,23 +269,19 @@ def world_split(world: World, holdout_fraction: float, seed: int) -> Tuple[World
         raise InvalidConfigError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     config = world.config
 
-    train_audio_idx, eval_audio_idx = [], []
-    for sp in range(world.n_species):
-        base = sp * config.audio_per_species
-        n_eval = _split_counts(config.audio_per_species, holdout_fraction, "audio")
-        perm = rng_for(seed, "split_audio", sp).permutation(config.audio_per_species)
-        chosen = set(perm[:n_eval].tolist())
-        eval_audio_idx.extend(base + j for j in sorted(chosen))
-        train_audio_idx.extend(base + j for j in range(config.audio_per_species) if j not in chosen)
+    def split(name: str, per_species: int, what: str) -> Tuple[np.ndarray, np.ndarray]:
+        # Each species' eval items are the first n_eval of its permutation.
+        n_eval = _split_counts(per_species, holdout_fraction, what)
+        keys = [(sp,) for sp in range(world.n_species)]
+        perms = np.empty((world.n_species, per_species), dtype=np.int64)
+        draw_streams(perms, seed, name, keys, "permutation", per_species)
+        held_out = np.zeros(perms.shape, dtype=bool)
+        held_out[np.arange(world.n_species)[:, None], perms[:, :n_eval]] = True
+        # Flat positions are species * per_species + item: ascending per species.
+        return np.flatnonzero(~held_out), np.flatnonzero(held_out)
 
-    train_image_idx, eval_image_idx = [], []
-    for sp in range(world.n_species):
-        base = sp * config.images_per_species
-        n_eval = _split_counts(config.images_per_species, holdout_fraction, "images")
-        perm = rng_for(seed, "split_image", sp).permutation(config.images_per_species)
-        chosen = set(perm[:n_eval].tolist())
-        eval_image_idx.extend(base + j for j in sorted(chosen))
-        train_image_idx.extend(base + j for j in range(config.images_per_species) if j not in chosen)
+    train_audio_idx, eval_audio_idx = split("split_audio", config.audio_per_species, "audio")
+    train_image_idx, eval_image_idx = split("split_image", config.images_per_species, "images")
 
     def view(audio_idx, image_idx) -> WorldView:
         audio_idx = np.asarray(audio_idx, dtype=np.int64)

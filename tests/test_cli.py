@@ -192,3 +192,17 @@ class TestErrors:
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert run_cli("gen", "--config", str(tmp_path / "nope.txt")) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        assert run_cli("run", "--config", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config")
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"world.seed = 7\n# caf\xff\n")
+        assert run_cli("run", "--config", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "not UTF-8 text: byte 0xff at offset 20" in err

@@ -92,6 +92,33 @@ class TestRankByScore:
     def test_all_equal_keeps_index_order(self):
         assert rank_by_score(np.zeros(4)).tolist() == [0, 1, 2, 3]
 
+    def test_tied_infinities_and_nans_keep_index_order(self):
+        # inf - inf is NaN, so a tie test by differences would miss the first row.
+        scores = np.array([[2.0, 0.5, np.inf, np.inf], [np.nan, 1.0, np.nan, 0.5]])
+        assert rank_by_score(scores).tolist() == [[2, 3, 0, 1], [1, 3, 0, 2]]
+        # NaN at every even index of a row long enough for the default sort kind
+        # to reorder them: the NaNs still come last, in index order.
+        row = np.where(np.arange(17) % 2 == 0, np.nan, np.arange(17.0))
+        assert rank_by_score(row).tolist() == list(range(15, 0, -2)) + list(range(0, 17, 2))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_argsort(self, data):
+        # Small palettes make ties common: +-0.0, pairs of +-inf and NaN.
+        # Free floats add rows with no tie, which keep the default sort's order.
+        value = st.one_of(st.sampled_from([2.0, 0.5, 0.0, -0.0, -0.5, np.inf, -np.inf, np.nan]), st.floats())
+        width = data.draw(st.integers(0, 24), label="width")
+        row = st.lists(value, min_size=width, max_size=width)
+        if data.draw(st.booleans(), label="one_dimensional"):
+            scores = np.array(data.draw(row), dtype=np.float64)
+        else:
+            n_rows = data.draw(st.integers(0, 8), label="rows")
+            scores = np.array([data.draw(row) for _ in range(n_rows)], dtype=np.float64)
+            scores = scores.reshape(n_rows, width)
+        order = rank_by_score(scores)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.argsort(-scores, axis=-1, kind="stable"))
+
 
 class TestAveragePrecision:
     def test_all_relevant(self):

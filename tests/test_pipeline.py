@@ -171,8 +171,12 @@ class TestRunExperiment:
 
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert manifest[0] == f"config_hash = {result.config_hash}"
-        listed = {l.split(" = ")[1] for l in manifest[1:]}
-        assert listed == expected - {"manifest.txt"}
+        entries = [line.split(" = ")[1].split(" ") for line in manifest[1:]]
+        assert [name for name, _, _ in entries] == sorted(expected - {"manifest.txt"})
+        for name, size, digest in entries:
+            data = (out / name).read_bytes()
+            assert int(size) == len(data)
+            assert digest == hashlib.sha256(data).hexdigest()
 
         params, stored_hash = load_params(out / "params.xmpb")
         assert stored_hash == result.config_hash

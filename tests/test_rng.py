@@ -1,12 +1,13 @@
-"""Counter-based RNG streams: determinism and independence."""
+"""Counter-based RNG streams: determinism, independence and re-keyed draws."""
 
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xmodal.rng import rng_for, stream_key
+from xmodal.rng import draw_streams, rng_for, stream_key
 
 
 class TestStreamKey:
@@ -54,3 +55,66 @@ class TestRngFor:
     def test_uses_philox(self):
         gen = rng_for(0, "anything")
         assert isinstance(gen.bit_generator, np.random.Philox)
+
+    def test_pinned_draw(self):
+        # Any change to the key derivation or the bit generator moves these bits.
+        expected = [
+            float.fromhex("-0x1.edefdfbfa985ep-2"),
+            float.fromhex("0x1.c55d1680eada5p-3"),
+            float.fromhex("0x1.8fa5671e4c027p+0"),
+            float.fromhex("0x1.88ceb246d28c8p-1"),
+        ]
+        assert rng_for(7, "audio", 3, 1).standard_normal(4).tolist() == expected
+
+
+KEYS = [(0,), (3, 1), ("a", 2), (17, 0, 5), (2**40,)]
+
+DRAWS = {
+    "standard_normal": ((5,), {}, np.float64),
+    "permutation": ((9,), {}, np.int64),
+    "uniform": ((-1.0, 2.0, 4), {}, np.float64),
+    # Three 32-bit draws leave half of a 64-bit output buffered.
+    "integers": ((0, 1000), {"size": 3, "dtype": np.uint32}, np.uint32),
+}
+
+
+class TestDrawStreams:
+    @pytest.mark.parametrize("method", sorted(DRAWS))
+    def test_rows_equal_fresh_generators(self, method):
+        args, kwargs, dtype = DRAWS[method]
+        width = args[-1] if method != "integers" else kwargs["size"]
+        out = np.empty((len(KEYS), width), dtype=dtype)
+        draw_streams(out, 7, "rows", KEYS, method, *args, **kwargs)
+        for row, key in zip(out, KEYS):
+            expected = getattr(rng_for(7, "rows", *key), method)(*args, **kwargs)
+            assert np.array_equal(row, expected)
+
+    def test_buffered_half_word_is_dropped_between_keys(self):
+        # Each row's draw of three uint32 leaves one buffered; the next key
+        # must start from an empty buffer, as a fresh generator does.
+        out = np.empty((2, 3), dtype=np.uint32)
+        draw_streams(out, 0, "u32", [(0,), (1,)], "integers", 2**32, size=3, dtype=np.uint32)
+        fresh = rng_for(0, "u32", 1).integers(2**32, size=3, dtype=np.uint32)
+        assert np.array_equal(out[1], fresh)
+
+    def test_returns_out_and_fills_every_row(self):
+        out = np.full((3, 2), np.nan)
+        assert draw_streams(out, 1, "fill", [(0,), (1,), (2,)], "standard_normal", 2) is out
+        assert np.isfinite(out).all()
+
+    def test_held_generator_is_unaffected(self):
+        held = rng_for(5, "held")
+        first = held.standard_normal(3)
+        draw_streams(np.empty((4, 6)), 5, "held", [(i,) for i in range(4)], "standard_normal", 6)
+        second = held.standard_normal(3)
+        assert np.array_equal(np.concatenate([first, second]), rng_for(5, "held").standard_normal(6))
+
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=10**6), st.text(max_size=4)), max_size=6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_keys(self, seed, keys):
+        out = draw_streams(np.empty((len(keys), 3)), seed, "any", keys, "standard_normal", 3)
+        for row, key in zip(out, keys):
+            assert np.array_equal(row, rng_for(seed, "any", *key).standard_normal(3))

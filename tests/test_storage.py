@@ -163,6 +163,33 @@ class TestReadErrors:
             read_embedding_set(bad)
 
 
+def one_row_file(path, last: float):
+    """A hand-written one-row, two-column file whose row is [3.0, last]."""
+    header = HEADER.pack(MAGIC, VERSION, 0, 0, 2, 1, 4)
+    path.write_bytes(header + struct.pack("<I", 5) + struct.pack("<2f", 3.0, last))
+    return path
+
+
+class TestNonFiniteValues:
+    def test_hand_written_file_reads(self, tmp_path):
+        loaded = read_embedding_set(one_row_file(tmp_path / "ok.xmeb", 4.0))
+        assert loaded.matrix.tolist() == [[3.0, 4.0]]
+        assert loaded.labels.tolist() == [5]
+
+    @pytest.mark.parametrize("last", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_reader_rejects(self, tmp_path, last):
+        with pytest.raises(FileFormatError, match="non-finite value .* at row 0, column 1"):
+            read_embedding_set(one_row_file(tmp_path / "bad.xmeb", last))
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 1e39], ids=["nan", "inf", "beyond_binary32"]
+    )
+    def test_writer_rejects(self, tmp_path, value):
+        with pytest.raises(FileFormatError, match="finite binary32"):
+            write_embedding_set(eset([[3.0, value]], [5]), tmp_path / "bad.xmeb")
+        assert not list(tmp_path.iterdir())
+
+
 class TestParamsBlob:
     def test_round_trip_exact(self, tmp_path):
         rng = rng_for(3, "params")

@@ -1,6 +1,8 @@
 """World generation: hierarchy geometry, determinism, splits."""
 
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,14 +11,145 @@ from hypothesis import strategies as st
 
 from xmodal import (
     InvalidConfigError,
+    ZeroVectorError,
     Modality,
     TooFewItemsError,
     WorldConfig,
     generate_world,
     world_split,
 )
+from xmodal.rng import rng_for
+from xmodal import world as world_module
+from xmodal.world import AUDIO_OFFSET_RATIO
 
 from conftest import SMALL_WORLD
+
+
+# -- per-row reference ------------------------------------------------------------
+#
+# The generator and the split used to build every row from its own fresh
+# ``rng_for`` stream, normalized with ``np.linalg.norm``. These loops keep
+# that form as the reference the matrix form must equal bit for bit.
+
+
+def reference_world(c):
+    def normal(dim, *path):
+        return rng_for(c.seed, *path).standard_normal(dim)
+
+    def norm_relative(sigma, dim, *path):
+        return sigma * normal(dim, *path) / math.sqrt(dim)
+
+    def unit(vector):
+        return vector / float(np.linalg.norm(vector))
+
+    d_t, d_in, d_s = c.d_teacher, c.d_student_in, c.d_student
+    centres = []
+    for f in range(c.n_families):
+        family = norm_relative(c.sigma_family, d_t, "family", f)
+        for g in range(c.genera_per_family):
+            genus = family + norm_relative(c.sigma_genus, d_t, "genus", f, g)
+            for k in range(c.species_per_genus):
+                centres.append(unit(genus + norm_relative(c.sigma_species, d_t, "species", f, g, k)))
+    teacher = [
+        unit(centres[sp] + norm_relative(c.sigma_variant, d_t, "teacher_text", sp, v))
+        for sp in range(c.n_species)
+        for v in range(c.variant_count)
+    ]
+    images = [
+        unit(centres[sp] + norm_relative(c.sigma_image, d_t, "image", sp, i))
+        for sp in range(c.n_species)
+        for i in range(c.images_per_species)
+    ]
+    genus_of = [sp // c.species_per_genus for sp in range(c.n_species)]
+    anchors = [c.sigma_family * normal(d_in, "audio_anchor", g) for g in range(c.n_genera)]
+    latents = [
+        unit(anchors[genus_of[sp]] + AUDIO_OFFSET_RATIO * c.sigma_family * normal(d_in, "audio_latent", sp))
+        for sp in range(c.n_species)
+    ]
+    audio = [
+        latents[sp] + c.sigma_audio * normal(d_in, "audio", sp, j)
+        for sp in range(c.n_species)
+        for j in range(c.audio_per_species)
+    ]
+    student_anchors = [norm_relative(c.sigma_family, d_s, "student_anchor", g) for g in range(c.n_genera)]
+    student = [
+        unit(student_anchors[genus_of[sp]] + norm_relative(c.sigma_genus, d_s, "student_text", sp))
+        for sp in range(c.n_species)
+    ]
+    return {
+        "species_centres": centres,
+        "teacher_text": teacher,
+        "images": images,
+        "audio_features": audio,
+        "student_text": student,
+    }
+
+
+def reference_split(n_species, per_species, n_eval, seed, name):
+    train, held_out = [], []
+    for sp in range(n_species):
+        chosen = set(rng_for(seed, name, sp).permutation(per_species)[:n_eval].tolist())
+        held_out.extend(sp * per_species + j for j in sorted(chosen))
+        train.extend(sp * per_species + j for j in range(per_species) if j not in chosen)
+    return train, held_out
+
+
+WORLD_CONFIGS = st.builds(
+    WorldConfig,
+    seed=st.integers(0, 2**32),
+    n_families=st.integers(1, 3),
+    genera_per_family=st.integers(1, 3),
+    species_per_genus=st.integers(2, 3),
+    d_teacher=st.integers(1, 9),
+    d_student_in=st.integers(1, 9),
+    d_student=st.integers(1, 9),
+    variant_count=st.integers(2, 4),
+    audio_per_species=st.integers(2, 5),
+    images_per_species=st.integers(2, 5),
+    sigma_variant=st.sampled_from([0.0, 0.05, 3.0]),
+    sigma_image=st.sampled_from([0.0, 0.15]),
+    sigma_audio=st.sampled_from([0.0, 0.2]),
+)
+
+
+class TestMatchesPerRowReference:
+    @given(WORLD_CONFIGS)
+    @settings(max_examples=40, deadline=None)
+    def test_world(self, config):
+        world = generate_world(config)
+        expected = reference_world(config)
+        assert np.array_equal(world.species_centres, np.array(expected["species_centres"]))
+        for name in ("teacher_text", "images", "audio_features", "student_text"):
+            assert np.array_equal(getattr(world, name).matrix, np.array(expected[name])), name
+
+    def test_default_world(self, default_world):
+        expected = reference_world(default_world.config)
+        for name in ("teacher_text", "images", "audio_features", "student_text"):
+            assert np.array_equal(getattr(default_world, name).matrix, np.array(expected[name])), name
+
+    @given(WORLD_CONFIGS, st.sampled_from([0.1, 0.25, 0.5, 0.9]), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_split(self, config, fraction, seed):
+        world = generate_world(config)
+        train, held_out = world_split(world, fraction, seed)
+        for per_species, name, indices in (
+            (config.audio_per_species, "split_audio", "audio_indices"),
+            (config.images_per_species, "split_image", "image_indices"),
+        ):
+            n_eval = min(max(int(math.floor(fraction * per_species + 0.5)), 1), per_species - 1)
+            expected = reference_split(config.n_species, per_species, n_eval, seed, name)
+            assert getattr(train, indices).tolist() == expected[0]
+            assert getattr(held_out, indices).tolist() == expected[1]
+
+    def test_zero_row_is_named(self):
+        # All-zero draws leave every species centre at the origin.
+        def zeros(out, *args, **kwargs):
+            out[...] = 0.0
+            return out
+
+        with mock.patch.object(world_module, "draw_streams", zeros):
+            with pytest.raises(ZeroVectorError, match="species centre 0/0/0; sigmas too degenerate"):
+                generate_world(SMALL_WORLD)
 
 
 class TestWorldConfig:
