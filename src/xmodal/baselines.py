@@ -7,10 +7,11 @@ also has access to:
   matrix into teacher space. Lower bound; no learning at all.
 * ``text_mapping``: a small nonlinear map from student text space to
   teacher text space, trained on per-species text pairs only (no audio).
-  It is the trainer's layer-table MLP (``map1`` + ReLU, ``map2``) with the
-  same optimizer. At inference an audio clip is classified to a species
-  with audio-space class prototypes, then represented by its mapped
-  species text.
+  It is a layer-table MLP (``map1`` + ReLU, ``map2``) trained by the
+  adapter's own loop, :func:`xmodal.trainer.fit`, with each species paired
+  with its canonical teacher row. At inference an audio clip is classified
+  to a species with audio-space class prototypes, then represented by its
+  mapped species text.
 * ``cascaded_zero_shot``: two independent zero-shot classifiers (audio
   vs audio-space prototypes, image vs teacher text prototypes) chained
   by scoring each image with the cosine between the two predicted class
@@ -23,20 +24,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .embeddings import EmbeddingSet, normalize_rows, similarity_matrix
-from .errors import (
-    MissingPrototypeError,
-    NonFiniteLossError,
-    SpeciesMismatchError,
-)
+from .errors import MissingPrototypeError, SpeciesMismatchError
 from .evaluation import RankedList, nearest_prototype
-from .objective import distill_loss
 from .rng import rng_for
-from .trainer import Layer, Params, TrainConfig, _mlp_backward, _mlp_forward, _mlp_init, make_optimizer
+from .trainer import Layer, Params, TrainConfig, fit, mlp_forward
 
 __all__ = [
     "BaselineKind",
@@ -87,13 +83,13 @@ def text_mapping_baseline(
     student_text: EmbeddingSet,
     teacher_text: EmbeddingSet,
     train_config: TrainConfig,
-    initial_params: Optional[Params] = None,
 ) -> TextMappingReport:
     """Fit the student-text to teacher-text map on per-species pairs.
 
     ``teacher_text`` must hold exactly one row per species (the
-    canonical prompt). Training never touches audio. The returned
-    ``mapped_prototypes`` are the mapped student rows, labels ascending.
+    canonical prompt), and there must be at least two species. Training
+    never touches audio. The returned ``mapped_prototypes`` are the
+    mapped student rows, labels ascending.
     """
     student_order = np.argsort(student_text.labels, kind="stable")
     teacher_order = np.argsort(teacher_text.labels, kind="stable")
@@ -106,38 +102,14 @@ def text_mapping_baseline(
     if np.unique(student_sorted.labels).size != student_sorted.n_items:
         raise SpeciesMismatchError("text sets must have exactly one row per species")
 
-    n = student_sorted.n_items
     layers = _text_map_layers(student_text.dim, teacher_text.dim)
-    # A copy of the dict: make_optimizer rebinds its entries to buffer views.
-    params = (
-        dict(initial_params)
-        if initial_params is not None
-        else _mlp_init(layers, train_config.seed, "textmap")
+    own_row = np.arange(student_sorted.n_items)
+    report = fit(
+        layers, student_sorted.matrix, teacher_sorted.matrix, lambda _: own_row, train_config, "textmap", "textmap_shuffle"
     )
-    step_fn = make_optimizer(train_config, params)
-
-    loss_curve: List[float] = []
-    step = 0
-    for epoch in range(train_config.epochs):
-        perm = rng_for(train_config.seed, "textmap_shuffle", epoch).permutation(n)
-        epoch_losses: List[float] = []
-        for start in range(0, n, train_config.batch_size):
-            batch = perm[start : start + train_config.batch_size]
-            if batch.size < 2:
-                continue
-            out, cache = _mlp_forward(layers, params, student_sorted.matrix[batch])
-            result = distill_loss(out, teacher_sorted.matrix[batch], train_config.tau)
-            if not math.isfinite(result.loss):
-                raise NonFiniteLossError(step)
-            step_fn(_mlp_backward(layers, params, cache, result.grad_student))
-            step += 1
-            epoch_losses.append(result.loss)
-        if epoch_losses:
-            loss_curve.append(sum(epoch_losses) / len(epoch_losses))
-
-    mapped, _ = _mlp_forward(layers, params, student_sorted.matrix)
+    mapped, _ = mlp_forward(layers, report.final_params, student_sorted.matrix)
     prototypes = EmbeddingSet(mapped, student_sorted.labels, student_text.modality, normalized=False)
-    return TextMappingReport(params=params, loss_curve=tuple(loss_curve), mapped_prototypes=prototypes)
+    return TextMappingReport(report.final_params, report.loss_curve, prototypes)
 
 
 def text_mapping_audio_embeddings(

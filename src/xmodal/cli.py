@@ -134,10 +134,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             result = run_experiment(config, output_dir=out)
             print(result.summary, end="")
-    except XmodalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (XmodalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

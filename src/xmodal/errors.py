@@ -26,7 +26,7 @@ class InvalidConfigError(XmodalError):
 
 
 class TooFewItemsError(XmodalError):
-    """A split would leave some species without items on one side."""
+    """Too few items to split by species or to train on."""
 
 
 class NonFiniteLossError(XmodalError):

@@ -12,16 +12,18 @@ layer table of ``(name, fan_in, fan_out, relu)`` rows with one init, one
 forward and one backward. Parameters are a dict of ``<name>_w``/``<name>_b``
 arrays; for training the optimizer moves them into one contiguous float64
 buffer and updates it with whole-vector operations (Adam or SGD with
-momentum). Training minimizes the contrastive distillation objective
-against teacher text rows, drawing each item's prompt variant from a
-configurable mixture every epoch. The teacher set is read-only
-throughout; only adapter parameters are updated.
+momentum). One epoch loop, :func:`fit`, trains every network: it
+minimizes the contrastive distillation objective from input rows to the
+teacher rows each input is paired with that epoch. The adapter pairs a
+clip with its species' teacher text, the prompt variant drawn from a
+configurable mixture every epoch; the text mapping pairs each species
+with its own canonical row. The teacher rows are read-only throughout;
+only network parameters are updated.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -46,9 +48,11 @@ __all__ = [
     "adapter_forward",
     "adapter_backward",
     "embed_audio",
-    "dataset_loss",
+    "mlp_forward",
+    "mlp_backward",
     "make_optimizer",
     "xavier_uniform",
+    "fit",
     "train_adapter",
 ]
 
@@ -156,9 +160,6 @@ class TrainReport:
     loss_curve: Tuple[float, ...]
     final_params: Params
     steps: int
-    wallclock: float
-    adapter_config: AdapterConfig
-    train_config: TrainConfig
 
 
 def xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -176,7 +177,7 @@ def _mlp_init(layers: Sequence[Layer], seed: int, stream: str) -> Params:
     return params
 
 
-def _mlp_forward(layers: Sequence[Layer], params: Params, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+def mlp_forward(layers: Sequence[Layer], params: Params, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Output rows and the cache: the input of every layer."""
     inputs = []
     for name, _, _, relu in layers:
@@ -187,7 +188,7 @@ def _mlp_forward(layers: Sequence[Layer], params: Params, x: np.ndarray) -> Tupl
     return x, inputs
 
 
-def _mlp_backward(layers: Sequence[Layer], params: Params, inputs: List[np.ndarray], grad: np.ndarray) -> Params:
+def mlp_backward(layers: Sequence[Layer], params: Params, inputs: List[np.ndarray], grad: np.ndarray) -> Params:
     """Parameter gradients given d(loss)/d(output)."""
     grads: Params = {}
     for i in reversed(range(len(layers))):
@@ -230,25 +231,18 @@ def adapter_forward(config: AdapterConfig, params: Params, inputs: np.ndarray) -
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.d_in:
         raise ShapeMismatchError(f"expected inputs of shape (n, {config.d_in}), got {x.shape}")
-    return _mlp_forward(config.layers, params, x)
+    return mlp_forward(config.layers, params, x)
 
 
 def adapter_backward(config: AdapterConfig, params: Params, cache: list, grad_z: np.ndarray) -> Params:
     """Parameter gradients given d(loss)/d(teacher-space output)."""
-    return _mlp_backward(config.layers, params, cache, grad_z)
+    return mlp_backward(config.layers, params, cache, grad_z)
 
 
 def embed_audio(config: AdapterConfig, params: Params, inputs: np.ndarray) -> np.ndarray:
     """Teacher-space embeddings for raw audio rows (no cache)."""
     z, _ = adapter_forward(config, params, inputs)
     return z
-
-
-def dataset_loss(view: WorldView, config: AdapterConfig, params: Params, tau: float) -> float:
-    """Distillation loss over the whole view in one batch, variant 0."""
-    targets = view.teacher_text.matrix[view.audio_features.labels * view.config.variant_count]
-    z, _ = adapter_forward(config, params, view.audio_features.matrix)
-    return distill_loss(z, targets, tau).loss
 
 
 def make_optimizer(train_config: TrainConfig, params: Params) -> Callable[[Params], None]:
@@ -315,6 +309,51 @@ def sample_variants(seed: int, epoch: int, n_items: int, mixture: np.ndarray) ->
     return rng.choice(mixture.size, size=n_items, p=mixture)
 
 
+def fit(
+    layers: Sequence[Layer],
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    pairing: Callable[[int], np.ndarray],
+    train_config: TrainConfig,
+    init_stream: str,
+    shuffle_stream: str,
+) -> TrainReport:
+    """Train a layer table to map ``inputs`` onto rows of ``targets``.
+
+    Weights start Xavier-uniform from ``(seed, init_stream)``. Each epoch
+    visits the inputs in a fresh permutation from ``(seed, shuffle_stream,
+    epoch)``, pairs input i with ``targets[pairing(epoch)[i]]``, and takes
+    one optimizer step per batch. A trailing batch with fewer than two
+    items is dropped because the contrastive loss needs negatives, so
+    fewer than two inputs raise TooFewItemsError.
+    """
+    n = inputs.shape[0]
+    if n < 2:
+        raise TooFewItemsError(f"training needs at least 2 items, got {n}")
+    params = _mlp_init(layers, train_config.seed, init_stream)
+    step_fn = make_optimizer(train_config, params)
+
+    loss_curve: List[float] = []
+    step = 0
+    for epoch in range(train_config.epochs):
+        perm = rng_for(train_config.seed, shuffle_stream, epoch).permutation(n)
+        rows = pairing(epoch)
+        epoch_losses: List[float] = []
+        for start in range(0, n, train_config.batch_size):
+            batch = perm[start : start + train_config.batch_size]
+            if batch.size < 2:
+                continue
+            z, cache = mlp_forward(layers, params, inputs[batch])
+            out = distill_loss(z, targets[rows[batch]], train_config.tau)
+            if not math.isfinite(out.loss):
+                raise NonFiniteLossError(step)
+            step_fn(mlp_backward(layers, params, cache, out.grad_student))
+            step += 1
+            epoch_losses.append(out.loss)
+        loss_curve.append(sum(epoch_losses) / len(epoch_losses))
+    return TrainReport(loss_curve=tuple(loss_curve), final_params=params, steps=step)
+
+
 def train_adapter(
     view: WorldView,
     adapter_config: AdapterConfig,
@@ -322,17 +361,13 @@ def train_adapter(
 ) -> TrainReport:
     """Distill the teacher text space into the audio adapter.
 
-    Each epoch visits the training audio in a fresh seeded permutation,
-    pairs every clip with the teacher text row of its species (variant
-    drawn from the prompt mixture, per item per epoch), and takes one
-    optimizer step per batch. A trailing batch with fewer than two items
-    is dropped because the contrastive loss needs negatives.
+    Every clip is paired with the teacher text row of its species, the
+    prompt variant drawn from the mixture per item per epoch; :func:`fit`
+    runs the epochs.
     """
-    started = time.perf_counter()
     audio = view.audio_features
-    n_train = audio.n_items
-    if n_train < 2:
-        raise TooFewItemsError(f"training needs at least 2 audio clips, got {n_train}")
+    if audio.n_items < 2:
+        raise TooFewItemsError(f"training needs at least 2 audio clips, got {audio.n_items}")
     if adapter_config.d_in != audio.dim:
         raise InvalidConfigError(
             f"adapter expects {adapter_config.d_in}-dim inputs but audio rows have {audio.dim}"
@@ -344,40 +379,9 @@ def train_adapter(
 
     variant_count = view.config.variant_count
     mixture = train_config.mixture_for(variant_count)
-    species = audio.labels
-    params = init_params(adapter_config, train_config.seed)
-    step_fn = make_optimizer(train_config, params)
+    species_rows = audio.labels * variant_count
 
-    loss_curve: List[float] = []
-    step = 0
-    for epoch in range(train_config.epochs):
-        perm = rng_for(train_config.seed, "shuffle", epoch).permutation(n_train)
-        variants = sample_variants(train_config.seed, epoch, n_train, mixture)
-        epoch_losses: List[float] = []
-        for start in range(0, n_train, train_config.batch_size):
-            batch = perm[start : start + train_config.batch_size]
-            if batch.size < 2:
-                continue
-            rows = audio.matrix[batch]
-            teacher_rows = view.teacher_text.matrix[
-                species[batch] * variant_count + variants[batch]
-            ]
-            z, cache = adapter_forward(adapter_config, params, rows)
-            out = distill_loss(z, teacher_rows, train_config.tau)
-            if not math.isfinite(out.loss):
-                raise NonFiniteLossError(step)
-            step_fn(adapter_backward(adapter_config, params, cache, out.grad_student))
-            step += 1
-            epoch_losses.append(out.loss)
-        if not epoch_losses:
-            raise TooFewItemsError("every batch in the epoch had fewer than 2 items")
-        loss_curve.append(sum(epoch_losses) / len(epoch_losses))
+    def pairing(epoch: int) -> np.ndarray:
+        return species_rows + sample_variants(train_config.seed, epoch, audio.n_items, mixture)
 
-    return TrainReport(
-        loss_curve=tuple(loss_curve),
-        final_params=params,
-        steps=step,
-        wallclock=time.perf_counter() - started,
-        adapter_config=adapter_config,
-        train_config=train_config,
-    )
+    return fit(adapter_config.layers, audio.matrix, view.teacher_text.matrix, pairing, train_config, "init", "shuffle")

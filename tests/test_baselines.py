@@ -1,6 +1,7 @@
 """Baselines: random projection, text mapping, cascaded zero-shot."""
 
 import dataclasses
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -13,8 +14,11 @@ from xmodal import (
     EmbeddingSet,
     MissingPrototypeError,
     Modality,
+    NonFiniteLossError,
     NoRelevantItemsError,
     SpeciesMismatchError,
+    TextMappingReport,
+    TooFewItemsError,
     TrainConfig,
     WorldConfig,
     cascaded_zero_shot_baseline,
@@ -26,10 +30,11 @@ from xmodal import (
     text_mapping_audio_embeddings,
     text_mapping_baseline,
 )
-from xmodal import evaluation
+from xmodal import evaluation, trainer
 from xmodal.evaluation import chance_map_oracle
 from xmodal.pipeline import teacher_prototype_set
 from xmodal.rng import rng_for
+from xmodal.runconfig import parse_config
 
 from conftest import EXACT_PALETTE, SMALL_WORLD, exact_sets
 from test_acceptance import oracle_ap, oracle_pair_scores
@@ -94,12 +99,8 @@ class TestTextMapping:
             "map2_w": np.eye(d),
             "map2_b": -10.0 * np.ones(d),
         }
-        report = text_mapping_baseline(
-            teacher_protos,
-            teacher_protos,
-            TrainConfig(batch_size=4, epochs=0),
-            initial_params=params,
-        )
+        with mock.patch.object(trainer, "_mlp_init", return_value=params):
+            report = text_mapping_baseline(teacher_protos, teacher_protos, TrainConfig(batch_size=4, epochs=0))
         assert report.loss_curve == ()
         assert np.allclose(report.mapped_prototypes.matrix, teacher_protos.matrix, atol=1e-12)
         assert np.array_equal(report.mapped_prototypes.labels, teacher_protos.labels)
@@ -131,6 +132,28 @@ class TestTextMapping:
         with pytest.raises(SpeciesMismatchError):
             text_mapping_baseline(dup, teacher, TrainConfig(batch_size=4, epochs=1))
 
+    def test_nan_teacher_row_stops_at_its_step(self, small_world):
+        # Species 5's NaN target first enters the batch that holds its
+        # position in the first epoch's permutation: here step 1, not 0.
+        teacher = teacher_prototype_set(small_world)
+        poisoned_matrix = teacher.matrix.copy()
+        poisoned_matrix[5] = np.nan
+        poisoned = eset(poisoned_matrix, teacher.labels, teacher.modality)
+        tc = TrainConfig(batch_size=3, epochs=2, seed=4)
+        position = rng_for(tc.seed, "textmap_shuffle", 0).permutation(8).tolist().index(5)
+        with pytest.raises(NonFiniteLossError) as info:
+            text_mapping_baseline(small_world.student_text, poisoned, tc)
+        assert info.value.step == position // tc.batch_size == 1
+        assert "training step 1" in str(info.value)
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_one_species_is_too_few(self, small_world, epochs):
+        teacher = teacher_prototype_set(small_world)
+        with pytest.raises(TooFewItemsError, match="at least 2 items, got 1"):
+            text_mapping_baseline(
+                small_world.student_text.take([0]), teacher.take([0]), TrainConfig(batch_size=4, epochs=epochs)
+            )
+
     def test_unsorted_labels_are_aligned(self, small_world):
         # Shuffling the student rows must not change what gets learned:
         # pairs are joined on species id, not on row position.
@@ -146,17 +169,8 @@ class TestTextMapping:
     def test_audio_embeddings_route(self, small_world):
         # Clips classified to species sp must be represented by the
         # mapped row of sp (here: the teacher prototype itself).
-        d = SMALL_WORLD.d_teacher
         teacher_protos = teacher_prototype_set(small_world)
-        params = {
-            "map1_w": np.eye(d),
-            "map1_b": 10.0 * np.ones(d),
-            "map2_w": np.eye(d),
-            "map2_b": -10.0 * np.ones(d),
-        }
-        report = text_mapping_baseline(
-            teacher_protos, teacher_protos, TrainConfig(batch_size=4, epochs=0), initial_params=params
-        )
+        report = TextMappingReport(params={}, loss_curve=(), mapped_prototypes=teacher_protos)
         audio = small_world.audio_features
         audio_protos = class_prototypes(audio)
         embedded = text_mapping_audio_embeddings(report, audio, audio_protos)
@@ -167,29 +181,44 @@ class TestTextMapping:
         predicted, _ = nearest_prototype(audio, audio_protos)
         for i in range(audio.n_items):
             expected_row = teacher_protos.matrix[predicted[i]]
-            assert np.allclose(embedded.matrix[i], expected_row, atol=1e-12)
+            assert np.array_equal(embedded.matrix[i], expected_row)
 
     def test_missing_mapped_species(self, small_world):
-        d = SMALL_WORLD.d_teacher
-        teacher_protos = teacher_prototype_set(small_world)
-        report = text_mapping_baseline(
-            teacher_protos,
-            teacher_protos,
-            TrainConfig(batch_size=4, epochs=0),
-            initial_params={
-                "map1_w": np.eye(d),
-                "map1_b": 10.0 * np.ones(d),
-                "map2_w": np.eye(d),
-                "map2_b": -10.0 * np.ones(d),
-            },
-        )
-        # Drop species 0 from the mapped table.
-        table = report.mapped_prototypes
-        truncated = dataclasses.replace(report, mapped_prototypes=table.take(range(1, 8)))
+        # Species 0 is missing from the mapped table.
+        table = teacher_prototype_set(small_world).take(range(1, 8))
+        truncated = TextMappingReport(params={}, loss_curve=(), mapped_prototypes=table)
         audio = small_world.audio_features
         audio_protos = class_prototypes(audio)
         with pytest.raises(MissingPrototypeError, match="no mapped text"):
             text_mapping_audio_embeddings(truncated, audio, audio_protos)
+
+
+# SHA-256 of (mapped_prototypes.matrix.tobytes(), repr(loss_curve)) fit on
+# the default world, for each optimizer. The loop may be restructured but
+# must not move a bit of either.
+TEXT_MAPPING_SHA256 = {
+    "": (
+        "8f013101d7a98fe41c560d5a0f51cf4779d6717f3a75916b9e03237c75166034",
+        "2793f33a42407b634e3f7dec679f13cb6fb0bee918613c343bff370bbe5e67d5",
+    ),
+    "train.optimizer = sgd_momentum": (
+        "9a36074c46a87fe41709de163e4ff5b79c8a9a076a52418ad33fd9369668137c",
+        "3a77233e862e9e54dea2098b660ccc342d8544ead672677d8f2a5a68df736673",
+    ),
+}
+
+
+@pytest.mark.parametrize("overrides", list(TEXT_MAPPING_SHA256), ids=["default", "sgd"])
+def test_text_mapping_bits_pinned(overrides):
+    config = parse_config(overrides)
+    world = generate_world(config.world)
+    report = text_mapping_baseline(world.student_text, teacher_prototype_set(world), config.train)
+    digests = (
+        hashlib.sha256(report.mapped_prototypes.matrix.tobytes()).hexdigest(),
+        hashlib.sha256(repr(report.loss_curve).encode("utf-8")).hexdigest(),
+    )
+    assert len(report.loss_curve) == config.train.epochs
+    assert digests == TEXT_MAPPING_SHA256[overrides]
 
 
 @pytest.mark.xfail(

@@ -105,6 +105,14 @@ class TestEval:
         assert run_cli("eval", "--config", str(config_path)) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_params_directory_exit_2(self, config_path, tmp_path, capsys):
+        # Any OSError while reading an artifact ends in error: and exit 2.
+        (tmp_path / "out" / "params.xmpb").mkdir(parents=True)
+        assert run_cli("eval", "--config", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "params.xmpb" in err
+
     def test_eval_rejects_config_mismatch(self, config_path, tmp_path, capsys):
         run_cli("train", "--config", str(config_path))
         # Same output dir, different effective config via the seed override.
