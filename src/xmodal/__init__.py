@@ -29,6 +29,7 @@ from .errors import (
     MissingPrototypeError,
     NonFiniteLossError,
     NoRelevantItemsError,
+    NotNormalizedError,
     PayloadTooShortError,
     ShapeMismatchError,
     SpeciesMismatchError,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError, NotNormalizedError, ZeroVectorError
 
 
 class Modality(enum.Enum):
@@ -68,8 +68,9 @@ class EmbeddingSet:
         if self.normalized and matrix.shape[0] > 0:
             norms = np.linalg.norm(matrix, axis=1)
             worst = float(np.max(np.abs(norms - 1.0)))
-            if worst > 1e-9:
-                raise ValueError(f"set marked normalized but a row deviates by {worst:.3e}")
+            # Written so that a NaN deviation fails the check too.
+            if not worst <= 1e-9:
+                raise NotNormalizedError(f"set marked normalized but a row deviates by {worst:.3e}")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "labels", labels)
 
@@ -94,7 +95,11 @@ _TINY_NORM = np.sqrt(np.finfo(np.float64).tiny)
 
 
 def _unit_rows(matrix: np.ndarray, side: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
+    return _divide_by_norms(matrix, np.linalg.norm(matrix, axis=1), side)
+
+
+def _divide_by_norms(matrix: np.ndarray, norms: np.ndarray, side: str) -> np.ndarray:
+    """``matrix`` rows over their Euclidean ``norms``; ``norms`` is not modified."""
     tiny = np.flatnonzero(norms < _TINY_NORM)
     if tiny.size:
         # Scale those rows by their largest magnitude first; every other
@@ -105,6 +110,7 @@ def _unit_rows(matrix: np.ndarray, side: str) -> np.ndarray:
             raise ZeroVectorError(f"{side} row {int(zero[0])} is all zeros")
         matrix = matrix.copy()
         matrix[tiny] /= peaks[:, None]
+        norms = norms.copy()
         norms[tiny] = np.linalg.norm(matrix[tiny], axis=1)
     return matrix / norms[:, None]
 

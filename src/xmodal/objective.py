@@ -11,6 +11,12 @@ cosine normalization of the student rows, so callers pass raw
 (unnormalized) student outputs. Log-sum-exp uses max subtraction, which
 keeps every per-row loss term non-negative in floating point and makes
 a single-pair batch score exactly zero without special-casing.
+
+:func:`distill_loss` validates its arguments, scales the teacher rows to
+unit norm and calls the loss core :func:`infonce_loss`. The training loop
+calls the core directly with teacher rows it normalized once. The core
+computes every intermediate in place, in the order of operations of the
+plain out-of-place formula, so both routes give the same bits.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import _unit_rows
+from .embeddings import _divide_by_norms, _unit_rows
 from .errors import InvalidConfigError, ShapeMismatchError, TooFewItemsError
 from .rng import rng_for
 
-__all__ = ["LossOutput", "distill_loss", "distill_loss_symbolic_check"]
+__all__ = ["LossOutput", "distill_loss", "infonce_loss", "distill_loss_symbolic_check"]
 
 
 @dataclass(frozen=True)
@@ -58,28 +64,44 @@ def distill_loss(student_batch: np.ndarray, teacher_batch: np.ndarray, tau: floa
     n = student.shape[0]
     if n < 1:
         raise TooFewItemsError("distill_loss needs at least one pair")
+    return infonce_loss(student, _unit_rows(teacher, "teacher"), tau)
 
-    student_norms = np.linalg.norm(student, axis=1, keepdims=True)
-    student_unit = _unit_rows(student, "student")
-    teacher_unit = _unit_rows(teacher, "teacher")
 
-    logits = (student_unit @ teacher_unit.T) / tau
-    row_max = logits.max(axis=1, keepdims=True)
-    shifted = logits - row_max
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + row_max
-    log_probs = logits - log_z
+def infonce_loss(student: np.ndarray, teacher_unit: np.ndarray, tau: float) -> LossOutput:
+    """The loss core of :func:`distill_loss`, on unit teacher rows.
+
+    Takes a float64 student batch, teacher rows already of unit norm and
+    of the same shape, and a valid ``tau``, and checks none of them; the
+    training loop normalizes its teacher rows once and calls this per
+    batch. The result is bit for bit that of :func:`distill_loss` on the
+    raw teacher rows.
+    """
+    n = student.shape[0]
+    student_norms = np.linalg.norm(student, axis=1)
+    student_unit = _divide_by_norms(student, student_norms, "student")
+
+    # The reductions are those of ndarray.max, ndarray.sum and np.mean,
+    # called without their Python wrappers.
+    logits = student_unit @ teacher_unit.T
+    logits /= tau
+    row_max = np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted = np.subtract(logits, row_max)
+    log_z = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=1, keepdims=True))
+    log_z += row_max
+    log_probs = np.subtract(logits, log_z, out=logits)
     # The + 0.0 turns IEEE -0.0 into +0.0 for the perfectly-aligned case.
-    loss = float(-np.mean(np.diagonal(log_probs)) + 0.0)
+    loss = float(-(np.add.reduce(np.diagonal(log_probs)) / n) + 0.0)
 
-    probs = np.exp(log_probs)
-    d_logits = probs.copy()
-    np.fill_diagonal(d_logits, np.diagonal(d_logits) - 1.0)
+    d_logits = np.exp(log_probs, out=logits)
+    d_logits.reshape(-1)[:: n + 1] -= 1.0
     d_logits /= n * tau
-    grad_unit = d_logits @ teacher_unit
+    grad = d_logits @ teacher_unit
 
     # Project out the radial component: cosine is invariant to row scale.
-    radial = np.sum(grad_unit * student_unit, axis=1, keepdims=True)
-    grad = (grad_unit - radial * student_unit) / student_norms
+    scratch = np.multiply(grad, student_unit)
+    radial = np.add.reduce(scratch, axis=1, keepdims=True)
+    grad -= np.multiply(radial, student_unit, out=scratch)
+    grad /= student_norms[:, None]
     return LossOutput(loss=loss, grad_student=grad, batch_size=n)
 
 

@@ -10,15 +10,20 @@ Two architectures are supported:
 Every network here, and the text mapping in :mod:`xmodal.baselines`, is a
 layer table of ``(name, fan_in, fan_out, relu)`` rows with one init, one
 forward and one backward. Parameters are a dict of ``<name>_w``/``<name>_b``
-arrays; for training the optimizer moves them into one contiguous float64
-buffer and updates it with whole-vector operations (Adam or SGD with
-momentum). One epoch loop, :func:`fit`, trains every network: it
-minimizes the contrastive distillation objective from input rows to the
-teacher rows each input is paired with that epoch. The adapter pairs a
-clip with its species' teacher text, the prompt variant drawn from a
-configurable mixture every epoch; the text mapping pairs each species
-with its own canonical row. The teacher rows are read-only throughout;
-only network parameters are updated.
+arrays; for training the optimizer moves them, and a gradient dict of the
+same shapes, into one contiguous float64 buffer each. The backward pass
+writes every gradient straight into the gradient buffer's views, and the
+optimizer step updates the parameter buffer with whole-vector operations
+(Adam or SGD with momentum). One epoch loop, :func:`fit`, trains every
+network: it minimizes the contrastive distillation objective from input
+rows to the teacher rows each input is paired with that epoch. It scales
+the teacher rows to unit norm once and calls the loss core
+:func:`xmodal.objective.infonce_loss` on each batch's unit rows, which
+gives the bits that :func:`xmodal.objective.distill_loss` gives on the
+raw rows. The adapter pairs a clip with its species' teacher text, the
+prompt variant drawn from a configurable mixture every epoch; the text
+mapping pairs each species with its own canonical row. The teacher rows
+are read-only throughout; only network parameters are updated.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from .errors import (
     ShapeMismatchError,
     TooFewItemsError,
 )
-from .objective import distill_loss
+from .embeddings import _unit_rows
+from .objective import infonce_loss
 from .rng import rng_for
 from .world import WorldView
 
@@ -182,25 +188,30 @@ def mlp_forward(layers: Sequence[Layer], params: Params, x: np.ndarray) -> Tuple
     inputs = []
     for name, _, _, relu in layers:
         inputs.append(x)
-        x = x @ params[f"{name}_w"].T + params[f"{name}_b"]
+        x = x @ params[f"{name}_w"].T
+        x += params[f"{name}_b"]
         if relu:
-            x = np.maximum(x, 0.0)
+            np.maximum(x, 0.0, out=x)
     return x, inputs
 
 
-def mlp_backward(layers: Sequence[Layer], params: Params, inputs: List[np.ndarray], grad: np.ndarray) -> Params:
-    """Parameter gradients given d(loss)/d(output)."""
-    grads: Params = {}
+def mlp_backward(
+    layers: Sequence[Layer], params: Params, inputs: List[np.ndarray], grad: np.ndarray, grads: Params
+) -> None:
+    """Write the parameter gradients, given d(loss)/d(output), into ``grads``.
+
+    ``grads`` holds one preallocated array per parameter, such as the
+    gradient views that :func:`make_optimizer` makes.
+    """
     for i in reversed(range(len(layers))):
         name = layers[i][0]
-        grads[f"{name}_w"] = grad.T @ inputs[i]
-        grads[f"{name}_b"] = grad.sum(axis=0)
+        np.matmul(grad.T, inputs[i], out=grads[f"{name}_w"])
+        np.add.reduce(grad, axis=0, out=grads[f"{name}_b"])
         if i:
             grad = grad @ params[f"{name}_w"]
             if layers[i - 1][3]:
                 # A ReLU output is positive exactly where its input was.
                 grad = np.where(inputs[i] > 0.0, grad, 0.0)
-    return grads
 
 
 def init_params(config: AdapterConfig, seed: int) -> Params:
@@ -236,7 +247,9 @@ def adapter_forward(config: AdapterConfig, params: Params, inputs: np.ndarray) -
 
 def adapter_backward(config: AdapterConfig, params: Params, cache: list, grad_z: np.ndarray) -> Params:
     """Parameter gradients given d(loss)/d(teacher-space output)."""
-    return mlp_backward(config.layers, params, cache, grad_z)
+    grads = {key: np.empty_like(value) for key, value in params.items()}
+    mlp_backward(config.layers, params, cache, grad_z, grads)
+    return grads
 
 
 def embed_audio(config: AdapterConfig, params: Params, inputs: np.ndarray) -> np.ndarray:
@@ -245,32 +258,45 @@ def embed_audio(config: AdapterConfig, params: Params, inputs: np.ndarray) -> np
     return z
 
 
-def make_optimizer(train_config: TrainConfig, params: Params) -> Callable[[Params], None]:
-    """Update rule over one buffer holding every parameter.
-
-    Copies ``params`` into one contiguous float64 vector and rebinds each
-    entry of the dict to a view of it. The returned step takes a gradient
-    dict with the same keys and updates every parameter in place, with
-    whole-vector operations into preallocated buffers.
-    """
-    names = list(params)
-    flat = np.concatenate([params[name] for name in names], axis=None, dtype=np.float64)
+def _pack(arrays: Params, names: Sequence[str]) -> np.ndarray:
+    """Copy ``arrays[name]`` for each name into one contiguous float64
+    vector and rebind each entry to a view of it; return the vector."""
+    flat = np.concatenate([arrays[name] for name in names], axis=None, dtype=np.float64)
     offset = 0
     for name in names:
-        shape = np.shape(params[name])
+        shape = np.shape(arrays[name])
         size = math.prod(shape)
-        params[name] = flat[offset : offset + size].reshape(shape)
+        arrays[name] = flat[offset : offset + size].reshape(shape)
         offset += size
-    grad = np.empty_like(flat)
+    return flat
+
+
+def make_optimizer(train_config: TrainConfig, params: Params, grads: Params) -> Callable[[], None]:
+    """Update rule over one buffer holding every parameter.
+
+    ``params`` and ``grads`` hold arrays of the same shapes under the same
+    keys. Each is copied into one contiguous float64 vector, in the same
+    order, and every entry of the dict is rebound to a view of it. The
+    returned step reads the gradient the caller wrote through the views
+    of ``grads`` and updates every parameter in place, with whole-vector
+    operations into preallocated buffers. It also uses the gradient
+    vector as scratch, so every step needs a freshly written gradient.
+    """
+    names = list(params)
+    shapes = {name: np.shape(params[name]) for name in names}
+    got = {name: np.shape(value) for name, value in grads.items()}
+    if got != shapes:
+        raise ShapeMismatchError(f"gradients {sorted(got.items())} do not fit parameters {sorted(shapes.items())}")
+    flat = _pack(params, names)
+    grad = _pack(grads, names)
     lr = train_config.learning_rate
 
     if train_config.optimizer == "sgd_momentum":
         velocity = np.zeros_like(flat)
 
-        def sgd_step(grads: Params) -> None:
+        def sgd_step() -> None:
             # In-place operators rebind their target name, hence nonlocal.
             nonlocal flat, velocity
-            np.concatenate([grads[name] for name in names], axis=None, out=grad)
             velocity *= train_config.momentum
             velocity += grad
             flat -= np.multiply(velocity, lr, out=grad)
@@ -283,10 +309,9 @@ def make_optimizer(train_config: TrainConfig, params: Params) -> Callable[[Param
     update = np.empty_like(flat)
     t = 0
 
-    def adam_step(grads: Params) -> None:
+    def adam_step() -> None:
         nonlocal flat, grad, first, second, update, t
         t += 1
-        np.concatenate([grads[name] for name in names], axis=None, out=grad)
         first *= b1
         first += np.multiply(grad, 1.0 - b1, out=update)
         second *= b2
@@ -325,29 +350,37 @@ def fit(
     epoch)``, pairs input i with ``targets[pairing(epoch)[i]]``, and takes
     one optimizer step per batch. A trailing batch with fewer than two
     items is dropped because the contrastive loss needs negatives, so
-    fewer than two inputs raise TooFewItemsError.
+    fewer than two inputs raise TooFewItemsError. The target rows are
+    scaled to unit norm once, before the first step, so an all-zero row
+    raises ZeroVectorError naming its row of ``targets`` even if no
+    epoch pairs an input with it.
     """
     n = inputs.shape[0]
     if n < 2:
         raise TooFewItemsError(f"training needs at least 2 items, got {n}")
+    unit_targets = _unit_rows(targets, "teacher")
     params = _mlp_init(layers, train_config.seed, init_stream)
-    step_fn = make_optimizer(train_config, params)
+    grads = {key: np.empty_like(value) for key, value in params.items()}
+    step_fn = make_optimizer(train_config, params, grads)
 
     loss_curve: List[float] = []
     step = 0
     for epoch in range(train_config.epochs):
         perm = rng_for(train_config.seed, shuffle_stream, epoch).permutation(n)
-        rows = pairing(epoch)
+        # Batches are consecutive row blocks of the epoch's gathered rows.
+        epoch_inputs = inputs[perm]
+        epoch_targets = unit_targets[pairing(epoch)[perm]]
         epoch_losses: List[float] = []
         for start in range(0, n, train_config.batch_size):
-            batch = perm[start : start + train_config.batch_size]
-            if batch.size < 2:
+            stop = min(start + train_config.batch_size, n)
+            if stop - start < 2:
                 continue
-            z, cache = mlp_forward(layers, params, inputs[batch])
-            out = distill_loss(z, targets[rows[batch]], train_config.tau)
+            z, cache = mlp_forward(layers, params, epoch_inputs[start:stop])
+            out = infonce_loss(z, epoch_targets[start:stop], train_config.tau)
             if not math.isfinite(out.loss):
                 raise NonFiniteLossError(step)
-            step_fn(mlp_backward(layers, params, cache, out.grad_student))
+            mlp_backward(layers, params, cache, out.grad_student, grads)
+            step_fn()
             step += 1
             epoch_losses.append(out.loss)
         loss_curve.append(sum(epoch_losses) / len(epoch_losses))

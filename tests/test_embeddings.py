@@ -10,6 +10,7 @@ from xmodal import (
     DimensionMismatchError,
     EmbeddingSet,
     Modality,
+    NotNormalizedError,
     TaxonLabel,
     ZeroVectorError,
     normalize_rows,
@@ -78,8 +79,11 @@ class TestEmbeddingSet:
             eset([[1.0, 0.0], [0.0, 1.0]], labels=[1])
 
     def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError, match="marked normalized"):
+        # A NaN row once passed the check; a row of norm 5 raised a bare ValueError.
+        with pytest.raises(NotNormalizedError, match="marked normalized"):
             eset([[3.0, 4.0]], normalized=True)
+        with pytest.raises(NotNormalizedError, match="marked normalized"):
+            eset([[np.nan, 0.0], [1.0, 0.0]], normalized=True)
         ok = eset([[0.6, 0.8]], normalized=True)
         assert ok.normalized
 

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from xmodal import (
     InvalidConfigError,
@@ -15,6 +16,8 @@ from xmodal import (
     distill_loss,
     distill_loss_symbolic_check,
 )
+from xmodal.embeddings import _unit_rows
+from xmodal.objective import infonce_loss
 from xmodal.rng import rng_for
 
 # -ln softmax for the 2x2 identity-logits case at tau=1:
@@ -213,3 +216,77 @@ def test_loss_properties_random_batches(n, d, tau, seed):
     assert out.grad_student.shape == (n, d)
     assert np.all(np.isfinite(out.grad_student))
     assert out.loss == pytest.approx(reference_loss(student, teacher, tau), abs=1e-10)
+
+
+def out_of_place_loss(student: np.ndarray, teacher: np.ndarray, tau: float):
+    """The loss and gradient written one fresh array per operation, the
+    order of operations the in-place core has to reproduce bit for bit."""
+    n = student.shape[0]
+    student_norms = np.linalg.norm(student, axis=1, keepdims=True)
+    student_unit = _unit_rows(student, "student")
+    teacher_unit = _unit_rows(teacher, "teacher")
+    logits = (student_unit @ teacher_unit.T) / tau
+    row_max = logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(logits - row_max).sum(axis=1, keepdims=True)) + row_max
+    log_probs = logits - log_z
+    loss = float(-np.mean(np.diagonal(log_probs)) + 0.0)
+    d_logits = np.exp(log_probs)
+    np.fill_diagonal(d_logits, np.diagonal(d_logits) - 1.0)
+    d_logits /= n * tau
+    grad_unit = d_logits @ teacher_unit
+    radial = np.sum(grad_unit * student_unit, axis=1, keepdims=True)
+    return loss, (grad_unit - radial * student_unit) / student_norms
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Entries of a magnitude whose squares are subnormal or underflow to 0.
+TINY = 2.17e-159
+loss_entries = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([TINY, -TINY, 1e-170, 0.0]),
+)
+
+
+@st.composite
+def loss_batches(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    d = draw(st.integers(min_value=1, max_value=5))
+    rows = npst.arrays(np.float64, (n, d), elements=loss_entries)
+    return draw(rows), draw(rows)
+
+
+@given(loss_batches(), st.sampled_from([0.07, 1.0]))
+@example((np.array([[TINY, 1e-160]]), np.array([[1.0, 2.0]])), 0.07)
+@example((np.array([[1.0, -2.0], [TINY, 3e-160]]), np.array([[TINY, 0.0], [0.5, 0.5]])), 0.07)
+@example((np.array([[np.nan, 1.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 1.0]])), 0.07)
+@example((np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [np.nan, 2.0]])), 1.0)
+@settings(max_examples=80, deadline=None)
+def test_core_equals_out_of_place_formula_bit_for_bit(batches, tau):
+    student, teacher = batches
+    if np.any(np.all(student == 0.0, axis=1)) or np.any(np.all(teacher == 0.0, axis=1)):
+        return
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        core = infonce_loss(student, _unit_rows(teacher, "teacher"), tau)
+        loss, grad = out_of_place_loss(student, teacher, tau)
+    assert core.batch_size == student.shape[0]
+    assert same_bits(core.loss, loss) and same_bits(core.grad_student, grad)
+
+
+@given(
+    npst.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 40)), elements=loss_entries),
+    st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=8),
+)
+@example(np.array([[TINY, 0.0], [3.0, 4.0], [np.nan, 1.0]]), [2, 0, 2, 1])
+@settings(max_examples=60, deadline=None)
+def test_unit_rows_commute_with_row_gather(matrix, picks):
+    # Training normalizes its teacher rows once and gathers unit rows per
+    # batch; that must equal normalizing each gathered batch.
+    if np.any(np.all(matrix == 0.0, axis=1)):
+        return
+    rows = np.array(picks) % matrix.shape[0]
+    with np.errstate(invalid="ignore"):
+        assert same_bits(_unit_rows(matrix, "teacher")[rows], _unit_rows(matrix[rows], "teacher"))

@@ -15,6 +15,7 @@ from xmodal import (
     ShapeMismatchError,
     TooFewItemsError,
     TrainConfig,
+    ZeroVectorError,
     adapter_forward,
     distill_loss,
     embed_audio,
@@ -221,8 +222,8 @@ def test_backward_matches_finite_differences(layers):
         return distill_loss(mlp_forward(layers, params, x)[0], targets, tau).loss
 
     z, cache = mlp_forward(layers, params, x)
-    analytic = mlp_backward(layers, params, cache, distill_loss(z, targets, tau).grad_student)
-    assert set(analytic) == set(params)
+    analytic = {k: np.full_like(v, np.nan) for k, v in params.items()}
+    mlp_backward(layers, params, cache, distill_loss(z, targets, tau).grad_student, analytic)
 
     step = 1e-6
     for key in params:
@@ -271,47 +272,88 @@ def reference_optimizer(train_config, params):
     return adam_step
 
 
+def buffer_optimizer(train_config, params):
+    """The package optimizer behind a per-call gradient dict: each call
+    writes the gradients through the buffer's views, then steps."""
+    grads = {k: np.empty_like(v) for k, v in params.items()}
+    step = make_optimizer(train_config, params, grads)
+
+    def apply(new_grads):
+        for key, value in new_grads.items():
+            grads[key][...] = value
+        step()
+
+    return apply
+
+
 class TestOptimizers:
     @pytest.mark.parametrize(
-        "tc",
+        "tc, steps",
         [
-            TrainConfig(learning_rate=0.03),
-            TrainConfig(learning_rate=0.2, beta1=0.5, beta2=0.75, adam_eps=1e-3),
-            TrainConfig(optimizer="sgd_momentum", learning_rate=0.07, momentum=0.6),
+            pytest.param(TrainConfig(learning_rate=0.03), 4, id="adam"),
+            pytest.param(TrainConfig(learning_rate=0.2, beta1=0.5, beta2=0.75, adam_eps=1e-3), 4, id="adam_odd_betas"),
+            pytest.param(TrainConfig(optimizer="sgd_momentum", learning_rate=0.07, momentum=0.6), 4, id="sgd_momentum"),
+            # 1 - 0.5**t rounds to 1.0 from t = 54 on, so both bias
+            # corrections divide by exactly 1.0 for the last 27 steps.
+            pytest.param(TrainConfig(learning_rate=0.01, beta1=0.5, beta2=0.5), 80, id="adam_past_bias_correction"),
+            pytest.param(
+                TrainConfig(optimizer="sgd_momentum", learning_rate=0.01, momentum=0.5), 80, id="sgd_momentum_80_steps"
+            ),
         ],
-        ids=["adam", "adam_odd_betas", "sgd_momentum"],
     )
-    def test_buffer_equals_per_key_reference(self, tc):
+    def test_buffer_equals_per_key_reference(self, tc, steps):
         rng = rng_for(6, "optimizer", tc.optimizer, tc.beta1)
         shapes = {"enc_w": (5, 3), "enc_b": (5,), "head_w": (2, 5), "scale": ()}
         start = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
         params = {k: v.copy() for k, v in start.items()}
         expected = {k: v.copy() for k, v in start.items()}
-        step = make_optimizer(tc, params)
+        grads = {k: np.full(shape, np.nan) for k, shape in reversed(shapes.items())}
+        step = make_optimizer(tc, params, grads)
         reference = reference_optimizer(tc, expected)
         assert params.keys() == start.keys()
-        for _ in range(4):
-            # Reversed key order: the step must match gradients by name.
-            grads = {k: rng.standard_normal(shapes[k]) for k in reversed(list(shapes))}
-            grads["enc_b"][0] = 0.0
-            step(grads)
-            reference(expected, grads)
+        assert grads.keys() == start.keys()
+        for _ in range(steps):
+            # Reversed key order: the gradients are matched by name.
+            new_grads = {k: rng.standard_normal(shapes[k]) for k in reversed(list(shapes))}
+            new_grads["enc_b"][0] = 0.0
+            for key, value in new_grads.items():
+                grads[key][...] = value
+            step()
+            reference(expected, new_grads)
             for key in shapes:
                 assert np.shape(params[key]) == shapes[key]
                 assert np.array_equal(params[key], expected[key]), key
+        if tc.optimizer == "adam" and steps > 54:
+            assert 1.0 - tc.beta1**steps == 1.0 - tc.beta2**steps == 1.0
 
     def test_params_become_views_of_one_buffer(self):
         params = {"a": np.ones((2, 3)), "b": np.zeros(4)}
-        make_optimizer(TrainConfig(), params)
-        base = params["a"].base
-        assert base is not None and params["b"].base is base
-        assert base.shape == (10,) and base.flags.c_contiguous
-        assert np.shares_memory(params["a"], base) and np.shares_memory(params["b"], base)
+        grads = {"b": np.zeros(4), "a": np.zeros((2, 3))}
+        make_optimizer(TrainConfig(), params, grads)
+        for arrays in (params, grads):
+            base = arrays["a"].base
+            assert base is not None and arrays["b"].base is base
+            assert base.shape == (10,) and base.flags.c_contiguous
+            assert np.shares_memory(arrays["a"], base) and np.shares_memory(arrays["b"], base)
+        # Both buffers are laid out in the parameters' key order.
+        grad_base = grads["a"].base
+        assert not np.shares_memory(grads["a"], grad_base[6:]) and not np.shares_memory(grads["b"], grad_base[:6])
+        assert not np.shares_memory(params["a"].base, grad_base)
+
+    @pytest.mark.parametrize(
+        "grads",
+        [{"a": np.zeros(3)}, {"a": np.zeros(3), "b": np.zeros(3)}, {"a": np.zeros(3), "c": np.zeros(2)}],
+        ids=["missing", "wrong_shape", "wrong_key"],
+    )
+    def test_grads_must_fit_params(self, grads):
+        params = {"a": np.ones(3), "b": np.ones(2)}
+        with pytest.raises(ShapeMismatchError, match="do not fit"):
+            make_optimizer(TrainConfig(), params, grads)
 
     def test_adam_single_step_oracle(self):
         tc = TrainConfig(learning_rate=0.1)
         params = {"w": np.array([1.0, -2.0, 3.0])}
-        step = make_optimizer(tc, params)
+        step = buffer_optimizer(tc, params)
         g = np.array([0.5, -1.0, 2.0])
         step({"w": g})
         # After one step the bias corrections cancel: update = lr*g/(|g|+eps).
@@ -322,7 +364,7 @@ class TestOptimizers:
         tc = TrainConfig(learning_rate=0.05)
         start = np.array([0.5, -0.5])
         params = {"w": start.copy()}
-        step = make_optimizer(tc, params)
+        step = buffer_optimizer(tc, params)
         g1 = np.array([1.0, -2.0])
         g2 = np.array([-0.5, 0.25])
         step({"w": g1})
@@ -342,7 +384,7 @@ class TestOptimizers:
     def test_sgd_momentum_oracle(self):
         tc = TrainConfig(optimizer="sgd_momentum", learning_rate=0.1, momentum=0.5)
         params = {"w": np.array([1.0, 1.0])}
-        step = make_optimizer(tc, params)
+        step = buffer_optimizer(tc, params)
         g1 = np.array([2.0, -4.0])
         g2 = np.array([1.0, 1.0])
         step({"w": g1})
@@ -356,7 +398,7 @@ class TestOptimizers:
         tc = TrainConfig(learning_rate=0.0)
         params = {"w": np.array([1.0, 2.0])}
         before = params["w"].copy()
-        make_optimizer(tc, params)({"w": np.array([100.0, -100.0])})
+        buffer_optimizer(tc, params)({"w": np.array([100.0, -100.0])})
         assert np.array_equal(params["w"], before)
 
 
@@ -491,6 +533,20 @@ class TestTrainAdapter:
             train_adapter(view, SMALL_ADAPTER, dataclasses.replace(SMALL_TRAIN, epochs=2))
         assert info.value.step >= 0
         assert "training step" in str(info.value)
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_zero_target_row_rejected_before_step_0(self, small_views, epochs):
+        # The row is species 3's variant 1, which a (1, 0) mixture never
+        # pairs with a clip: the check runs once on every target row.
+        train_view, _ = small_views
+        v = train_view.config.variant_count
+        matrix = train_view.teacher_text.matrix.copy()
+        matrix[3 * v + 1] = 0.0
+        zeroed = EmbeddingSet(matrix, train_view.teacher_text.labels, train_view.teacher_text.modality)
+        view = dataclasses.replace(train_view, teacher_text=zeroed)
+        tc = dataclasses.replace(SMALL_TRAIN, prompt_mixture=(1.0, 0.0), epochs=epochs)
+        with pytest.raises(ZeroVectorError, match=f"teacher row {3 * v + 1} is all zeros"):
+            train_adapter(view, SMALL_ADAPTER, tc)
 
     def test_mixture_length_mismatch_rejected(self, small_views):
         train_view, _ = small_views
