@@ -7,19 +7,28 @@ min(total relevant, K), the standard convention.
 
 Metrics work on row blocks of the score matrix, not query by query. A
 block holds at most ``_BLOCK_CELLS`` cells (its height is that budget
-over the gallery width), so the ranking temporaries stay near a megabyte
-each whatever the number of queries. Within a block:
+over the gallery width), so the temporaries stay near a megabyte each
+whatever the number of queries. Within a block:
 
-* ranking is one ``argsort`` of the negated scores along each row with
-  NumPy's default (unstable) kind. A row of distinct non-NaN scores has
-  exactly one descending order; only rows whose sorted scores hold an
-  equal adjacent pair, or a NaN, are sorted again stably, so the result
-  is the stable ranking bit for bit;
-* average precision takes ``hits / rank`` at each relevant position and
-  0.0 elsewhere, and sums every row left to right with
+* mAP needs only the ranks of each query's relevant gallery items, not
+  the whole order. The negated scores of every row are sorted by value
+  (``np.sort``, cheaper than ``argsort``), and a vectorized binary
+  search over that sorted block counts, for each relevant item, the
+  entries strictly below its negated score: one plus that count is its
+  rank. A row of distinct non-NaN scores has exactly one descending
+  order, so the count is exact there. Rows whose sorted scores hold an
+  equal adjacent pair (``==``, which also catches tied infinities and
+  +-0.0) or a NaN are ranked by ``rank_by_score``, the one definition of
+  the order, and read through its inverse permutation. The search costs
+  R log N per query for R relevant items in a gallery of N, so with very
+  few large classes (two in 960 items, R = 480) it costs a block more
+  than one full ``argsort`` would;
+* average precision has one core for every caller: each row's ranks are
+  sorted, the j-th rank r earns ``j / r`` when r is within the cut-off
+  and 0.0 otherwise, and the row is summed left to right with
   ``np.add.accumulate``. Adding 0.0 is exact, so this is the plain
-  sequential sum of a one-query loop, bit for bit; pairwise ``np.sum``
-  would round differently;
+  sequential sum of a one-query loop over the ranked list, bit for bit;
+  pairwise ``np.sum`` would round differently;
 * kNN selects with ``np.partition``: it keeps every column scoring at or
   above the row's k-th largest score, so boundary ties are all kept, and
   sorts those by (-score, index). That is exactly the first k columns of
@@ -31,7 +40,7 @@ Metric means are plain sequential sums over the per-query values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,6 +105,8 @@ class RankedList:
     scores: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.query_index < 0:
+            raise InvalidConfigError(f"query_index must be >= 0, got {self.query_index}")
         order = np.asarray(self.gallery_order, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
         if order.shape != scores.shape or order.ndim != 1:
@@ -118,6 +129,16 @@ def _row_blocks(n_rows: int, width: int) -> Iterator[slice]:
         yield slice(start, min(start + height, n_rows))
 
 
+def _tied(ranked: np.ndarray) -> np.ndarray:
+    """Rows of sorted negated scores whose values alone do not fix the order.
+
+    ``==``, not a zero difference: inf - inf is NaN, so differences miss
+    tied infinities. NaN sorts last in every kind, so a row holding one
+    ends in one.
+    """
+    return (ranked[..., 1:] == ranked[..., :-1]).any(axis=-1) | np.isnan(ranked[..., -1:]).any(axis=-1)
+
+
 def rank_by_score(scores: np.ndarray) -> np.ndarray:
     """Gallery order: descending score, ties by ascending index.
 
@@ -129,14 +150,46 @@ def rank_by_score(scores: np.ndarray) -> np.ndarray:
     """
     negated = -np.asarray(scores, dtype=np.float64)
     order = np.argsort(negated, axis=-1)
-    ranked = np.take_along_axis(negated, order, axis=-1)
-    # ``==``, not a zero difference: inf - inf is NaN, so differences miss
-    # tied infinities. NaN sorts last in every kind, so a row holding one
-    # ends in one.
-    tied = (ranked[..., 1:] == ranked[..., :-1]).any(axis=-1) | np.isnan(ranked[..., -1:]).any(axis=-1)
+    tied = _tied(np.take_along_axis(negated, order, axis=-1))
     if tied.any():
         order[tied] = np.argsort(negated[tied], axis=-1, kind="stable")
     return order
+
+
+def _inverse_ranks(orders: np.ndarray) -> np.ndarray:
+    """1-based rank of every item: ``ranks[i, orders[i, j]] == j + 1``."""
+    ranks = np.empty_like(orders)
+    ranks[np.arange(orders.shape[0])[:, None], orders] = np.arange(1, orders.shape[1] + 1)
+    return ranks
+
+
+def _search_ranks(scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """1-based rank of ``scores[i, columns[i, j]]`` in ``rank_by_score(scores)[i]``.
+
+    Sorts each row's negated scores by value and finds, by a binary search
+    over the flattened sorted block, the number of entries strictly below
+    each looked-up value. That is the rank minus one in a row of distinct
+    non-NaN scores; the other rows are ranked in full.
+    """
+    negated = -scores
+    ranked = np.sort(negated, axis=1)
+    width = ranked.shape[1]
+    flat = ranked.ravel()
+    values = np.take_along_axis(negated, columns, axis=1)
+    row_start = np.arange(0, flat.size, width)[:, None]
+    # Branchless lower bound: the answer lies in [lower, lower + size]
+    # and each step halves ``size``, so every row takes the same steps.
+    lower = np.repeat(row_start, columns.shape[1], axis=1)
+    size = width
+    while size > 1:
+        half = size // 2
+        lower += (flat[lower + half] < values) * half
+        size -= half
+    ranks = lower - row_start + (flat[lower] < values) + 1
+    tied = _tied(ranked)
+    if tied.any():
+        ranks[tied] = np.take_along_axis(_inverse_ranks(rank_by_score(scores[tied])), columns[tied], axis=1)
+    return ranks
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -156,17 +209,19 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return ranked[starts[:, None] + np.arange(k)]
 
 
-def _ap_rows(relevant: np.ndarray, denom) -> np.ndarray:
-    """AP of each row of a ranked boolean relevance matrix.
+def _ap_from_ranks(ranks: np.ndarray, limit: int, denom) -> np.ndarray:
+    """AP of each row from the 1-based ranks of its relevant items.
 
-    Precision ``hits / rank`` at each relevant position and 0.0 elsewhere,
+    Slots a row does not use hold a rank above ``limit``. Sorted, the j-th
+    rank r earns precision ``j / r`` when r <= ``limit`` and 0.0 otherwise,
     summed left to right by ``np.add.accumulate``: adding 0.0 is exact, so
-    this is the one-query loop's sequential sum, bit for bit.
+    this is the one-query loop's sequential sum over the ranked list, bit
+    for bit.
     """
-    if relevant.shape[1] == 0:
-        return np.zeros(relevant.shape[0])
-    hits = np.cumsum(relevant, axis=1)
-    precision = np.where(relevant, hits / np.arange(1, relevant.shape[1] + 1), 0.0)
+    if ranks.shape[1] == 0:
+        return np.zeros(ranks.shape[0])
+    ranks = np.sort(ranks, axis=1)
+    precision = np.where(ranks <= limit, np.arange(1, ranks.shape[1] + 1) / ranks, 0.0)
     return np.add.accumulate(precision, axis=1)[:, -1] / denom
 
 
@@ -174,45 +229,51 @@ def average_precision(ranked_relevance: Sequence, n_relevant: Optional[int] = No
     """AP of one ranked list of binary relevance flags.
 
     ``n_relevant`` overrides the normalizer; pass min(total relevant, k)
-    when the list was truncated at k. Raises when nothing is relevant.
+    when the list was truncated at k. It may not be below the number of
+    relevant flags in the list. Raises when nothing is relevant.
     """
-    relevant = np.asarray(ranked_relevance, dtype=bool).reshape(1, -1)
-    denom = int(relevant.sum()) if n_relevant is None else int(n_relevant)
+    relevant = np.asarray(ranked_relevance, dtype=bool).ravel()
+    ranks = np.flatnonzero(relevant) + 1
+    denom = ranks.size if n_relevant is None else int(n_relevant)
+    if denom < ranks.size:
+        raise InvalidConfigError(f"n_relevant={denom} is below the {ranks.size} relevant items listed")
     if denom <= 0:
         raise NoRelevantItemsError("average precision is undefined with no relevant items")
-    return float(_ap_rows(relevant, denom)[0])
+    return float(_ap_from_ranks(ranks[None, :], relevant.size, denom)[0])
 
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _relevant_counts(query_labels: np.ndarray, gallery_labels: np.ndarray) -> np.ndarray:
-    """Number of gallery items that share each query's label."""
-    classes, counts = np.unique(gallery_labels, return_counts=True)
-    slot = np.minimum(np.searchsorted(classes, query_labels), classes.size - 1)
-    return np.where(classes[slot] == query_labels, counts[slot], 0)
-
-
 def _map_report(
-    order_blocks: Iterable[np.ndarray],
+    ranks_of: Callable[[slice, np.ndarray], np.ndarray],
     query_labels: np.ndarray,
     gallery_labels: np.ndarray,
     k: Optional[int],
     metric_name: Optional[str],
 ) -> EvalReport:
-    """mAP over blocks of gallery orders; ``query_labels`` follow their rows."""
-    totals = _relevant_counts(query_labels, gallery_labels)
+    """mAP of the queries labelled ``query_labels``, one row each.
+
+    ``ranks_of(rows, columns)`` gives the 1-based rank of gallery item
+    ``columns[i, j]`` in the ranking of query ``rows.start + i``.
+    """
+    classes, counts = np.unique(gallery_labels, return_counts=True)
+    # members[c]: the columns of class c, ascending, padded with column 0.
+    members = np.zeros((classes.size, counts.max()), dtype=np.int64)
+    within = np.arange(gallery_labels.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    members[np.repeat(np.arange(classes.size), counts), within] = np.argsort(gallery_labels, kind="stable")
+    slot = np.minimum(np.searchsorted(classes, query_labels), classes.size - 1)
+    totals = np.where(classes[slot] == query_labels, counts[slot], 0)
+    limit = gallery_labels.size if k is None else k
     per_query: List[float] = []
-    start = 0
-    for order in order_blocks:
-        rows = slice(start, start + order.shape[0])
-        start = rows.stop
-        relevant = gallery_labels[order[:, :k]] == query_labels[rows, None]
+    for rows in _row_blocks(query_labels.size, gallery_labels.size):
         total = totals[rows]
+        ranks = ranks_of(rows, members[slot[rows]])
+        ranks[np.arange(members.shape[1]) >= total[:, None]] = limit + 1
         denom = total if k is None else np.minimum(total, k)
         # Queries with nothing relevant are dropped; 1 only spares them 0/0.
-        ap = _ap_rows(relevant, np.maximum(denom, 1))
+        ap = _ap_from_ranks(ranks, limit, np.maximum(denom, 1))
         per_query.extend(ap[total > 0].tolist())
     if not per_query:
         raise NoRelevantItemsError("no query has any relevant gallery item")
@@ -245,8 +306,11 @@ def map_retrieval(
     if gallery.n_items == 0:
         raise EmptyGalleryError("cannot rank an empty gallery")
     scores = similarity_matrix(queries, gallery)
-    orders = (rank_by_score(scores[rows]) for rows in _row_blocks(queries.n_items, gallery.n_items))
-    return _map_report(orders, queries.labels, gallery.labels, k, metric_name)
+
+    def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
+        return _search_ranks(scores[rows], columns)
+
+    return _map_report(ranks_of, queries.labels, gallery.labels, k, metric_name)
 
 
 def map_from_ranked(
@@ -256,21 +320,29 @@ def map_from_ranked(
     k: Optional[int] = None,
     metric_name: Optional[str] = None,
 ) -> EvalReport:
-    """Mean average precision over pre-ranked galleries."""
+    """Mean average precision over pre-ranked galleries.
+
+    Each list is scored with ``query_labels[ranked.query_index]``.
+    """
     if k is not None and k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     query_labels = np.asarray(query_labels, dtype=np.int64)
     gallery_labels = np.asarray(gallery_labels, dtype=np.int64)
+    if query_labels.ndim != 1:
+        raise InvalidConfigError(f"query_labels must be 1-d, got shape {query_labels.shape}")
     if gallery_labels.size == 0:
         raise EmptyGalleryError("cannot rank an empty gallery")
     if any(ranked.gallery_order.size != gallery_labels.size for ranked in ranked_lists):
         raise InvalidConfigError("every ranked list must order the whole gallery")
     index = np.array([ranked.query_index for ranked in ranked_lists], dtype=np.int64)
-    orders = (
-        np.stack([ranked.gallery_order for ranked in ranked_lists[rows]])
-        for rows in _row_blocks(len(ranked_lists), gallery_labels.size)
-    )
-    return _map_report(orders, query_labels[index], gallery_labels, k, metric_name)
+    if index.size and (index.min() < 0 or index.max() >= query_labels.size):
+        raise InvalidConfigError(f"query_index must lie in [0, {query_labels.size}), one per query label")
+
+    def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
+        orders = np.stack([ranked.gallery_order for ranked in ranked_lists[rows]])
+        return np.take_along_axis(_inverse_ranks(orders), columns, axis=1)
+
+    return _map_report(ranks_of, query_labels[index], gallery_labels, k, metric_name)
 
 
 def chance_map_oracle(
@@ -283,7 +355,8 @@ def chance_map_oracle(
     """Monte Carlo mean AP of uniformly random rankings.
 
     The gallery holds ``n_per_class`` items for each of ``n_classes``
-    classes; by symmetry a single query class is representative.
+    classes; by symmetry a single query class is representative: the
+    relevant items are gallery items ``0 .. n_per_class - 1``.
     """
     if n_per_class < 1 or n_classes < 1:
         raise InvalidConfigError("n_per_class and n_classes must be >= 1")
@@ -291,14 +364,15 @@ def chance_map_oracle(
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
     if k is not None and k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
-    labels = np.repeat(np.arange(n_classes), n_per_class)
+    n_items = n_per_class * n_classes
+    limit = n_items if k is None else k
     denom = n_per_class if k is None else min(n_per_class, k)
     values: List[float] = []
-    for rows in _row_blocks(trials, labels.size):
+    for rows in _row_blocks(trials, n_items):
         keys = [(t,) for t in range(rows.start, rows.stop)]
-        perms = np.empty((len(keys), labels.size), dtype=np.int64)
-        draw_streams(perms, seed, "chance", keys, "permutation", labels.size)
-        values.extend(_ap_rows(labels[perms[:, :k]] == 0, denom).tolist())
+        perms = np.empty((len(keys), n_items), dtype=np.int64)
+        draw_streams(perms, seed, "chance", keys, "permutation", n_items)
+        values.extend(_ap_from_ranks(_inverse_ranks(perms)[:, :n_per_class], limit, denom).tolist())
     return _mean(values)
 
 

@@ -1,6 +1,7 @@
 """Retrieval and classification metrics against hand-computed oracles."""
 
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from xmodal import (
     zero_shot_classify,
 )
 from xmodal import evaluation
+from xmodal.embeddings import similarity_matrix
 from xmodal.evaluation import rank_by_score
 from xmodal.rng import rng_for
 
@@ -39,6 +41,14 @@ from test_acceptance import oracle_ap, oracle_knn_loo, oracle_map, oracle_pair_s
 
 def eset(matrix, labels, modality=Modality.AUDIO) -> EmbeddingSet:
     return EmbeddingSet(np.asarray(matrix, dtype=np.float64), np.asarray(labels), modality)
+
+
+# Labels go negative, query labels reach beyond the gallery's (queries with
+# no relevant item), and the block budget is patched down to a few cells so
+# row blocks split the queries.
+QUERY_LABELS = st.integers(-4, 4)
+GALLERY_LABELS = st.integers(-3, 3)
+BLOCK_CELLS = st.integers(1, 40)
 
 
 class TestEvalReport:
@@ -83,6 +93,10 @@ class TestRankedList:
         with pytest.raises(InvalidConfigError):
             RankedList(query_index=0, gallery_order=[0, 1], scores=[0.9])
 
+    def test_negative_query_index_rejected(self):
+        with pytest.raises(InvalidConfigError, match="query_index"):
+            RankedList(query_index=-1, gallery_order=[0, 1], scores=[0.9, 0.1])
+
 
 class TestRankByScore:
     def test_descending_with_index_ties(self):
@@ -120,6 +134,54 @@ class TestRankByScore:
         assert np.array_equal(order, np.argsort(-scores, axis=-1, kind="stable"))
 
 
+def assert_ranks_invert_rank_by_score(scores, data):
+    """_search_ranks at drawn columns (repeats allowed) against the inverse
+    permutation of rank_by_score, row by row."""
+    n_rows, width = scores.shape
+    n_columns = data.draw(st.integers(1, 8), label="columns")
+    column = st.integers(0, width - 1)
+    columns = np.array(
+        [data.draw(st.lists(column, min_size=n_columns, max_size=n_columns)) for _ in range(n_rows)]
+    ).reshape(n_rows, n_columns)
+    inverse = np.argsort(rank_by_score(scores), axis=1) + 1
+    ranks = evaluation._search_ranks(scores, columns)
+    assert np.array_equal(ranks, np.take_along_axis(inverse, columns, axis=1))
+
+
+class TestSearchRanks:
+    # Widths 1-70 cross every power of two up to 64, so every step count of
+    # the binary search is drawn. Rows of distinct non-NaN scores never fall
+    # back to the full ranking, so the search alone answers them.
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_rows_are_searched(self, data):
+        width = data.draw(st.integers(1, 70), label="width")
+        row = st.lists(st.floats(allow_nan=False), min_size=width, max_size=width, unique=True)
+        n_rows = data.draw(st.integers(1, 4), label="rows")
+        scores = np.array([data.draw(row) for _ in range(n_rows)])
+        assert not evaluation._tied(np.sort(-scores, axis=1)).any()
+        assert_ranks_invert_rank_by_score(scores, data)
+
+    # Palette rows of +-0.0, +-inf and NaN share blocks with distinct rows:
+    # the tied and NaN rows are ranked in full and merged back.
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tied_and_nan_rows_fall_back(self, data):
+        width = data.draw(st.integers(1, 24), label="width")
+        value = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+        palette = st.lists(value, min_size=width, max_size=width)
+        distinct = st.lists(st.floats(allow_nan=False), min_size=width, max_size=width, unique=True)
+        rows = data.draw(st.lists(palette | distinct, min_size=1, max_size=6), label="rows")
+        assert_ranks_invert_rank_by_score(np.array(rows), data)
+
+    def test_nan_rows_without_equal_pairs_rank_nan_last(self):
+        # NaN == NaN is False, so no sorted pair of these rows compares
+        # equal: only the NaN test sends them to the full ranking.
+        scores = np.array([[np.nan, 0.0, np.inf], [np.nan, np.nan, 1.0], [np.nan, -np.inf, np.nan]])
+        columns = np.tile(np.arange(3), (3, 1))
+        assert evaluation._search_ranks(scores, columns).tolist() == [[3, 2, 1], [2, 3, 1], [2, 1, 3]]
+
+
 class TestAveragePrecision:
     def test_all_relevant(self):
         assert average_precision([1, 1, 1]) == 1.0
@@ -141,6 +203,12 @@ class TestAveragePrecision:
 
     def test_prefix_hits_before_misses_is_perfect(self):
         assert average_precision([1, 1, 0, 0]) == 1.0
+
+    @pytest.mark.parametrize("flags", [[1, 1, 1], [1, 0, 1]])
+    def test_normalizer_below_listed_hits(self, flags):
+        # AP would read 3.0 and 5/3: more hits than the normalizer admits.
+        with pytest.raises(InvalidConfigError, match="n_relevant=1"):
+            average_precision(flags, n_relevant=1)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=30).filter(any))
     @settings(max_examples=60, deadline=None)
@@ -203,6 +271,15 @@ class TestMapRetrieval:
         assert at1.metric_name == "map@1"
         assert at1.k == 1
 
+    @pytest.mark.parametrize("k, ap", [(None, 0.5), (1, 0.0), (2, 0.5), (3, 0.5), (4, 0.5), (5, 0.5)])
+    def test_smaller_class_with_k_past_the_gallery(self, k, ap):
+        # Ranked g0, g2, g1; the query's one relevant item g2 sits at rank 2.
+        # Its class is smaller than the other, so its rank row is padded,
+        # and no padded slot may count as a hit however large k is.
+        queries = eset([[1.0, 0.0]], [1])
+        gallery = eset([[1.0, 0.0], [0.0, 1.0], [0.8, 0.6]], [0, 0, 1])
+        assert map_retrieval(queries, gallery, k=k).per_query == (ap,)
+
     def test_queries_without_matches_excluded(self):
         queries = eset([[1.0, 0.0], [0.0, 1.0]], [0, 99])
         gallery = eset([[1.0, 0.0]], [0])
@@ -251,18 +328,49 @@ class TestMapRetrieval:
 
 
 class TestMapFromRanked:
-    def test_matches_map_retrieval(self):
-        rng = rng_for(3, "ranked")
-        q = eset(rng.standard_normal((4, 3)), [0, 1, 0, 1])
-        g = eset(rng.standard_normal((6, 3)), [0, 0, 1, 1, 0, 1])
-        scores = brute_force_scores(q.matrix, g.matrix)
+    # Gaussian rows give distinct scores, so map_retrieval takes the rank
+    # search and map_from_ranked the inverse of the full order. Classes of
+    # unequal size leave padded slots, and k reaches past the gallery.
+    @given(st.data(), BLOCK_CELLS)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_map_retrieval(self, data, cells):
+        n_queries = data.draw(st.integers(1, 8), label="queries")
+        n_gallery = data.draw(st.integers(1, 12), label="gallery")
+        rng = rng_for(data.draw(st.integers(0, 2**16), label="seed"), "ranked")
+        query_labels = data.draw(st.lists(QUERY_LABELS, min_size=n_queries, max_size=n_queries))
+        gallery_labels = data.draw(st.lists(GALLERY_LABELS, min_size=n_gallery, max_size=n_gallery))
+        q = eset(rng.standard_normal((n_queries, 3)), query_labels)
+        g = eset(rng.standard_normal((n_gallery, 3)), gallery_labels)
+        k = data.draw(st.none() | st.integers(1, n_gallery + 3), label="k")
+        scores = similarity_matrix(q, g)
         lists = []
-        for i in range(4):
+        for i in range(n_queries):
             order = rank_by_score(scores[i])
             lists.append(RankedList(query_index=i, gallery_order=order, scores=scores[i][order]))
-        direct = map_retrieval(q, g)
-        via_ranked = map_from_ranked(lists, q.labels, g.labels)
-        assert via_ranked.value == direct.value
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            if not np.isin(q.labels, g.labels).any():
+                with pytest.raises(NoRelevantItemsError):
+                    map_retrieval(q, g, k=k)
+                with pytest.raises(NoRelevantItemsError):
+                    map_from_ranked(lists, q.labels, g.labels, k=k)
+                return
+            direct = map_retrieval(q, g, k=k)
+            via_ranked = map_from_ranked(lists, q.labels, g.labels, k=k)
+        assert via_ranked == direct
+        assert (direct.value, direct.per_query) == oracle_map_at(q, g, k, scores=scores.tolist())
+
+    @pytest.mark.parametrize("query_index", [-1, 2, 5])
+    def test_query_index_must_name_a_label(self, query_index):
+        # A list whose index is out of range; RankedList itself rejects -1,
+        # so a bare record stands in for it.
+        ranked = SimpleNamespace(query_index=query_index, gallery_order=np.array([1, 0]))
+        with pytest.raises(InvalidConfigError, match="query_index"):
+            map_from_ranked([ranked], np.array([0, 1]), np.array([0, 1]))
+
+    def test_query_labels_must_be_flat(self):
+        ranked = RankedList(query_index=0, gallery_order=[1, 0], scores=[0.9, 0.1])
+        with pytest.raises(InvalidConfigError, match="1-d"):
+            map_from_ranked([ranked], np.array([[0, 1]]), np.array([0, 1]))
 
     def test_empty_gallery_labels(self):
         with pytest.raises(EmptyGalleryError):
@@ -455,18 +563,15 @@ class TestZeroShot:
 #
 # Rows come from an exact palette (see conftest.exact_sets), so the naive
 # per-pair scores equal the library's BLAS scores bit for bit and every
-# difference is the batched code's. Labels go negative, query labels reach
-# beyond the gallery's (queries with no relevant item), and the block
-# budget is patched down to a few cells so row blocks split the queries.
-
-QUERY_LABELS = st.integers(-4, 4)
-GALLERY_LABELS = st.integers(-3, 3)
-BLOCK_CELLS = st.integers(1, 40)
+# difference is the batched code's. Labels and block budgets are drawn as
+# above (QUERY_LABELS, GALLERY_LABELS, BLOCK_CELLS).
 
 
-def oracle_map_at(queries, gallery, k):
-    """oracle_map truncated at k, normalized by min(total relevant, k)."""
-    scores = oracle_pair_scores(queries.matrix, gallery.matrix)
+def oracle_map_at(queries, gallery, k, scores=None):
+    """oracle_map truncated at k (None: not truncated), normalized by
+    min(total relevant, k); ``scores`` defaults to the naive per-pair cosines."""
+    if scores is None:
+        scores = oracle_pair_scores(queries.matrix, gallery.matrix)
     per_query = []
     for i in range(queries.n_items):
         label = int(queries.labels[i])
@@ -474,7 +579,7 @@ def oracle_map_at(queries, gallery, k):
         if n_rel == 0:
             continue
         flags = [int(gallery.labels[j]) == label for j in oracle_rank(scores[i])[:k]]
-        per_query.append(oracle_ap(flags, min(n_rel, k)))
+        per_query.append(oracle_ap(flags, n_rel if k is None else min(n_rel, k)))
     return sum(per_query) / len(per_query), tuple(per_query)
 
 
