@@ -9,9 +9,9 @@ Subcommands mirror the pipeline stages:
 * ``run``      full pipeline end to end
 
 Every subcommand accepts ``--config PATH`` (line-oriented key=value
-text; defaults apply when omitted) and ``--seed N``, which overrides
-both the world seed and the training seed. All output is deterministic
-for a fixed config.
+text; defaults apply when omitted) and ``--seed N`` (N >= 0), which
+overrides both the world seed and the training seed. All output is
+deterministic for a fixed config.
 """
 
 from __future__ import annotations

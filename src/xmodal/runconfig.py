@@ -6,20 +6,23 @@ Config files are line-oriented ``section.key = value`` text (UTF-8,
 key absent from the file keeps its documented default, so the empty
 string parses to the default configuration.
 
-Values are validated as they are parsed so type and bound errors can
-name the offending line; unknown keys are rejected by name. The
-canonical text rendering of a config is itself a valid config file and
-is the input to the provenance hash embedded in artifacts.
+The parser only converts text: the field's type picks the converter
+(``int``, ``float``, ``str``, or a comma list of floats for
+``train.prompt_mixture``). The config dataclasses are the only
+validators. Each line is applied to the config built so far, so a bound
+error names the line and key that broke it; unknown keys are rejected by
+name. The canonical text rendering of a config is itself a valid config
+file and is the input to the provenance hash embedded in artifacts.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, get_type_hints
 
 from .errors import ConfigTypeError, InvalidConfigError, UnknownKeyError
-from .trainer import ADAPTER_MODES, OPTIMIZERS, AdapterConfig, TrainConfig
+from .trainer import AdapterConfig, TrainConfig
 from .world import WorldConfig
 
 __all__ = [
@@ -61,10 +64,7 @@ class RunConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self) -> None:
-        if self.adapter_mode not in ADAPTER_MODES:
-            raise InvalidConfigError(f"unknown adapter mode {self.adapter_mode!r}")
-        if self.adapter_d_hidden < 1:
-            raise InvalidConfigError(f"adapter_d_hidden must be >= 1, got {self.adapter_d_hidden}")
+        adapter_config_for(self)  # AdapterConfig validates the mode and width
 
 
 def adapter_config_for(config: RunConfig) -> AdapterConfig:
@@ -78,97 +78,39 @@ def adapter_config_for(config: RunConfig) -> AdapterConfig:
     )
 
 
-def _parse_int(minimum: Optional[int] = None) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        value = int(text)
-        if minimum is not None and value < minimum:
-            raise ValueError(f"must be >= {minimum}, got {value}")
-        return value
-
-    return parse
+def _float_list(text: str) -> Tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def _parse_float(
-    minimum: Optional[float] = None,
-    exclusive_min: bool = False,
-    below_one: bool = False,
-) -> Callable[[str], float]:
-    def parse(text: str) -> float:
-        value = float(text)
-        if minimum is not None:
-            if exclusive_min and not value > minimum:
-                raise ValueError(f"must be > {minimum}, got {value}")
-            if not exclusive_min and value < minimum:
-                raise ValueError(f"must be >= {minimum}, got {value}")
-        if below_one and not value < 1.0:
-            raise ValueError(f"must be < 1, got {value}")
-        return value
+def _key_table() -> Dict[str, Tuple[Optional[str], str, Callable[[str], object]]]:
+    """Every config key in canonical order -> (section, attribute, converter).
 
-    return parse
-
-
-def _parse_choice(choices: Tuple[str, ...]) -> Callable[[str], str]:
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise ValueError(f"must be one of {choices}, got {text!r}")
-        return text
-
-    return parse
+    The section is the ``RunConfig`` field holding the attribute, or None
+    for a top-level ``RunConfig`` field.
+    """
+    entries = [
+        (section, cls, f.name, f"{section}.{f.name}")
+        for section, cls in (("world", WorldConfig), ("train", TrainConfig), ("eval", EvalConfig))
+        for f in fields(cls)
+    ]
+    entries += [
+        (None, RunConfig, "adapter_mode", "adapter.mode"),
+        (None, RunConfig, "adapter_d_hidden", "adapter.d_hidden"),
+        (None, RunConfig, "output_dir", "output_dir"),
+    ]
+    table = {}
+    for section, cls, name, key in entries:
+        kind = get_type_hints(cls)[name]
+        table[key] = (section, name, kind if kind in (int, float, str) else _float_list)
+    return table
 
 
-def _parse_mixture(text: str) -> Tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("mixture needs at least one probability")
-    probs = tuple(float(p) for p in parts)
-    if any(p < 0 for p in probs):
-        raise ValueError("probabilities must be non-negative")
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {sum(probs)}")
-    return probs
-
-
-_FIELD_PARSERS: Dict[str, Callable[[str], object]] = {
-    "world.seed": _parse_int(minimum=0),
-    "world.n_families": _parse_int(minimum=1),
-    "world.genera_per_family": _parse_int(minimum=1),
-    "world.species_per_genus": _parse_int(minimum=1),
-    "world.d_teacher": _parse_int(minimum=1),
-    "world.d_student_in": _parse_int(minimum=1),
-    "world.d_student": _parse_int(minimum=1),
-    "world.variant_count": _parse_int(minimum=2),
-    "world.audio_per_species": _parse_int(minimum=1),
-    "world.images_per_species": _parse_int(minimum=1),
-    "world.sigma_family": _parse_float(minimum=0.0, exclusive_min=True),
-    "world.sigma_genus": _parse_float(minimum=0.0),
-    "world.sigma_species": _parse_float(minimum=0.0),
-    "world.sigma_variant": _parse_float(minimum=0.0),
-    "world.sigma_image": _parse_float(minimum=0.0),
-    "world.sigma_audio": _parse_float(minimum=0.0),
-    "train.batch_size": _parse_int(minimum=2),
-    "train.epochs": _parse_int(minimum=0),
-    "train.learning_rate": _parse_float(minimum=0.0),
-    "train.tau": _parse_float(minimum=0.0, exclusive_min=True),
-    "train.optimizer": _parse_choice(OPTIMIZERS),
-    "train.momentum": _parse_float(minimum=0.0, below_one=True),
-    "train.beta1": _parse_float(minimum=0.0, below_one=True),
-    "train.beta2": _parse_float(minimum=0.0, below_one=True),
-    "train.adam_eps": _parse_float(minimum=0.0, exclusive_min=True),
-    "train.seed": _parse_int(),
-    "train.prompt_mixture": _parse_mixture,
-    "eval.holdout_fraction": _parse_float(minimum=0.0, exclusive_min=True, below_one=True),
-    "eval.knn_k": _parse_int(minimum=1),
-    "eval.map_k": _parse_int(minimum=1),
-    "eval.chance_trials": _parse_int(minimum=1),
-    "adapter.mode": _parse_choice(ADAPTER_MODES),
-    "adapter.d_hidden": _parse_int(minimum=1),
-    "output_dir": lambda text: text,
-}
+_KEYS = _key_table()
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text; absent keys keep defaults."""
-    values: Dict[str, object] = {}
+    config = RunConfig()
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -177,52 +119,32 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigTypeError(f"line {line_no}: expected 'key = value', got {raw_line.strip()!r}")
         key, _, value_text = line.partition("=")
         key = key.strip()
-        value_text = value_text.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in _KEYS:
             raise UnknownKeyError(f"line {line_no}: unknown config key {key!r}")
+        section, name, convert = _KEYS[key]
         try:
-            values[key] = _FIELD_PARSERS[key](value_text)
-        except ValueError as exc:
+            value = convert(value_text.strip())
+            if section is None:
+                config = replace(config, **{name: value})
+            else:
+                config = replace(config, **{section: replace(getattr(config, section), **{name: value})})
+        except (ValueError, InvalidConfigError) as exc:
             raise ConfigTypeError(f"line {line_no}: {key}: {exc}") from None
-
-    def section(prefix: str) -> Dict[str, object]:
-        return {
-            key.split(".", 1)[1]: value
-            for key, value in values.items()
-            if key.startswith(prefix + ".")
-        }
-
-    run_kwargs: Dict[str, object] = {}
-    if "adapter.mode" in values:
-        run_kwargs["adapter_mode"] = values["adapter.mode"]
-    if "adapter.d_hidden" in values:
-        run_kwargs["adapter_d_hidden"] = values["adapter.d_hidden"]
-    if "output_dir" in values:
-        run_kwargs["output_dir"] = values["output_dir"]
-    return RunConfig(
-        world=WorldConfig(**section("world")),
-        train=TrainConfig(**section("train")),
-        eval=EvalConfig(**section("eval")),
-        **run_kwargs,
-    )
+    return config
 
 
 def canonical_config_text(config: RunConfig) -> str:
     """Deterministic full rendering; parses back to an equal config."""
     lines = []
-    for section_name, sub in (("world", config.world), ("train", config.train), ("eval", config.eval)):
-        for f in fields(sub):
-            value = getattr(sub, f.name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                rendered = ", ".join(repr(float(v)) for v in value)
-            else:
-                rendered = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"{section_name}.{f.name} = {rendered}")
-    lines.append(f"adapter.mode = {config.adapter_mode}")
-    lines.append(f"adapter.d_hidden = {config.adapter_d_hidden}")
-    lines.append(f"output_dir = {config.output_dir}")
+    for key, (section, name, _) in _KEYS.items():
+        value = getattr(config if section is None else getattr(config, section), name)
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            rendered = ", ".join(repr(float(v)) for v in value)
+        else:
+            rendered = repr(value) if isinstance(value, float) else str(value)
+        lines.append(f"{key} = {rendered}")
     return "\n".join(lines) + "\n"
 
 

@@ -138,13 +138,14 @@ class TrainConfig:
             value = getattr(self, name)
             if not (0.0 <= value < 1.0):
                 raise InvalidConfigError(f"{name} must be in [0, 1), got {value}")
-        if self.adam_eps <= 0:
-            raise InvalidConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not (self.adam_eps > 0 and math.isfinite(self.adam_eps)):
+            raise InvalidConfigError(f"adam_eps must be a finite positive real, got {self.adam_eps}")
         if self.prompt_mixture is not None:
             mix = tuple(float(p) for p in self.prompt_mixture)
-            if any(p < 0 for p in mix):
+            # Written so that a NaN fails both checks.
+            if not all(p >= 0 for p in mix):
                 raise InvalidConfigError("prompt_mixture probabilities must be non-negative")
-            if abs(sum(mix) - 1.0) > 1e-9:
+            if not abs(sum(mix) - 1.0) <= 1e-9:
                 raise InvalidConfigError(f"prompt_mixture must sum to 1, got {sum(mix)}")
             object.__setattr__(self, "prompt_mixture", mix)
 

@@ -67,6 +67,8 @@ class WorldConfig:
     sigma_audio: float = 0.20
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("n_families", "genera_per_family", "species_per_genus"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -197,6 +197,21 @@ class TestErrors:
         assert run_cli("run", "--config", str(bad)) == 2
         assert "train.tau" in capsys.readouterr().err
 
+    def test_nan_mixture_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"train.prompt_mixture = nan, 0.5, 0.5\noutput_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+        assert run_cli("train", "--config", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: train.prompt_mixture")
+        assert "Traceback" not in err
+
+    def test_negative_seed_exit_2(self, config_path, tmp_path, capsys):
+        assert run_cli("gen", "--config", str(config_path), "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "seed must be >= 0" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert run_cli("gen", "--config", str(tmp_path / "nope.txt")) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,20 +1,26 @@
 """Config files: parsing, validation, canonical text, hashing."""
 
 import dataclasses
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmodal import (
     ConfigTypeError,
     EvalConfig,
     InvalidConfigError,
     RunConfig,
+    TrainConfig,
     UnknownKeyError,
+    WorldConfig,
     adapter_config_for,
     config_hash,
     parse_config,
 )
 from xmodal.runconfig import canonical_config_text
+from xmodal.trainer import ADAPTER_MODES, OPTIMIZERS
 
 
 class TestEvalConfig:
@@ -95,6 +101,22 @@ class TestParseConfig:
             parse_config("train.tau = -1\n")
         with pytest.raises(ConfigTypeError, match="line 3: world.seed"):
             parse_config("\n\nworld.seed = seven\n")
+        # Bounds live in the config dataclasses; the parser still names the line.
+        for text, where in [
+            ("world.sigma_audio = inf\n", "line 1: world.sigma_audio"),
+            ("# tau\ntrain.tau = inf\n", "line 2: train.tau"),
+            ("train.learning_rate = nan\n", "line 1: train.learning_rate"),
+            ("train.adam_eps = inf\n", "line 1: train.adam_eps"),
+            ("train.prompt_mixture = nan, 0.5, 0.5\n", "line 1: train.prompt_mixture"),
+            ("adapter.d_hidden = 0\n", "line 1: adapter.d_hidden"),
+            ("adapter.mode = conv\n", "line 1: adapter.mode"),
+            (
+                "world.n_families = 1\nworld.genera_per_family = 1\nworld.species_per_genus = 1\n",
+                "line 3: world.species_per_genus",
+            ),
+        ]:
+            with pytest.raises(ConfigTypeError, match=re.escape(where)):
+                parse_config(text)
 
     def test_missing_equals(self):
         with pytest.raises(ConfigTypeError, match="expected 'key = value'"):
@@ -160,6 +182,80 @@ class TestCanonicalText:
             key = line.split("=", 1)[0].strip()
             parse_config(line + "\n")  # must not raise
             assert " = " in line, key
+
+
+_PROBABILITY = st.floats(0.0, 1.0, exclude_max=True)
+_FINITE_NONNEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _mixtures(draw):
+    weights = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=6))
+    return tuple(w / sum(weights) for w in weights)
+
+
+@st.composite
+def _run_configs(draw):
+    n_families, genera, species = draw(
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).filter(lambda t: t[0] * t[1] * t[2] >= 2)
+    )
+    world = WorldConfig(
+        seed=draw(st.integers(0, 2**63)),
+        n_families=n_families,
+        genera_per_family=genera,
+        species_per_genus=species,
+        d_teacher=draw(st.integers(1, 256)),
+        d_student_in=draw(st.integers(1, 256)),
+        d_student=draw(st.integers(1, 256)),
+        variant_count=draw(st.integers(2, 8)),
+        audio_per_species=draw(st.integers(1, 100)),
+        images_per_species=draw(st.integers(1, 100)),
+        sigma_family=draw(_FINITE_POSITIVE),
+        sigma_genus=draw(_FINITE_NONNEGATIVE),
+        sigma_species=draw(_FINITE_NONNEGATIVE),
+        sigma_variant=draw(_FINITE_NONNEGATIVE),
+        sigma_image=draw(_FINITE_NONNEGATIVE),
+        sigma_audio=draw(_FINITE_NONNEGATIVE),
+    )
+    train = TrainConfig(
+        batch_size=draw(st.integers(2, 512)),
+        epochs=draw(st.integers(0, 1000)),
+        learning_rate=draw(_FINITE_NONNEGATIVE),
+        tau=draw(_FINITE_POSITIVE),
+        optimizer=draw(st.sampled_from(OPTIMIZERS)),
+        momentum=draw(_PROBABILITY),
+        beta1=draw(_PROBABILITY),
+        beta2=draw(_PROBABILITY),
+        adam_eps=draw(_FINITE_POSITIVE),
+        seed=draw(st.integers(-(2**63), 2**63)),
+        prompt_mixture=draw(st.none() | _mixtures()),
+    )
+    eval_config = EvalConfig(
+        holdout_fraction=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        knn_k=draw(st.integers(1, 100)),
+        map_k=draw(st.integers(1, 10_000)),
+        chance_trials=draw(st.integers(1, 10_000)),
+    )
+    return RunConfig(
+        world=world,
+        train=train,
+        eval=eval_config,
+        adapter_mode=draw(st.sampled_from(ADAPTER_MODES)),
+        adapter_d_hidden=draw(st.integers(1, 4096)),
+        output_dir=draw(st.text(alphabet="abcxyz019/_.-", min_size=1, max_size=24)),
+    )
+
+
+class TestSingleSchema:
+    @settings(max_examples=200, deadline=None)
+    @given(_run_configs())
+    def test_any_valid_config_round_trips(self, config):
+        text = canonical_config_text(config)
+        parsed = parse_config(text)
+        assert parsed == config
+        assert canonical_config_text(parsed) == text
+        assert config_hash(parsed) == config_hash(config)
 
 
 class TestConfigHash:

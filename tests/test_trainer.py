@@ -85,6 +85,10 @@ class TestTrainConfig:
             {"adam_eps": 0.0},
             {"prompt_mixture": (0.5, 0.6)},
             {"prompt_mixture": (-0.1, 1.1)},
+            {"prompt_mixture": (float("nan"), 0.5, 0.5)},
+            {"prompt_mixture": (0.5, float("nan"), 0.5)},
+            {"adam_eps": float("inf")},
+            {"adam_eps": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -165,6 +165,10 @@ class TestWorldConfig:
         with pytest.raises(InvalidConfigError, match="at least 2 species"):
             WorldConfig(n_families=1, genera_per_family=1, species_per_genus=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidConfigError, match="seed must be >= 0"):
+            dataclasses.replace(SMALL_WORLD, seed=-1)
+
     def test_rejects_single_variant(self):
         with pytest.raises(InvalidConfigError, match="variant_count"):
             dataclasses.replace(SMALL_WORLD, variant_count=1)
