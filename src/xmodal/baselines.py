@@ -16,7 +16,9 @@ also has access to:
   vs audio-space prototypes, image vs teacher text prototypes) chained
   by scoring each image with the cosine between the two predicted class
   prototypes. A misclassification in either stage propagates to the
-  ranking.
+  ranking. A clip's ranking depends only on its predicted class, so the
+  gallery is ranked once per distinct predicted class and that one
+  ``RankedList`` serves all of the class's clips.
 """
 
 from __future__ import annotations
@@ -137,13 +139,14 @@ def cascaded_zero_shot_baseline(
     student_prototypes: EmbeddingSet,
     teacher_prototypes: EmbeddingSet,
 ) -> List[RankedList]:
-    """Rank images per audio clip through two zero-shot classifiers.
+    """Rank images per predicted audio class through two zero-shot classifiers.
 
     score(image | clip) = cosine between the teacher prototypes of the
     clip's predicted class and the image's predicted class. Ties break
     by the image's own classification confidence (descending), then by
-    gallery index. Clips with the same predicted class share one
-    read-only ranking.
+    gallery index. A clip's ranking depends only on its predicted class,
+    so one ``RankedList`` is returned per distinct predicted class, in
+    ascending label order, holding the clips predicted as that class.
     """
     for what, labels in (("audio", audio.labels), ("image", images.labels)):
         missing = np.setdiff1d(np.unique(labels), teacher_prototypes.labels)
@@ -162,23 +165,19 @@ def cascaded_zero_shot_baseline(
     order = np.argsort(teacher_prototypes.labels, kind="stable")
     teacher_sorted = teacher_prototypes.take(order)
     proto_cos = similarity_matrix(teacher_sorted, teacher_sorted)
-    image_pos = np.searchsorted(teacher_sorted.labels, image_pred)
-    # A clip's ranking depends only on its predicted class: rank the
-    # gallery once per predicted class and share that ranking.
     classes, clip_class = np.unique(
         np.searchsorted(teacher_sorted.labels, audio_pred), return_inverse=True
     )
-    scores = proto_cos[classes[:, None], image_pos]
-    shape = scores.shape
-    rankings = np.lexsort(
-        (np.broadcast_to(np.arange(images.n_items), shape), np.broadcast_to(-image_conf, shape), -scores),
-        axis=-1,
-    )
-    ranked_scores = np.take_along_axis(scores, rankings, axis=-1)
-    # Clips of one class share these rows, so none of them may write.
-    rankings.flags.writeable = False
-    ranked_scores.flags.writeable = False
+    # Gallery presorted by (-confidence, index): a stable sort of each
+    # class's scores in this order breaks score ties exactly that way.
+    presorted = np.argsort(-image_conf, kind="stable")
+    scores = proto_cos[classes[:, None], np.searchsorted(teacher_sorted.labels, image_pred[presorted])]
+    within = np.argsort(-scores, axis=1, kind="stable")
+    rankings = presorted[within]
+    ranked_scores = np.take_along_axis(scores, within, axis=1)
+    # Clips grouped by class, ascending within each group.
+    clips = np.split(np.argsort(clip_class, kind="stable"), np.cumsum(np.bincount(clip_class))[:-1])
     return [
-        RankedList(query_index=i, gallery_order=rankings[c], scores=ranked_scores[c])
-        for i, c in enumerate(clip_class)
+        RankedList(query_indices=clips[c], gallery_order=rankings[c], scores=ranked_scores[c])
+        for c in range(classes.size)
     ]

@@ -34,6 +34,12 @@ whatever the number of queries. Within a block:
   sorts those by (-score, index). That is exactly the first k columns of
   the full stable ranking.
 
+A ``RankedList`` is one gallery ranking shared by the queries it serves,
+so the cascade, which gives every clip of one predicted class the same
+ranking, builds and checks one list per class. ``map_from_ranked``
+inverts each list's order once and reports its queries in ascending
+query index.
+
 Metric means are plain sequential sums over the per-query values.
 """
 
@@ -98,15 +104,24 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class RankedList:
-    """Gallery ranking for one query, scores aligned with the order."""
+    """One gallery ranking, shared by the queries it serves.
 
-    query_index: int
+    ``query_indices`` are the distinct queries ranked this way; scores
+    are aligned with the order.
+    """
+
+    query_indices: np.ndarray
     gallery_order: np.ndarray
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.query_index < 0:
-            raise InvalidConfigError(f"query_index must be >= 0, got {self.query_index}")
+        queries = np.asarray(self.query_indices, dtype=np.int64)
+        if queries.ndim != 1 or queries.size == 0:
+            raise InvalidConfigError(f"query_indices must be flat and non-empty, got shape {queries.shape}")
+        if queries.min() < 0:
+            raise InvalidConfigError(f"query_indices must be >= 0, got {queries.min()}")
+        if np.unique(queries).size != queries.size:
+            raise InvalidConfigError("query_indices must be distinct")
         order = np.asarray(self.gallery_order, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
         if order.shape != scores.shape or order.ndim != 1:
@@ -118,6 +133,7 @@ class RankedList:
             raise InvalidConfigError("gallery_order must be a permutation of the gallery")
         if order.size > 1 and np.any(np.diff(scores) > 0):
             raise InvalidConfigError("scores must be non-increasing along the ranking")
+        object.__setattr__(self, "query_indices", queries)
         object.__setattr__(self, "gallery_order", order)
         object.__setattr__(self, "scores", scores)
 
@@ -322,7 +338,11 @@ def map_from_ranked(
 ) -> EvalReport:
     """Mean average precision over pre-ranked galleries.
 
-    Each list is scored with ``query_labels[ranked.query_index]``.
+    Each list ranks the gallery for every query in its ``query_indices``,
+    and query ``i`` is scored with ``query_labels[i]``. A list's order is
+    inverted once, and each of its queries reads the ranks of its relevant
+    items from that one row. ``per_query`` is in ascending query index;
+    a query that no list names is not scored.
     """
     if k is not None and k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
@@ -334,15 +354,24 @@ def map_from_ranked(
         raise EmptyGalleryError("cannot rank an empty gallery")
     if any(ranked.gallery_order.size != gallery_labels.size for ranked in ranked_lists):
         raise InvalidConfigError("every ranked list must order the whole gallery")
-    index = np.array([ranked.query_index for ranked in ranked_lists], dtype=np.int64)
+    served = [ranked.query_indices for ranked in ranked_lists]
+    index = np.concatenate([np.empty(0, dtype=np.int64), *served])
     if index.size and (index.min() < 0 or index.max() >= query_labels.size):
-        raise InvalidConfigError(f"query_index must lie in [0, {query_labels.size}), one per query label")
+        raise InvalidConfigError(f"query indices must lie in [0, {query_labels.size}), one per query label")
+    by_query = np.argsort(index, kind="stable")
+    queries = index[by_query]
+    if np.any(queries[1:] == queries[:-1]):
+        raise InvalidConfigError("a query index appears in more than one ranked list")
+    # list_of[j]: the list that ranks the j-th query in ascending order.
+    list_of = np.repeat(np.arange(len(ranked_lists)), [len(indices) for indices in served])[by_query]
+    # One row per list; the reshape keeps an empty sequence of lists 2-d.
+    orders = np.array([ranked.gallery_order for ranked in ranked_lists], dtype=np.int64)
+    ranks = _inverse_ranks(orders.reshape(len(ranked_lists), gallery_labels.size))
 
     def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
-        orders = np.stack([ranked.gallery_order for ranked in ranked_lists[rows]])
-        return np.take_along_axis(_inverse_ranks(orders), columns, axis=1)
+        return ranks[list_of[rows, None], columns]
 
-    return _map_report(ranks_of, query_labels[index], gallery_labels, k, metric_name)
+    return _map_report(ranks_of, query_labels[queries], gallery_labels, k, metric_name)
 
 
 def chance_map_oracle(

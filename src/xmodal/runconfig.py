@@ -65,6 +65,14 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         adapter_config_for(self)  # AdapterConfig validates the mode and width
+        # The canonical text must carry the directory back: '#' starts a
+        # comment, a line break ends the line and values are stripped.
+        out = str(self.output_dir)
+        if "#" in out or "".join(out.splitlines()) != out or out != out.strip():
+            raise InvalidConfigError(
+                f"output_dir {out!r} cannot be written to a config file:"
+                " it holds '#', a line break, or leading or trailing whitespace"
+            )
 
 
 def adapter_config_for(config: RunConfig) -> AdapterConfig:

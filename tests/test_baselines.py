@@ -26,6 +26,7 @@ from xmodal import (
     generate_world,
     map_from_ranked,
     map_retrieval,
+    nearest_prototype,
     random_projection_baseline,
     text_mapping_audio_embeddings,
     text_mapping_baseline,
@@ -259,17 +260,20 @@ class TestCascadedZeroShot:
         assert report.value == 1.0
 
     def test_ranked_lists_are_valid_and_complete(self, small_world):
-        audio = small_world.audio_features.take(range(6))
+        audio = small_world.audio_features.take(range(0, 48, 4))
         images = small_world.images
-        ranked = cascaded_zero_shot_baseline(
-            audio, images, class_prototypes(small_world.audio_features), teacher_prototype_set(small_world)
-        )
-        assert len(ranked) == 6
-        for i, r in enumerate(ranked):
-            assert r.query_index == i
+        audio_prototypes = class_prototypes(small_world.audio_features)
+        ranked = cascaded_zero_shot_baseline(audio, images, audio_prototypes, teacher_prototype_set(small_world))
+        predicted, _ = nearest_prototype(audio, audio_prototypes)
+        # One list per distinct predicted class, in ascending label order,
+        # holding exactly that class's clips in ascending clip index.
+        classes = np.unique(predicted)
+        assert len(ranked) == classes.size > 1
+        for label, r in zip(classes, ranked):
+            assert r.query_indices.tolist() == np.flatnonzero(predicted == label).tolist()
             assert r.gallery_order.size == images.n_items
-            # Clips of one predicted class share the ranking arrays.
-            assert not r.gallery_order.flags.writeable and not r.scores.flags.writeable
+        served = np.concatenate([r.query_indices for r in ranked])
+        assert sorted(served.tolist()) == list(range(audio.n_items))
 
     def test_audio_misclassification_propagates(self):
         # Stage one maps the clip to species B, so B's images rank above
@@ -319,12 +323,15 @@ class TestCascadedZeroShot:
         )
         a = cascaded_zero_shot_baseline(*args)
         b = cascaded_zero_shot_baseline(*args)
+        assert len(a) == len(b)
         for ra, rb in zip(a, b):
+            assert np.array_equal(ra.query_indices, rb.query_indices)
             assert np.array_equal(ra.gallery_order, rb.gallery_order)
 
 
 def oracle_cascade_orders(audio, images, student_prototypes, teacher_prototypes):
-    """Per-clip cascade rankings from per-pair scores and Python sorts."""
+    """Per-clip predicted classes and cascade rankings, from per-pair
+    scores and Python sorts."""
 
     def predict(items, prototypes):
         scores = oracle_pair_scores(items.matrix, prototypes.matrix)
@@ -340,7 +347,7 @@ def oracle_cascade_orders(audio, images, student_prototypes, teacher_prototypes)
     for predicted in audio_pred:
         scores = [proto_cos[row[predicted], row[p]] for p in image_pred]
         orders.append(sorted(range(images.n_items), key=lambda j: (-scores[j], -image_conf[j], j)))
-    return orders
+    return audio_pred, orders
 
 
 @st.composite
@@ -366,9 +373,17 @@ class TestCascadeMatchesNaiveOracle:
     @settings(max_examples=100, deadline=None)
     def test_rankings_and_map(self, inputs, cells):
         audio, images = inputs[:2]
-        orders = oracle_cascade_orders(*inputs)
+        audio_pred, orders = oracle_cascade_orders(*inputs)
         ranked = cascaded_zero_shot_baseline(*inputs)
-        assert [r.gallery_order.tolist() for r in ranked] == orders
+        # One list per predicted class, ascending, holding that class's
+        # clips; expanded to its clips, each list gives their rankings.
+        classes = sorted(set(audio_pred))
+        assert len(ranked) == len(classes)
+        per_clip = {}
+        for label, r in zip(classes, ranked):
+            assert r.query_indices.tolist() == [i for i, p in enumerate(audio_pred) if p == label]
+            per_clip.update((int(i), r.gallery_order.tolist()) for i in r.query_indices)
+        assert [per_clip[i] for i in range(audio.n_items)] == orders
 
         per_query = []
         for i, order in enumerate(orders):

@@ -66,12 +66,13 @@ class TestEvalReport:
 
 class TestRankedList:
     def test_valid(self):
-        r = RankedList(query_index=0, gallery_order=[2, 0, 1], scores=[0.9, 0.5, 0.5])
+        r = RankedList(query_indices=[3, 0], gallery_order=[2, 0, 1], scores=[0.9, 0.5, 0.5])
         assert r.gallery_order.dtype == np.int64
+        assert r.query_indices.dtype == np.int64 and r.query_indices.tolist() == [3, 0]
 
     def test_order_must_be_permutation(self):
         with pytest.raises(InvalidConfigError, match="permutation"):
-            RankedList(query_index=0, gallery_order=[0, 0, 1], scores=[1.0, 0.5, 0.4])
+            RankedList(query_indices=[0], gallery_order=[0, 0, 1], scores=[1.0, 0.5, 0.4])
 
     # Duplicates, entries past the end and negative entries are all drawn.
     @given(st.lists(st.integers(-2, 6), max_size=6))
@@ -79,7 +80,7 @@ class TestRankedList:
     def test_accepts_exactly_the_permutations(self, order):
         is_permutation = sorted(order) == list(range(len(order)))
         try:
-            RankedList(query_index=0, gallery_order=order, scores=np.zeros(len(order)))
+            RankedList(query_indices=[0], gallery_order=order, scores=np.zeros(len(order)))
         except InvalidConfigError:
             assert not is_permutation
         else:
@@ -87,15 +88,23 @@ class TestRankedList:
 
     def test_scores_must_be_sorted(self):
         with pytest.raises(InvalidConfigError, match="non-increasing"):
-            RankedList(query_index=0, gallery_order=[0, 1], scores=[0.1, 0.9])
+            RankedList(query_indices=[0], gallery_order=[0, 1], scores=[0.1, 0.9])
 
     def test_misaligned_rejected(self):
         with pytest.raises(InvalidConfigError):
-            RankedList(query_index=0, gallery_order=[0, 1], scores=[0.9])
+            RankedList(query_indices=[0], gallery_order=[0, 1], scores=[0.9])
 
     def test_negative_query_index_rejected(self):
-        with pytest.raises(InvalidConfigError, match="query_index"):
-            RankedList(query_index=-1, gallery_order=[0, 1], scores=[0.9, 0.1])
+        with pytest.raises(InvalidConfigError, match="query_indices must be >= 0"):
+            RankedList(query_indices=[2, -1], gallery_order=[0, 1], scores=[0.9, 0.1])
+
+    @pytest.mark.parametrize(
+        "query_indices, message",
+        [([], "non-empty"), ([[0, 1]], "flat"), ([1, 1], "distinct"), ([2, 0, 2], "distinct")],
+    )
+    def test_query_indices_must_be_a_flat_nonempty_set(self, query_indices, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            RankedList(query_indices=query_indices, gallery_order=[0, 1], scores=[0.9, 0.1])
 
 
 class TestRankByScore:
@@ -346,7 +355,7 @@ class TestMapFromRanked:
         lists = []
         for i in range(n_queries):
             order = rank_by_score(scores[i])
-            lists.append(RankedList(query_index=i, gallery_order=order, scores=scores[i][order]))
+            lists.append(RankedList(query_indices=[i], gallery_order=order, scores=scores[i][order]))
         with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
             if not np.isin(q.labels, g.labels).any():
                 with pytest.raises(NoRelevantItemsError):
@@ -359,16 +368,65 @@ class TestMapFromRanked:
         assert via_ranked == direct
         assert (direct.value, direct.per_query) == oracle_map_at(q, g, k, scores=scores.tolist())
 
+    # Queries share a few drawn rankings. One list per query and one list
+    # per distinct ranking, each handed over in a drawn order, must score
+    # every query the same, in ascending query index.
+    @given(st.data(), BLOCK_CELLS)
+    @settings(max_examples=100, deadline=None)
+    def test_shared_rankings_match_one_list_per_query(self, data, cells):
+        n_queries = data.draw(st.integers(1, 10), label="queries")
+        n_gallery = data.draw(st.integers(1, 12), label="gallery")
+        orders = data.draw(st.lists(st.permutations(range(n_gallery)), min_size=1, max_size=4), label="orders")
+        ranking_of = np.array(
+            data.draw(st.lists(st.integers(0, len(orders) - 1), min_size=n_queries, max_size=n_queries))
+        )
+        query_labels = np.array(data.draw(st.lists(QUERY_LABELS, min_size=n_queries, max_size=n_queries)))
+        gallery_labels = np.array(data.draw(st.lists(GALLERY_LABELS, min_size=n_gallery, max_size=n_gallery)))
+        k = data.draw(st.none() | st.integers(1, n_gallery + 3), label="k")
+        scores = np.linspace(1.0, 0.0, n_gallery)
+
+        def ranked(queries, r):
+            return RankedList(query_indices=queries, gallery_order=orders[r], scores=scores)
+
+        per_query = [ranked([i], ranking_of[i]) for i in range(n_queries)]
+        shared = [ranked(np.flatnonzero(ranking_of == r), r) for r in np.unique(ranking_of)]
+        per_query = data.draw(st.permutations(per_query), label="per-query list order")
+        shared = data.draw(st.permutations(shared), label="shared list order")
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            if not np.isin(query_labels, gallery_labels).any():
+                for lists in (per_query, shared):
+                    with pytest.raises(NoRelevantItemsError):
+                        map_from_ranked(lists, query_labels, gallery_labels, k=k)
+                return
+            one_each = map_from_ranked(per_query, query_labels, gallery_labels, k=k)
+            grouped = map_from_ranked(shared, query_labels, gallery_labels, k=k)
+        assert grouped == one_each
+        # Ascending query index: the scored queries' own APs, in order.
+        limit = n_gallery if k is None else k
+        expected = []
+        for i in np.flatnonzero(np.isin(query_labels, gallery_labels)):
+            relevant = gallery_labels == query_labels[i]
+            n_rel = int(relevant.sum())
+            flags = relevant[orders[ranking_of[i]]][:limit].tolist()
+            expected.append(oracle_ap(flags, n_rel if k is None else min(n_rel, k)))
+        assert one_each.per_query == tuple(expected)
+
     @pytest.mark.parametrize("query_index", [-1, 2, 5])
     def test_query_index_must_name_a_label(self, query_index):
         # A list whose index is out of range; RankedList itself rejects -1,
         # so a bare record stands in for it.
-        ranked = SimpleNamespace(query_index=query_index, gallery_order=np.array([1, 0]))
-        with pytest.raises(InvalidConfigError, match="query_index"):
+        ranked = SimpleNamespace(query_indices=np.array([0, query_index]), gallery_order=np.array([1, 0]))
+        with pytest.raises(InvalidConfigError, match="query indices must lie in"):
             map_from_ranked([ranked], np.array([0, 1]), np.array([0, 1]))
 
+    def test_query_index_in_two_lists_rejected(self):
+        first = RankedList(query_indices=[0, 2], gallery_order=[1, 0], scores=[0.9, 0.1])
+        second = RankedList(query_indices=[1, 2], gallery_order=[0, 1], scores=[0.9, 0.1])
+        with pytest.raises(InvalidConfigError, match="more than one ranked list"):
+            map_from_ranked([first, second], np.array([0, 1, 0]), np.array([0, 1]))
+
     def test_query_labels_must_be_flat(self):
-        ranked = RankedList(query_index=0, gallery_order=[1, 0], scores=[0.9, 0.1])
+        ranked = RankedList(query_indices=[0], gallery_order=[1, 0], scores=[0.9, 0.1])
         with pytest.raises(InvalidConfigError, match="1-d"):
             map_from_ranked([ranked], np.array([[0, 1]]), np.array([0, 1]))
 
@@ -377,7 +435,7 @@ class TestMapFromRanked:
             map_from_ranked([], np.array([0]), np.array([], dtype=np.int64))
 
     def test_list_must_rank_the_whole_gallery(self):
-        partial = RankedList(query_index=0, gallery_order=[1, 0], scores=[0.9, 0.1])
+        partial = RankedList(query_indices=[0], gallery_order=[1, 0], scores=[0.9, 0.1])
         with pytest.raises(InvalidConfigError, match="whole gallery"):
             map_from_ranked([partial], np.array([0]), np.array([0, 1, 0]))
 

@@ -2,6 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from xmodal import (
     load_params,
     read_embedding_set,
 )
+from xmodal.cli import main
 from xmodal.pipeline import (
     SUMMARY_METHOD_ORDER,
     baseline_report,
@@ -263,6 +268,30 @@ def test_training_artifact_bytes_pinned(overrides, tmp_path):
         for name in ("params.xmpb", "train_log.txt")
     )
     assert digests == TRAINING_ARTIFACT_SHA256[overrides]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_many_class_eval_bytes_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # The benchmark's eval_wide op: train then eval a 192-species world
+    # (1920 eval clips x 960 images), so the cascade ranks the gallery
+    # for up to 192 predicted classes. Its config and output digests are
+    # read from perfbench/, which owns them.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    seed = "7"
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["eval_wide"][seed]
+    monkeypatch.chdir(tmp_path)
+    Path("xmodal.cfg").write_text(workloads.EVAL_WIDE_CONFIG, encoding="utf-8")
+    for command in ("train", "eval"):
+        assert main([command, "--config", "xmodal.cfg", "--seed", seed]) == 0
+    digests = {
+        name: hashlib.sha256((workloads.OUTPUT_DIR / name).read_bytes()).hexdigest() for name in reference
+    }
+    assert digests == reference
 
 
 class TestDefaultConfigOrdering:

@@ -54,6 +54,11 @@ class TestRunConfig:
         with pytest.raises(InvalidConfigError):
             RunConfig(adapter_mode="conv")
 
+    @pytest.mark.parametrize("output_dir", ["runs/#1", "runs\nx", "runs\u2028x", " runs", "runs\t", "runs\x85"])
+    def test_output_dir_the_config_text_cannot_carry_rejected(self, output_dir):
+        with pytest.raises(InvalidConfigError, match="output_dir"):
+            RunConfig(output_dir=output_dir)
+
     def test_adapter_config_follows_world(self):
         c = RunConfig()
         a = adapter_config_for(c)
@@ -195,8 +200,20 @@ def _mixtures(draw):
     return tuple(w / sum(weights) for w in weights)
 
 
+# Every character str.splitlines splits on.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# Path characters plus what a config line cannot carry at all ('#', line
+# breaks) or at its edges (whitespace, stripped on parsing).
+_OUTPUT_DIR_CHARS = "abcxyz019/_.-= #\t\x1f\xa0" + _LINE_BREAKS
+
+
+def _carried_by_config_text(output_dir: str) -> bool:
+    return not any(ch in output_dir for ch in "#" + _LINE_BREAKS) and output_dir == output_dir.strip()
+
+
 @st.composite
 def _run_configs(draw):
+    """Keyword arguments of a RunConfig: valid sections, any output_dir."""
     n_families, genera, species = draw(
         st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).filter(lambda t: t[0] * t[1] * t[2] >= 2)
     )
@@ -237,20 +254,26 @@ def _run_configs(draw):
         map_k=draw(st.integers(1, 10_000)),
         chance_trials=draw(st.integers(1, 10_000)),
     )
-    return RunConfig(
+    return dict(
         world=world,
         train=train,
         eval=eval_config,
         adapter_mode=draw(st.sampled_from(ADAPTER_MODES)),
         adapter_d_hidden=draw(st.integers(1, 4096)),
-        output_dir=draw(st.text(alphabet="abcxyz019/_.-", min_size=1, max_size=24)),
+        output_dir=draw(st.text(alphabet=_OUTPUT_DIR_CHARS, max_size=24)),
     )
 
 
 class TestSingleSchema:
     @settings(max_examples=200, deadline=None)
     @given(_run_configs())
-    def test_any_valid_config_round_trips(self, config):
+    def test_any_valid_config_round_trips(self, kwargs):
+        # RunConfig rejects exactly the output_dirs its text cannot carry.
+        if not _carried_by_config_text(kwargs["output_dir"]):
+            with pytest.raises(InvalidConfigError, match="output_dir"):
+                RunConfig(**kwargs)
+            return
+        config = RunConfig(**kwargs)
         text = canonical_config_text(config)
         parsed = parse_config(text)
         assert parsed == config
