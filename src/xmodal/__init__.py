@@ -29,7 +29,6 @@ from .errors import (
     MissingPrototypeError,
     NonFiniteLossError,
     NoRelevantItemsError,
-    NotNormalizedError,
     PayloadTooShortError,
     ShapeMismatchError,
     SpeciesMismatchError,

@@ -62,9 +62,7 @@ def random_projection_baseline(audio_features: EmbeddingSet, d_teacher: int, see
         (d_teacher, audio_features.dim)
     ) / math.sqrt(d_teacher)
     projected = audio_features.matrix @ matrix.T
-    return normalize_rows(
-        EmbeddingSet(projected, audio_features.labels, audio_features.modality, normalized=False)
-    )
+    return normalize_rows(EmbeddingSet(projected, audio_features.labels, audio_features.modality))
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,7 @@ def text_mapping_baseline(
         layers, student_sorted.matrix, teacher_sorted.matrix, lambda _: own_row, train_config, "textmap", "textmap_shuffle"
     )
     mapped, _ = mlp_forward(layers, report.final_params, student_sorted.matrix)
-    prototypes = EmbeddingSet(mapped, student_sorted.labels, student_text.modality, normalized=False)
+    prototypes = EmbeddingSet(mapped, student_sorted.labels, student_text.modality)
     return TextMappingReport(report.final_params, report.loss_curve, prototypes)
 
 
@@ -130,7 +128,7 @@ def text_mapping_audio_embeddings(
     if missing.size:
         raise MissingPrototypeError(f"no mapped text for predicted labels {missing.tolist()}")
     positions = np.searchsorted(table.labels, predicted)
-    return EmbeddingSet(table.matrix[positions], audio.labels, audio.modality, normalized=False)
+    return EmbeddingSet(table.matrix[positions], audio.labels, audio.modality)
 
 
 def cascaded_zero_shot_baseline(

@@ -36,7 +36,7 @@ from .pipeline import (
     write_world_artifacts,
 )
 from .runconfig import RunConfig, adapter_config_for, config_hash, parse_config
-from .storage import load_params, save_params
+from .storage import load_params, save_params, write_atomic
 from .trainer import check_params, train_adapter
 
 __all__ = ["main", "build_parser"]
@@ -124,7 +124,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             chance = chance_map(config, prepared)
             summary = render_summary(config, reports, chance)
             write_reports(reports, chance, out / "reports.txt", run_hash)
-            (out / "summary.txt").write_text(summary, encoding="utf-8")
+            write_atomic(out / "summary.txt", summary.encode("utf-8"))
             print(summary, end="")
         elif args.command == "baseline":
             prepared = prepare_world(config)
@@ -132,7 +132,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"config_hash = {run_hash}")
             print(f"{report.metric_name} = {report.value:.6f}")
         else:
-            result = run_experiment(config, output_dir=out)
+            result = run_experiment(config)
             print(result.summary, end="")
     except (XmodalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,11 +12,11 @@ indicate an upstream bug and silently scoring them would hide it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotNormalizedError, ZeroVectorError
+from .errors import DimensionMismatchError, ZeroVectorError
 
 
 class Modality(enum.Enum):
@@ -45,14 +45,14 @@ class TaxonLabel:
 class EmbeddingSet:
     """A labeled matrix of embeddings, one row per item.
 
-    ``labels[i]`` is the species_id of row ``i``. When ``normalized`` is
-    True every row must already have unit Euclidean norm (checked to 1e-9).
+    ``labels[i]`` is the species_id of row ``i``. Rows carry no norm
+    promise: every consumer that needs unit rows (``similarity_matrix``,
+    ``normalize_rows``, the loss) scales them itself.
     """
 
     matrix: np.ndarray
     labels: np.ndarray
     modality: Modality
-    normalized: bool = field(default=False)
 
     def __post_init__(self):
         matrix = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.float64))
@@ -65,12 +65,6 @@ class EmbeddingSet:
             raise DimensionMismatchError(
                 f"labels length {labels.shape} does not match {matrix.shape[0]} rows"
             )
-        if self.normalized and matrix.shape[0] > 0:
-            norms = np.linalg.norm(matrix, axis=1)
-            worst = float(np.max(np.abs(norms - 1.0)))
-            # Written so that a NaN deviation fails the check too.
-            if not worst <= 1e-9:
-                raise NotNormalizedError(f"set marked normalized but a row deviates by {worst:.3e}")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "labels", labels)
 
@@ -85,9 +79,7 @@ class EmbeddingSet:
     def take(self, indices) -> "EmbeddingSet":
         """Subset of rows (by position), preserving order and labels."""
         idx = np.asarray(indices, dtype=np.int64)
-        return EmbeddingSet(
-            self.matrix[idx], self.labels[idx], self.modality, normalized=self.normalized
-        )
+        return EmbeddingSet(self.matrix[idx], self.labels[idx], self.modality)
 
 
 # Below this norm a row's squared entries are subnormal or underflow to zero.
@@ -135,7 +127,8 @@ def normalize_rows(embedding_set: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit norm; labels and row order are preserved.
 
     Raises ZeroVectorError naming the first offending row if any row is
-    all zeros. Idempotent on already-normalized sets.
+    all zeros. Not idempotent to the bit: a second pass over unit rows
+    can change their last bit, because each norm is itself rounded.
     """
     unit = _unit_rows(embedding_set.matrix, "input")
-    return EmbeddingSet(unit, embedding_set.labels, embedding_set.modality, normalized=True)
+    return EmbeddingSet(unit, embedding_set.labels, embedding_set.modality)

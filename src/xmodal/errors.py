@@ -17,10 +17,6 @@ class ZeroVectorError(XmodalError):
     """An all-zero vector reached an operation that needs a nonzero norm."""
 
 
-class NotNormalizedError(XmodalError):
-    """A set marked normalized holds a row that is not of unit norm."""
-
-
 class ShapeMismatchError(XmodalError):
     """Matrix shapes are incompatible for the requested operation."""
 

@@ -374,13 +374,7 @@ def map_from_ranked(
     return _map_report(ranks_of, query_labels[queries], gallery_labels, k, metric_name)
 
 
-def chance_map_oracle(
-    n_per_class: int,
-    n_classes: int,
-    k: Optional[int] = None,
-    trials: int = 1000,
-    seed: int = 0,
-) -> float:
+def chance_map_oracle(n_per_class: int, n_classes: int, trials: int = 1000, seed: int = 0) -> float:
     """Monte Carlo mean AP of uniformly random rankings.
 
     The gallery holds ``n_per_class`` items for each of ``n_classes``
@@ -391,17 +385,14 @@ def chance_map_oracle(
         raise InvalidConfigError("n_per_class and n_classes must be >= 1")
     if trials < 1:
         raise InvalidConfigError(f"trials must be >= 1, got {trials}")
-    if k is not None and k < 1:
-        raise InvalidConfigError(f"k must be >= 1, got {k}")
     n_items = n_per_class * n_classes
-    limit = n_items if k is None else k
-    denom = n_per_class if k is None else min(n_per_class, k)
     values: List[float] = []
     for rows in _row_blocks(trials, n_items):
         keys = [(t,) for t in range(rows.start, rows.stop)]
         perms = np.empty((len(keys), n_items), dtype=np.int64)
         draw_streams(perms, seed, "chance", keys, "permutation", n_items)
-        values.extend(_ap_from_ranks(_inverse_ranks(perms)[:, :n_per_class], limit, denom).tolist())
+        ranks = _inverse_ranks(perms)[:, :n_per_class]
+        values.extend(_ap_from_ranks(ranks, n_items, n_per_class).tolist())
     return _mean(values)
 
 
@@ -427,6 +418,8 @@ def knn_classify(queries: EmbeddingSet, reference: EmbeddingSet, k: int) -> Eval
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     if reference.n_items == 0:
         raise EmptyGalleryError("reference set is empty")
+    if queries.n_items == 0:
+        raise TooFewItemsError("no queries to classify")
     exclude_self = _same_set(queries, reference)
     usable = reference.n_items - (1 if exclude_self else 0)
     if k > usable:
@@ -461,7 +454,7 @@ def class_prototypes(embedding_set: EmbeddingSet) -> EmbeddingSet:
     rows = np.empty((labels.size, embedding_set.dim), dtype=np.float64)
     for j, label in enumerate(labels):
         rows[j] = embedding_set.matrix[embedding_set.labels == label].mean(axis=0)
-    return EmbeddingSet(rows, labels, embedding_set.modality, normalized=False)
+    return EmbeddingSet(rows, labels, embedding_set.modality)
 
 
 def nearest_prototype(queries: EmbeddingSet, prototypes: EmbeddingSet) -> Tuple[np.ndarray, np.ndarray]:
@@ -470,6 +463,8 @@ def nearest_prototype(queries: EmbeddingSet, prototypes: EmbeddingSet) -> Tuple[
     Prototype labels must be unique; cosine ties resolve to the lowest
     label value.
     """
+    if prototypes.n_items == 0:
+        raise EmptyGalleryError("no prototypes to classify against")
     labels = prototypes.labels
     if np.unique(labels).size != labels.size:
         raise SpeciesMismatchError("prototype labels must be unique")
@@ -482,6 +477,8 @@ def nearest_prototype(queries: EmbeddingSet, prototypes: EmbeddingSet) -> Tuple[
 
 def zero_shot_classify(queries: EmbeddingSet, prototypes: EmbeddingSet) -> EvalReport:
     """Accuracy of nearest-prototype classification."""
+    if queries.n_items == 0:
+        raise TooFewItemsError("no queries to classify")
     missing = np.setdiff1d(np.unique(queries.labels), prototypes.labels)
     if missing.size:
         raise MissingPrototypeError(f"no prototype for labels {missing.tolist()}")

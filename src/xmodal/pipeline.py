@@ -3,9 +3,14 @@
 Stages recompute the world from its config instead of reading back the
 written embedding files: generation is deterministic and float64, while
 the files quantize to float32 and exist for interchange with other
-tools. Every artifact directory gets a manifest carrying the config
-hash and each artifact's size and SHA-256; text artifacts embed the hash
-directly.
+tools. ``run`` writes a manifest carrying the config hash and each
+artifact's size and SHA-256; text artifacts embed the hash directly.
+Every artifact, binary or text, goes through
+:func:`xmodal.storage.write_atomic` (a temp file and a rename).
+
+The text-mapping baseline's map is fitted in one place,
+:func:`baseline_report`, so ``run``, ``eval`` and ``baseline`` fit it
+the same way and ``run`` writes the same bytes as ``train`` + ``eval``.
 
 The summary is deliberately free of wallclock or environment data so
 that reruns of the same config are byte-identical.
@@ -16,20 +21,18 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from .baselines import (
     BaselineKind,
-    TextMappingReport,
     cascaded_zero_shot_baseline,
     random_projection_baseline,
     text_mapping_audio_embeddings,
     text_mapping_baseline,
 )
 from .embeddings import EmbeddingSet, Modality
-from .errors import InvalidConfigError
 from .evaluation import (
     EvalReport,
     chance_map_oracle,
@@ -40,7 +43,7 @@ from .evaluation import (
     zero_shot_classify,
 )
 from .runconfig import RunConfig, adapter_config_for, canonical_config_text, config_hash
-from .storage import save_params, write_embedding_set
+from .storage import save_params, write_atomic, write_embedding_set
 from .trainer import Params, TrainReport, embed_audio, train_adapter
 from .world import World, WorldView, generate_world, world_split
 
@@ -69,12 +72,7 @@ def teacher_prototype_set(world: World) -> EmbeddingSet:
 
 def embedded_audio_set(adapter_config, params: Params, audio: EmbeddingSet) -> EmbeddingSet:
     """Audio rows pushed through the adapter, labels preserved."""
-    return EmbeddingSet(
-        embed_audio(adapter_config, params, audio.matrix),
-        audio.labels,
-        Modality.AUDIO,
-        normalized=False,
-    )
+    return EmbeddingSet(embed_audio(adapter_config, params, audio.matrix), audio.labels, Modality.AUDIO)
 
 
 @dataclass(frozen=True)
@@ -116,23 +114,21 @@ def chance_map(config: RunConfig, prepared: PreparedWorld) -> float:
     )
 
 
-def baseline_report(
-    config: RunConfig,
-    prepared: PreparedWorld,
-    kind: BaselineKind,
-    text_mapping: Optional[TextMappingReport] = None,
-) -> EvalReport:
-    """Audio-to-image retrieval mAP of one baseline on the eval split."""
+def baseline_report(config: RunConfig, prepared: PreparedWorld, kind: BaselineKind) -> EvalReport:
+    """Audio-to-image retrieval mAP of one baseline on the eval split.
+
+    The text-mapping baseline fits its map here, on every call, from its
+    own keyed streams; this is the only place the map is fitted.
+    """
     eval_audio = prepared.eval_view.audio_features
     eval_images = prepared.eval_view.images
     if kind is BaselineKind.RANDOM_PROJECTION:
         projected = random_projection_baseline(eval_audio, config.world.d_teacher, config.world.seed)
         return map_retrieval(projected, eval_images, metric_name="audio_image_map.random_projection")
     if kind is BaselineKind.TEXT_MAPPING:
-        if text_mapping is None:
-            text_mapping = text_mapping_baseline(
-                prepared.world.student_text, prepared.teacher_prototypes, config.train
-            )
+        text_mapping = text_mapping_baseline(
+            prepared.world.student_text, prepared.teacher_prototypes, config.train
+        )
         mapped = text_mapping_audio_embeddings(text_mapping, eval_audio, prepared.audio_prototypes)
         return map_retrieval(mapped, eval_images, metric_name="audio_image_map.text_mapping")
     ranked = cascaded_zero_shot_baseline(
@@ -146,12 +142,7 @@ def baseline_report(
     )
 
 
-def evaluate_trained(
-    config: RunConfig,
-    prepared: PreparedWorld,
-    params: Params,
-    text_mapping: Optional[TextMappingReport] = None,
-) -> Dict[str, EvalReport]:
+def evaluate_trained(config: RunConfig, prepared: PreparedWorld, params: Params) -> Dict[str, EvalReport]:
     """All evaluation reports for a trained adapter plus the baselines."""
     adapter = adapter_config_for(config)
     eval_view = prepared.eval_view
@@ -165,7 +156,7 @@ def evaluate_trained(
         distilled_eval, eval_view.images, metric_name="audio_image_map.distilled"
     )
     for kind in (BaselineKind.RANDOM_PROJECTION, BaselineKind.TEXT_MAPPING, BaselineKind.CASCADED_ZERO_SHOT):
-        report = baseline_report(config, prepared, kind, text_mapping=text_mapping)
+        report = baseline_report(config, prepared, kind)
         reports[report.metric_name] = report
     # kNN is leave-one-out within the eval split (self-matches excluded),
     # so raw and distilled embeddings face the same neighbor pool.
@@ -223,7 +214,6 @@ class ExperimentResult:
     config_hash: str
     prepared: PreparedWorld
     train_report: TrainReport
-    text_mapping: TextMappingReport
     reports: Dict[str, EvalReport]
     chance: float
     summary: str
@@ -242,9 +232,8 @@ def write_world_artifacts(config: RunConfig, world: World, out_dir: Union[str, P
     }
     for name, embedding_set in named.items():
         write_embedding_set(embedding_set, out / name)
-    (out / "config.txt").write_text(
-        f"# config_hash = {run_hash}\n" + canonical_config_text(config), encoding="utf-8"
-    )
+    config_text = f"# config_hash = {run_hash}\n" + canonical_config_text(config)
+    write_atomic(out / "config.txt", config_text.encode("utf-8"))
     return sorted(named)
 
 
@@ -254,7 +243,7 @@ def _write_manifest(out: Path, run_hash: str, names: List[str]) -> None:
     for name in sorted(names):
         data = (out / name).read_bytes()
         lines.append(f"artifact = {name} {len(data)} {hashlib.sha256(data).hexdigest()}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out / "manifest.txt", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_train_log(report: TrainReport, path: Union[str, Path], run_hash: str) -> None:
@@ -262,7 +251,7 @@ def write_train_log(report: TrainReport, path: Union[str, Path], run_hash: str) 
     lines = [f"config_hash = {run_hash}", f"steps = {report.steps}"]
     for epoch, loss in enumerate(report.loss_curve):
         lines.append(f"epoch {epoch} mean_loss = {loss:.10f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_reports(reports: Dict[str, EvalReport], chance: float, path: Union[str, Path], run_hash: str) -> None:
@@ -276,7 +265,7 @@ def write_reports(reports: Dict[str, EvalReport], chance: float, path: Union[str
         for meta_key in sorted(report.metadata):
             lines.append(f"{name}.{meta_key} = {report.metadata[meta_key]}")
     lines.append(f"chance_map.value = {chance:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def run_experiment(
@@ -287,15 +276,8 @@ def run_experiment(
     """The full pipeline: world, training, baselines, metrics, artifacts."""
     run_hash = config_hash(config)
     prepared = prepare_world(config)
-    adapter = adapter_config_for(config)
-    if adapter.d_in != config.world.d_student_in:
-        raise InvalidConfigError("adapter input width must match the world's audio dimensionality")
-
-    train_report = train_adapter(prepared.train_view, adapter, config.train)
-    text_mapping = text_mapping_baseline(
-        prepared.world.student_text, prepared.teacher_prototypes, config.train
-    )
-    reports = evaluate_trained(config, prepared, train_report.final_params, text_mapping=text_mapping)
+    train_report = train_adapter(prepared.train_view, adapter_config_for(config), config.train)
+    reports = evaluate_trained(config, prepared, train_report.final_params)
     chance = chance_map(config, prepared)
     summary = render_summary(config, reports, chance)
 
@@ -306,7 +288,7 @@ def run_experiment(
         save_params(train_report.final_params, out / "params.xmpb", run_hash)
         write_train_log(train_report, out / "train_log.txt", run_hash)
         write_reports(reports, chance, out / "reports.txt", run_hash)
-        (out / "summary.txt").write_text(summary, encoding="utf-8")
+        write_atomic(out / "summary.txt", summary.encode("utf-8"))
         _write_manifest(
             out,
             run_hash,
@@ -318,7 +300,6 @@ def run_experiment(
         config_hash=run_hash,
         prepared=prepared,
         train_report=train_report,
-        text_mapping=text_mapping,
         reports=reports,
         chance=chance,
         summary=summary,

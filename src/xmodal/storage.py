@@ -15,9 +15,12 @@ Layout (all little-endian, fixed width):
     ...     ...   payload: n_items * dim binary32 reals, row-major
 
 In-memory sets are float64; files quantize to float32, so a round trip
-reproduces values only up to binary32 rounding. Writes go to a
-temporary file in the destination directory and are renamed into place,
-so readers never observe a partial file.
+reproduces values only up to binary32 rounding.
+
+Every artifact of a run, binary or text, is written by
+:func:`write_atomic`: to a new temporary file in the destination
+directory, then renamed into place, so readers never observe a partial
+file.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
@@ -37,6 +39,7 @@ from .errors import FileFormatError, PayloadTooShortError
 __all__ = [
     "MAGIC",
     "VERSION",
+    "write_atomic",
     "write_embedding_set",
     "read_embedding_set",
     "save_params",
@@ -51,6 +54,8 @@ HEADER = struct.Struct("<4sIBBQQQ")
 PARAMS_MAGIC = b"XMPB"
 PARAMS_HEADER = struct.Struct("<4sI16sI")
 _INT64_MAX = 2**63 - 1
+# NumPy 1.x builds arrays of at most 32 axes (2.x: 64).
+_MAX_NDIM = 32
 
 _MODALITY_CODES = {
     Modality.AUDIO: 0,
@@ -61,9 +66,37 @@ _MODALITY_CODES = {
 _CODE_MODALITIES = {code: modality for modality, code in _MODALITY_CODES.items()}
 
 
-def write_embedding_set(embedding_set: EmbeddingSet, path: Union[str, Path]) -> None:
-    """Serialize the set; atomic (temp file + rename), overwrites."""
+def _check_buildable(shape: Tuple[int, ...], what: str) -> None:
+    """Reject a float64 shape that NumPy cannot build, however few values it holds."""
+    if len(shape) > _MAX_NDIM:
+        raise FileFormatError(f"{what} has {len(shape)} axes; arrays hold at most {_MAX_NDIM}")
+    # NumPy counts the bytes of the nonzero axes in a signed 64-bit int.
+    if 8 * math.prod(max(n, 1) for n in shape) > _INT64_MAX:
+        raise FileFormatError(f"{what} has shape {shape}, too large for any array")
+
+
+def write_atomic(path: Union[str, Path], data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temp file and a rename.
+
+    The temp file sits next to ``path`` under a random name that
+    ``O_EXCL`` guarantees no other writer holds, and is removed if
+    anything fails before the rename. It is created with mode 0o666, so
+    the umask sets the mode, as for any new file.
+    """
     path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_embedding_set(embedding_set: EmbeddingSet, path: Union[str, Path]) -> None:
+    """Serialize the set through :func:`write_atomic`; overwrites."""
     labels = embedding_set.labels
     if labels.size and (labels.min() < 0 or labels.max() > 0xFFFFFFFF):
         raise FileFormatError("species ids must fit in an unsigned 32-bit label table")
@@ -80,26 +113,15 @@ def write_embedding_set(embedding_set: EmbeddingSet, path: Union[str, Path]) -> 
         values = np.ascontiguousarray(embedding_set.matrix, dtype="<f4")
     if not np.isfinite(values).all():
         raise FileFormatError("embedding values must be finite binary32 reals; readers reject NaN and Inf")
-    payload = values.tobytes()
     label_table = np.ascontiguousarray(labels, dtype="<u4").tobytes()
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(header)
-            handle.write(label_table)
-            handle.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    write_atomic(path, header + label_table + values.tobytes())
 
 
 def read_embedding_set(path: Union[str, Path]) -> EmbeddingSet:
     """Parse a file written by :func:`write_embedding_set`.
 
-    The returned set is float64 with ``normalized=False`` (binary32
-    rounding breaks exact unit norms even for normalized sources).
+    The returned set is float64; binary32 rounding breaks exact unit
+    norms even for normalized sources.
     """
     raw = Path(path).read_bytes()
     if len(raw) < HEADER.size:
@@ -120,6 +142,7 @@ def read_embedding_set(path: Union[str, Path]) -> EmbeddingSet:
         raise PayloadTooShortError(expected, len(raw), "embedding file")
     if len(raw) > expected:
         raise FileFormatError(f"{len(raw) - expected} trailing bytes after declared payload")
+    _check_buildable((n_items, dim), "embedding matrix")
 
     labels = np.frombuffer(raw, dtype="<u4", count=n_items, offset=HEADER.size).astype(np.int64)
     payload = np.frombuffer(raw, dtype="<f4", count=n_items * dim, offset=HEADER.size + label_bytes)
@@ -130,16 +153,15 @@ def read_embedding_set(path: Union[str, Path]) -> EmbeddingSet:
             f"non-finite value {payload[first]} at row {first // dim}, column {first % dim}"
         )
     matrix = payload.astype(np.float64).reshape(n_items, dim)
-    return EmbeddingSet(matrix, labels, _CODE_MODALITIES[modality_code], normalized=False)
+    return EmbeddingSet(matrix, labels, _CODE_MODALITIES[modality_code])
 
 
 def save_params(params: Dict[str, np.ndarray], path: Union[str, Path], config_hash: str) -> None:
-    """Write a named-array blob (float64, little-endian), atomically.
+    """Write a named-array blob (float64, little-endian) through :func:`write_atomic`.
 
     The 16-hex-digit config hash is stored in the header so the blob
     carries its provenance. Arrays are written sorted by name.
     """
-    path = Path(path)
     hash_bytes = config_hash.encode("ascii")
     if len(hash_bytes) != 16:
         raise FileFormatError(f"config hash must be 16 hex digits, got {config_hash!r}")
@@ -147,21 +169,14 @@ def save_params(params: Dict[str, np.ndarray], path: Union[str, Path], config_ha
     for name in sorted(params):
         # asarray keeps 0-d shapes (ascontiguousarray would promote to 1-d).
         array = np.asarray(params[name], dtype="<f8", order="C")
+        _check_buildable(array.shape, f"array {name!r}")
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_bytes)))
         chunks.append(name_bytes)
         chunks.append(struct.pack("<B", array.ndim))
         chunks.append(struct.pack(f"<{array.ndim}Q", *array.shape))
         chunks.append(array.tobytes())
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(b"".join(chunks))
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    write_atomic(path, b"".join(chunks))
 
 
 def load_params(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], str]:
@@ -194,9 +209,7 @@ def load_params(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], str]:
             raise PayloadTooShortError(offset + 8 * ndim, len(raw), "params blob")
         shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
         offset += 8 * ndim
-        # NumPy counts the bytes of the nonzero axes in a signed 64-bit int.
-        if 8 * math.prod(max(n, 1) for n in shape) > _INT64_MAX:
-            raise FileFormatError(f"array {name!r} has shape {shape}, too large for any array")
+        _check_buildable(shape, f"array {name!r}")
         n_values = math.prod(shape)
         end = offset + 8 * n_values
         if end > len(raw):

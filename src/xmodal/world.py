@@ -24,7 +24,7 @@ row is reproducible from (seed, entity path) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -204,7 +204,6 @@ def generate_world(config: WorldConfig) -> World:
             matrix=_unit_rows(rows, keys, name),
             labels=np.repeat(np.arange(n_species, dtype=np.int64), per_species),
             modality=modality,
-            normalized=True,
         )
 
     teacher_text = around_centres(
@@ -225,7 +224,6 @@ def generate_world(config: WorldConfig) -> World:
         + config.sigma_audio * _gaussian_rows(seed, "audio", clip_keys, d_in),
         labels=np.repeat(np.arange(n_species, dtype=np.int64), config.audio_per_species),
         modality=Modality.AUDIO,
-        normalized=False,
     )
 
     student_anchors = _norm_relative_rows(
@@ -238,7 +236,6 @@ def generate_world(config: WorldConfig) -> World:
         matrix=_unit_rows(student_anchors[species_genus] + student_offsets, species_keys, "student text"),
         labels=np.arange(n_species, dtype=np.int64),
         modality=Modality.STUDENT_TEXT,
-        normalized=True,
     )
 
     return World(

@@ -75,6 +75,11 @@ def default_experiment():
     return result, time.perf_counter() - started
 
 
+def assert_unit_rows(matrix: np.ndarray) -> None:
+    """Every row has Euclidean norm 1 to within 1e-12."""
+    assert np.max(np.abs(np.linalg.norm(matrix, axis=1) - 1.0)) <= 1e-12
+
+
 def brute_force_scores(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Entrywise cosine similarity, one dot product at a time."""
     q = queries / np.linalg.norm(queries, axis=1, keepdims=True)

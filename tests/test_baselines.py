@@ -37,7 +37,7 @@ from xmodal.pipeline import teacher_prototype_set
 from xmodal.rng import rng_for
 from xmodal.runconfig import parse_config
 
-from conftest import EXACT_PALETTE, SMALL_WORLD, exact_sets
+from conftest import EXACT_PALETTE, SMALL_WORLD, assert_unit_rows, exact_sets
 from test_acceptance import oracle_ap, oracle_pair_scores
 
 
@@ -60,7 +60,7 @@ class TestRandomProjection:
         assert out.matrix.shape == (small_world.audio_features.n_items, 12)
         assert np.allclose(np.linalg.norm(out.matrix, axis=1), 1.0, atol=1e-9)
         assert np.array_equal(out.labels, small_world.audio_features.labels)
-        assert out.normalized
+        assert_unit_rows(out.matrix)
 
     def test_deterministic_in_seed(self, small_world):
         a = random_projection_baseline(small_world.audio_features, 12, seed=3)

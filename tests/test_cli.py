@@ -1,6 +1,10 @@
 """CLI subcommands, exercised in-process through main()."""
 
+import hashlib
+import os
 import re
+import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -163,6 +167,31 @@ class TestRun:
         first = (tmp_path / "out" / "summary.txt").read_bytes()
         run_cli("run", "--config", str(config_path))
         assert (tmp_path / "out" / "summary.txt").read_bytes() == first
+
+    def test_run_writes_the_bytes_of_train_then_eval(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        names = ("summary.txt", "reports.txt", "params.xmpb", "train_log.txt")
+
+        def digests():
+            return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+        assert run_cli("run", "--config", str(config_path)) == 0
+        from_run = digests()
+        shutil.rmtree(out)
+        assert run_cli("train", "--config", str(config_path)) == 0
+        assert run_cli("eval", "--config", str(config_path)) == 0
+        assert digests() == from_run
+
+    def test_artifacts_get_the_umask_mode_and_no_temp_files(self, config_path, tmp_path, capsys):
+        old = os.umask(0o022)
+        try:
+            assert run_cli("run", "--config", str(config_path)) == 0
+        finally:
+            os.umask(old)
+        files = sorted((tmp_path / "out").iterdir())
+        assert len(files) == 10
+        for path in files:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
     def test_seed_override_changes_hash_and_world(self, config_path, tmp_path, capsys):
         run_cli("run", "--config", str(config_path))

@@ -10,21 +10,20 @@ from xmodal import (
     DimensionMismatchError,
     EmbeddingSet,
     Modality,
-    NotNormalizedError,
     TaxonLabel,
     ZeroVectorError,
     normalize_rows,
     similarity_matrix,
 )
 
-from conftest import brute_force_scores
+from conftest import assert_unit_rows, brute_force_scores
 
 
-def eset(matrix, labels=None, modality=Modality.AUDIO, normalized=False) -> EmbeddingSet:
+def eset(matrix, labels=None, modality=Modality.AUDIO) -> EmbeddingSet:
     m = np.asarray(matrix, dtype=np.float64)
     if labels is None:
         labels = np.arange(m.shape[0])
-    return EmbeddingSet(m, np.asarray(labels), modality, normalized=normalized)
+    return EmbeddingSet(m, np.asarray(labels), modality)
 
 
 def cosine(a, b) -> float:
@@ -78,20 +77,10 @@ class TestEmbeddingSet:
         with pytest.raises(DimensionMismatchError):
             eset([[1.0, 0.0], [0.0, 1.0]], labels=[1])
 
-    def test_normalized_flag_checked(self):
-        # A NaN row once passed the check; a row of norm 5 raised a bare ValueError.
-        with pytest.raises(NotNormalizedError, match="marked normalized"):
-            eset([[3.0, 4.0]], normalized=True)
-        with pytest.raises(NotNormalizedError, match="marked normalized"):
-            eset([[np.nan, 0.0], [1.0, 0.0]], normalized=True)
-        ok = eset([[0.6, 0.8]], normalized=True)
-        assert ok.normalized
-
-    def test_take_preserves_labels_and_flag(self):
-        s = eset([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], labels=[9, 8, 7], normalized=True)
+    def test_take_preserves_labels(self):
+        s = eset([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], labels=[9, 8, 7])
         sub = s.take([2, 0])
         assert np.array_equal(sub.labels, [7, 9])
-        assert sub.normalized
         assert np.array_equal(sub.matrix[0], [1.0, 0.0])
 
     def test_empty_set_allowed(self):
@@ -157,7 +146,7 @@ class TestSimilarityMatrix:
         assert s[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthonormal_identity(self):
-        basis = eset([[1.0, 0.0], [0.0, 1.0]], normalized=True)
+        basis = eset([[1.0, 0.0], [0.0, 1.0]])
         s = similarity_matrix(basis, basis)
         assert np.allclose(s, np.eye(2), atol=1e-12)
 
@@ -190,7 +179,7 @@ class TestNormalizeRows:
     def test_three_four_five(self):
         out = normalize_rows(eset([[3.0, 4.0]]))
         assert np.allclose(out.matrix, [[0.6, 0.8]], atol=1e-15)
-        assert out.normalized
+        assert_unit_rows(out.matrix)
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)

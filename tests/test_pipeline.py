@@ -12,8 +12,6 @@ import pytest
 
 from xmodal import (
     BaselineKind,
-    InvalidConfigError,
-    RunConfig,
     load_params,
     read_embedding_set,
 )
@@ -23,7 +21,6 @@ from xmodal.pipeline import (
     baseline_report,
     chance_map,
     embedded_audio_set,
-    evaluate_trained,
     prepare_world,
     render_summary,
     run_experiment,
@@ -69,7 +66,6 @@ class TestPreparation:
         out = embedded_audio_set(SMALL_ADAPTER, params, audio)
         assert np.array_equal(out.labels, audio.labels)
         assert np.array_equal(out.matrix, embed_audio(SMALL_ADAPTER, params, audio.matrix))
-        assert not out.normalized
 
     def test_prepare_world(self, small_run_config):
         prepared = prepare_world(small_run_config)
@@ -137,7 +133,6 @@ class TestRunExperiment:
         assert small_result.config == small_run_config
         assert small_result.config_hash == config_hash(small_run_config)
         assert len(small_result.train_report.loss_curve) == small_run_config.train.epochs
-        assert small_result.text_mapping.mapped_prototypes.n_items == 8
         assert small_result.summary.endswith("\n")
 
     def test_rerun_is_byte_identical(self, small_run_config, small_result):

@@ -1,22 +1,27 @@
 """Binary file formats: embedding sets and parameter blobs."""
 
+import os
+import stat
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xmodal import (
     EmbeddingSet,
     FileFormatError,
     Modality,
     PayloadTooShortError,
+    XmodalError,
     load_params,
     read_embedding_set,
     save_params,
     write_embedding_set,
 )
 from xmodal.rng import rng_for
-from xmodal.storage import HEADER, MAGIC, VERSION
+from xmodal.storage import HEADER, MAGIC, VERSION, write_atomic
 
 
 def eset(matrix, labels, modality=Modality.AUDIO) -> EmbeddingSet:
@@ -33,7 +38,6 @@ def test_round_trip_all_modalities(tmp_path, modality):
     assert loaded.modality is modality
     assert loaded.matrix.shape == (7, 5)
     assert np.array_equal(loaded.labels, original.labels)
-    assert not loaded.normalized
     # float32 quantization: values here are O(1), so error < 2**-20.
     assert np.max(np.abs(loaded.matrix - original.matrix)) < 2**-20
 
@@ -58,6 +62,45 @@ def test_no_temp_files_left_behind(tmp_path):
     s = eset(np.ones((2, 2)), [0, 1])
     write_embedding_set(s, tmp_path / "out.xmeb")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.xmeb"]
+
+
+@pytest.fixture()
+def umask_027():
+    old = os.umask(0o027)
+    yield
+    os.umask(old)
+
+
+class TestWriteAtomic:
+    def mode(self, path):
+        return stat.S_IMODE(path.stat().st_mode)
+
+    def test_every_writer_gets_the_umask_mode(self, tmp_path, umask_027):
+        # Temp files made by mkstemp kept its 0600 mode through the rename.
+        write_atomic(tmp_path / "raw.bin", b"abc")
+        write_embedding_set(eset(np.ones((2, 2)), [0, 1]), tmp_path / "set.xmeb")
+        save_params({"w": np.ones(3)}, tmp_path / "params.xmpb", "0" * 16)
+        for path in tmp_path.iterdir():
+            assert self.mode(path) == 0o640, path.name
+        assert (tmp_path / "raw.bin").read_bytes() == b"abc"
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"old contents")
+        write_atomic(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_atomic(tmp_path / "taken", b"data")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_atomic(tmp_path / "a.bin", "not bytes")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_header_layout(tmp_path):
@@ -160,6 +203,14 @@ class TestReadErrors:
         bad = tmp_path / "labels.xmeb"
         bad.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="label table"):
+            read_embedding_set(bad)
+
+    @pytest.mark.parametrize("dim", [2**62, 2**63, 2**64 - 1])
+    def test_empty_set_of_unbuildable_width(self, tmp_path, dim):
+        # No rows and no payload, but NumPy's reshape raised a bare ValueError.
+        bad = tmp_path / "wide.xmeb"
+        bad.write_bytes(HEADER.pack(MAGIC, VERSION, 0, 0, dim, 0, 0))
+        with pytest.raises(FileFormatError, match="too large"):
             read_embedding_set(bad)
 
 
@@ -285,8 +336,75 @@ class TestParamsBlob:
         with pytest.raises(FileFormatError, match="too large"):
             load_params(path)
 
+    @pytest.mark.parametrize("ndim", [33, 65])
+    def test_too_many_axes(self, tmp_path, ndim):
+        # 65 axes raised NumPy's bare ValueError from reshape.
+        path = tmp_path / "axes.xmpb"
+        shape = struct.pack(f"<{ndim}Q", *([1] * ndim))
+        path.write_bytes(self.ONE_ARRAY + b"\x01\x00" + b"w" + bytes([ndim]) + shape + b"\x00" * 8)
+        with pytest.raises(FileFormatError, match=f"{ndim} axes"):
+            load_params(path)
+
+    def test_writer_rejects_too_many_axes(self, tmp_path):
+        with pytest.raises(FileFormatError, match="33 axes"):
+            save_params({"w": np.ones((1,) * 33)}, tmp_path / "axes.xmpb", "0" * 16)
+
     def test_non_ascii_hash(self, tmp_path):
         path = tmp_path / "hash.xmpb"
         path.write_bytes(b"XMPB" + b"\x01\x00\x00\x00" + b"\xff" * 16 + b"\x00\x00\x00\x00")
         with pytest.raises(FileFormatError, match="not ASCII"):
             load_params(path)
+
+
+# -- fuzzing both readers ----------------------------------------------------
+
+# 64-bit words that sit at the edges of the header and shape fields.
+EDGE_WORDS = (0, 2**32, 2**63, 2**64 - 1)
+
+
+@pytest.fixture(scope="module")
+def valid_artifacts(tmp_path_factory):
+    """A small valid file of each format, as bytes, plus a scratch path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    write_embedding_set(eset(rng_for(3, "fuzz").standard_normal((3, 2)), [5, 0, 5]), root / "set.xmeb")
+    params = {"a_w": np.arange(6.0).reshape(2, 3), "b": np.array(0.5), "c": np.zeros((0, 4))}
+    save_params(params, root / "params.xmpb", "0123456789abcdef")
+    empty = root / "empty.xmeb"
+    write_embedding_set(eset(np.zeros((0, 2)), []), empty)
+    valid = {
+        "xmeb": [(root / "set.xmeb").read_bytes(), empty.read_bytes()],
+        "xmpb": [(root / "params.xmpb").read_bytes()],
+    }
+    return valid, root / "blob"
+
+
+@st.composite
+def mutated(draw, valid):
+    """``valid`` after one to four byte flips, truncations, appends or 64-bit words."""
+    data = bytearray(draw(st.sampled_from(valid)))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("flip", "truncate", "append", "insert", "overwrite")))
+        at = draw(st.integers(0, len(data)))
+        if kind == "flip":
+            if at < len(data):
+                data[at] ^= draw(st.integers(1, 255))
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "append":
+            data += draw(st.binary(min_size=1, max_size=16))
+        else:
+            word = struct.pack("<Q", draw(st.sampled_from(EDGE_WORDS)))
+            data[at : at + (8 if kind == "overwrite" else 0)] = word
+    return bytes(data)
+
+
+@pytest.mark.parametrize("fmt, reader", [("xmeb", read_embedding_set), ("xmpb", load_params)])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_reader_returns_or_raises_xmodal_error(valid_artifacts, fmt, reader, data):
+    valid, path = valid_artifacts
+    path.write_bytes(data.draw(mutated(valid[fmt]) | st.binary(max_size=48)))
+    try:
+        reader(path)
+    except XmodalError:
+        pass

@@ -521,12 +521,7 @@ class TestTrainAdapter:
         poisoned_matrix = train_view.teacher_text.matrix.copy()
         v = train_view.config.variant_count
         poisoned_matrix[1::v] = np.nan
-        poisoned = EmbeddingSet(
-            poisoned_matrix,
-            train_view.teacher_text.labels,
-            train_view.teacher_text.modality,
-            normalized=False,
-        )
+        poisoned = EmbeddingSet(poisoned_matrix, train_view.teacher_text.labels, train_view.teacher_text.modality)
         view = dataclasses.replace(train_view, teacher_text=poisoned)
 
         only_zero = dataclasses.replace(SMALL_TRAIN, prompt_mixture=(1.0, 0.0), epochs=2)

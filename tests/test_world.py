@@ -22,7 +22,7 @@ from xmodal.rng import rng_for
 from xmodal import world as world_module
 from xmodal.world import AUDIO_OFFSET_RATIO
 
-from conftest import SMALL_WORLD
+from conftest import SMALL_WORLD, assert_unit_rows
 
 
 # -- per-row reference ------------------------------------------------------------
@@ -202,15 +202,16 @@ class TestGenerateWorld:
         assert small_world.audio_features.matrix.shape == (8 * c.audio_per_species, c.d_student_in)
         assert small_world.student_text.matrix.shape == (8, c.d_student)
 
-    def test_modalities_and_normalization_flags(self, small_world):
+    def test_modalities_and_unit_norms(self, small_world):
         assert small_world.teacher_text.modality is Modality.TEACHER_TEXT
         assert small_world.images.modality is Modality.IMAGE
         assert small_world.audio_features.modality is Modality.AUDIO
         assert small_world.student_text.modality is Modality.STUDENT_TEXT
-        assert small_world.teacher_text.normalized
-        assert small_world.images.normalized
-        assert small_world.student_text.normalized
-        assert not small_world.audio_features.normalized
+        assert_unit_rows(small_world.teacher_text.matrix)
+        assert_unit_rows(small_world.images.matrix)
+        assert_unit_rows(small_world.student_text.matrix)
+        # Raw audio features stay off the unit sphere.
+        assert not np.allclose(np.linalg.norm(small_world.audio_features.matrix, axis=1), 1.0)
 
     def test_prototypes_unit_norm_and_readonly(self, small_world):
         norms = np.linalg.norm(small_world.species_centres, axis=1)
