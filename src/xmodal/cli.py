@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages:
+Subcommands call the pipeline's stage functions, which write every
+artifact and rewrite ``manifest.txt``; this module only prints:
 
-* ``gen``      write the world's embedding files
+* ``gen``      write the world's embedding files and config text
 * ``train``    train the adapter, write params blob and loss log
-* ``eval``     evaluate a trained params blob, write reports and summary
-* ``baseline`` score one baseline (``--kind``)
-* ``run``      full pipeline end to end
+* ``eval``     check and evaluate a trained params blob, write reports and summary
+* ``baseline`` score one baseline (``--kind``); writes nothing
+* ``run``      ``gen`` + ``train`` + ``eval``, writing the same bytes
 
 Every subcommand accepts ``--config PATH`` (line-oriented key=value
 text; defaults apply when omitted) and ``--seed N`` (N >= 0), which
@@ -26,18 +27,15 @@ from .baselines import BaselineKind
 from .errors import ConfigFileError, XmodalError
 from .pipeline import (
     baseline_report,
-    chance_map,
-    evaluate_trained,
+    eval_stage,
     prepare_world,
-    render_summary,
     run_experiment,
-    write_reports,
-    write_train_log,
+    train_stage,
     write_world_artifacts,
 )
 from .runconfig import RunConfig, adapter_config_for, config_hash, parse_config
-from .storage import load_params, save_params, write_atomic
-from .trainer import check_params, train_adapter
+from .storage import load_params
+from .trainer import check_params
 
 __all__ = ["main", "build_parser"]
 
@@ -95,17 +93,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         out = Path(config.output_dir)
         run_hash = config_hash(config)
         if args.command == "gen":
-            prepared = prepare_world(config)
-            names = write_world_artifacts(config, prepared.world, out)
+            names = write_world_artifacts(config, prepare_world(config).world, out)
             print(f"config_hash = {run_hash}")
             for name in names:
                 print(f"wrote {out / name}")
         elif args.command == "train":
-            prepared = prepare_world(config)
-            report = train_adapter(prepared.train_view, adapter_config_for(config), config.train)
-            out.mkdir(parents=True, exist_ok=True)
-            save_params(report.final_params, out / "params.xmpb", run_hash)
-            write_train_log(report, out / "train_log.txt", run_hash)
+            report = train_stage(config, prepare_world(config), out)
             print(f"config_hash = {run_hash}")
             print(f"steps = {report.steps}")
             if report.loss_curve:
@@ -119,21 +112,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"but the current config hashes to {run_hash}"
                 )
             check_params(adapter_config_for(config), params)
-            prepared = prepare_world(config)
-            reports = evaluate_trained(config, prepared, params)
-            chance = chance_map(config, prepared)
-            summary = render_summary(config, reports, chance)
-            write_reports(reports, chance, out / "reports.txt", run_hash)
-            write_atomic(out / "summary.txt", summary.encode("utf-8"))
+            _, _, summary = eval_stage(config, prepare_world(config), params, out)
             print(summary, end="")
         elif args.command == "baseline":
-            prepared = prepare_world(config)
-            report = baseline_report(config, prepared, BaselineKind(args.kind))
+            report = baseline_report(config, prepare_world(config), BaselineKind(args.kind))
             print(f"config_hash = {run_hash}")
             print(f"{report.metric_name} = {report.value:.6f}")
         else:
-            result = run_experiment(config)
-            print(result.summary, end="")
+            print(run_experiment(config).summary, end="")
     except (XmodalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

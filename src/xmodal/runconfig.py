@@ -8,11 +8,12 @@ string parses to the default configuration.
 
 The parser only converts text: the field's type picks the converter
 (``int``, ``float``, ``str``, or a comma list of floats for
-``train.prompt_mixture``). The config dataclasses are the only
-validators. Each line is applied to the config built so far, so a bound
-error names the line and key that broke it; unknown keys are rejected by
-name. The canonical text rendering of a config is itself a valid config
-file and is the input to the provenance hash embedded in artifacts.
+``train.prompt_mixture``); a field of any other type raises ``TypeError``
+at import. The config dataclasses are the only validators. Each line is
+applied to the config built so far, so a bound error names the line and
+key that broke it; unknown keys are rejected by name. The canonical
+text rendering of a config is itself a valid config file and is the
+input to the provenance hash embedded in artifacts.
 """
 
 from __future__ import annotations
@@ -106,10 +107,13 @@ def _key_table() -> Dict[str, Tuple[Optional[str], str, Callable[[str], object]]
         (None, RunConfig, "adapter_d_hidden", "adapter.d_hidden"),
         (None, RunConfig, "output_dir", "output_dir"),
     ]
+    converters = {int: int, float: float, str: str, Optional[Tuple[float, ...]]: _float_list}
     table = {}
     for section, cls, name, key in entries:
         kind = get_type_hints(cls)[name]
-        table[key] = (section, name, kind if kind in (int, float, str) else _float_list)
+        if kind not in converters:
+            raise TypeError(f"config key {key} has type {kind}, which no converter reads")
+        table[key] = (section, name, converters[kind])
     return table
 
 

@@ -168,19 +168,35 @@ class TestRun:
         run_cli("run", "--config", str(config_path))
         assert (tmp_path / "out" / "summary.txt").read_bytes() == first
 
-    def test_run_writes_the_bytes_of_train_then_eval(self, config_path, tmp_path, capsys):
+    def test_run_writes_the_bytes_of_gen_then_train_then_eval(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
-        names = ("summary.txt", "reports.txt", "params.xmpb", "train_log.txt")
 
         def digests():
-            return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+            return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
 
         assert run_cli("run", "--config", str(config_path)) == 0
         from_run = digests()
+        assert len(from_run) == 10 and "manifest.txt" in from_run
         shutil.rmtree(out)
-        assert run_cli("train", "--config", str(config_path)) == 0
-        assert run_cli("eval", "--config", str(config_path)) == 0
+        for command in ("gen", "train", "eval"):
+            assert run_cli(command, "--config", str(config_path)) == 0
         assert digests() == from_run
+
+    def test_manifest_matches_every_file_after_later_commands(self, config_path, tmp_path, capsys):
+        # World files and config.txt stay from run; the other files are new.
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config_path)) == 0
+        for command in ("train", "eval"):
+            assert run_cli(command, "--config", str(config_path), "--seed", "21") == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        entries = [line.split(" = ", 1)[1].split(" ") for line in manifest[1:]]
+        listed = sorted(path.name for path in out.iterdir() if path.name != "manifest.txt")
+        assert [name for name, _, _ in entries] == listed
+        for name, size, digest in entries:
+            data = (out / name).read_bytes()
+            assert (int(size), digest) == (len(data), hashlib.sha256(data).hexdigest()), name
+        _, seed_21_hash = load_params(out / "params.xmpb")
+        assert manifest[0] == f"config_hash = {seed_21_hash}"
 
     def test_artifacts_get_the_umask_mode_and_no_temp_files(self, config_path, tmp_path, capsys):
         old = os.umask(0o022)

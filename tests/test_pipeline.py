@@ -94,6 +94,14 @@ class TestBaselineReports:
             assert report.metric_name == f"audio_image_map.{kind.value}"
             assert 0.0 <= report.value <= 1.0
 
+    @pytest.mark.parametrize("kind", list(BaselineKind), ids=[kind.value for kind in BaselineKind])
+    def test_baseline_command_scores_as_eval_does(self, kind, small_run_config, small_result):
+        report = baseline_report(small_run_config, small_result.prepared, kind)
+        from_eval = small_result.reports[f"audio_image_map.{kind.value}"]
+        assert report.value == from_eval.value
+        assert report.per_query is not None
+        assert report.per_query == from_eval.per_query
+
 
 class TestEvaluateTrained:
     def test_report_keys_and_ranges(self, small_result):
@@ -149,7 +157,7 @@ class TestRunExperiment:
 
     def test_artifacts_on_disk(self, tmp_path, small_run_config):
         out = tmp_path / "run"
-        result = run_experiment(small_run_config, output_dir=out)
+        result = run_experiment(dataclasses.replace(small_run_config, output_dir=str(out)))
         expected = {
             "teacher_text.xmeb",
             "student_text.xmeb",
@@ -196,11 +204,16 @@ class TestRunExperiment:
         loaded_audio = read_embedding_set(out / "audio_features.xmeb")
         assert loaded_audio.n_items == result.prepared.world.audio_features.n_items
 
-    def test_written_artifacts_reproducible(self, tmp_path, small_run_config):
-        run_experiment(small_run_config, output_dir=tmp_path / "a")
-        run_experiment(small_run_config, output_dir=tmp_path / "b")
+    def test_written_artifacts_reproducible(self, tmp_path, small_run_config, monkeypatch):
+        # One relative output_dir, so both runs share a config hash.
+        config = dataclasses.replace(small_run_config, output_dir="run")
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            run_experiment(config)
+        a, b = tmp_path / "a" / "run", tmp_path / "b" / "run"
         for name in ("summary.txt", "reports.txt", "train_log.txt", "params.xmpb", "audio_features.xmeb"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_write_world_artifacts_alone(self, tmp_path, small_run_config, small_world):
         names = write_world_artifacts(small_run_config, small_world, tmp_path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from xmodal import (
     config_hash,
     parse_config,
 )
+from xmodal import runconfig
 from xmodal.runconfig import canonical_config_text
 from xmodal.trainer import ADAPTER_MODES, OPTIMIZERS
 
@@ -279,6 +281,16 @@ class TestSingleSchema:
         assert parsed == config
         assert canonical_config_text(parsed) == text
         assert config_hash(parsed) == config_hash(config)
+
+    def test_field_type_without_converter_fails_loudly(self, monkeypatch):
+        # Such a field once got the float-list converter: 5 parsed as (5.0,).
+        @dataclasses.dataclass(frozen=True)
+        class Throwaway:
+            pretrain_epochs: Optional[int] = None
+
+        monkeypatch.setattr(runconfig, "TrainConfig", Throwaway)
+        with pytest.raises(TypeError, match=r"train\.pretrain_epochs"):
+            runconfig._key_table()
 
 
 class TestConfigHash:
