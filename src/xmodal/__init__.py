@@ -17,7 +17,7 @@ from .baselines import (
     text_mapping_audio_embeddings,
     text_mapping_baseline,
 )
-from .embeddings import EmbeddingSet, Modality, TaxonLabel, normalize_rows, similarity_matrix
+from .embeddings import EmbeddingSet, Modality, normalize_rows, similarity_matrix
 from .errors import (
     ConfigFileError,
     ConfigTypeError,
@@ -40,7 +40,6 @@ from .errors import (
 from .evaluation import (
     EvalReport,
     RankedList,
-    average_precision,
     chance_map_oracle,
     class_prototypes,
     knn_classify,
@@ -62,6 +61,6 @@ from .trainer import (
     init_params,
     train_adapter,
 )
-from .world import World, WorldConfig, WorldView, generate_world, world_split
+from .world import World, WorldConfig, generate_world, world_split
 
 __version__ = "0.1.0"

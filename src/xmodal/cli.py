@@ -36,6 +36,7 @@ from .pipeline import (
 from .runconfig import RunConfig, adapter_config_for, config_hash, parse_config
 from .storage import load_params
 from .trainer import check_params
+from .world import generate_world
 
 __all__ = ["main", "build_parser"]
 
@@ -93,7 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         out = Path(config.output_dir)
         run_hash = config_hash(config)
         if args.command == "gen":
-            names = write_world_artifacts(config, prepare_world(config).world, out)
+            names = write_world_artifacts(config, generate_world(config.world), out)
             print(f"config_hash = {run_hash}")
             for name in names:
                 print(f"wrote {out / name}")

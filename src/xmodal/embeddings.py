@@ -29,19 +29,6 @@ class Modality(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TaxonLabel:
-    """Hierarchical class identity: family > genus > species.
-
-    ``species_id`` is globally unique and determines the (genus, family)
-    pair.
-    """
-
-    family_id: int
-    genus_id: int
-    species_id: int
-
-
-@dataclass(frozen=True)
 class EmbeddingSet:
     """A labeled matrix of embeddings, one row per item.
 

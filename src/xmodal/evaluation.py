@@ -1,9 +1,10 @@
 """Retrieval and classification metrics.
 
 All rankings are by descending cosine similarity with ties broken by
-ascending gallery index, so every metric is deterministic. Truncated
-mean average precision (mAP@K) normalizes each query by
-min(total relevant, K), the standard convention.
+ascending gallery index, so every metric is deterministic. That order is
+defined once, by ``rank_by_score``: one stable ``argsort`` of the negated
+scores. Truncated mean average precision (mAP@K) normalizes each query
+by min(total relevant, K), the standard convention.
 
 Metrics work on row blocks of the score matrix, not query by query. A
 block holds at most ``_BLOCK_CELLS`` cells (its height is that budget
@@ -18,12 +19,12 @@ whatever the number of queries. Within a block:
   rank. A row of distinct non-NaN scores has exactly one descending
   order, so the count is exact there. Rows whose sorted scores hold an
   equal adjacent pair (``==``, which also catches tied infinities and
-  +-0.0) or a NaN are ranked by ``rank_by_score``, the one definition of
-  the order, and read through its inverse permutation. The search costs
-  R log N per query for R relevant items in a gallery of N, so with very
-  few large classes (two in 960 items, R = 480) it costs a block more
-  than one full ``argsort`` would;
-* average precision has one core for every caller: each row's ranks are
+  +-0.0) or a NaN are ranked by ``rank_by_score`` and read through its
+  inverse permutation. The search costs R log N per query for R relevant
+  items in a gallery of N, so with very few large classes (two in 960
+  items, R = 480) it costs a block more than one full ``argsort`` would;
+* average precision has one core for its three callers (``map_retrieval``,
+  ``map_from_ranked`` and ``chance_map_oracle``): each row's ranks are
   sorted, the j-th rank r earns ``j / r`` when r is within the cut-off
   and 0.0 otherwise, and the row is summed left to right with
   ``np.add.accumulate``. Adding 0.0 is exact, so this is the plain
@@ -66,7 +67,6 @@ __all__ = [
     "EvalReport",
     "RankedList",
     "rank_by_score",
-    "average_precision",
     "map_retrieval",
     "map_from_ranked",
     "chance_map_oracle",
@@ -159,17 +159,9 @@ def rank_by_score(scores: np.ndarray) -> np.ndarray:
     """Gallery order: descending score, ties by ascending index.
 
     Sorts along the last axis, so a score row gives one ranking and a
-    block of rows gives one ranking per row. The default (unstable) sort
-    kind ranks every row; a row of distinct non-NaN scores has exactly one
-    descending order, so only rows whose sorted scores hold an equal
-    adjacent pair, or a NaN, are sorted again stably.
+    block of rows gives one ranking per row. NaN ranks last.
     """
-    negated = -np.asarray(scores, dtype=np.float64)
-    order = np.argsort(negated, axis=-1)
-    tied = _tied(np.take_along_axis(negated, order, axis=-1))
-    if tied.any():
-        order[tied] = np.argsort(negated[tied], axis=-1, kind="stable")
-    return order
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
 
 
 def _inverse_ranks(orders: np.ndarray) -> np.ndarray:
@@ -234,28 +226,9 @@ def _ap_from_ranks(ranks: np.ndarray, limit: int, denom) -> np.ndarray:
     this is the one-query loop's sequential sum over the ranked list, bit
     for bit.
     """
-    if ranks.shape[1] == 0:
-        return np.zeros(ranks.shape[0])
     ranks = np.sort(ranks, axis=1)
     precision = np.where(ranks <= limit, np.arange(1, ranks.shape[1] + 1) / ranks, 0.0)
     return np.add.accumulate(precision, axis=1)[:, -1] / denom
-
-
-def average_precision(ranked_relevance: Sequence, n_relevant: Optional[int] = None) -> float:
-    """AP of one ranked list of binary relevance flags.
-
-    ``n_relevant`` overrides the normalizer; pass min(total relevant, k)
-    when the list was truncated at k. It may not be below the number of
-    relevant flags in the list. Raises when nothing is relevant.
-    """
-    relevant = np.asarray(ranked_relevance, dtype=bool).ravel()
-    ranks = np.flatnonzero(relevant) + 1
-    denom = ranks.size if n_relevant is None else int(n_relevant)
-    if denom < ranks.size:
-        raise InvalidConfigError(f"n_relevant={denom} is below the {ranks.size} relevant items listed")
-    if denom <= 0:
-        raise NoRelevantItemsError("average precision is undefined with no relevant items")
-    return float(_ap_from_ranks(ranks[None, :], relevant.size, denom)[0])
 
 
 def _mean(values: Sequence[float]) -> float:

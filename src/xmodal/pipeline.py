@@ -46,7 +46,7 @@ from .evaluation import (
 from .runconfig import RunConfig, adapter_config_for, canonical_config_text, config_hash
 from .storage import save_params, write_atomic, write_embedding_set
 from .trainer import Params, TrainReport, embed_audio, train_adapter
-from .world import World, WorldView, generate_world, world_split
+from .world import World, generate_world, world_split
 
 __all__ = [
     "PreparedWorld",
@@ -104,8 +104,8 @@ class PreparedWorld:
     """World plus the derived artifacts every method shares."""
 
     world: World
-    train_view: WorldView
-    eval_view: WorldView
+    train_view: World
+    eval_view: World
     teacher_prototypes: EmbeddingSet
     audio_prototypes: EmbeddingSet
 

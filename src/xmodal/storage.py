@@ -75,6 +75,14 @@ def _check_buildable(shape: Tuple[int, ...], what: str) -> None:
         raise FileFormatError(f"{what} has shape {shape}, too large for any array")
 
 
+def _check_finite(array: np.ndarray, what: str) -> None:
+    """Reject an array holding NaN or Inf, naming the first such entry."""
+    finite = np.isfinite(array)
+    if not finite.all():
+        first = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), array.shape))
+        raise FileFormatError(f"{what} holds non-finite value {array[first]} at index {first}")
+
+
 def write_atomic(path: Union[str, Path], data: bytes) -> None:
     """Replace ``path`` with ``data`` through a temp file and a rename.
 
@@ -160,7 +168,8 @@ def save_params(params: Dict[str, np.ndarray], path: Union[str, Path], config_ha
     """Write a named-array blob (float64, little-endian) through :func:`write_atomic`.
 
     The 16-hex-digit config hash is stored in the header so the blob
-    carries its provenance. Arrays are written sorted by name.
+    carries its provenance. Arrays are written sorted by name, and every
+    value must be finite, as :func:`load_params` requires.
     """
     hash_bytes = config_hash.encode("ascii")
     if len(hash_bytes) != 16:
@@ -170,6 +179,7 @@ def save_params(params: Dict[str, np.ndarray], path: Union[str, Path], config_ha
         # asarray keeps 0-d shapes (ascontiguousarray would promote to 1-d).
         array = np.asarray(params[name], dtype="<f8", order="C")
         _check_buildable(array.shape, f"array {name!r}")
+        _check_finite(array, f"array {name!r}")
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_bytes)))
         chunks.append(name_bytes)
@@ -180,7 +190,7 @@ def save_params(params: Dict[str, np.ndarray], path: Union[str, Path], config_ha
 
 
 def load_params(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], str]:
-    """Read a params blob; returns (arrays, config_hash)."""
+    """Read a params blob; returns (arrays, config_hash). Every value must be finite."""
     raw = Path(path).read_bytes()
     if len(raw) < PARAMS_HEADER.size:
         raise PayloadTooShortError(PARAMS_HEADER.size, len(raw), "params header")
@@ -219,6 +229,7 @@ def load_params(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], str]:
             .astype(np.float64)
             .reshape(shape)
         )
+        _check_finite(params[name], f"array {name!r}")
         offset = end
     if offset != len(raw):
         raise FileFormatError(f"{len(raw) - offset} trailing bytes after declared arrays")

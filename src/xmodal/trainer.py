@@ -43,7 +43,7 @@ from .errors import (
 from .embeddings import _unit_rows
 from .objective import infonce_loss
 from .rng import rng_for
-from .world import WorldView
+from .world import World
 
 __all__ = [
     "AdapterConfig",
@@ -389,7 +389,7 @@ def fit(
 
 
 def train_adapter(
-    view: WorldView,
+    view: World,
     adapter_config: AdapterConfig,
     train_config: TrainConfig,
 ) -> TrainReport:

@@ -2,6 +2,9 @@
 
 The world simulates a biodiversity corpus: species organized in a
 family > genus > species hierarchy, each observed through four channels.
+Species ids are genus-major: species ``s`` belongs to genus
+``s // species_per_genus``, and genus ``g`` to family
+``g // genera_per_family``.
 
 * ``teacher_text``: frozen teacher embeddings of species descriptions,
   ``variant_count`` prompt phrasings per species (variant 0 is the
@@ -12,6 +15,9 @@ family > genus > species hierarchy, each observed through four channels.
   with per-coordinate observation noise. These are the student inputs.
 * ``student_text``: embeddings of species names from a small student
   text encoder, in a third space unrelated to the teacher's.
+
+A train/eval split side is a :class:`World` too: it shares the text
+channels and holds a subset of the audio and image rows.
 
 Teacher-space scales are norm-relative (draws are scaled by 1/sqrt(d))
 because rows in that space are unit-normalized; the raw audio feature
@@ -24,16 +30,16 @@ row is reproducible from (seed, entity path) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, Modality, TaxonLabel
+from .embeddings import EmbeddingSet, Modality
 from .errors import InvalidConfigError, TooFewItemsError, ZeroVectorError
 from .rng import draw_streams
 
-__all__ = ["WorldConfig", "World", "WorldView", "generate_world", "world_split"]
+__all__ = ["WorldConfig", "World", "generate_world", "world_split"]
 
 # Audio hierarchy geometry: species latents sit around a per-genus anchor
 # at this fraction of the anchor scale. Together with sigma_audio this
@@ -106,42 +112,28 @@ class WorldConfig:
 
 @dataclass(frozen=True)
 class World:
-    """Generated world: embedding sets for all four channels plus labels.
+    """A generated world, or one side of its train/eval split.
 
     ``species_centres`` holds the noise-free unit teacher-space centre of
     each species; teacher text and image rows are noisy draws around it.
+    ``audio_indices``/``image_indices`` give each audio/image row's
+    position in the generated world's arrays: ``arange`` on a generated
+    world, the side's rows on a split side. Text channels and centres are
+    whole on both.
     """
 
     config: WorldConfig
-    labels: Tuple[TaxonLabel, ...]
     species_centres: np.ndarray
-    teacher_text: EmbeddingSet
-    student_text: EmbeddingSet
-    images: EmbeddingSet
-    audio_features: EmbeddingSet
-
-    @property
-    def n_species(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(frozen=True)
-class WorldView:
-    """One side of a train/eval split.
-
-    Text channels are shared between views; only audio and images are
-    partitioned. ``audio_indices``/``image_indices`` give each row's
-    position in the parent world's arrays.
-    """
-
-    config: WorldConfig
-    labels: Tuple[TaxonLabel, ...]
     teacher_text: EmbeddingSet
     student_text: EmbeddingSet
     images: EmbeddingSet
     audio_features: EmbeddingSet
     audio_indices: np.ndarray
     image_indices: np.ndarray
+
+    @property
+    def n_species(self) -> int:
+        return self.config.n_species
 
 
 def _gaussian_rows(seed: int, name: str, keys, dim: int) -> np.ndarray:
@@ -185,10 +177,6 @@ def generate_world(config: WorldConfig) -> World:
     genera = [(f, g) for f in range(config.n_families) for g in range(config.genera_per_family)]
     species = [(f, g, k) for f, g in genera for k in range(config.species_per_genus)]
     species_genus = np.repeat(np.arange(config.n_genera), config.species_per_genus)
-    labels = tuple(
-        TaxonLabel(family_id=f, genus_id=f * config.genera_per_family + g, species_id=s)
-        for s, (f, g, _) in enumerate(species)
-    )
 
     family_centres = _norm_relative_rows(seed, "family", families, config.sigma_family, d_t)
     genus_offsets = _norm_relative_rows(seed, "genus", genera, config.sigma_genus, d_t)
@@ -240,12 +228,13 @@ def generate_world(config: WorldConfig) -> World:
 
     return World(
         config=config,
-        labels=labels,
         species_centres=centres,
         teacher_text=teacher_text,
         student_text=student_text,
         images=images,
         audio_features=audio,
+        audio_indices=np.arange(audio.n_items, dtype=np.int64),
+        image_indices=np.arange(images.n_items, dtype=np.int64),
     )
 
 
@@ -257,43 +246,49 @@ def _split_counts(n_items: int, holdout_fraction: float, what: str) -> int:
     return min(max(n_eval, 1), n_items - 1)
 
 
-def world_split(world: World, holdout_fraction: float, seed: int) -> Tuple[WorldView, WorldView]:
-    """Split audio and images per species into (train, eval) views.
+def world_split(world: World, holdout_fraction: float, seed: int) -> Tuple[World, World]:
+    """Split a generated world's audio and images per species into (train, eval) sides.
 
-    Every species keeps at least one item on each side. Text channels
-    are shared by both views. The split depends only on ``seed`` and the
-    per-species item counts, not on the embedding values.
+    Every species keeps at least one item on each side. Both sides share
+    the config, the text channels and the species centres with ``world``.
+    The split depends only on ``seed`` and the per-species item counts,
+    not on the embedding values. A world that lacks some generated rows,
+    such as a split side, cannot be split again.
     """
     if not (0.0 < holdout_fraction < 1.0):
         raise InvalidConfigError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     config = world.config
+    n_species = config.n_species
+    if (world.audio_features.n_items, world.images.n_items) != (
+        n_species * config.audio_per_species,
+        n_species * config.images_per_species,
+    ):
+        raise InvalidConfigError(
+            f"can only split a whole generated world; this one holds {world.audio_features.n_items} "
+            f"audio and {world.images.n_items} image rows"
+        )
 
     def split(name: str, per_species: int, what: str) -> Tuple[np.ndarray, np.ndarray]:
         # Each species' eval items are the first n_eval of its permutation.
         n_eval = _split_counts(per_species, holdout_fraction, what)
-        keys = [(sp,) for sp in range(world.n_species)]
-        perms = np.empty((world.n_species, per_species), dtype=np.int64)
+        keys = [(sp,) for sp in range(n_species)]
+        perms = np.empty((n_species, per_species), dtype=np.int64)
         draw_streams(perms, seed, name, keys, "permutation", per_species)
         held_out = np.zeros(perms.shape, dtype=bool)
-        held_out[np.arange(world.n_species)[:, None], perms[:, :n_eval]] = True
+        held_out[np.arange(n_species)[:, None], perms[:, :n_eval]] = True
         # Flat positions are species * per_species + item: ascending per species.
         return np.flatnonzero(~held_out), np.flatnonzero(held_out)
 
     train_audio_idx, eval_audio_idx = split("split_audio", config.audio_per_species, "audio")
     train_image_idx, eval_image_idx = split("split_image", config.images_per_species, "images")
 
-    def view(audio_idx, image_idx) -> WorldView:
-        audio_idx = np.asarray(audio_idx, dtype=np.int64)
-        image_idx = np.asarray(image_idx, dtype=np.int64)
-        return WorldView(
-            config=config,
-            labels=world.labels,
-            teacher_text=world.teacher_text,
-            student_text=world.student_text,
+    def side(audio_idx: np.ndarray, image_idx: np.ndarray) -> World:
+        return replace(
+            world,
             images=world.images.take(image_idx),
             audio_features=world.audio_features.take(audio_idx),
             audio_indices=audio_idx,
             image_indices=image_idx,
         )
 
-    return view(train_audio_idx, train_image_idx), view(eval_audio_idx, eval_image_idx)
+    return side(train_audio_idx, train_image_idx), side(eval_audio_idx, eval_image_idx)

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestEval:
         assert "error:" in err
         assert "trained under config" in err
 
+    def test_eval_rejects_non_finite_params(self, config_path, tmp_path, capsys):
+        run_cli("train", "--config", str(config_path))
+        blob = tmp_path / "out" / "params.xmpb"
+        # Arrays are written sorted by name, so the last 8 bytes are head_w's last value.
+        blob.write_bytes(blob.read_bytes()[:-8] + struct.pack("<d", float("nan")))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(config_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: array 'head_w' holds non-finite value nan at index ")
+        assert not (tmp_path / "out" / "summary.txt").exists()
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -10,7 +10,6 @@ from xmodal import (
     DimensionMismatchError,
     EmbeddingSet,
     Modality,
-    TaxonLabel,
     ZeroVectorError,
     normalize_rows,
     similarity_matrix,
@@ -44,12 +43,6 @@ finite_vectors = npst.arrays(
     st.integers(min_value=1, max_value=12),
     elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
 )
-
-
-class TestTaxonLabel:
-    def test_fields(self):
-        t = TaxonLabel(family_id=0, genus_id=1, species_id=5)
-        assert (t.family_id, t.genus_id, t.species_id) == (0, 1, 5)
 
 
 class TestEmbeddingSet:

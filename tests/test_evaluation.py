@@ -21,7 +21,6 @@ from xmodal import (
     RankedList,
     SpeciesMismatchError,
     TooFewItemsError,
-    average_precision,
     chance_map_oracle,
     class_prototypes,
     knn_classify,
@@ -127,20 +126,26 @@ class TestRankByScore:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_equals_stable_argsort(self, data):
-        # Small palettes make ties common: +-0.0, pairs of +-inf and NaN.
-        # Free floats add rows with no tie, which keep the default sort's order.
-        value = st.one_of(st.sampled_from([2.0, 0.5, 0.0, -0.0, -0.5, np.inf, -np.inf, np.nan]), st.floats())
+        # The stable order is the acceptance oracle's Python sort by
+        # (-score, index). Small palettes make ties common: +-0.0 and pairs
+        # of +-inf. NaN does not order in a Python sort, so it is left to
+        # test_tied_infinities_and_nans_keep_index_order.
+        palette = st.sampled_from([2.0, 0.5, 0.0, -0.0, -0.5, np.inf, -np.inf])
+        value = st.one_of(palette, st.floats(allow_nan=False))
         width = data.draw(st.integers(0, 24), label="width")
         row = st.lists(value, min_size=width, max_size=width)
         if data.draw(st.booleans(), label="one_dimensional"):
             scores = np.array(data.draw(row), dtype=np.float64)
+            expected = oracle_rank(scores)
         else:
             n_rows = data.draw(st.integers(0, 8), label="rows")
             scores = np.array([data.draw(row) for _ in range(n_rows)], dtype=np.float64)
             scores = scores.reshape(n_rows, width)
+            expected = [oracle_rank(scores_row) for scores_row in scores]
         order = rank_by_score(scores)
         assert order.dtype == np.intp
-        assert np.array_equal(order, np.argsort(-scores, axis=-1, kind="stable"))
+        assert order.shape == scores.shape
+        assert order.tolist() == expected
 
 
 def assert_ranks_invert_rank_by_score(scores, data):
@@ -191,38 +196,40 @@ class TestSearchRanks:
         assert evaluation._search_ranks(scores, columns).tolist() == [[3, 2, 1], [2, 3, 1], [2, 1, 3]]
 
 
+def ap_of_flags(flags, k=None) -> float:
+    """AP of one query whose gallery, in ranked order, has these relevance
+    flags: ``map_from_ranked`` over one list, so the AP core at its input."""
+    labels = np.asarray(flags, dtype=np.int64)
+    ranked = RankedList(query_indices=[0], gallery_order=np.arange(labels.size), scores=np.zeros(labels.size))
+    return map_from_ranked([ranked], [1], labels, k=k).value
+
+
 class TestAveragePrecision:
     def test_all_relevant(self):
-        assert average_precision([1, 1, 1]) == 1.0
+        assert ap_of_flags([1, 1, 1]) == 1.0
 
     def test_interleaved(self):
         # Hits at ranks 1 and 3: (1/1 + 2/3) / 2 = 5/6.
-        assert average_precision([1, 0, 1]) == pytest.approx(5 / 6, abs=1e-15)
+        assert ap_of_flags([1, 0, 1]) == pytest.approx(5 / 6, abs=1e-15)
 
     def test_single_hit_at_bottom(self):
-        assert average_precision([0, 0, 1]) == pytest.approx(1 / 3, abs=1e-15)
+        assert ap_of_flags([0, 0, 1]) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_explicit_denominator(self):
-        # Truncated list: 2 hits visible, 4 relevant overall.
-        assert average_precision([1, 1], n_relevant=4) == pytest.approx(0.5, abs=1e-15)
+        # Cut at k=4: 2 hits within it, 4 relevant overall, so (1 + 1) / 4.
+        assert ap_of_flags([1, 1, 0, 0, 1, 1], k=4) == pytest.approx(0.5, abs=1e-15)
 
     def test_no_relevant_items(self):
         with pytest.raises(NoRelevantItemsError):
-            average_precision([0, 0, 0])
+            ap_of_flags([0, 0, 0])
 
     def test_prefix_hits_before_misses_is_perfect(self):
-        assert average_precision([1, 1, 0, 0]) == 1.0
-
-    @pytest.mark.parametrize("flags", [[1, 1, 1], [1, 0, 1]])
-    def test_normalizer_below_listed_hits(self, flags):
-        # AP would read 3.0 and 5/3: more hits than the normalizer admits.
-        with pytest.raises(InvalidConfigError, match="n_relevant=1"):
-            average_precision(flags, n_relevant=1)
+        assert ap_of_flags([1, 1, 0, 0]) == 1.0
 
     @given(st.lists(st.booleans(), min_size=1, max_size=30).filter(any))
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_perfection(self, flags):
-        ap = average_precision(flags)
+        ap = ap_of_flags(flags)
         assert ap == oracle_ap(flags, sum(flags))
         assert 0.0 < ap <= 1.0
         n_rel = sum(flags)
@@ -266,7 +273,7 @@ class TestMapRetrieval:
             rel = [int(gallery.labels[j]) == int(queries.labels[i]) for j in order]
             if not any(rel):
                 continue
-            expected.append(average_precision(rel))
+            expected.append(oracle_ap(rel, sum(rel)))
         assert report.value == sum(expected) / len(expected)
 
     def test_truncation_at_k(self):

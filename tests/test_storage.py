@@ -349,6 +349,24 @@ class TestParamsBlob:
         with pytest.raises(FileFormatError, match="33 axes"):
             save_params({"w": np.ones((1,) * 33)}, tmp_path / "axes.xmpb", "0" * 16)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_reader_rejects_non_finite_values(self, tmp_path, value):
+        path = tmp_path / "p.xmpb"
+        save_params({"a": np.ones(2), "w": np.ones((2, 3))}, path, config_hash="a" * 16)
+        # The last 8 bytes are the last value of "w", the last array written.
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", value))
+        with pytest.raises(FileFormatError, match=r"array 'w' holds non-finite value .* at index \(1, 2\)"):
+            load_params(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_writer_rejects_non_finite_values(self, tmp_path, value):
+        params = {"w": np.array([[1.0, 2.0], [value, 4.0]]), "tau": np.array(value)}
+        with pytest.raises(FileFormatError, match=r"array 'tau' holds non-finite value .* at index \(\)"):
+            save_params(params, tmp_path / "p.xmpb", "0" * 16)
+        with pytest.raises(FileFormatError, match=r"array 'w' holds non-finite value .* at index \(1, 0\)"):
+            save_params({"w": params["w"]}, tmp_path / "p.xmpb", "0" * 16)
+        assert not list(tmp_path.iterdir())
+
     def test_non_ascii_hash(self, tmp_path):
         path = tmp_path / "hash.xmpb"
         path.write_bytes(b"XMPB" + b"\x01\x00\x00\x00" + b"\xff" * 16 + b"\x00\x00\x00\x00")
@@ -405,6 +423,9 @@ def test_reader_returns_or_raises_xmodal_error(valid_artifacts, fmt, reader, dat
     valid, path = valid_artifacts
     path.write_bytes(data.draw(mutated(valid[fmt]) | st.binary(max_size=48)))
     try:
-        reader(path)
+        result = reader(path)
     except XmodalError:
-        pass
+        return
+    if fmt == "xmpb":
+        params, _ = result
+        assert all(np.isfinite(array).all() for array in params.values())

@@ -201,6 +201,9 @@ class TestGenerateWorld:
         assert small_world.images.matrix.shape == (8 * c.images_per_species, c.d_teacher)
         assert small_world.audio_features.matrix.shape == (8 * c.audio_per_species, c.d_student_in)
         assert small_world.student_text.matrix.shape == (8, c.d_student)
+        # A generated world holds every row: its indices are positions 0..n-1.
+        assert small_world.audio_indices.tolist() == list(range(8 * c.audio_per_species))
+        assert small_world.image_indices.tolist() == list(range(8 * c.images_per_species))
 
     def test_modalities_and_unit_norms(self, small_world):
         assert small_world.teacher_text.modality is Modality.TEACHER_TEXT
@@ -217,14 +220,6 @@ class TestGenerateWorld:
         norms = np.linalg.norm(small_world.species_centres, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
         assert not small_world.species_centres.flags.writeable
-
-    def test_labels_structure(self, small_world):
-        c = small_world.config
-        for sp, label in enumerate(small_world.labels):
-            assert label.species_id == sp
-            genus = sp // c.species_per_genus
-            assert label.genus_id == genus
-            assert label.family_id == genus // c.genera_per_family
 
     def test_label_blocks(self, small_world):
         c = small_world.config
@@ -265,16 +260,19 @@ class TestGenerateWorld:
             assert np.allclose(block, world.species_centres[sp], atol=1e-12)
 
     def test_hierarchy_cosine_ordering(self, default_world):
+        c = default_world.config
         protos = default_world.species_centres
-        labels = default_world.labels
+        # The genus-major layout: species -> genus -> family by division.
+        genus = np.arange(default_world.n_species) // c.species_per_genus
+        family = genus // c.genera_per_family
         sims = protos @ protos.T
         same_genus, same_family, cross_family = [], [], []
-        n = len(labels)
+        n = default_world.n_species
         for i in range(n):
             for j in range(i + 1, n):
-                if labels[i].genus_id == labels[j].genus_id:
+                if genus[i] == genus[j]:
                     same_genus.append(sims[i, j])
-                elif labels[i].family_id == labels[j].family_id:
+                elif family[i] == family[j]:
                     same_family.append(sims[i, j])
                 else:
                     cross_family.append(sims[i, j])
@@ -307,6 +305,11 @@ class TestWorldSplit:
             with pytest.raises(InvalidConfigError, match="holdout_fraction"):
                 world_split(small_world, holdout_fraction=bad, seed=0)
 
+    def test_split_side_cannot_be_split_again(self, small_views):
+        for side in small_views:
+            with pytest.raises(InvalidConfigError, match="whole generated world"):
+                world_split(side, holdout_fraction=0.25, seed=0)
+
     def test_partition_is_disjoint_and_complete(self, small_views, small_world):
         train, eval_ = small_views
         audio_all = np.concatenate([train.audio_indices, eval_.audio_indices])
@@ -331,6 +334,9 @@ class TestWorldSplit:
 
     def test_text_channels_shared(self, small_views, small_world):
         train, eval_ = small_views
+        for side in (train, eval_):
+            assert side.config is small_world.config
+            assert side.species_centres is small_world.species_centres
         assert train.teacher_text is small_world.teacher_text
         assert eval_.teacher_text is small_world.teacher_text
         assert train.student_text is small_world.student_text
