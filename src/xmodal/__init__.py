@@ -11,7 +11,6 @@ chains them into reproducible experiments.
 
 from .baselines import (
     BaselineKind,
-    TextMappingReport,
     cascaded_zero_shot_baseline,
     random_projection_baseline,
     text_mapping_audio_embeddings,

@@ -7,11 +7,12 @@ also has access to:
   matrix into teacher space. Lower bound; no learning at all.
 * ``text_mapping``: a small nonlinear map from student text space to
   teacher text space, trained on per-species text pairs only (no audio).
-  It is a layer-table MLP (``map1`` + ReLU, ``map2``) trained by the
-  adapter's own loop, :func:`xmodal.trainer.fit`, with each species paired
-  with its canonical teacher row. At inference an audio clip is classified
-  to a species with audio-space class prototypes, then represented by its
-  mapped species text.
+  It is a layer-table MLP (``map1`` + ReLU, ``map2``), started from
+  :func:`xmodal.trainer.mlp_init` and trained by the adapter's own loop,
+  :func:`xmodal.trainer.fit`, with each species paired with its canonical
+  teacher row; it reports through the adapter's ``TrainReport``. At
+  inference an audio clip is classified to a species with audio-space
+  class prototypes, then represented by its mapped species text.
 * ``cascaded_zero_shot``: two independent zero-shot classifiers (audio
   vs audio-space prototypes, image vs teacher text prototypes) chained
   by scoring each image with the cosine between the two predicted class
@@ -25,20 +26,18 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .embeddings import EmbeddingSet, normalize_rows, similarity_matrix
-from .errors import MissingPrototypeError, SpeciesMismatchError
-from .evaluation import RankedList, nearest_prototype
+from .errors import SpeciesMismatchError
+from .evaluation import RankedList, check_labels_covered, nearest_prototype
 from .rng import rng_for
-from .trainer import Layer, Params, TrainConfig, fit, mlp_forward
+from .trainer import Layer, TrainConfig, TrainReport, fit, mlp_forward, mlp_init
 
 __all__ = [
     "BaselineKind",
-    "TextMappingReport",
     "random_projection_baseline",
     "text_mapping_baseline",
     "text_mapping_audio_embeddings",
@@ -65,15 +64,6 @@ def random_projection_baseline(audio_features: EmbeddingSet, d_teacher: int, see
     return normalize_rows(EmbeddingSet(projected, audio_features.labels, audio_features.modality))
 
 
-@dataclass(frozen=True)
-class TextMappingReport:
-    """Trained student-text-to-teacher map plus its species table."""
-
-    params: Params
-    loss_curve: Tuple[float, ...]
-    mapped_prototypes: EmbeddingSet
-
-
 def _text_map_layers(d_student: int, d_teacher: int) -> Tuple[Layer, ...]:
     # Hidden width equals d_teacher: minimal nonlinearity between the spaces.
     return (("map1", d_student, d_teacher, True), ("map2", d_teacher, d_teacher, False))
@@ -83,12 +73,13 @@ def text_mapping_baseline(
     student_text: EmbeddingSet,
     teacher_text: EmbeddingSet,
     train_config: TrainConfig,
-) -> TextMappingReport:
+) -> Tuple[TrainReport, EmbeddingSet]:
     """Fit the student-text to teacher-text map on per-species pairs.
 
     ``teacher_text`` must hold exactly one row per species (the
     canonical prompt), and there must be at least two species. Training
-    never touches audio. The returned ``mapped_prototypes`` are the
+    never touches audio. Returns the training report, whose
+    ``final_params`` are the map's weights, and the mapped table: the
     mapped student rows, labels ascending.
     """
     student_order = np.argsort(student_text.labels, kind="stable")
@@ -104,29 +95,27 @@ def text_mapping_baseline(
 
     layers = _text_map_layers(student_text.dim, teacher_text.dim)
     own_row = np.arange(student_sorted.n_items)
+    init = mlp_init(layers, train_config.seed, "textmap")
     report = fit(
-        layers, student_sorted.matrix, teacher_sorted.matrix, lambda _: own_row, train_config, "textmap", "textmap_shuffle"
+        layers, init, student_sorted.matrix, teacher_sorted.matrix, lambda _: own_row, train_config, "textmap_shuffle"
     )
     mapped, _ = mlp_forward(layers, report.final_params, student_sorted.matrix)
-    prototypes = EmbeddingSet(mapped, student_sorted.labels, student_text.modality)
-    return TextMappingReport(report.final_params, report.loss_curve, prototypes)
+    return report, EmbeddingSet(mapped, student_sorted.labels, student_text.modality)
 
 
 def text_mapping_audio_embeddings(
-    report: TextMappingReport,
+    table: EmbeddingSet,
     audio: EmbeddingSet,
     audio_prototypes: EmbeddingSet,
 ) -> EmbeddingSet:
     """Teacher-space rows for audio clips via the mapped-text route.
 
     Each clip is classified to a species with the audio-space prototypes
-    and represented by that species' mapped text embedding.
+    and represented by that species' row of ``table``, the mapped table
+    that :func:`text_mapping_baseline` returns.
     """
     predicted, _ = nearest_prototype(audio, audio_prototypes)
-    table = report.mapped_prototypes
-    missing = np.setdiff1d(np.unique(predicted), table.labels)
-    if missing.size:
-        raise MissingPrototypeError(f"no mapped text for predicted labels {missing.tolist()}")
+    check_labels_covered(predicted, table.labels, "no mapped text for predicted labels {}")
     positions = np.searchsorted(table.labels, predicted)
     return EmbeddingSet(table.matrix[positions], audio.labels, audio.modality)
 
@@ -146,16 +135,12 @@ def cascaded_zero_shot_baseline(
     so one ``RankedList`` is returned per distinct predicted class, in
     ascending label order, holding the clips predicted as that class.
     """
-    for what, labels in (("audio", audio.labels), ("image", images.labels)):
-        missing = np.setdiff1d(np.unique(labels), teacher_prototypes.labels)
-        if missing.size:
-            raise MissingPrototypeError(f"no teacher prototype for {what} labels {missing.tolist()}")
-    missing = np.setdiff1d(np.unique(audio.labels), student_prototypes.labels)
-    if missing.size:
-        raise MissingPrototypeError(f"no student prototype for audio labels {missing.tolist()}")
-    missing = np.setdiff1d(student_prototypes.labels, teacher_prototypes.labels)
-    if missing.size:
-        raise MissingPrototypeError(f"student prototype labels {missing.tolist()} unknown to the teacher")
+    check_labels_covered(audio.labels, teacher_prototypes.labels, "no teacher prototype for audio labels {}")
+    check_labels_covered(images.labels, teacher_prototypes.labels, "no teacher prototype for image labels {}")
+    check_labels_covered(audio.labels, student_prototypes.labels, "no student prototype for audio labels {}")
+    check_labels_covered(
+        student_prototypes.labels, teacher_prototypes.labels, "student prototype labels {} unknown to the teacher"
+    )
 
     audio_pred, _ = nearest_prototype(audio, student_prototypes)
     image_pred, image_conf = nearest_prototype(images, teacher_prototypes)

@@ -73,6 +73,7 @@ __all__ = [
     "knn_classify",
     "zero_shot_classify",
     "class_prototypes",
+    "check_labels_covered",
     "nearest_prototype",
 ]
 
@@ -430,6 +431,13 @@ def class_prototypes(embedding_set: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet(rows, labels, embedding_set.modality)
 
 
+def check_labels_covered(labels: np.ndarray, known: np.ndarray, message: str) -> None:
+    """Raise MissingPrototypeError, filling ``message``'s ``{}`` with the labels not in ``known``."""
+    missing = np.setdiff1d(labels, known)
+    if missing.size:
+        raise MissingPrototypeError(message.format(missing.tolist()))
+
+
 def nearest_prototype(queries: EmbeddingSet, prototypes: EmbeddingSet) -> Tuple[np.ndarray, np.ndarray]:
     """Predicted label and cosine confidence per query.
 
@@ -452,9 +460,7 @@ def zero_shot_classify(queries: EmbeddingSet, prototypes: EmbeddingSet) -> EvalR
     """Accuracy of nearest-prototype classification."""
     if queries.n_items == 0:
         raise TooFewItemsError("no queries to classify")
-    missing = np.setdiff1d(np.unique(queries.labels), prototypes.labels)
-    if missing.size:
-        raise MissingPrototypeError(f"no prototype for labels {missing.tolist()}")
+    check_labels_covered(queries.labels, prototypes.labels, "no prototype for labels {}")
     predicted, _ = nearest_prototype(queries, prototypes)
     per_query = tuple(float(p == t) for p, t in zip(predicted, queries.labels))
     return EvalReport(

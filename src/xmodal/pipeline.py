@@ -153,8 +153,8 @@ def _method_audio(
     if method == "random_projection":
         return random_projection_baseline(eval_audio, config.world.d_teacher, config.world.seed)
     if method == "text_mapping":
-        report = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
-        return text_mapping_audio_embeddings(report, eval_audio, prepared.audio_prototypes)
+        _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
+        return text_mapping_audio_embeddings(table, eval_audio, prepared.audio_prototypes)
     return cascaded_zero_shot_baseline(
         eval_audio, prepared.eval_view.images, prepared.audio_prototypes, prepared.teacher_prototypes
     )

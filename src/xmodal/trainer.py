@@ -10,17 +10,17 @@ Two architectures are supported:
 Every network here, and the text mapping in :mod:`xmodal.baselines`, is a
 layer table of ``(name, fan_in, fan_out, relu)`` rows with one init, one
 forward and one backward. Parameters are a dict of ``<name>_w``/``<name>_b``
-arrays; for training the optimizer moves them, and a gradient dict of the
+arrays; for training the optimizer copies them, and a gradient dict of the
 same shapes, into one contiguous float64 buffer each. The backward pass
 writes every gradient straight into the gradient buffer's views, and the
 optimizer step updates the parameter buffer with whole-vector operations
-(Adam or SGD with momentum). One epoch loop, :func:`fit`, trains every
-network: it minimizes the contrastive distillation objective from input
-rows to the teacher rows each input is paired with that epoch. It scales
-the teacher rows to unit norm once and calls the loss core
-:func:`xmodal.objective.infonce_loss` on each batch's unit rows, which
-gives the bits that :func:`xmodal.objective.distill_loss` gives on the
-raw rows. The adapter pairs a clip with its species' teacher text, the
+(Adam or SGD with momentum). One epoch loop, :func:`fit`, trains a copy
+of the parameters it is given: it minimizes the contrastive distillation
+objective from input rows to the teacher rows each input is paired with
+that epoch. It scales the teacher rows to unit norm once and calls the
+loss core :func:`xmodal.objective.infonce_loss` on each batch's unit
+rows, which gives the bits that :func:`xmodal.objective.distill_loss`
+gives on the raw rows. The adapter pairs a clip with its species' teacher text, the
 prompt variant drawn from a configurable mixture every epoch; the text
 mapping pairs each species with its own canonical row. The teacher rows
 are read-only throughout; only network parameters are updated.
@@ -51,6 +51,7 @@ __all__ = [
     "TrainReport",
     "init_params",
     "check_params",
+    "mlp_init",
     "adapter_forward",
     "adapter_backward",
     "embed_audio",
@@ -175,7 +176,7 @@ def xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-def _mlp_init(layers: Sequence[Layer], seed: int, stream: str) -> Params:
+def mlp_init(layers: Sequence[Layer], seed: int, stream: str) -> Params:
     """Weights Xavier-uniform from ``(seed, stream, key)``, biases zero."""
     params: Params = {}
     for name, fan_in, fan_out, _ in layers:
@@ -217,21 +218,25 @@ def mlp_backward(
 
 def init_params(config: AdapterConfig, seed: int) -> Params:
     """Fresh parameters; weights Xavier-uniform, biases zero."""
-    return _mlp_init(config.layers, seed, "init")
+    return mlp_init(config.layers, seed, "init")
 
 
-def check_params(config: AdapterConfig, params: Params) -> None:
-    """Raise ShapeMismatchError unless ``params`` fit the layer table."""
+def _check_shapes(layers: Sequence[Layer], params: Params, network: str) -> None:
+    """Raise ShapeMismatchError unless ``params`` hold exactly the layers' arrays."""
     expected = {}
-    for name, fan_in, fan_out, _ in config.layers:
+    for name, fan_in, fan_out, _ in layers:
         expected[f"{name}_w"] = (fan_out, fan_in)
         expected[f"{name}_b"] = (fan_out,)
     got = {key: np.shape(value) for key, value in params.items()}
     if got != expected:
         raise ShapeMismatchError(
-            f"parameters {sorted(got.items())} do not fit the {config.mode} adapter, "
-            f"which needs {sorted(expected.items())}"
+            f"parameters {sorted(got.items())} do not fit the {network}, which needs {sorted(expected.items())}"
         )
+
+
+def check_params(config: AdapterConfig, params: Params) -> None:
+    """Raise ShapeMismatchError unless ``params`` fit the layer table."""
+    _check_shapes(config.layers, params, f"{config.mode} adapter")
 
 
 def adapter_forward(config: AdapterConfig, params: Params, inputs: np.ndarray) -> Tuple[np.ndarray, list]:
@@ -337,16 +342,18 @@ def sample_variants(seed: int, epoch: int, n_items: int, mixture: np.ndarray) ->
 
 def fit(
     layers: Sequence[Layer],
+    params: Params,
     inputs: np.ndarray,
     targets: np.ndarray,
     pairing: Callable[[int], np.ndarray],
     train_config: TrainConfig,
-    init_stream: str,
     shuffle_stream: str,
 ) -> TrainReport:
     """Train a layer table to map ``inputs`` onto rows of ``targets``.
 
-    Weights start Xavier-uniform from ``(seed, init_stream)``. Each epoch
+    Training starts from a copy of ``params``, which must fit ``layers``
+    (else ShapeMismatchError); the caller's dict and arrays are left
+    untouched, and ``final_params`` holds the trained copy. Each epoch
     visits the inputs in a fresh permutation from ``(seed, shuffle_stream,
     epoch)``, pairs input i with ``targets[pairing(epoch)[i]]``, and takes
     one optimizer step per batch. A trailing batch with fewer than two
@@ -359,8 +366,10 @@ def fit(
     n = inputs.shape[0]
     if n < 2:
         raise TooFewItemsError(f"training needs at least 2 items, got {n}")
+    _check_shapes(layers, params, "layer table")
     unit_targets = _unit_rows(targets, "teacher")
-    params = _mlp_init(layers, train_config.seed, init_stream)
+    # The optimizer packs copies of the arrays and rebinds this dict's entries.
+    params = dict(params)
     grads = {key: np.empty_like(value) for key, value in params.items()}
     step_fn = make_optimizer(train_config, params, grads)
 
@@ -397,11 +406,9 @@ def train_adapter(
 
     Every clip is paired with the teacher text row of its species, the
     prompt variant drawn from the mixture per item per epoch; :func:`fit`
-    runs the epochs.
+    runs the epochs from :func:`init_params`.
     """
     audio = view.audio_features
-    if audio.n_items < 2:
-        raise TooFewItemsError(f"training needs at least 2 audio clips, got {audio.n_items}")
     if adapter_config.d_in != audio.dim:
         raise InvalidConfigError(
             f"adapter expects {adapter_config.d_in}-dim inputs but audio rows have {audio.dim}"
@@ -418,4 +425,5 @@ def train_adapter(
     def pairing(epoch: int) -> np.ndarray:
         return species_rows + sample_variants(train_config.seed, epoch, audio.n_items, mixture)
 
-    return fit(adapter_config.layers, audio.matrix, view.teacher_text.matrix, pairing, train_config, "init", "shuffle")
+    init = init_params(adapter_config, train_config.seed)
+    return fit(adapter_config.layers, init, audio.matrix, view.teacher_text.matrix, pairing, train_config, "shuffle")

@@ -17,7 +17,6 @@ from xmodal import (
     NonFiniteLossError,
     NoRelevantItemsError,
     SpeciesMismatchError,
-    TextMappingReport,
     TooFewItemsError,
     TrainConfig,
     WorldConfig,
@@ -31,7 +30,7 @@ from xmodal import (
     text_mapping_audio_embeddings,
     text_mapping_baseline,
 )
-from xmodal import evaluation, trainer
+from xmodal import baselines, evaluation
 from xmodal.evaluation import chance_map_oracle
 from xmodal.pipeline import teacher_prototype_set
 from xmodal.rng import rng_for
@@ -100,25 +99,25 @@ class TestTextMapping:
             "map2_w": np.eye(d),
             "map2_b": -10.0 * np.ones(d),
         }
-        with mock.patch.object(trainer, "_mlp_init", return_value=params):
-            report = text_mapping_baseline(teacher_protos, teacher_protos, TrainConfig(batch_size=4, epochs=0))
-        assert report.loss_curve == ()
-        assert np.allclose(report.mapped_prototypes.matrix, teacher_protos.matrix, atol=1e-12)
-        assert np.array_equal(report.mapped_prototypes.labels, teacher_protos.labels)
+        with mock.patch.object(baselines, "mlp_init", return_value=params):
+            train, table = text_mapping_baseline(teacher_protos, teacher_protos, TrainConfig(batch_size=4, epochs=0))
+        assert train.loss_curve == ()
+        assert np.allclose(table.matrix, teacher_protos.matrix, atol=1e-12)
+        assert np.array_equal(table.labels, teacher_protos.labels)
 
     def test_training_reduces_loss(self, small_world):
         tc = TrainConfig(batch_size=4, epochs=25, seed=2)
-        report = text_mapping_baseline(small_world.student_text, teacher_prototype_set(small_world), tc)
-        assert len(report.loss_curve) == 25
-        assert report.loss_curve[-1] < report.loss_curve[0]
+        train, _ = text_mapping_baseline(small_world.student_text, teacher_prototype_set(small_world), tc)
+        assert len(train.loss_curve) == 25
+        assert train.loss_curve[-1] < train.loss_curve[0]
 
     def test_deterministic(self, small_world):
         tc = TrainConfig(batch_size=4, epochs=5, seed=2)
         teacher = teacher_prototype_set(small_world)
-        a = text_mapping_baseline(small_world.student_text, teacher, tc)
-        b = text_mapping_baseline(small_world.student_text, teacher, tc)
-        assert a.loss_curve == b.loss_curve
-        assert np.array_equal(a.mapped_prototypes.matrix, b.mapped_prototypes.matrix)
+        train_a, table_a = text_mapping_baseline(small_world.student_text, teacher, tc)
+        train_b, table_b = text_mapping_baseline(small_world.student_text, teacher, tc)
+        assert train_a.loss_curve == train_b.loss_curve
+        assert np.array_equal(table_a.matrix, table_b.matrix)
 
     def test_species_cover_mismatch(self, small_world):
         teacher = teacher_prototype_set(small_world)
@@ -163,18 +162,17 @@ class TestTextMapping:
         perm = rng_for(1, "permute").permutation(8)
         shuffled = eset(st.matrix[perm], st.labels[perm], st.modality)
         tc = TrainConfig(batch_size=4, epochs=4, seed=9)
-        a = text_mapping_baseline(st, teacher, tc)
-        b = text_mapping_baseline(shuffled, teacher, tc)
-        assert np.allclose(a.mapped_prototypes.matrix, b.mapped_prototypes.matrix, atol=1e-12)
+        _, a = text_mapping_baseline(st, teacher, tc)
+        _, b = text_mapping_baseline(shuffled, teacher, tc)
+        assert np.allclose(a.matrix, b.matrix, atol=1e-12)
 
     def test_audio_embeddings_route(self, small_world):
         # Clips classified to species sp must be represented by the
         # mapped row of sp (here: the teacher prototype itself).
         teacher_protos = teacher_prototype_set(small_world)
-        report = TextMappingReport(params={}, loss_curve=(), mapped_prototypes=teacher_protos)
         audio = small_world.audio_features
         audio_protos = class_prototypes(audio)
-        embedded = text_mapping_audio_embeddings(report, audio, audio_protos)
+        embedded = text_mapping_audio_embeddings(teacher_protos, audio, audio_protos)
         assert embedded.n_items == audio.n_items
         assert np.array_equal(embedded.labels, audio.labels)
         from xmodal.evaluation import nearest_prototype
@@ -187,14 +185,13 @@ class TestTextMapping:
     def test_missing_mapped_species(self, small_world):
         # Species 0 is missing from the mapped table.
         table = teacher_prototype_set(small_world).take(range(1, 8))
-        truncated = TextMappingReport(params={}, loss_curve=(), mapped_prototypes=table)
         audio = small_world.audio_features
         audio_protos = class_prototypes(audio)
         with pytest.raises(MissingPrototypeError, match="no mapped text"):
-            text_mapping_audio_embeddings(truncated, audio, audio_protos)
+            text_mapping_audio_embeddings(table, audio, audio_protos)
 
 
-# SHA-256 of (mapped_prototypes.matrix.tobytes(), repr(loss_curve)) fit on
+# SHA-256 of (the mapped table's matrix.tobytes(), repr(loss_curve)) fit on
 # the default world, for each optimizer. The loop may be restructured but
 # must not move a bit of either.
 TEXT_MAPPING_SHA256 = {
@@ -213,12 +210,12 @@ TEXT_MAPPING_SHA256 = {
 def test_text_mapping_bits_pinned(overrides):
     config = parse_config(overrides)
     world = generate_world(config.world)
-    report = text_mapping_baseline(world.student_text, teacher_prototype_set(world), config.train)
+    train, table = text_mapping_baseline(world.student_text, teacher_prototype_set(world), config.train)
     digests = (
-        hashlib.sha256(report.mapped_prototypes.matrix.tobytes()).hexdigest(),
-        hashlib.sha256(repr(report.loss_curve).encode("utf-8")).hexdigest(),
+        hashlib.sha256(table.matrix.tobytes()).hexdigest(),
+        hashlib.sha256(repr(train.loss_curve).encode("utf-8")).hexdigest(),
     )
-    assert len(report.loss_curve) == config.train.epochs
+    assert len(train.loss_curve) == config.train.epochs
     assert digests == TEXT_MAPPING_SHA256[overrides]
 
 
@@ -229,10 +226,8 @@ def test_text_mapping_bits_pinned(overrides):
     strict=True,
 )
 def test_mapped_prototypes_nearly_reach_teacher(default_world):
-    report = text_mapping_baseline(
-        default_world.student_text, teacher_prototype_set(default_world), TrainConfig()
-    )
-    mapped = report.mapped_prototypes.matrix
+    _, table = text_mapping_baseline(default_world.student_text, teacher_prototype_set(default_world), TrainConfig())
+    mapped = table.matrix
     mapped = mapped / np.linalg.norm(mapped, axis=1, keepdims=True)
     cosines = np.einsum("ij,ij->i", mapped, teacher_prototype_set(default_world).matrix)
     assert float(np.mean(cosines)) > 0.9

@@ -1,0 +1,43 @@
+"""Smoke tests of the sweep scripts in ``scripts/``: each runs end to end
+on the package API and prints one row per configuration it sweeps."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def rows(text, first_fields):
+    return [line.split() for line in text.splitlines() if line.split()[:1] and line.split()[0] in first_fields]
+
+
+def test_seed_stability_prints_one_row_per_seed(capsys):
+    script = load_script("seed_stability")
+    assert script.main(["--seeds", "1"]) == 0
+    out = capsys.readouterr().out
+    seed_rows = rows(out, {str(seed) for seed in range(10)})
+    assert [row[0] for row in seed_rows] == ["0"]
+    assert len(seed_rows[0]) == 1 + len(script.METRICS)
+    assert all(0.0 <= float(value) <= 1.0 for value in seed_rows[0][1:])
+    summary = rows(out, {name for name, _ in script.METRICS})
+    assert [row[0] for row in summary] == [name for name, _ in script.METRICS]
+    assert all(row[-1] == "0.0000" for row in summary)  # one seed has no spread
+
+
+def test_adapter_ablation_prints_one_row_per_mode(capsys):
+    script = load_script("adapter_ablation")
+    assert script.main(["--epochs", "1"]) == 0
+    mode_rows = rows(capsys.readouterr().out, {"linear_head_only", "mlp_encoder_plus_head"})
+    assert [row[:2] for row in mode_rows] == [["linear_head_only", "1"], ["mlp_encoder_plus_head", "1"]]
+    for row in mode_rows:
+        retrieval, zero_shot, final_loss = map(float, row[2:])
+        assert 0.0 <= retrieval <= 1.0 and 0.0 <= zero_shot <= 1.0
+        assert math.isfinite(final_loss) and final_loss >= 0.0

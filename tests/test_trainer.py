@@ -25,11 +25,12 @@ from xmodal import (
 from xmodal.baselines import _text_map_layers
 from xmodal.rng import rng_for
 from xmodal.trainer import (
-    _mlp_init,
     adapter_backward,
+    fit,
     make_optimizer,
     mlp_backward,
     mlp_forward,
+    mlp_init,
     sample_variants,
     xavier_uniform,
 )
@@ -216,7 +217,7 @@ def test_backward_matches_finite_differences(layers):
     # no ReLU column is fully dead (a dead network emits zero rows, which
     # cosine rejects).
     rng = rng_for(4, "backprop", *(name for name, *_ in layers))
-    init = _mlp_init(layers, seed=13, stream="fd")
+    init = mlp_init(layers, seed=13, stream="fd")
     params = {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in init.items()}
     x = rng.standard_normal((3, layers[0][1]))
     targets = rng.standard_normal((3, layers[-1][2]))
@@ -424,6 +425,63 @@ class TestSampleVariants:
         assert draws.min() >= 0 and draws.max() <= 2
 
 
+class TestFit:
+    """``fit`` trains a copy of the parameters it is given."""
+
+    LAYERS = SMALL_ADAPTER.layers
+
+    def problem(self):
+        rng = rng_for(3, "fit_problem")
+        inputs = rng.standard_normal((9, SMALL_ADAPTER.d_in))
+        targets = rng.standard_normal((9, SMALL_ADAPTER.d_teacher))
+        # Not init_params: the start must be the given values, whatever stream drew them.
+        params = mlp_init(self.LAYERS, seed=21, stream="given")
+        return inputs, targets, params
+
+    def test_callers_params_untouched(self):
+        inputs, targets, params = self.problem()
+        arrays = dict(params)
+        values = {key: value.copy() for key, value in params.items()}
+        report = fit(self.LAYERS, params, inputs, targets, lambda _: np.arange(9), SMALL_TRAIN, "shuffle")
+        assert report.steps > 0
+        assert list(params) == list(values)
+        for key, value in params.items():
+            assert value is arrays[key]
+            assert np.array_equal(value, values[key])
+            assert not np.shares_memory(report.final_params[key], value)
+            assert not np.array_equal(report.final_params[key], value)
+
+    def test_zero_epochs_returns_given_values(self):
+        inputs, targets, params = self.problem()
+        tc = dataclasses.replace(SMALL_TRAIN, epochs=0)
+        report = fit(self.LAYERS, params, inputs, targets, lambda _: np.arange(9), tc, "shuffle")
+        assert report.loss_curve == () and report.steps == 0
+        assert list(report.final_params) == list(params)
+        assert all(np.array_equal(report.final_params[key], params[key]) for key in params)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda p: p.pop("enc2_b"),
+            lambda p: p.update(head_w=np.zeros((SMALL_ADAPTER.d_teacher, SMALL_ADAPTER.d_student + 1))),
+            lambda p: p.update(extra_w=np.zeros((1, 1))),
+        ],
+        ids=["missing_key", "wrong_shape", "extra_key"],
+    )
+    def test_params_must_fit_layers(self, change):
+        inputs, targets, params = self.problem()
+        change(params)
+        paired = []
+
+        def pairing(epoch):
+            paired.append(epoch)
+            return np.arange(9)
+
+        with pytest.raises(ShapeMismatchError, match="do not fit the layer table"):
+            fit(self.LAYERS, params, inputs, targets, pairing, SMALL_TRAIN, "shuffle")
+        assert paired == []
+
+
 class TestTrainAdapter:
     def test_report_structure(self, small_views):
         train_view, _ = small_views
@@ -502,7 +560,7 @@ class TestTrainAdapter:
             audio_features=train_view.audio_features.take([0]),
             audio_indices=train_view.audio_indices[:1],
         )
-        with pytest.raises(TooFewItemsError, match="at least 2 audio clips"):
+        with pytest.raises(TooFewItemsError, match="at least 2 items, got 1"):
             train_adapter(tiny, SMALL_ADAPTER, SMALL_TRAIN)
 
     def test_dimension_mismatches(self, small_views):
