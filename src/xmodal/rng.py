@@ -12,24 +12,36 @@ and re-keys it for each row: key words, counter 0, empty output buffer.
 Each row equals the draw of a fresh ``rng_for`` generator, bit for bit,
 without the cost of building one per row. The re-keyed generator never
 leaves that function; ``rng_for`` still returns an independent generator.
+
+A key is the blake2b digest of the path ``seed/part/...``, and one helper
+writes that path for both callers. ``draw_streams`` hashes its prefix
+``seed/name`` once per call; each row copies that hash state and feeds it
+only the row's own ``/key/...`` suffix, which gives the digest of the
+whole path.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Iterable, Tuple
 
 import numpy as np
 
-_WORD = (1 << 64) - 1
 _EMPTY = (0, 0, 0, 0)
+# A 16-byte digest as Philox's two little-endian 64-bit key words.
+_KEY_WORDS = struct.Struct("<QQ")
+
+
+def _path_hash(seed: int, *parts):
+    """blake2b hash state of the path ``seed/part/...``, open for ``update``."""
+    path = "/".join([str(int(seed))] + [str(p) for p in parts])
+    return hashlib.blake2b(path.encode("utf-8"), digest_size=16)
 
 
 def stream_key(seed: int, *parts) -> int:
     """128-bit Philox key derived from the seed and an entity path."""
-    path = "/".join([str(int(seed))] + [str(p) for p in parts])
-    digest = hashlib.blake2b(path.encode("utf-8"), digest_size=16).digest()
-    return int.from_bytes(digest, "little")
+    return int.from_bytes(_path_hash(seed, *parts).digest(), "little")
 
 
 def rng_for(seed: int, *parts) -> np.random.Generator:
@@ -44,15 +56,28 @@ def draw_streams(
 
     All rows are drawn on one Philox generator, re-keyed before each row
     to the state a fresh ``Philox(key=...)`` starts in: counter 0, no
-    buffered output words and no buffered 32-bit half. Returns ``out``.
+    buffered output words and no buffered 32-bit half. Each row's key is
+    the hash of ``seed/name``, computed once, extended by the row's
+    ``/key/...`` suffix; the empty key adds nothing. Returns ``out``.
     """
     bit_generator = np.random.Philox(counter=0, key=0)
     generator = np.random.Generator(bit_generator)
     draw = getattr(generator, method)
-    state = {"bit_generator": "Philox", "buffer": _EMPTY, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    prefix = _path_hash(seed, name)
+    words = {"counter": _EMPTY, "key": (0, 0)}
+    state = {
+        "bit_generator": "Philox",
+        "state": words,
+        "buffer": _EMPTY,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for row, key in enumerate(keys):
-        word = stream_key(seed, name, *key)
-        state["state"] = {"counter": _EMPTY, "key": (word & _WORD, word >> 64)}
+        path = prefix.copy()
+        if key:
+            path.update(("/" + "/".join(map(str, key))).encode("utf-8"))
+        words["key"] = _KEY_WORDS.unpack(path.digest())
         bit_generator.state = state
         out[row] = draw(*args, **kwargs)
     return out

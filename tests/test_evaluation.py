@@ -677,7 +677,7 @@ def oracle_knn(queries, reference, k):
 class TestBatchedMatchesNaiveOracles:
     @given(
         st.lists(
-            st.lists(st.sampled_from([1.0, 0.5, 0.0, -0.0, -0.5, -np.inf]), min_size=5, max_size=5),
+            st.lists(st.sampled_from([np.inf, 1.0, 0.5, 0.0, -0.0, -0.5, -np.inf]), min_size=5, max_size=5),
             min_size=1,
             max_size=9,
         ),
@@ -694,7 +694,7 @@ class TestBatchedMatchesNaiveOracles:
 
     @given(
         st.lists(
-            st.lists(st.sampled_from([1.0, 0.0, -0.0, -1.0, -np.inf, np.nan]), min_size=4, max_size=4),
+            st.lists(st.sampled_from([np.inf, 1.0, 0.0, -0.0, -1.0, -np.inf, np.nan]), min_size=4, max_size=4),
             min_size=1,
             max_size=6,
         ),
@@ -706,6 +706,33 @@ class TestBatchedMatchesNaiveOracles:
         # argsort is the reference here.
         scores = np.array(rows)
         assert evaluation._top_k(scores, k).tolist() == rank_by_score(scores)[:, :k].tolist()
+
+    def test_top_k_sends_a_row_holding_nan_to_the_full_sort(self):
+        # argmax would pick the NaN first; the full sort ranks it last.
+        scores = np.array([[0.5, np.nan, 1.0, 0.25], [0.5, 0.75, 1.0, 0.25]])
+        assert evaluation._top_k(scores, 2).tolist() == [[2, 0], [2, 1]]
+
+    def test_top_k_sends_a_row_short_of_finite_scores_to_the_full_sort(self):
+        # One score above -inf for k = 3: the third pass would pick the
+        # already-taken column 0 again; the full sort takes -inf in index order.
+        scores = np.array([[-np.inf, 0.5, -np.inf, -np.inf], [0.25, 0.5, -np.inf, 0.75]])
+        assert evaluation._top_k(scores, 3).tolist() == [[1, 0, 2], [3, 1, 0]]
+
+    @pytest.mark.parametrize("space", ["raw", "distilled"])
+    def test_top_k_matches_the_full_sort_on_the_default_eval_split(self, default_experiment, space):
+        # The kNN score matrices of the default run, self-matches excluded.
+        from xmodal.pipeline import embedded_audio_set
+        from xmodal.runconfig import adapter_config_for
+
+        result, _ = default_experiment
+        audio = result.prepared.eval_view.audio_features
+        if space == "distilled":
+            audio = embedded_audio_set(adapter_config_for(result.config), result.train_report.final_params, audio)
+        scores = similarity_matrix(audio, audio)
+        np.fill_diagonal(scores, -np.inf)
+        full = rank_by_score(scores)
+        for k in (1, 3, 5, 10):
+            assert np.array_equal(evaluation._top_k(scores, k), full[:, :k])
 
     @given(st.data(), BLOCK_CELLS)
     @settings(max_examples=100, deadline=None)

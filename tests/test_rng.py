@@ -58,16 +58,20 @@ class TestRngFor:
 
     def test_pinned_draw(self):
         # Any change to the key derivation or the bit generator moves these bits.
-        expected = [
-            float.fromhex("-0x1.edefdfbfa985ep-2"),
-            float.fromhex("0x1.c55d1680eada5p-3"),
-            float.fromhex("0x1.8fa5671e4c027p+0"),
-            float.fromhex("0x1.88ceb246d28c8p-1"),
-        ]
-        assert rng_for(7, "audio", 3, 1).standard_normal(4).tolist() == expected
+        assert rng_for(7, "audio", 3, 1).standard_normal(4).tolist() == PINNED_AUDIO_3_1
 
 
-KEYS = [(0,), (3, 1), ("a", 2), (17, 0, 5), (2**40,)]
+# standard_normal(4) of the stream (seed 7, "audio", 3, 1).
+PINNED_AUDIO_3_1 = [
+    float.fromhex("-0x1.edefdfbfa985ep-2"),
+    float.fromhex("0x1.c55d1680eada5p-3"),
+    float.fromhex("0x1.8fa5671e4c027p+0"),
+    float.fromhex("0x1.88ceb246d28c8p-1"),
+]
+
+# () is the bare "seed/name" path, with no trailing "/"; "é" is encoded
+# as UTF-8 in the middle of a path.
+KEYS = [(0,), (3, 1), ("a", 2), (17, 0, 5), (2**40,), (), ("é", 3)]
 
 DRAWS = {
     "standard_normal": ((5,), {}, np.float64),
@@ -96,6 +100,13 @@ class TestDrawStreams:
         draw_streams(out, 0, "u32", [(0,), (1,)], "integers", 2**32, size=3, dtype=np.uint32)
         fresh = rng_for(0, "u32", 1).integers(2**32, size=3, dtype=np.uint32)
         assert np.array_equal(out[1], fresh)
+
+    def test_pinned_draw(self):
+        # The same bits as TestRngFor.test_pinned_draw, through the hashed
+        # prefix and per-row suffix rather than stream_key.
+        out = np.empty((2, 4))
+        draw_streams(out, 7, "audio", [(0, 0), (3, 1)], "standard_normal", 4)
+        assert out[1].tolist() == PINNED_AUDIO_3_1
 
     def test_returns_out_and_fills_every_row(self):
         out = np.full((3, 2), np.nan)
