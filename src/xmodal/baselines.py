@@ -19,7 +19,12 @@ also has access to:
   prototypes. A misclassification in either stage propagates to the
   ranking. A clip's ranking depends only on its predicted class, so the
   gallery is ranked once per distinct predicted class and that one
-  ``RankedList`` serves all of the class's clips.
+  ``RankedList`` serves all of the class's clips. Every score is a cell
+  of the (predicted classes x classes) cosine table, so each class's
+  sort runs on the cells' dense ranks in its row of that table, small
+  unsigned integers that NumPy radix-sorts, in place of the float
+  scores; equal ranks are exactly equal scores, so the order and its
+  ties are the float sort's.
 """
 
 from __future__ import annotations
@@ -154,10 +159,25 @@ def cascaded_zero_shot_baseline(
     # Gallery presorted by (-confidence, index): a stable sort of each
     # class's scores in this order breaks score ties exactly that way.
     presorted = np.argsort(-image_conf, kind="stable")
-    scores = proto_cos[classes[:, None], np.searchsorted(teacher_sorted.labels, image_pred[presorted])]
-    within = np.argsort(-scores, axis=1, kind="stable")
+    image_class = np.searchsorted(teacher_sorted.labels, image_pred[presorted])
+    # An image's score is one cell of its predicted class's row of the
+    # cosine table, so it sorts as that cell's dense rank in the row:
+    # equal values (+-0.0 too, and every NaN) share one, and NaN ranks
+    # last, as in a float sort. The ranks are small unsigned keys, which
+    # a stable sort orders by radix. (Any kind of sort of the row gives
+    # the same ranks; the stable one is the float sort that evaluation
+    # already runs, so no other sort code is paged in.)
+    negated = -proto_cos[classes]
+    by_value = np.argsort(negated, axis=1, kind="stable")
+    ordered = np.take_along_axis(negated, by_value, axis=1)
+    steps = (ordered[:, 1:] != ordered[:, :-1]) & ~np.isnan(ordered[:, :-1])
+    ranks = np.zeros(negated.shape, dtype=np.min_scalar_type(negated.shape[1]))
+    np.cumsum(steps, axis=1, dtype=ranks.dtype, out=ranks[:, 1:])
+    keys = np.empty_like(ranks)
+    np.put_along_axis(keys, by_value, ranks, axis=1)
+    within = np.argsort(keys[:, image_class], axis=1, kind="stable")
     rankings = presorted[within]
-    ranked_scores = np.take_along_axis(scores, within, axis=1)
+    ranked_scores = proto_cos[classes[:, None], image_class[within]]
     # Clips grouped by class, ascending within each group.
     clips = np.split(np.argsort(clip_class, kind="stable"), np.cumsum(np.bincount(clip_class))[:-1])
     return [

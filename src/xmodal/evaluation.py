@@ -6,6 +6,16 @@ defined once, by ``rank_by_score``: one stable ``argsort`` of the negated
 scores. Truncated mean average precision (mAP@K) normalizes each query
 by min(total relevant, K), the standard convention.
 
+``map_retrieval`` scores each distinct query once. Queries are grouped
+by the exact bytes of their row and their label (the text-mapping
+baseline gives every clip its predicted species' row), and only each
+group's first query is scored, ranked and searched; its AP is then given
+back to every query of the group in query order. ``similarity_matrix``
+computes each row independently of the others, so the shared row is the
+one every member would get. The grouping is one stable sort on the bits
+of the first entry and the label, plus a byte comparison of neighbours
+equal in that entry; with no such neighbours it stops there.
+
 Metrics work on row blocks of the score matrix, not query by query. A
 block holds at most ``_BLOCK_CELLS`` cells (its height is that budget
 over the gallery width), so the temporaries stay near a megabyte each
@@ -44,6 +54,11 @@ ranking, builds and checks one list per class. ``map_from_ranked``
 inverts each list's order once and reports its queries in ascending
 query index.
 
+``class_prototypes`` sorts the rows by label once and sums each class
+as one contiguous slice, the rows and the reduction of a masked
+``.mean(axis=0)``. (``np.add.reduceat`` is not that reduction: it
+rounds differently.)
+
 Metric means are plain sequential sums over the per-query values.
 """
 
@@ -63,6 +78,7 @@ from .errors import (
     NoRelevantItemsError,
     SpeciesMismatchError,
     TooFewItemsError,
+    ZeroVectorError,
 )
 from .rng import draw_streams
 
@@ -256,11 +272,14 @@ def _map_report(
     gallery_labels: np.ndarray,
     k: Optional[int],
     metric_name: Optional[str],
+    row_of: Optional[np.ndarray] = None,
 ) -> EvalReport:
     """mAP of the queries labelled ``query_labels``, one row each.
 
     ``ranks_of(rows, columns)`` gives the 1-based rank of gallery item
-    ``columns[i, j]`` in the ranking of query ``rows.start + i``.
+    ``columns[i, j]`` in the ranking of query ``rows.start + i``. When
+    ``row_of`` is given, those rows are shared: query ``i`` is scored by
+    row ``row_of[i]``, and the report covers ``row_of.size`` queries.
     """
     classes, counts = np.unique(gallery_labels, return_counts=True)
     # members[c]: the columns of class c, ascending, padded with column 0.
@@ -270,15 +289,18 @@ def _map_report(
     slot = np.minimum(np.searchsorted(classes, query_labels), classes.size - 1)
     totals = np.where(classes[slot] == query_labels, counts[slot], 0)
     limit = gallery_labels.size if k is None else k
-    per_query: List[float] = []
+    ap = np.empty(query_labels.size)
     for rows in _row_blocks(query_labels.size, gallery_labels.size):
         total = totals[rows]
         ranks = ranks_of(rows, members[slot[rows]])
         ranks[np.arange(members.shape[1]) >= total[:, None]] = limit + 1
         denom = total if k is None else np.minimum(total, k)
         # Queries with nothing relevant are dropped; 1 only spares them 0/0.
-        ap = _ap_from_ranks(ranks, limit, np.maximum(denom, 1))
-        per_query.extend(ap[total > 0].tolist())
+        ap[rows] = _ap_from_ranks(ranks, limit, np.maximum(denom, 1))
+    scored = totals > 0
+    if row_of is not None:
+        ap, scored = ap[row_of], scored[row_of]
+    per_query = ap[scored].tolist()
     if not per_query:
         raise NoRelevantItemsError("no query has any relevant gallery item")
     name = metric_name or ("map" if k is None else f"map@{k}")
@@ -288,10 +310,48 @@ def _map_report(
         per_query=tuple(per_query),
         k=k,
         metadata={
-            "excluded_queries": query_labels.size - len(per_query),
-            "n_queries": query_labels.size,
+            "excluded_queries": scored.size - len(per_query),
+            "n_queries": scored.size,
         },
     )
+
+
+def _repeated_queries(queries: EmbeddingSet) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Queries grouped by the exact bytes of their row and their label.
+
+    Returns ``(first, row_of)``: the first query of each group, ascending,
+    and the group of every query; ``None`` when no two queries are equal.
+    Queries are stably sorted on the bits of their first entry, then their
+    label, and only neighbours equal in that first entry are compared in
+    full. Two equal queries with a different row between them in that
+    order stay apart: that costs a repeated score row, never a different
+    answer.
+    """
+    matrix, labels = queries.matrix, queries.labels
+    if matrix.shape[0] < 2 or matrix.shape[1] == 0:
+        return None
+    column = matrix[:, 0].view(np.uint64)
+    order = np.lexsort((labels, column))
+    candidates = np.flatnonzero(column[order[1:]] == column[order[:-1]])
+    if candidates.size == 0:
+        return None
+    left, right = order[candidates], order[candidates + 1]
+    equal = (labels[left] == labels[right]) & (
+        matrix[left].view(np.uint64) == matrix[right].view(np.uint64)
+    ).all(axis=1)
+    if not equal.any():
+        return None
+    # A sorted position equal to its left neighbour joins that group; the
+    # stable sort puts each group's first query at its head.
+    joins = np.zeros(order.size, dtype=bool)
+    joins[candidates[equal] + 1] = True
+    heads = order[~joins]
+    by_first = np.argsort(heads)
+    group = np.empty(heads.size, dtype=np.int64)
+    group[by_first] = np.arange(heads.size)
+    row_of = np.empty(order.size, dtype=np.int64)
+    row_of[order] = group[np.cumsum(~joins) - 1]
+    return heads[by_first], row_of
 
 
 def map_retrieval(
@@ -309,12 +369,23 @@ def map_retrieval(
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     if gallery.n_items == 0:
         raise EmptyGalleryError("cannot rank an empty gallery")
-    scores = similarity_matrix(queries, gallery)
+    repeated = _repeated_queries(queries)
+    if repeated is None:
+        distinct, row_of = queries, None
+    else:
+        first, row_of = repeated
+        distinct = queries.take(first)
+    try:
+        scores = similarity_matrix(distinct, gallery)
+    except ZeroVectorError:
+        # Named by its index among all the queries, not the distinct ones.
+        similarity_matrix(queries, gallery)
+        raise
 
     def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
         return _search_ranks(scores[rows], columns)
 
-    return _map_report(ranks_of, queries.labels, gallery.labels, k, metric_name)
+    return _map_report(ranks_of, distinct.labels, gallery.labels, k, metric_name, row_of)
 
 
 def map_from_ranked(
@@ -435,14 +506,22 @@ def knn_classify(queries: EmbeddingSet, reference: EmbeddingSet, k: int) -> Eval
 
 
 def class_prototypes(embedding_set: EmbeddingSet) -> EmbeddingSet:
-    """Per-class centroids, one row per label, labels ascending."""
+    """Per-class centroids, one row per label, labels ascending.
+
+    The rows are stably sorted by label once, so each class is one
+    contiguous slice in its original row order: the same rows that a
+    boolean mask selects, summed by the same ``np.add.reduce`` as their
+    ``.mean(axis=0)``, then divided by the count.
+    """
     if embedding_set.n_items == 0:
         raise TooFewItemsError("cannot build prototypes from an empty set")
-    labels = np.unique(embedding_set.labels)
-    rows = np.empty((labels.size, embedding_set.dim), dtype=np.float64)
-    for j, label in enumerate(labels):
-        rows[j] = embedding_set.matrix[embedding_set.labels == label].mean(axis=0)
-    return EmbeddingSet(rows, labels, embedding_set.modality)
+    order = np.argsort(embedding_set.labels, kind="stable")
+    labels = embedding_set.labels[order]
+    rows = embedding_set.matrix[order]
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+    stops = np.r_[starts[1:], labels.size]
+    sums = np.array([np.add.reduce(rows[a:b], axis=0) for a, b in zip(starts.tolist(), stops.tolist())])
+    return EmbeddingSet(sums / (stops - starts)[:, None], labels[starts], embedding_set.modality)
 
 
 def check_labels_covered(labels: np.ndarray, known: np.ndarray, message: str) -> None:

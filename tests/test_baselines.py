@@ -346,21 +346,72 @@ def oracle_cascade_orders(audio, images, student_prototypes, teacher_prototypes)
 
 
 @st.composite
-def cascade_inputs(draw):
-    """Audio, images and both prototype tables over negative-capable labels."""
+def cascade_inputs(draw, teacher_rows=None):
+    """Audio, images and both prototype tables over negative-capable labels.
+
+    ``teacher_rows`` caps the distinct palette rows of the teacher table,
+    so that classes share prototypes and their cosines tie exactly.
+    """
     classes = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True))
     labels = st.sampled_from(classes)
+    rows = st.integers(0, len(EXACT_PALETTE) - 1)
 
-    def prototypes(modality):
-        picks = draw(st.lists(st.integers(0, len(EXACT_PALETTE) - 1), min_size=len(classes), max_size=len(classes)))
+    def prototypes(modality, rows):
+        picks = draw(st.lists(rows, min_size=len(classes), max_size=len(classes)))
         return EmbeddingSet(EXACT_PALETTE[picks], classes, modality)
+
+    teacher = rows
+    if teacher_rows is not None:
+        teacher = st.sampled_from(draw(st.lists(rows, min_size=1, max_size=teacher_rows)))
 
     return (
         draw(exact_sets(labels)),
         draw(exact_sets(labels, modality=Modality.IMAGE)),
-        prototypes(Modality.AUDIO),
-        prototypes(Modality.TEACHER_TEXT),
+        prototypes(Modality.AUDIO, rows),
+        prototypes(Modality.TEACHER_TEXT, teacher),
     )
+
+
+def float_sort_rankings(audio, images, student_prototypes, teacher_prototypes):
+    """Each predicted class's gallery order and scores, ascending class,
+    by a stable float sort of the negated scores over the presorted gallery."""
+    audio_pred, _ = nearest_prototype(audio, student_prototypes)
+    image_pred, image_conf = nearest_prototype(images, teacher_prototypes)
+    teacher = teacher_prototypes.take(np.argsort(teacher_prototypes.labels, kind="stable"))
+    proto_cos = baselines.similarity_matrix(teacher, teacher)
+    presorted = np.argsort(-image_conf, kind="stable")
+    rows = np.searchsorted(teacher.labels, np.unique(audio_pred))
+    scores = proto_cos[rows[:, None], np.searchsorted(teacher.labels, image_pred[presorted])]
+    within = np.argsort(-scores, axis=1, kind="stable")
+    return presorted[within], np.take_along_axis(scores, within, axis=1)
+
+
+def assert_float_sort_rankings(inputs):
+    orders, scores = float_sort_rankings(*inputs)
+    ranked = cascaded_zero_shot_baseline(*inputs)
+    assert [r.gallery_order.tolist() for r in ranked] == orders.tolist()
+    assert [r.scores.tobytes() for r in ranked] == [row.tobytes() for row in scores]
+
+
+# Edits of the cascade's cosine table, cell by cell: keep, +0.0, -0.0,
+# NaN, or a copy of cell (0, 0), an exact tie.
+TABLE_EDITS = st.lists(st.sampled_from(["keep", 0.0, -0.0, np.nan, "tie"]), min_size=25, max_size=25)
+
+
+def edited_similarity(edits):
+    similarity = baselines.similarity_matrix
+
+    def edited(queries, gallery):
+        table = similarity(queries, gallery)
+        flat = table.reshape(-1)
+        for cell, edit in enumerate(edits[: flat.size]):
+            if edit == "tie":
+                flat[cell] = flat[0]
+            elif edit != "keep":
+                flat[cell] = edit
+        return table
+
+    return edited
 
 
 class TestCascadeMatchesNaiveOracle:
@@ -394,3 +445,26 @@ class TestCascadeMatchesNaiveOracle:
             report = map_from_ranked(ranked, audio.labels, images.labels)
         assert report.value == sum(per_query) / len(per_query)
         assert report.per_query == tuple(per_query)
+
+    @given(cascade_inputs(teacher_rows=2))
+    @settings(max_examples=100, deadline=None)
+    def test_classes_sharing_a_teacher_prototype_tie_exactly(self, inputs):
+        assert_float_sort_rankings(inputs)
+
+    @given(cascade_inputs(), TABLE_EDITS)
+    @settings(max_examples=100, deadline=None)
+    def test_signed_zero_nan_and_tied_cosines(self, inputs, edits):
+        with mock.patch.object(baselines, "similarity_matrix", edited_similarity(edits)):
+            assert_float_sort_rankings(inputs)
+
+    def test_nan_teacher_prototype(self):
+        # Every image scores NaN against the NaN prototype, so every image
+        # is predicted as its class and all of its cosines are NaN.
+        audio = eset(EXACT_PALETTE[[0, 8, 16, 2]], [0, 1, 2, 0])
+        images = eset(EXACT_PALETTE[[8, 0, 16, 1, 9]], [1, 0, 2, 0, 1], Modality.IMAGE)
+        student = eset(EXACT_PALETTE[[0, 8, 16]], [0, 1, 2])
+        teacher_rows = [[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        teacher = eset(teacher_rows, [0, 1, 2], Modality.TEACHER_TEXT)
+        ranked = cascaded_zero_shot_baseline(audio, images, student, teacher)
+        assert all(np.isnan(r.scores).all() for r in ranked)
+        assert_float_sort_rankings((audio, images, student, teacher))

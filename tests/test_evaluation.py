@@ -21,6 +21,7 @@ from xmodal import (
     RankedList,
     SpeciesMismatchError,
     TooFewItemsError,
+    ZeroVectorError,
     chance_map_oracle,
     class_prototypes,
     knn_classify,
@@ -34,7 +35,7 @@ from xmodal.embeddings import similarity_matrix
 from xmodal.evaluation import rank_by_score
 from xmodal.rng import rng_for
 
-from conftest import brute_force_scores, exact_sets
+from conftest import EXACT_PALETTE, brute_force_scores, exact_sets
 from test_acceptance import oracle_ap, oracle_knn_loo, oracle_map, oracle_pair_scores, oracle_rank
 
 
@@ -343,6 +344,74 @@ class TestMapRetrieval:
         assert scaled == base
 
 
+def one_query_at_a_time(queries, gallery, k=None):
+    """map_retrieval's per-query values, each query scored on its own."""
+    per_query = []
+    for i in range(queries.n_items):
+        try:
+            per_query.extend(map_retrieval(queries.take([i]), gallery, k=k).per_query)
+        except NoRelevantItemsError:
+            pass
+    return tuple(per_query)
+
+
+def assert_matches_one_query_at_a_time(queries, gallery, k=None):
+    per_query = one_query_at_a_time(queries, gallery, k)
+    if not per_query:
+        with pytest.raises(NoRelevantItemsError):
+            map_retrieval(queries, gallery, k=k)
+        return
+    report = map_retrieval(queries, gallery, k=k)
+    assert report.per_query == per_query
+    assert report.value == sum(per_query) / len(per_query)
+    assert report.metadata == {"excluded_queries": queries.n_items - len(per_query), "n_queries": queries.n_items}
+
+
+class TestRepeatedQueryRows:
+    GALLERY = eset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5], [0.5, -1.0]], [0, 1, 0, 2, 1])
+
+    @pytest.mark.parametrize("cells", [1, 7, evaluation._BLOCK_CELLS])
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_matches_one_query_at_a_time(self, cells, k):
+        # Row a under labels 0 and 1; row b and b0, which differ only in
+        # the sign of a zero; label 9, absent from the gallery, between
+        # copies of a under label 0.
+        a, b, b0 = [1.0, 0.25], [0.0, 2.0], [-0.0, 2.0]
+        queries = eset([a, a, b, b0, a, a, b, a, b0], [0, 1, 1, 1, 9, 0, 1, 0, 1])
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            assert_matches_one_query_at_a_time(queries, self.GALLERY, k)
+
+    def test_groups_by_row_bytes_and_label_in_first_occurrence_order(self):
+        a, b, b0 = [1.0, 0.25], [0.0, 2.0], [-0.0, 2.0]
+        queries = eset([b, a, a, b0, b, a], [1, 0, 1, 1, 1, 0])
+        first, row_of = evaluation._repeated_queries(queries)
+        assert first.tolist() == [0, 1, 2, 3]
+        assert row_of.tolist() == [0, 1, 2, 3, 0, 1]
+
+    def test_no_group_without_a_repeat(self):
+        # Equal first entries, different rows; equal rows, different labels.
+        assert evaluation._repeated_queries(eset([[1.0, 0.0], [1.0, 2.0], [1.0, 0.0]], [0, 0, 1])) is None
+        assert evaluation._repeated_queries(eset([[1.0, 0.0]], [0])) is None
+
+    def test_zero_row_named_by_its_query_index(self):
+        queries = eset([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [0, 0, 1])
+        with pytest.raises(ZeroVectorError, match="query row 2 is all zeros"):
+            map_retrieval(queries, self.GALLERY)
+
+    @given(st.data(), BLOCK_CELLS)
+    @settings(max_examples=100, deadline=None)
+    def test_few_distinct_rows(self, data, cells):
+        # Palette rows come in pairs that differ only in the sign of a zero.
+        gallery = data.draw(exact_sets(GALLERY_LABELS))
+        palette_rows = data.draw(st.lists(st.integers(0, len(EXACT_PALETTE) - 1), min_size=1, max_size=3))
+        n = data.draw(st.integers(2, 12))
+        rows = data.draw(st.lists(st.sampled_from(palette_rows), min_size=n, max_size=n))
+        labels = data.draw(st.lists(QUERY_LABELS, min_size=n, max_size=n))
+        k = data.draw(st.none() | st.integers(1, gallery.n_items + 3))
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            assert_matches_one_query_at_a_time(eset(EXACT_PALETTE[rows], labels), gallery, k)
+
+
 class TestMapFromRanked:
     # Gaussian rows give distinct scores, so map_retrieval takes the rank
     # search and map_from_ranked the inverse of the full order. Classes of
@@ -561,6 +630,20 @@ class TestKnnClassify:
         assert scaled.value == base.value
 
 
+# Magnitudes far apart, so the order of a class's additions shows in the
+# rounding, with signed zeros and non-finite entries.
+PROTOTYPE_ENTRIES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e16, -1e16, 1e-300]) | st.floats(
+    -1e6, 1e6, allow_nan=False
+)
+
+
+def loop_prototypes(embedding_set):
+    """The masked mean of each label's rows, labels ascending, label by label."""
+    labels = np.unique(embedding_set.labels)
+    rows = [embedding_set.matrix[embedding_set.labels == label].mean(axis=0) for label in labels]
+    return eset(np.array(rows), labels)
+
+
 class TestPrototypes:
     def test_centroids(self):
         s = eset([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0]], [4, 4, 9])
@@ -577,6 +660,30 @@ class TestPrototypes:
     def test_empty_set(self):
         with pytest.raises(TooFewItemsError):
             class_prototypes(eset(np.zeros((0, 3)), []))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_interleaved_unequal_classes_with_signed_zeros_and_non_finite(self, dim):
+        # Class 4 has 10 rows (a one-column mean of 9 or more is summed
+        # pairwise), class -1 has one, and class 2 holds -0.0, inf and NaN.
+        labels = [4, 2, 4, -1, 4, 4, 2, 4, 4, 4, 2, 4, 4, 4]
+        column = [1e16, -0.0, 1.0, 7.5, -1e16, 3.0, -0.0, 1e-3, 2.0, -7.0, np.inf, 0.1, 5.0, -0.25]
+        s = eset(np.array(column)[:, None] * np.array([1.0, -1.0, np.nan, 0.5][:dim]), labels)
+        with np.errstate(invalid="ignore"):
+            assert class_prototypes(s).matrix.tobytes() == loop_prototypes(s).matrix.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_masked_mean_per_label(self, data):
+        n = data.draw(st.integers(1, 30))
+        dim = data.draw(st.integers(1, 4))
+        labels = data.draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+        rows = data.draw(st.lists(st.lists(PROTOTYPE_ENTRIES, min_size=dim, max_size=dim), min_size=n, max_size=n))
+        s = eset(rows, labels)
+        with np.errstate(invalid="ignore"):
+            expected = loop_prototypes(s)
+            got = class_prototypes(s)
+        assert got.labels.tolist() == expected.labels.tolist()
+        assert got.matrix.tobytes() == expected.matrix.tobytes()
 
     def test_nearest_prototype_predictions(self):
         protos = eset([[1.0, 0.0], [0.0, 1.0]], [10, 20])

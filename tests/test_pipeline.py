@@ -14,8 +14,12 @@ from xmodal import (
     BaselineKind,
     load_params,
     read_embedding_set,
+    text_mapping_audio_embeddings,
+    text_mapping_baseline,
 )
+from xmodal import evaluation
 from xmodal.cli import main
+from xmodal.embeddings import similarity_matrix
 from xmodal.pipeline import (
     SUMMARY_METHOD_ORDER,
     baseline_report,
@@ -300,6 +304,29 @@ def test_many_class_eval_bytes_match_the_benchmark_reference(tmp_path, monkeypat
         name: hashlib.sha256((workloads.OUTPUT_DIR / name).read_bytes()).hexdigest() for name in reference
     }
     assert digests == reference
+
+
+@pytest.mark.parametrize("world", ["default", "eval_wide"])
+def test_distinct_text_mapping_rows_score_like_the_full_matrix(world, monkeypatch):
+    # map_retrieval scores each distinct text-mapping row once and gives
+    # its scores to every clip that shares it. That relies on the promise
+    # of similarity_matrix that a row's scores do not depend on the other
+    # rows, here on the default world and on the benchmark's eval_wide
+    # world, both at the default seed 7.
+    config = parse_config("")
+    if world == "eval_wide":
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        config = parse_config(workloads.EVAL_WIDE_CONFIG)
+    prepared = prepare_world(config)
+    _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
+    rows = text_mapping_audio_embeddings(table, prepared.eval_view.audio_features, prepared.audio_prototypes)
+    first, row_of = evaluation._repeated_queries(rows)
+    assert first.size < rows.n_items / 2
+    images = prepared.eval_view.images
+    assert similarity_matrix(rows.take(first), images)[row_of].tobytes() == similarity_matrix(rows, images).tobytes()
 
 
 class TestDefaultConfigOrdering:
