@@ -13,8 +13,8 @@ from .baselines import (
     BaselineKind,
     cascaded_zero_shot_baseline,
     random_projection_baseline,
-    text_mapping_audio_embeddings,
     text_mapping_baseline,
+    text_mapping_rankings,
 )
 from .embeddings import EmbeddingSet, Modality, normalize_rows, similarity_matrix
 from .errors import (

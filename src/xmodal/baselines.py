@@ -12,32 +12,35 @@ also has access to:
   :func:`xmodal.trainer.fit`, with each species paired with its canonical
   teacher row; it reports through the adapter's ``TrainReport``. At
   inference an audio clip is classified to a species with audio-space
-  class prototypes, then represented by its mapped species text.
+  class prototypes and gets the ranking of that species' mapped text
+  row: the gallery is ranked once per distinct predicted species.
 * ``cascaded_zero_shot``: two independent zero-shot classifiers (audio
   vs audio-space prototypes, image vs teacher text prototypes) chained
   by scoring each image with the cosine between the two predicted class
   prototypes. A misclassification in either stage propagates to the
   ranking. A clip's ranking depends only on its predicted class, so the
-  gallery is ranked once per distinct predicted class and that one
-  ``RankedList`` serves all of the class's clips. Every score is a cell
+  gallery is ranked once per distinct predicted class. Every score is a cell
   of the (predicted classes x classes) cosine table, so each class's
   sort runs on the cells' dense ranks in its row of that table, small
   unsigned integers that NumPy radix-sorts, in place of the float
   scores; equal ranks are exactly equal scores, so the order and its
   ties are the float sort's.
+
+Both classify-then-look-up baselines return one ``RankedList``: a row
+per distinct predicted class, and for each clip the row of its class.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .embeddings import EmbeddingSet, normalize_rows, similarity_matrix
 from .errors import SpeciesMismatchError
-from .evaluation import RankedList, check_labels_covered, nearest_prototype
+from .evaluation import RankedList, check_labels_covered, nearest_prototype, rank_by_score
 from .rng import rng_for
 from .trainer import Layer, TrainConfig, TrainReport, fit, mlp_forward, mlp_init
 
@@ -45,7 +48,7 @@ __all__ = [
     "BaselineKind",
     "random_projection_baseline",
     "text_mapping_baseline",
-    "text_mapping_audio_embeddings",
+    "text_mapping_rankings",
     "cascaded_zero_shot_baseline",
 ]
 
@@ -108,21 +111,26 @@ def text_mapping_baseline(
     return report, EmbeddingSet(mapped, student_sorted.labels, student_text.modality)
 
 
-def text_mapping_audio_embeddings(
+def text_mapping_rankings(
     table: EmbeddingSet,
     audio: EmbeddingSet,
     audio_prototypes: EmbeddingSet,
-) -> EmbeddingSet:
-    """Teacher-space rows for audio clips via the mapped-text route.
+    images: EmbeddingSet,
+) -> RankedList:
+    """Rank the images for each audio clip via the mapped-text route.
 
     Each clip is classified to a species with the audio-space prototypes
-    and represented by that species' row of ``table``, the mapped table
-    that :func:`text_mapping_baseline` returns.
+    and ranks the images by their cosine with that species' row of
+    ``table``, the mapped table that :func:`text_mapping_baseline`
+    returns. The gallery is ranked once per distinct predicted species,
+    one row each in ascending label order.
     """
     predicted, _ = nearest_prototype(audio, audio_prototypes)
     check_labels_covered(predicted, table.labels, "no mapped text for predicted labels {}")
-    positions = np.searchsorted(table.labels, predicted)
-    return EmbeddingSet(table.matrix[positions], audio.labels, audio.modality)
+    classes, clip_class = np.unique(predicted, return_inverse=True)
+    scores = similarity_matrix(table.take(np.searchsorted(table.labels, classes)), images)
+    orders = rank_by_score(scores)
+    return RankedList(clip_class, orders, np.take_along_axis(scores, orders, axis=1))
 
 
 def cascaded_zero_shot_baseline(
@@ -130,15 +138,15 @@ def cascaded_zero_shot_baseline(
     images: EmbeddingSet,
     student_prototypes: EmbeddingSet,
     teacher_prototypes: EmbeddingSet,
-) -> List[RankedList]:
+) -> RankedList:
     """Rank images per predicted audio class through two zero-shot classifiers.
 
     score(image | clip) = cosine between the teacher prototypes of the
     clip's predicted class and the image's predicted class. Ties break
     by the image's own classification confidence (descending), then by
     gallery index. A clip's ranking depends only on its predicted class,
-    so one ``RankedList`` is returned per distinct predicted class, in
-    ascending label order, holding the clips predicted as that class.
+    so the gallery is ranked once per distinct predicted class, one row
+    each in ascending label order.
     """
     check_labels_covered(audio.labels, teacher_prototypes.labels, "no teacher prototype for audio labels {}")
     check_labels_covered(images.labels, teacher_prototypes.labels, "no teacher prototype for image labels {}")
@@ -176,11 +184,5 @@ def cascaded_zero_shot_baseline(
     keys = np.empty_like(ranks)
     np.put_along_axis(keys, by_value, ranks, axis=1)
     within = np.argsort(keys[:, image_class], axis=1, kind="stable")
-    rankings = presorted[within]
     ranked_scores = proto_cos[classes[:, None], image_class[within]]
-    # Clips grouped by class, ascending within each group.
-    clips = np.split(np.argsort(clip_class, kind="stable"), np.cumsum(np.bincount(clip_class))[:-1])
-    return [
-        RankedList(query_indices=clips[c], gallery_order=rankings[c], scores=ranked_scores[c])
-        for c in range(classes.size)
-    ]
+    return RankedList(clip_class, presorted[within], ranked_scores)

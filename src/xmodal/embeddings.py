@@ -99,9 +99,11 @@ def similarity_matrix(queries: EmbeddingSet, gallery: EmbeddingSet) -> np.ndarra
 
     Entry (i, j) is the cosine of the angle between query row i and
     gallery row j, in [-1, 1] up to rounding (not clipped). Zero rows
-    raise ZeroVectorError naming their side. Each entry is an independent
-    dot product, so parallel evaluation over query rows cannot change the
-    result.
+    raise ZeroVectorError naming their side. The product is one BLAS
+    GEMM, and a row's bits may depend on the other rows: under
+    ``OPENBLAS_CORETYPE=Haswell`` a subset of the query rows differs from
+    the same rows of the full product in the last bits. Nothing in the
+    package relies on a row's bits being the same in another product.
     """
     if queries.dim != gallery.dim:
         raise DimensionMismatchError(f"dims differ: {queries.dim} vs {gallery.dim}")

@@ -6,16 +6,6 @@ defined once, by ``rank_by_score``: one stable ``argsort`` of the negated
 scores. Truncated mean average precision (mAP@K) normalizes each query
 by min(total relevant, K), the standard convention.
 
-``map_retrieval`` scores each distinct query once. Queries are grouped
-by the exact bytes of their row and their label (the text-mapping
-baseline gives every clip its predicted species' row), and only each
-group's first query is scored, ranked and searched; its AP is then given
-back to every query of the group in query order. ``similarity_matrix``
-computes each row independently of the others, so the shared row is the
-one every member would get. The grouping is one stable sort on the bits
-of the first entry and the label, plus a byte comparison of neighbours
-equal in that entry; with no such neighbours it stops there.
-
 Metrics work on row blocks of the score matrix, not query by query. A
 block holds at most ``_BLOCK_CELLS`` cells (its height is that budget
 over the gallery width), so the temporaries stay near a megabyte each
@@ -48,11 +38,12 @@ whatever the number of queries. Within a block:
   ``-inf``, is ranked by ``rank_by_score`` instead. The passes cost k N
   per row, against N log N for a sort: fine for the small k of kNN.
 
-A ``RankedList`` is one gallery ranking shared by the queries it serves,
-so the cascade, which gives every clip of one predicted class the same
-ranking, builds and checks one list per class. ``map_from_ranked``
-inverts each list's order once and reports its queries in ascending
-query index.
+A ``RankedList`` holds the rankings of one classify-then-look-up
+method: one gallery order per distinct ranking, and for every query the
+row that ranks it. The cascade and the text-mapping baseline give every
+clip the ranking of its predicted class, so they build and check one row
+per class. ``map_from_ranked`` inverts every row once and reports the
+queries in query order.
 
 ``class_prototypes`` sorts the rows by label once and sums each class
 as one contiguous slice, the rows and the reduction of a masked
@@ -78,7 +69,6 @@ from .errors import (
     NoRelevantItemsError,
     SpeciesMismatchError,
     TooFewItemsError,
-    ZeroVectorError,
 )
 from .rng import draw_streams
 
@@ -124,37 +114,39 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class RankedList:
-    """One gallery ranking, shared by the queries it serves.
+    """The gallery rankings of one method, shared by the queries they serve.
 
-    ``query_indices`` are the distinct queries ranked this way; scores
-    are aligned with the order.
+    Query ``i`` is ranked by row ``row_of[i]`` of ``orders``; ``orders``
+    and ``scores`` hold one row per distinct ranking, the scores aligned
+    with the order.
     """
 
-    query_indices: np.ndarray
-    gallery_order: np.ndarray
+    row_of: np.ndarray
+    orders: np.ndarray
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        queries = np.asarray(self.query_indices, dtype=np.int64)
-        if queries.ndim != 1 or queries.size == 0:
-            raise InvalidConfigError(f"query_indices must be flat and non-empty, got shape {queries.shape}")
-        if queries.min() < 0:
-            raise InvalidConfigError(f"query_indices must be >= 0, got {queries.min()}")
-        if np.unique(queries).size != queries.size:
-            raise InvalidConfigError("query_indices must be distinct")
-        order = np.asarray(self.gallery_order, dtype=np.int64)
+        row_of = np.asarray(self.row_of, dtype=np.int64)
+        orders = np.asarray(self.orders, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
-        if order.shape != scores.shape or order.ndim != 1:
-            raise InvalidConfigError("gallery_order and scores must be flat and aligned")
-        # n entries in [0, n), none of them repeated: a permutation, in O(n).
-        if order.size and (
-            order.min() < 0 or order.max() >= order.size or np.bincount(order).max() > 1
-        ):
-            raise InvalidConfigError("gallery_order must be a permutation of the gallery")
-        if order.size > 1 and np.any(np.diff(scores) > 0):
-            raise InvalidConfigError("scores must be non-increasing along the ranking")
-        object.__setattr__(self, "query_indices", queries)
-        object.__setattr__(self, "gallery_order", order)
+        if row_of.ndim != 1:
+            raise InvalidConfigError(f"row_of must be 1-d, got shape {row_of.shape}")
+        if orders.shape != scores.shape or orders.ndim != 2:
+            raise InvalidConfigError("orders and scores must be 2-d and aligned")
+        n_rows, width = orders.shape
+        if row_of.size and (row_of.min() < 0 or row_of.max() >= n_rows):
+            raise InvalidConfigError(f"row_of must lie in [0, {n_rows}), one row per ranking")
+        # A row of entries in [0, width) that marks every cell of its row
+        # of a boolean table is a permutation.
+        seen = np.zeros(orders.shape, dtype=bool)
+        if orders.size and orders.min() >= 0 and orders.max() < width:
+            seen[np.arange(n_rows)[:, None], orders] = True
+        if not seen.all():
+            raise InvalidConfigError("every row of orders must be a permutation of the gallery")
+        if np.any(scores[:, 1:] > scores[:, :-1]):
+            raise InvalidConfigError("scores must be non-increasing along each ranking")
+        object.__setattr__(self, "row_of", row_of)
+        object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "scores", scores)
 
 
@@ -272,14 +264,11 @@ def _map_report(
     gallery_labels: np.ndarray,
     k: Optional[int],
     metric_name: Optional[str],
-    row_of: Optional[np.ndarray] = None,
 ) -> EvalReport:
     """mAP of the queries labelled ``query_labels``, one row each.
 
     ``ranks_of(rows, columns)`` gives the 1-based rank of gallery item
-    ``columns[i, j]`` in the ranking of query ``rows.start + i``. When
-    ``row_of`` is given, those rows are shared: query ``i`` is scored by
-    row ``row_of[i]``, and the report covers ``row_of.size`` queries.
+    ``columns[i, j]`` in the ranking of query ``rows.start + i``.
     """
     classes, counts = np.unique(gallery_labels, return_counts=True)
     # members[c]: the columns of class c, ascending, padded with column 0.
@@ -298,8 +287,6 @@ def _map_report(
         # Queries with nothing relevant are dropped; 1 only spares them 0/0.
         ap[rows] = _ap_from_ranks(ranks, limit, np.maximum(denom, 1))
     scored = totals > 0
-    if row_of is not None:
-        ap, scored = ap[row_of], scored[row_of]
     per_query = ap[scored].tolist()
     if not per_query:
         raise NoRelevantItemsError("no query has any relevant gallery item")
@@ -314,44 +301,6 @@ def _map_report(
             "n_queries": scored.size,
         },
     )
-
-
-def _repeated_queries(queries: EmbeddingSet) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Queries grouped by the exact bytes of their row and their label.
-
-    Returns ``(first, row_of)``: the first query of each group, ascending,
-    and the group of every query; ``None`` when no two queries are equal.
-    Queries are stably sorted on the bits of their first entry, then their
-    label, and only neighbours equal in that first entry are compared in
-    full. Two equal queries with a different row between them in that
-    order stay apart: that costs a repeated score row, never a different
-    answer.
-    """
-    matrix, labels = queries.matrix, queries.labels
-    if matrix.shape[0] < 2 or matrix.shape[1] == 0:
-        return None
-    column = matrix[:, 0].view(np.uint64)
-    order = np.lexsort((labels, column))
-    candidates = np.flatnonzero(column[order[1:]] == column[order[:-1]])
-    if candidates.size == 0:
-        return None
-    left, right = order[candidates], order[candidates + 1]
-    equal = (labels[left] == labels[right]) & (
-        matrix[left].view(np.uint64) == matrix[right].view(np.uint64)
-    ).all(axis=1)
-    if not equal.any():
-        return None
-    # A sorted position equal to its left neighbour joins that group; the
-    # stable sort puts each group's first query at its head.
-    joins = np.zeros(order.size, dtype=bool)
-    joins[candidates[equal] + 1] = True
-    heads = order[~joins]
-    by_first = np.argsort(heads)
-    group = np.empty(heads.size, dtype=np.int64)
-    group[by_first] = np.arange(heads.size)
-    row_of = np.empty(order.size, dtype=np.int64)
-    row_of[order] = group[np.cumsum(~joins) - 1]
-    return heads[by_first], row_of
 
 
 def map_retrieval(
@@ -369,27 +318,16 @@ def map_retrieval(
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     if gallery.n_items == 0:
         raise EmptyGalleryError("cannot rank an empty gallery")
-    repeated = _repeated_queries(queries)
-    if repeated is None:
-        distinct, row_of = queries, None
-    else:
-        first, row_of = repeated
-        distinct = queries.take(first)
-    try:
-        scores = similarity_matrix(distinct, gallery)
-    except ZeroVectorError:
-        # Named by its index among all the queries, not the distinct ones.
-        similarity_matrix(queries, gallery)
-        raise
+    scores = similarity_matrix(queries, gallery)
 
     def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
         return _search_ranks(scores[rows], columns)
 
-    return _map_report(ranks_of, distinct.labels, gallery.labels, k, metric_name, row_of)
+    return _map_report(ranks_of, queries.labels, gallery.labels, k, metric_name)
 
 
 def map_from_ranked(
-    ranked_lists: Sequence[RankedList],
+    ranked: RankedList,
     query_labels: np.ndarray,
     gallery_labels: np.ndarray,
     k: Optional[int] = None,
@@ -397,40 +335,30 @@ def map_from_ranked(
 ) -> EvalReport:
     """Mean average precision over pre-ranked galleries.
 
-    Each list ranks the gallery for every query in its ``query_indices``,
-    and query ``i`` is scored with ``query_labels[i]``. A list's order is
-    inverted once, and each of its queries reads the ranks of its relevant
-    items from that one row. ``per_query`` is in ascending query index;
-    a query that no list names is not scored.
+    Query ``i`` is ranked by row ``ranked.row_of[i]`` and scored with
+    ``query_labels[i]``, so the labels must have the shape of ``row_of``.
+    Every row is inverted once, and each query reads the ranks of its
+    relevant items from its row. ``per_query`` is in query order.
     """
     if k is not None and k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     query_labels = np.asarray(query_labels, dtype=np.int64)
     gallery_labels = np.asarray(gallery_labels, dtype=np.int64)
-    if query_labels.ndim != 1:
-        raise InvalidConfigError(f"query_labels must be 1-d, got shape {query_labels.shape}")
+    if query_labels.shape != ranked.row_of.shape:
+        raise InvalidConfigError(
+            f"query_labels must have the shape of row_of, {ranked.row_of.shape}, got {query_labels.shape}"
+        )
     if gallery_labels.size == 0:
         raise EmptyGalleryError("cannot rank an empty gallery")
-    if any(ranked.gallery_order.size != gallery_labels.size for ranked in ranked_lists):
-        raise InvalidConfigError("every ranked list must order the whole gallery")
-    served = [ranked.query_indices for ranked in ranked_lists]
-    index = np.concatenate([np.empty(0, dtype=np.int64), *served])
-    if index.size and (index.min() < 0 or index.max() >= query_labels.size):
-        raise InvalidConfigError(f"query indices must lie in [0, {query_labels.size}), one per query label")
-    by_query = np.argsort(index, kind="stable")
-    queries = index[by_query]
-    if np.any(queries[1:] == queries[:-1]):
-        raise InvalidConfigError("a query index appears in more than one ranked list")
-    # list_of[j]: the list that ranks the j-th query in ascending order.
-    list_of = np.repeat(np.arange(len(ranked_lists)), [len(indices) for indices in served])[by_query]
-    # One row per list; the reshape keeps an empty sequence of lists 2-d.
-    orders = np.array([ranked.gallery_order for ranked in ranked_lists], dtype=np.int64)
-    ranks = _inverse_ranks(orders.reshape(len(ranked_lists), gallery_labels.size))
+    if ranked.orders.shape[1] != gallery_labels.size:
+        raise InvalidConfigError("every ranking must order the whole gallery")
+    ranks = _inverse_ranks(ranked.orders)
+    row_of = ranked.row_of
 
     def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
-        return ranks[list_of[rows, None], columns]
+        return ranks[row_of[rows, None], columns]
 
-    return _map_report(ranks_of, query_labels[queries], gallery_labels, k, metric_name)
+    return _map_report(ranks_of, query_labels, gallery_labels, k, metric_name)
 
 
 def chance_map_oracle(n_per_class: int, n_classes: int, trials: int = 1000, seed: int = 0) -> float:

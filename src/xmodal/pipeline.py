@@ -9,8 +9,9 @@ order. Stages recompute the world from its config, never from the
 float32 embedding files, which exist for other tools.
 
 One builder maps a method name to its teacher-space eval audio rows (the
-cascade: its ranked lists), shared by ``evaluate_trained`` and
-``baseline_report``, so the text-mapping map is fitted in one place.
+text mapping and the cascade: their ``RankedList``), shared by
+``evaluate_trained`` and ``baseline_report``, so the text-mapping map is
+fitted in one place.
 
 The summary is deliberately free of wallclock or environment data so
 that reruns of the same config are byte-identical.
@@ -29,8 +30,8 @@ from .baselines import (
     BaselineKind,
     cascaded_zero_shot_baseline,
     random_projection_baseline,
-    text_mapping_audio_embeddings,
     text_mapping_baseline,
+    text_mapping_rankings,
 )
 from .embeddings import EmbeddingSet, Modality
 from .evaluation import (
@@ -140,30 +141,33 @@ def chance_map(config: RunConfig, prepared: PreparedWorld) -> float:
 
 def _method_audio(
     config: RunConfig, prepared: PreparedWorld, method: str, params: Optional[Params] = None
-) -> Union[EmbeddingSet, List[RankedList]]:
+) -> Union[EmbeddingSet, RankedList]:
     """The method table: one method's eval audio, by method name.
 
-    Only ``distilled`` reads ``params``, the trained adapter. The
-    text-mapping baseline fits its map here, on every call, from its own
-    keyed streams; this is the only place the map is fitted.
+    The learned maps (``distilled``, ``random_projection``) give an
+    embedding row per clip. The classify-then-look-up baselines
+    (``text_mapping``, ``cascaded_zero_shot``) give a ``RankedList``:
+    each clip gets the gallery ranking of its predicted species. Only
+    ``distilled`` reads ``params``, the trained adapter. The text-mapping
+    baseline fits its map here, on every call, from its own keyed
+    streams; this is the only place the map is fitted.
     """
     eval_audio = prepared.eval_view.audio_features
+    images = prepared.eval_view.images
     if method == "distilled":
         return embedded_audio_set(adapter_config_for(config), params, eval_audio)
     if method == "random_projection":
         return random_projection_baseline(eval_audio, config.world.d_teacher, config.world.seed)
     if method == "text_mapping":
         _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
-        return text_mapping_audio_embeddings(table, eval_audio, prepared.audio_prototypes)
-    return cascaded_zero_shot_baseline(
-        eval_audio, prepared.eval_view.images, prepared.audio_prototypes, prepared.teacher_prototypes
-    )
+        return text_mapping_rankings(table, eval_audio, prepared.audio_prototypes, images)
+    return cascaded_zero_shot_baseline(eval_audio, images, prepared.audio_prototypes, prepared.teacher_prototypes)
 
 
 def _audio_image_map(
-    prepared: PreparedWorld, method: str, audio: Union[EmbeddingSet, List[RankedList]]
+    prepared: PreparedWorld, method: str, audio: Union[EmbeddingSet, RankedList]
 ) -> EvalReport:
-    """Audio-to-image retrieval mAP of one method's rows or ranked lists."""
+    """Audio-to-image retrieval mAP of one method's rows or rankings."""
     images = prepared.eval_view.images
     name = f"audio_image_map.{method}"
     if isinstance(audio, EmbeddingSet):

@@ -27,17 +27,18 @@ from xmodal import (
     map_retrieval,
     nearest_prototype,
     random_projection_baseline,
-    text_mapping_audio_embeddings,
     text_mapping_baseline,
+    text_mapping_rankings,
 )
 from xmodal import baselines, evaluation
-from xmodal.evaluation import chance_map_oracle
+from xmodal.embeddings import similarity_matrix
+from xmodal.evaluation import chance_map_oracle, rank_by_score
 from xmodal.pipeline import teacher_prototype_set
 from xmodal.rng import rng_for
 from xmodal.runconfig import parse_config
 
 from conftest import EXACT_PALETTE, SMALL_WORLD, assert_unit_rows, exact_sets
-from test_acceptance import oracle_ap, oracle_pair_scores
+from test_acceptance import oracle_ap, oracle_pair_scores, oracle_rank
 
 
 def eset(matrix, labels, modality=Modality.AUDIO) -> EmbeddingSet:
@@ -167,20 +168,23 @@ class TestTextMapping:
         assert np.allclose(a.matrix, b.matrix, atol=1e-12)
 
     def test_audio_embeddings_route(self, small_world):
-        # Clips classified to species sp must be represented by the
-        # mapped row of sp (here: the teacher prototype itself).
+        # Clips classified to species sp must be ranked by the mapped row
+        # of sp (here: the teacher prototype itself), one row per distinct
+        # predicted species in ascending label order.
         teacher_protos = teacher_prototype_set(small_world)
         audio = small_world.audio_features
+        images = small_world.images
         audio_protos = class_prototypes(audio)
-        embedded = text_mapping_audio_embeddings(teacher_protos, audio, audio_protos)
-        assert embedded.n_items == audio.n_items
-        assert np.array_equal(embedded.labels, audio.labels)
-        from xmodal.evaluation import nearest_prototype
-
+        ranked = text_mapping_rankings(teacher_protos, audio, audio_protos, images)
         predicted, _ = nearest_prototype(audio, audio_protos)
+        classes = np.unique(predicted)
+        assert ranked.row_of.tolist() == np.searchsorted(classes, predicted).tolist()
+        scores = similarity_matrix(teacher_protos.take(np.searchsorted(teacher_protos.labels, classes)), images)
         for i in range(audio.n_items):
-            expected_row = teacher_protos.matrix[predicted[i]]
-            assert np.array_equal(embedded.matrix[i], expected_row)
+            row = scores[np.searchsorted(classes, predicted[i])]
+            order = rank_by_score(row)
+            assert ranked.orders[ranked.row_of[i]].tolist() == order.tolist()
+            assert ranked.scores[ranked.row_of[i]].tobytes() == row[order].tobytes()
 
     def test_missing_mapped_species(self, small_world):
         # Species 0 is missing from the mapped table.
@@ -188,7 +192,7 @@ class TestTextMapping:
         audio = small_world.audio_features
         audio_protos = class_prototypes(audio)
         with pytest.raises(MissingPrototypeError, match="no mapped text"):
-            text_mapping_audio_embeddings(table, audio, audio_protos)
+            text_mapping_rankings(table, audio, audio_protos, small_world.images)
 
 
 # SHA-256 of (the mapped table's matrix.tobytes(), repr(loss_curve)) fit on
@@ -260,15 +264,11 @@ class TestCascadedZeroShot:
         audio_prototypes = class_prototypes(small_world.audio_features)
         ranked = cascaded_zero_shot_baseline(audio, images, audio_prototypes, teacher_prototype_set(small_world))
         predicted, _ = nearest_prototype(audio, audio_prototypes)
-        # One list per distinct predicted class, in ascending label order,
-        # holding exactly that class's clips in ascending clip index.
+        # One ranking per distinct predicted class, in ascending label
+        # order; every clip reads the row of its predicted class.
         classes = np.unique(predicted)
-        assert len(ranked) == classes.size > 1
-        for label, r in zip(classes, ranked):
-            assert r.query_indices.tolist() == np.flatnonzero(predicted == label).tolist()
-            assert r.gallery_order.size == images.n_items
-        served = np.concatenate([r.query_indices for r in ranked])
-        assert sorted(served.tolist()) == list(range(audio.n_items))
+        assert ranked.orders.shape == (classes.size, images.n_items) and classes.size > 1
+        assert ranked.row_of.tolist() == np.searchsorted(classes, predicted).tolist()
 
     def test_audio_misclassification_propagates(self):
         # Stage one maps the clip to species B, so B's images rank above
@@ -279,7 +279,7 @@ class TestCascadedZeroShot:
         audio = eset([[0.01, 1.0]], [0], Modality.AUDIO)
         images = eset([[1.0, 0.01], [0.01, 1.0]], [0, 1], Modality.IMAGE)
         ranked = cascaded_zero_shot_baseline(audio, images, audio_protos, protos_teacher)
-        assert ranked[0].gallery_order.tolist() == [1, 0]
+        assert ranked.orders.tolist() == [[1, 0]]
 
     def test_tie_break_by_image_confidence(self):
         # Both images classify to the same species, so their cascade
@@ -289,7 +289,7 @@ class TestCascadedZeroShot:
         audio = eset([[1.0, 0.0]], [0], Modality.AUDIO)
         images = eset([[0.7, 0.7], [1.0, 0.05]], [0, 0], Modality.IMAGE)
         ranked = cascaded_zero_shot_baseline(audio, images, audio_protos, protos)
-        assert ranked[0].gallery_order.tolist() == [1, 0]
+        assert ranked.orders.tolist() == [[1, 0]]
 
     def test_missing_prototype_errors(self, small_world):
         audio = small_world.audio_features
@@ -318,24 +318,25 @@ class TestCascadedZeroShot:
         )
         a = cascaded_zero_shot_baseline(*args)
         b = cascaded_zero_shot_baseline(*args)
-        assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.query_indices, rb.query_indices)
-            assert np.array_equal(ra.gallery_order, rb.gallery_order)
+        assert np.array_equal(a.row_of, b.row_of)
+        assert np.array_equal(a.orders, b.orders)
+        assert a.scores.tobytes() == b.scores.tobytes()
+
+
+def oracle_predict(items, prototypes):
+    """Nearest-prototype labels and cosines, from per-pair scores; ties
+    go to the lowest label."""
+    scores = oracle_pair_scores(items.matrix, prototypes.matrix)
+    labels = [int(label) for label in prototypes.labels]
+    best = [min(range(len(labels)), key=lambda j: (-scores[i, j], labels[j])) for i in range(items.n_items)]
+    return [labels[j] for j in best], [scores[i, j] for i, j in enumerate(best)]
 
 
 def oracle_cascade_orders(audio, images, student_prototypes, teacher_prototypes):
     """Per-clip predicted classes and cascade rankings, from per-pair
     scores and Python sorts."""
-
-    def predict(items, prototypes):
-        scores = oracle_pair_scores(items.matrix, prototypes.matrix)
-        labels = [int(label) for label in prototypes.labels]
-        best = [min(range(len(labels)), key=lambda j: (-scores[i, j], labels[j])) for i in range(items.n_items)]
-        return [labels[j] for j in best], [scores[i, j] for i, j in enumerate(best)]
-
-    audio_pred, _ = predict(audio, student_prototypes)
-    image_pred, image_conf = predict(images, teacher_prototypes)
+    audio_pred, _ = oracle_predict(audio, student_prototypes)
+    image_pred, image_conf = oracle_predict(images, teacher_prototypes)
     proto_cos = oracle_pair_scores(teacher_prototypes.matrix, teacher_prototypes.matrix)
     row = {int(label): j for j, label in enumerate(teacher_prototypes.labels)}
     orders = []
@@ -389,8 +390,8 @@ def float_sort_rankings(audio, images, student_prototypes, teacher_prototypes):
 def assert_float_sort_rankings(inputs):
     orders, scores = float_sort_rankings(*inputs)
     ranked = cascaded_zero_shot_baseline(*inputs)
-    assert [r.gallery_order.tolist() for r in ranked] == orders.tolist()
-    assert [r.scores.tobytes() for r in ranked] == [row.tobytes() for row in scores]
+    assert ranked.orders.tolist() == orders.tolist()
+    assert ranked.scores.tobytes() == scores.tobytes()
 
 
 # Edits of the cascade's cosine table, cell by cell: keep, +0.0, -0.0,
@@ -414,6 +415,57 @@ def edited_similarity(edits):
     return edited
 
 
+def assert_map_matches_oracle(ranked, audio, images, orders, cells):
+    """map_from_ranked over ``ranked`` gives the Python AP of clip i's
+    ``orders[i]`` for every clip with a relevant image, bit for bit."""
+    per_query = []
+    for i, order in enumerate(orders):
+        label = int(audio.labels[i])
+        n_rel = int(np.sum(images.labels == label))
+        if n_rel:
+            per_query.append(oracle_ap([int(images.labels[j]) == label for j in order], n_rel))
+    with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+        if not per_query:
+            with pytest.raises(NoRelevantItemsError):
+                map_from_ranked(ranked, audio.labels, images.labels)
+            return
+        report = map_from_ranked(ranked, audio.labels, images.labels)
+    assert report.value == sum(per_query) / len(per_query)
+    assert report.per_query == tuple(per_query)
+
+
+class TestTextMappingMatchesNaiveOracle:
+    # The teacher table of cascade_inputs stands in for the mapped table,
+    # whose labels text_mapping_baseline returns ascending.
+    @given(cascade_inputs(), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_rankings_and_map(self, inputs, cells):
+        audio, images, audio_prototypes, teacher = inputs
+        table = teacher.take(np.argsort(teacher.labels, kind="stable"))
+        audio_pred, _ = oracle_predict(audio, audio_prototypes)
+        scores = oracle_pair_scores(table.matrix, images.matrix)
+        row = {int(label): j for j, label in enumerate(table.labels)}
+        orders = [oracle_rank(scores[row[predicted]]) for predicted in audio_pred]
+        ranked = text_mapping_rankings(table, audio, audio_prototypes, images)
+        classes = sorted(set(audio_pred))
+        assert ranked.row_of.tolist() == [classes.index(p) for p in audio_pred]
+        assert [ranked.orders[ranked.row_of[i]].tolist() for i in range(audio.n_items)] == orders
+        assert_map_matches_oracle(ranked, audio, images, orders, cells)
+
+    def test_nan_mapped_row_ranks_in_index_order(self):
+        # A NaN row of the table scores NaN against every image, so its
+        # clips rank the gallery in index order.
+        audio = eset(EXACT_PALETTE[[0, 8, 0]], [0, 1, 0])
+        images = eset(EXACT_PALETTE[[8, 0, 16]], [1, 0, 1], Modality.IMAGE)
+        prototypes = eset(EXACT_PALETTE[[0, 8]], [0, 1])
+        table = eset([[np.nan, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]], [0, 1], Modality.TEACHER_TEXT)
+        ranked = text_mapping_rankings(table, audio, prototypes, images)
+        assert ranked.row_of.tolist() == [0, 1, 0]
+        assert np.isnan(ranked.scores[0]).all() and ranked.orders[0].tolist() == [0, 1, 2]
+        report = map_from_ranked(ranked, audio.labels, images.labels)
+        assert report.per_query[0] == report.per_query[2] == oracle_ap([False, True, False], 1)
+
+
 class TestCascadeMatchesNaiveOracle:
     @given(cascade_inputs(), st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
@@ -421,30 +473,13 @@ class TestCascadeMatchesNaiveOracle:
         audio, images = inputs[:2]
         audio_pred, orders = oracle_cascade_orders(*inputs)
         ranked = cascaded_zero_shot_baseline(*inputs)
-        # One list per predicted class, ascending, holding that class's
-        # clips; expanded to its clips, each list gives their rankings.
+        # One row per predicted class, ascending; clip i reads the row of
+        # its class, and that row is its ranking.
         classes = sorted(set(audio_pred))
-        assert len(ranked) == len(classes)
-        per_clip = {}
-        for label, r in zip(classes, ranked):
-            assert r.query_indices.tolist() == [i for i, p in enumerate(audio_pred) if p == label]
-            per_clip.update((int(i), r.gallery_order.tolist()) for i in r.query_indices)
-        assert [per_clip[i] for i in range(audio.n_items)] == orders
-
-        per_query = []
-        for i, order in enumerate(orders):
-            label = int(audio.labels[i])
-            n_rel = int(np.sum(images.labels == label))
-            if n_rel:
-                per_query.append(oracle_ap([int(images.labels[j]) == label for j in order], n_rel))
-        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
-            if not per_query:
-                with pytest.raises(NoRelevantItemsError):
-                    map_from_ranked(ranked, audio.labels, images.labels)
-                return
-            report = map_from_ranked(ranked, audio.labels, images.labels)
-        assert report.value == sum(per_query) / len(per_query)
-        assert report.per_query == tuple(per_query)
+        assert ranked.orders.shape[0] == len(classes)
+        assert ranked.row_of.tolist() == [classes.index(p) for p in audio_pred]
+        assert [ranked.orders[ranked.row_of[i]].tolist() for i in range(audio.n_items)] == orders
+        assert_map_matches_oracle(ranked, audio, images, orders, cells)
 
     @given(cascade_inputs(teacher_rows=2))
     @settings(max_examples=100, deadline=None)
@@ -466,5 +501,5 @@ class TestCascadeMatchesNaiveOracle:
         teacher_rows = [[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
         teacher = eset(teacher_rows, [0, 1, 2], Modality.TEACHER_TEXT)
         ranked = cascaded_zero_shot_baseline(audio, images, student, teacher)
-        assert all(np.isnan(r.scores).all() for r in ranked)
+        assert np.isnan(ranked.scores).all()
         assert_float_sort_rankings((audio, images, student, teacher))

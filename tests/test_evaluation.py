@@ -1,7 +1,6 @@
 """Retrieval and classification metrics against hand-computed oracles."""
 
 from collections import Counter
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -64,23 +63,33 @@ class TestEvalReport:
             EvalReport(metric_name="m", value=0.4, per_query=(0.0, 1.0))
 
 
+def one_ranking(order, scores):
+    """A record of one query ranked by one order."""
+    return RankedList(row_of=[0], orders=[order], scores=[scores])
+
+
 class TestRankedList:
     def test_valid(self):
-        r = RankedList(query_indices=[3, 0], gallery_order=[2, 0, 1], scores=[0.9, 0.5, 0.5])
-        assert r.gallery_order.dtype == np.int64
-        assert r.query_indices.dtype == np.int64 and r.query_indices.tolist() == [3, 0]
+        r = RankedList(row_of=[1, 0, 1], orders=[[2, 0, 1], [0, 1, 2]], scores=[[0.9, 0.5, 0.5], [1.0, 0.0, 0.0]])
+        assert r.orders.dtype == np.int64 and r.orders.shape == (2, 3)
+        assert r.row_of.dtype == np.int64 and r.row_of.tolist() == [1, 0, 1]
+        assert r.scores.dtype == np.float64
 
     def test_order_must_be_permutation(self):
         with pytest.raises(InvalidConfigError, match="permutation"):
-            RankedList(query_indices=[0], gallery_order=[0, 0, 1], scores=[1.0, 0.5, 0.4])
+            one_ranking([0, 0, 1], [1.0, 0.5, 0.4])
+        # One bad row among good ones.
+        with pytest.raises(InvalidConfigError, match="permutation"):
+            RankedList(row_of=[0], orders=[[1, 0, 2], [2, 2, 0]], scores=np.zeros((2, 3)))
 
-    # Duplicates, entries past the end and negative entries are all drawn.
+    # Duplicates, entries past the end and negative entries are all drawn,
+    # in a row placed after a valid one.
     @given(st.lists(st.integers(-2, 6), max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_accepts_exactly_the_permutations(self, order):
         is_permutation = sorted(order) == list(range(len(order)))
         try:
-            RankedList(query_indices=[0], gallery_order=order, scores=np.zeros(len(order)))
+            RankedList(row_of=[1], orders=[list(range(len(order))), order], scores=np.zeros((2, len(order))))
         except InvalidConfigError:
             assert not is_permutation
         else:
@@ -88,23 +97,27 @@ class TestRankedList:
 
     def test_scores_must_be_sorted(self):
         with pytest.raises(InvalidConfigError, match="non-increasing"):
-            RankedList(query_indices=[0], gallery_order=[0, 1], scores=[0.1, 0.9])
+            one_ranking([0, 1], [0.1, 0.9])
+        with pytest.raises(InvalidConfigError, match="non-increasing"):
+            RankedList(row_of=[0], orders=[[0, 1], [1, 0]], scores=[[0.9, 0.1], [0.1, 0.9]])
 
     def test_misaligned_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            RankedList(query_indices=[0], gallery_order=[0, 1], scores=[0.9])
+        for orders, scores in [([[0, 1]], [[0.9]]), ([0, 1], [0.9, 0.1]), ([[0, 1]], [[0.9, 0.1], [0.9, 0.1]])]:
+            with pytest.raises(InvalidConfigError, match="2-d and aligned"):
+                RankedList(row_of=[0], orders=orders, scores=scores)
 
     def test_negative_query_index_rejected(self):
-        with pytest.raises(InvalidConfigError, match="query_indices must be >= 0"):
-            RankedList(query_indices=[2, -1], gallery_order=[0, 1], scores=[0.9, 0.1])
+        # Query 1 names row -1: every row must be a ranking of the record.
+        with pytest.raises(InvalidConfigError, match=r"row_of must lie in \[0, 2\)"):
+            RankedList(row_of=[1, -1], orders=[[0, 1], [1, 0]], scores=[[0.9, 0.1], [0.9, 0.1]])
 
-    @pytest.mark.parametrize(
-        "query_indices, message",
-        [([], "non-empty"), ([[0, 1]], "flat"), ([1, 1], "distinct"), ([2, 0, 2], "distinct")],
-    )
-    def test_query_indices_must_be_a_flat_nonempty_set(self, query_indices, message):
-        with pytest.raises(InvalidConfigError, match=message):
-            RankedList(query_indices=query_indices, gallery_order=[0, 1], scores=[0.9, 0.1])
+    def test_row_past_the_last_ranking_rejected(self):
+        with pytest.raises(InvalidConfigError, match=r"row_of must lie in \[0, 1\)"):
+            RankedList(row_of=[0, 1], orders=[[0, 1]], scores=[[0.9, 0.1]])
+
+    def test_row_of_must_be_flat(self):
+        with pytest.raises(InvalidConfigError, match="row_of must be 1-d"):
+            RankedList(row_of=[[0, 0]], orders=[[0, 1]], scores=[[0.9, 0.1]])
 
 
 class TestRankByScore:
@@ -199,10 +212,9 @@ class TestSearchRanks:
 
 def ap_of_flags(flags, k=None) -> float:
     """AP of one query whose gallery, in ranked order, has these relevance
-    flags: ``map_from_ranked`` over one list, so the AP core at its input."""
+    flags: ``map_from_ranked`` over one ranking, so the AP core at its input."""
     labels = np.asarray(flags, dtype=np.int64)
-    ranked = RankedList(query_indices=[0], gallery_order=np.arange(labels.size), scores=np.zeros(labels.size))
-    return map_from_ranked([ranked], [1], labels, k=k).value
+    return map_from_ranked(one_ranking(np.arange(labels.size), np.zeros(labels.size)), [1], labels, k=k).value
 
 
 class TestAveragePrecision:
@@ -381,18 +393,6 @@ class TestRepeatedQueryRows:
         with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
             assert_matches_one_query_at_a_time(queries, self.GALLERY, k)
 
-    def test_groups_by_row_bytes_and_label_in_first_occurrence_order(self):
-        a, b, b0 = [1.0, 0.25], [0.0, 2.0], [-0.0, 2.0]
-        queries = eset([b, a, a, b0, b, a], [1, 0, 1, 1, 1, 0])
-        first, row_of = evaluation._repeated_queries(queries)
-        assert first.tolist() == [0, 1, 2, 3]
-        assert row_of.tolist() == [0, 1, 2, 3, 0, 1]
-
-    def test_no_group_without_a_repeat(self):
-        # Equal first entries, different rows; equal rows, different labels.
-        assert evaluation._repeated_queries(eset([[1.0, 0.0], [1.0, 2.0], [1.0, 0.0]], [0, 0, 1])) is None
-        assert evaluation._repeated_queries(eset([[1.0, 0.0]], [0])) is None
-
     def test_zero_row_named_by_its_query_index(self):
         queries = eset([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [0, 0, 1])
         with pytest.raises(ZeroVectorError, match="query row 2 is all zeros"):
@@ -428,31 +428,31 @@ class TestMapFromRanked:
         g = eset(rng.standard_normal((n_gallery, 3)), gallery_labels)
         k = data.draw(st.none() | st.integers(1, n_gallery + 3), label="k")
         scores = similarity_matrix(q, g)
-        lists = []
-        for i in range(n_queries):
-            order = rank_by_score(scores[i])
-            lists.append(RankedList(query_indices=[i], gallery_order=order, scores=scores[i][order]))
+        orders = rank_by_score(scores)
+        ranked = RankedList(np.arange(n_queries), orders, np.take_along_axis(scores, orders, axis=1))
         with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
             if not np.isin(q.labels, g.labels).any():
                 with pytest.raises(NoRelevantItemsError):
                     map_retrieval(q, g, k=k)
                 with pytest.raises(NoRelevantItemsError):
-                    map_from_ranked(lists, q.labels, g.labels, k=k)
+                    map_from_ranked(ranked, q.labels, g.labels, k=k)
                 return
             direct = map_retrieval(q, g, k=k)
-            via_ranked = map_from_ranked(lists, q.labels, g.labels, k=k)
+            via_ranked = map_from_ranked(ranked, q.labels, g.labels, k=k)
         assert via_ranked == direct
         assert (direct.value, direct.per_query) == oracle_map_at(q, g, k, scores=scores.tolist())
 
-    # Queries share a few drawn rankings. One list per query and one list
-    # per distinct ranking, each handed over in a drawn order, must score
-    # every query the same, in ascending query index.
+    # Queries share a few drawn rankings. One row per query and one row
+    # per distinct ranking, the shared rows in a drawn order, must score
+    # every query the same, in query order.
     @given(st.data(), BLOCK_CELLS)
     @settings(max_examples=100, deadline=None)
     def test_shared_rankings_match_one_list_per_query(self, data, cells):
         n_queries = data.draw(st.integers(1, 10), label="queries")
         n_gallery = data.draw(st.integers(1, 12), label="gallery")
-        orders = data.draw(st.lists(st.permutations(range(n_gallery)), min_size=1, max_size=4), label="orders")
+        orders = np.array(
+            data.draw(st.lists(st.permutations(range(n_gallery)), min_size=1, max_size=4), label="orders")
+        ).reshape(-1, n_gallery)
         ranking_of = np.array(
             data.draw(st.lists(st.integers(0, len(orders) - 1), min_size=n_queries, max_size=n_queries))
         )
@@ -461,23 +461,26 @@ class TestMapFromRanked:
         k = data.draw(st.none() | st.integers(1, n_gallery + 3), label="k")
         scores = np.linspace(1.0, 0.0, n_gallery)
 
-        def ranked(queries, r):
-            return RankedList(query_indices=queries, gallery_order=orders[r], scores=scores)
+        def ranked(row_of, rows):
+            return RankedList(row_of, orders[rows], np.tile(scores, (len(rows), 1)))
 
-        per_query = [ranked([i], ranking_of[i]) for i in range(n_queries)]
-        shared = [ranked(np.flatnonzero(ranking_of == r), r) for r in np.unique(ranking_of)]
-        per_query = data.draw(st.permutations(per_query), label="per-query list order")
-        shared = data.draw(st.permutations(shared), label="shared list order")
+        per_query = ranked(np.arange(n_queries), ranking_of)
+        used = np.unique(ranking_of)
+        # shared_rows[j]: the ranking held in row j of the shared record.
+        shared_rows = np.array(data.draw(st.permutations(used.tolist()), label="shared row order"))
+        row_of_ranking = np.empty(len(orders), dtype=np.int64)
+        row_of_ranking[shared_rows] = np.arange(shared_rows.size)
+        shared = ranked(row_of_ranking[ranking_of], shared_rows)
         with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
             if not np.isin(query_labels, gallery_labels).any():
-                for lists in (per_query, shared):
+                for record in (per_query, shared):
                     with pytest.raises(NoRelevantItemsError):
-                        map_from_ranked(lists, query_labels, gallery_labels, k=k)
+                        map_from_ranked(record, query_labels, gallery_labels, k=k)
                 return
             one_each = map_from_ranked(per_query, query_labels, gallery_labels, k=k)
             grouped = map_from_ranked(shared, query_labels, gallery_labels, k=k)
         assert grouped == one_each
-        # Ascending query index: the scored queries' own APs, in order.
+        # Query order: the scored queries' own APs, in order.
         limit = n_gallery if k is None else k
         expected = []
         for i in np.flatnonzero(np.isin(query_labels, gallery_labels)):
@@ -487,33 +490,47 @@ class TestMapFromRanked:
             expected.append(oracle_ap(flags, n_rel if k is None else min(n_rel, k)))
         assert one_each.per_query == tuple(expected)
 
+    def test_unread_rows_change_nothing(self):
+        # Only the rows that row_of names are read: a record with rows no
+        # query reads, in front of and behind the read ones, scores the
+        # same.
+        labels, gallery_labels = np.array([0, 1, 0]), np.array([1, 0, 0, 1])
+        orders = np.array([[2, 0, 3, 1], [0, 1, 2, 3]])
+        scores = np.tile([0.4, 0.3, 0.2, 0.1], (2, 1))
+        read = map_from_ranked(RankedList([0, 1, 1], orders, scores), labels, gallery_labels)
+        unread = orders[:, ::-1]
+        padded = RankedList([1, 2, 2], np.vstack([unread[:1], orders, unread[1:]]), np.tile(scores[0], (4, 1)))
+        assert map_from_ranked(padded, labels, gallery_labels) == read
+
     @pytest.mark.parametrize("query_index", [-1, 2, 5])
     def test_query_index_must_name_a_label(self, query_index):
-        # A list whose index is out of range; RankedList itself rejects -1,
-        # so a bare record stands in for it.
-        ranked = SimpleNamespace(query_indices=np.array([0, query_index]), gallery_order=np.array([1, 0]))
-        with pytest.raises(InvalidConfigError, match="query indices must lie in"):
-            map_from_ranked([ranked], np.array([0, 1]), np.array([0, 1]))
+        # Queries 0 .. query_index against two labels: past 1 a query has
+        # no label, and at -1 no label has a query.
+        ranked = RankedList(np.zeros(query_index + 1, dtype=np.int64), [[1, 0]], [[0.9, 0.1]])
+        with pytest.raises(InvalidConfigError, match="query_labels must have the shape of row_of"):
+            map_from_ranked(ranked, np.array([0, 1]), np.array([0, 1]))
 
-    def test_query_index_in_two_lists_rejected(self):
-        first = RankedList(query_indices=[0, 2], gallery_order=[1, 0], scores=[0.9, 0.1])
-        second = RankedList(query_indices=[1, 2], gallery_order=[0, 1], scores=[0.9, 0.1])
-        with pytest.raises(InvalidConfigError, match="more than one ranked list"):
-            map_from_ranked([first, second], np.array([0, 1, 0]), np.array([0, 1]))
+    def test_label_without_a_query_rejected(self):
+        # Three labels, two queries: the third label names no query, so
+        # it is an error, not a query left unscored.
+        ranked = RankedList([0, 1], [[1, 0], [0, 1]], [[0.9, 0.1], [0.9, 0.1]])
+        with pytest.raises(InvalidConfigError, match=r"shape of row_of, \(2,\), got \(3,\)"):
+            map_from_ranked(ranked, np.array([0, 1, 0]), np.array([0, 1]))
 
     def test_query_labels_must_be_flat(self):
-        ranked = RankedList(query_indices=[0], gallery_order=[1, 0], scores=[0.9, 0.1])
-        with pytest.raises(InvalidConfigError, match="1-d"):
-            map_from_ranked([ranked], np.array([[0, 1]]), np.array([0, 1]))
+        ranked = RankedList([0, 0], [[1, 0]], [[0.9, 0.1]])
+        with pytest.raises(InvalidConfigError, match="shape of row_of"):
+            map_from_ranked(ranked, np.array([[0, 1]]), np.array([0, 1]))
 
     def test_empty_gallery_labels(self):
+        ranked = RankedList([0], np.empty((1, 0)), np.empty((1, 0)))
         with pytest.raises(EmptyGalleryError):
-            map_from_ranked([], np.array([0]), np.array([], dtype=np.int64))
+            map_from_ranked(ranked, np.array([0]), np.array([], dtype=np.int64))
 
     def test_list_must_rank_the_whole_gallery(self):
-        partial = RankedList(query_indices=[0], gallery_order=[1, 0], scores=[0.9, 0.1])
+        partial = one_ranking([1, 0], [0.9, 0.1])
         with pytest.raises(InvalidConfigError, match="whole gallery"):
-            map_from_ranked([partial], np.array([0]), np.array([0, 1, 0]))
+            map_from_ranked(partial, np.array([0]), np.array([0, 1, 0]))
 
 
 class TestChanceMapOracle:

@@ -14,12 +14,12 @@ from xmodal import (
     BaselineKind,
     load_params,
     read_embedding_set,
-    text_mapping_audio_embeddings,
     text_mapping_baseline,
 )
 from xmodal import evaluation
 from xmodal.cli import main
 from xmodal.embeddings import similarity_matrix
+from xmodal.evaluation import nearest_prototype, rank_by_score
 from xmodal.pipeline import (
     SUMMARY_METHOD_ORDER,
     baseline_report,
@@ -35,6 +35,8 @@ from xmodal.pipeline import (
 from xmodal.runconfig import adapter_config_for, config_hash, parse_config
 from xmodal.storage import save_params
 from xmodal.trainer import embed_audio, init_params, train_adapter
+
+from test_acceptance import oracle_ap
 
 EXPECTED_REPORT_KEYS = {
     "audio_image_map.distilled",
@@ -285,15 +287,21 @@ def test_training_artifact_bytes_pinned(overrides, tmp_path):
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def perfbench_module(name, monkeypatch):
+    """A module of perfbench/, imported by path as the benchmark does."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_many_class_eval_bytes_match_the_benchmark_reference(tmp_path, monkeypatch):
     # The benchmark's eval_wide op: train then eval a 192-species world
     # (1920 eval clips x 960 images), so the cascade ranks the gallery
     # for up to 192 predicted classes. Its config and output digests are
     # read from perfbench/, which owns them.
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_module("workloads", monkeypatch)
     seed = "7"
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["eval_wide"][seed]
     monkeypatch.chdir(tmp_path)
@@ -307,26 +315,55 @@ def test_many_class_eval_bytes_match_the_benchmark_reference(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("world", ["default", "eval_wide"])
-def test_distinct_text_mapping_rows_score_like_the_full_matrix(world, monkeypatch):
-    # map_retrieval scores each distinct text-mapping row once and gives
-    # its scores to every clip that shares it. That relies on the promise
-    # of similarity_matrix that a row's scores do not depend on the other
-    # rows, here on the default world and on the benchmark's eval_wide
-    # world, both at the default seed 7.
+def test_text_mapping_map_matches_a_python_oracle(world, monkeypatch):
+    # Each clip is ranked by the mapped text row of its predicted species.
+    # A plain Python AP over rank_by_score of those rows' similarities
+    # gives every per-query value of the report, bit for bit, on the
+    # default world and the benchmark's eval_wide world, both at seed 7.
+    # The oracle scores the rows of the distinct predicted species, as
+    # the baseline does, so it holds whichever BLAS kernel runs the
+    # product.
     config = parse_config("")
     if world == "eval_wide":
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        config = parse_config(workloads.EVAL_WIDE_CONFIG)
+        config = parse_config(perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG)
     prepared = prepare_world(config)
+    report = baseline_report(config, prepared, BaselineKind.TEXT_MAPPING)
     _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
-    rows = text_mapping_audio_embeddings(table, prepared.eval_view.audio_features, prepared.audio_prototypes)
-    first, row_of = evaluation._repeated_queries(rows)
-    assert first.size < rows.n_items / 2
+    audio = prepared.eval_view.audio_features
     images = prepared.eval_view.images
-    assert similarity_matrix(rows.take(first), images)[row_of].tobytes() == similarity_matrix(rows, images).tobytes()
+    predicted, _ = nearest_prototype(audio, prepared.audio_prototypes)
+    species = np.unique(predicted).tolist()
+    assert len(species) < audio.n_items / 2
+    mapped = table.take(np.searchsorted(table.labels, species))
+    orders = rank_by_score(similarity_matrix(mapped, images)).tolist()
+    image_labels = images.labels.tolist()
+    per_query = []
+    for label, guess in zip(audio.labels.tolist(), predicted.tolist()):
+        n_rel = image_labels.count(label)
+        if n_rel:
+            flags = [image_labels[j] == label for j in orders[species.index(guess)]]
+            per_query.append(oracle_ap(flags, n_rel))
+    assert report.per_query == tuple(per_query)
+    assert report.value == sum(per_query) / len(per_query)
+
+
+def test_benchmark_tracer_wraps_and_restores_ranked_list(monkeypatch):
+    # The benchmark's tracer binds evaluation.RankedList.__init__ by name
+    # when it is built, so a rename of the class or of its constructor
+    # crashes every traced run before its first op.
+    spans = perfbench_module("spans", monkeypatch)
+    init = evaluation.RankedList.__init__
+    tracer = spans.Tracer()
+    tracer.begin_op(0)
+    tracer.install()
+    try:
+        assert evaluation.RankedList.__init__ is not init
+        evaluation.RankedList([0], [[1, 0]], [[0.9, 0.1]])
+    finally:
+        tracer.remove()
+        tracer.end_op()
+    assert evaluation.RankedList.__init__ is init
+    assert [span[spans.NAME] for span in tracer.op_spans(0)] == ["evaluation.RankedList"]
 
 
 class TestDefaultConfigOrdering:
