@@ -10,7 +10,6 @@ chains them into reproducible experiments.
 """
 
 from .baselines import (
-    BaselineKind,
     cascaded_zero_shot_baseline,
     random_projection_baseline,
     text_mapping_baseline,
@@ -56,7 +55,6 @@ from .trainer import (
     TrainConfig,
     TrainReport,
     adapter_forward,
-    embed_audio,
     init_params,
     train_adapter,
 )

@@ -32,7 +32,6 @@ per distinct predicted class, and for each clip the row of its class.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Tuple
 
@@ -40,23 +39,16 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, normalize_rows, similarity_matrix
 from .errors import SpeciesMismatchError
-from .evaluation import RankedList, check_labels_covered, nearest_prototype, rank_by_score
+from .evaluation import RankedList, check_class_table, check_labels_covered, nearest_prototype, rank_by_score
 from .rng import rng_for
 from .trainer import Layer, TrainConfig, TrainReport, fit, mlp_forward, mlp_init
 
 __all__ = [
-    "BaselineKind",
     "random_projection_baseline",
     "text_mapping_baseline",
     "text_mapping_rankings",
     "cascaded_zero_shot_baseline",
 ]
-
-class BaselineKind(enum.Enum):
-    RANDOM_PROJECTION = "random_projection"
-    TEXT_MAPPING = "text_mapping"
-    CASCADED_ZERO_SHOT = "cascaded_zero_shot"
-
 
 def random_projection_baseline(audio_features: EmbeddingSet, d_teacher: int, seed: int) -> EmbeddingSet:
     """Audio rows times a fixed Gaussian matrix, then row-normalized.
@@ -84,31 +76,25 @@ def text_mapping_baseline(
 ) -> Tuple[TrainReport, EmbeddingSet]:
     """Fit the student-text to teacher-text map on per-species pairs.
 
-    ``teacher_text`` must hold exactly one row per species (the
-    canonical prompt), and there must be at least two species. Training
-    never touches audio. Returns the training report, whose
-    ``final_params`` are the map's weights, and the mapped table: the
-    mapped student rows, labels ascending.
+    Both text sets are per-class tables of the same species (for the
+    teacher, the canonical prompt), and there must be at least two
+    species. Training never touches audio. Returns the training report,
+    whose ``final_params`` are the map's weights, and the mapped table:
+    the mapped student rows, with the student labels.
     """
-    student_order = np.argsort(student_text.labels, kind="stable")
-    teacher_order = np.argsort(teacher_text.labels, kind="stable")
-    student_sorted = student_text.take(student_order)
-    teacher_sorted = teacher_text.take(teacher_order)
-    if not np.array_equal(student_sorted.labels, teacher_sorted.labels):
-        raise SpeciesMismatchError(
-            "student and teacher text sets must cover the same species exactly once each"
-        )
-    if np.unique(student_sorted.labels).size != student_sorted.n_items:
-        raise SpeciesMismatchError("text sets must have exactly one row per species")
+    check_class_table(student_text, "student text")
+    check_class_table(teacher_text, "teacher text")
+    if not np.array_equal(student_text.labels, teacher_text.labels):
+        raise SpeciesMismatchError("student and teacher text sets must cover the same species")
 
     layers = _text_map_layers(student_text.dim, teacher_text.dim)
-    own_row = np.arange(student_sorted.n_items)
+    own_row = np.arange(student_text.n_items)
     init = mlp_init(layers, train_config.seed, "textmap")
     report = fit(
-        layers, init, student_sorted.matrix, teacher_sorted.matrix, lambda _: own_row, train_config, "textmap_shuffle"
+        layers, init, student_text.matrix, teacher_text.matrix, lambda _: own_row, train_config, "textmap_shuffle"
     )
-    mapped, _ = mlp_forward(layers, report.final_params, student_sorted.matrix)
-    return report, EmbeddingSet(mapped, student_sorted.labels, student_text.modality)
+    mapped, _ = mlp_forward(layers, report.final_params, student_text.matrix)
+    return report, EmbeddingSet(mapped, student_text.labels, student_text.modality)
 
 
 def text_mapping_rankings(
@@ -125,6 +111,7 @@ def text_mapping_rankings(
     returns. The gallery is ranked once per distinct predicted species,
     one row each in ascending label order.
     """
+    check_class_table(table, "mapped table")
     predicted, _ = nearest_prototype(audio, audio_prototypes)
     check_labels_covered(predicted, table.labels, "no mapped text for predicted labels {}")
     classes, clip_class = np.unique(predicted, return_inverse=True)
@@ -158,16 +145,12 @@ def cascaded_zero_shot_baseline(
     audio_pred, _ = nearest_prototype(audio, student_prototypes)
     image_pred, image_conf = nearest_prototype(images, teacher_prototypes)
 
-    order = np.argsort(teacher_prototypes.labels, kind="stable")
-    teacher_sorted = teacher_prototypes.take(order)
-    proto_cos = similarity_matrix(teacher_sorted, teacher_sorted)
-    classes, clip_class = np.unique(
-        np.searchsorted(teacher_sorted.labels, audio_pred), return_inverse=True
-    )
+    proto_cos = similarity_matrix(teacher_prototypes, teacher_prototypes)
+    classes, clip_class = np.unique(np.searchsorted(teacher_prototypes.labels, audio_pred), return_inverse=True)
     # Gallery presorted by (-confidence, index): a stable sort of each
     # class's scores in this order breaks score ties exactly that way.
     presorted = np.argsort(-image_conf, kind="stable")
-    image_class = np.searchsorted(teacher_sorted.labels, image_pred[presorted])
+    image_class = np.searchsorted(teacher_prototypes.labels, image_pred[presorted])
     # An image's score is one cell of its predicted class's row of the
     # cosine table, so it sorts as that cell's dense rank in the row:
     # equal values (+-0.0 too, and every NaN) share one, and NaN ranks

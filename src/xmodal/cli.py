@@ -23,19 +23,18 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from .baselines import BaselineKind
 from .errors import ConfigFileError, XmodalError
 from .pipeline import (
+    BASELINES,
     baseline_report,
     eval_stage,
+    load_trained,
     prepare_world,
     run_experiment,
     train_stage,
     write_world_artifacts,
 )
-from .runconfig import RunConfig, adapter_config_for, config_hash, parse_config
-from .storage import load_params
-from .trainer import check_params
+from .runconfig import RunConfig, config_hash, parse_config
 from .world import generate_world
 
 __all__ = ["main", "build_parser"]
@@ -55,12 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, default=None, help="config file path")
         cmd.add_argument("--seed", type=int, default=None, help="override world and train seeds")
         if name == "baseline":
-            cmd.add_argument(
-                "--kind",
-                required=True,
-                choices=[kind.value for kind in BaselineKind],
-                help="which baseline to score",
-            )
+            cmd.add_argument("--kind", required=True, choices=BASELINES, help="which baseline to score")
     return parser
 
 
@@ -106,17 +100,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"first_epoch_loss = {report.loss_curve[0]:.10f}")
                 print(f"final_epoch_loss = {report.loss_curve[-1]:.10f}")
         elif args.command == "eval":
-            params, stored_hash = load_params(out / "params.xmpb")
-            if stored_hash != run_hash:
-                raise XmodalError(
-                    f"params blob at {out / 'params.xmpb'} was trained under config {stored_hash}, "
-                    f"but the current config hashes to {run_hash}"
-                )
-            check_params(adapter_config_for(config), params)
+            params = load_trained(config, out)
             _, _, summary = eval_stage(config, prepare_world(config), params, out)
             print(summary, end="")
         elif args.command == "baseline":
-            report = baseline_report(config, prepare_world(config), BaselineKind(args.kind))
+            report = baseline_report(config, prepare_world(config), args.kind)
             print(f"config_hash = {run_hash}")
             print(f"{report.metric_name} = {report.value:.6f}")
         else:

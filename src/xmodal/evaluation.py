@@ -45,6 +45,9 @@ clip the ranking of its predicted class, so they build and check one row
 per class. ``map_from_ranked`` inverts every row once and reports the
 queries in query order.
 
+A per-class table (prototypes, a mapped text table) has one row per class,
+labels strictly ascending; ``check_class_table`` checks it on entry.
+
 ``class_prototypes`` sorts the rows by label once and sums each class
 as one contiguous slice, the rows and the reduction of a masked
 ``.mean(axis=0)``. (``np.add.reduceat`` is not that reduction: it
@@ -83,6 +86,7 @@ __all__ = [
     "zero_shot_classify",
     "class_prototypes",
     "check_labels_covered",
+    "check_class_table",
     "nearest_prototype",
 ]
 
@@ -459,22 +463,27 @@ def check_labels_covered(labels: np.ndarray, known: np.ndarray, message: str) ->
         raise MissingPrototypeError(message.format(missing.tolist()))
 
 
+def check_class_table(table: EmbeddingSet, name: str) -> None:
+    """Raise SpeciesMismatchError unless ``table`` holds one row per class, labels strictly ascending."""
+    broken = np.flatnonzero(table.labels[1:] <= table.labels[:-1])
+    if broken.size:
+        raise SpeciesMismatchError(
+            f"{name} must hold one row per class, labels strictly ascending; row {broken[0] + 1} is not"
+        )
+
+
 def nearest_prototype(queries: EmbeddingSet, prototypes: EmbeddingSet) -> Tuple[np.ndarray, np.ndarray]:
     """Predicted label and cosine confidence per query.
 
-    Prototype labels must be unique; cosine ties resolve to the lowest
-    label value.
+    ``prototypes`` is a per-class table (:func:`check_class_table`);
+    cosine ties resolve to the lowest label value.
     """
     if prototypes.n_items == 0:
         raise EmptyGalleryError("no prototypes to classify against")
-    labels = prototypes.labels
-    if np.unique(labels).size != labels.size:
-        raise SpeciesMismatchError("prototype labels must be unique")
-    order = np.argsort(labels, kind="stable")
-    sorted_prototypes = prototypes.take(order)
-    scores = similarity_matrix(queries, sorted_prototypes)
+    check_class_table(prototypes, "prototypes")
+    scores = similarity_matrix(queries, prototypes)
     best = np.argmax(scores, axis=1)
-    return sorted_prototypes.labels[best], scores[np.arange(queries.n_items), best]
+    return prototypes.labels[best], scores[np.arange(queries.n_items), best]
 
 
 def zero_shot_classify(queries: EmbeddingSet, prototypes: EmbeddingSet) -> EvalReport:

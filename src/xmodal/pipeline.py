@@ -8,10 +8,10 @@ no directory they write nothing. :func:`run_experiment` is the three in
 order. Stages recompute the world from its config, never from the
 float32 embedding files, which exist for other tools.
 
-One builder maps a method name to its teacher-space eval audio rows (the
-text mapping and the cascade: their ``RankedList``), shared by
-``evaluate_trained`` and ``baseline_report``, so the text-mapping map is
-fitted in one place.
+``SUMMARY_METHOD_ORDER`` is the one list of method names. One builder
+maps each to its teacher-space eval audio rows (the text mapping and the
+cascade: their ``RankedList``), shared by ``evaluate_trained`` and
+``baseline_report``, so the text-mapping map is fitted in one place.
 
 The summary is deliberately free of wallclock or environment data so
 that reruns of the same config are byte-identical.
@@ -27,13 +27,13 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .baselines import (
-    BaselineKind,
     cascaded_zero_shot_baseline,
     random_projection_baseline,
     text_mapping_baseline,
     text_mapping_rankings,
 )
 from .embeddings import EmbeddingSet, Modality
+from .errors import InvalidConfigError, XmodalError
 from .evaluation import (
     EvalReport,
     RankedList,
@@ -45,8 +45,8 @@ from .evaluation import (
     zero_shot_classify,
 )
 from .runconfig import RunConfig, adapter_config_for, canonical_config_text, config_hash
-from .storage import save_params, write_atomic, write_embedding_set
-from .trainer import Params, TrainReport, embed_audio, train_adapter
+from .storage import load_params, save_params, write_atomic, write_embedding_set
+from .trainer import Params, TrainReport, adapter_forward, check_params, train_adapter
 from .world import World, generate_world, world_split
 
 __all__ = [
@@ -60,11 +60,13 @@ __all__ = [
     "render_summary",
     "write_world_artifacts",
     "train_stage",
+    "load_trained",
     "eval_stage",
     "run_experiment",
 ]
 
-SUMMARY_METHOD_ORDER = ("random_projection", "text_mapping", "cascaded_zero_shot", "distilled")
+BASELINES = ("random_projection", "text_mapping", "cascaded_zero_shot")
+SUMMARY_METHOD_ORDER = (*BASELINES, "distilled")
 
 # Summary blocks: title -> {report key: label}, in print order. Labels
 # are formatted with the eval config's fields; "chance_map" is the chance.
@@ -97,7 +99,7 @@ def teacher_prototype_set(world: World) -> EmbeddingSet:
 
 def embedded_audio_set(adapter_config, params: Params, audio: EmbeddingSet) -> EmbeddingSet:
     """Audio rows pushed through the adapter, labels preserved."""
-    return EmbeddingSet(embed_audio(adapter_config, params, audio.matrix), audio.labels, Modality.AUDIO)
+    return EmbeddingSet(adapter_forward(adapter_config, params, audio.matrix)[0], audio.labels, Modality.AUDIO)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,9 @@ def _method_audio(
     if method == "text_mapping":
         _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
         return text_mapping_rankings(table, eval_audio, prepared.audio_prototypes, images)
-    return cascaded_zero_shot_baseline(eval_audio, images, prepared.audio_prototypes, prepared.teacher_prototypes)
+    if method == "cascaded_zero_shot":
+        return cascaded_zero_shot_baseline(eval_audio, images, prepared.audio_prototypes, prepared.teacher_prototypes)
+    raise InvalidConfigError(f"unknown method {method!r}; the methods are {', '.join(SUMMARY_METHOD_ORDER)}")
 
 
 def _audio_image_map(
@@ -175,9 +179,11 @@ def _audio_image_map(
     return map_from_ranked(audio, prepared.eval_view.audio_features.labels, images.labels, metric_name=name)
 
 
-def baseline_report(config: RunConfig, prepared: PreparedWorld, kind: BaselineKind) -> EvalReport:
-    """Audio-to-image retrieval mAP of one baseline on the eval split."""
-    return _audio_image_map(prepared, kind.value, _method_audio(config, prepared, kind.value))
+def baseline_report(config: RunConfig, prepared: PreparedWorld, method: str) -> EvalReport:
+    """Audio-to-image retrieval mAP of one baseline, by name, on the eval split."""
+    if method not in BASELINES:
+        raise InvalidConfigError(f"unknown baseline {method!r}; the baselines are {', '.join(BASELINES)}")
+    return _audio_image_map(prepared, method, _method_audio(config, prepared, method))
 
 
 def evaluate_trained(config: RunConfig, prepared: PreparedWorld, params: Params) -> Dict[str, EvalReport]:
@@ -289,6 +295,21 @@ def train_stage(config: RunConfig, prepared: PreparedWorld, out: Optional[Path])
         write_train_log(report, out / "train_log.txt", run_hash)
         _write_manifest(out, run_hash)
     return report
+
+
+def load_trained(config: RunConfig, out: Path) -> Params:
+    """The adapter that :func:`train_stage` wrote to ``out``; refuses a blob
+    trained under another config hash or not of the configured shapes."""
+    path = out / "params.xmpb"
+    params, stored_hash = load_params(path)
+    run_hash = config_hash(config)
+    if stored_hash != run_hash:
+        raise XmodalError(
+            f"params blob at {path} was trained under config {stored_hash}, "
+            f"but the current config hashes to {run_hash}"
+        )
+    check_params(adapter_config_for(config), params)
+    return params
 
 
 def eval_stage(

@@ -11,9 +11,10 @@ The parser only converts text: the field's type picks the converter
 ``train.prompt_mixture``); a field of any other type raises ``TypeError``
 at import. The config dataclasses are the only validators. Each line is
 applied to the config built so far, so a bound error names the line and
-key that broke it; unknown keys are rejected by name. The canonical
-text rendering of a config is itself a valid config file and is the
-input to the provenance hash embedded in artifacts.
+key that broke it; unknown keys are rejected by name, and a key given
+twice by both its lines. The canonical text rendering of a config is
+itself a valid config file and is the input to the provenance hash
+embedded in artifacts.
 """
 
 from __future__ import annotations
@@ -123,6 +124,7 @@ _KEYS = _key_table()
 def parse_config(text: str) -> RunConfig:
     """Parse config text; absent keys keep defaults."""
     config = RunConfig()
+    seen: Dict[str, int] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -133,6 +135,9 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in _KEYS:
             raise UnknownKeyError(f"line {line_no}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigTypeError(f"line {line_no}: {key} is already set on line {seen[key]}")
+        seen[key] = line_no
         section, name, convert = _KEYS[key]
         try:
             value = convert(value_text.strip())

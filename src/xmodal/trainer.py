@@ -54,7 +54,6 @@ __all__ = [
     "mlp_init",
     "adapter_forward",
     "adapter_backward",
-    "embed_audio",
     "mlp_forward",
     "mlp_backward",
     "make_optimizer",
@@ -256,12 +255,6 @@ def adapter_backward(config: AdapterConfig, params: Params, cache: list, grad_z:
     grads = {key: np.empty_like(value) for key, value in params.items()}
     mlp_backward(config.layers, params, cache, grad_z, grads)
     return grads
-
-
-def embed_audio(config: AdapterConfig, params: Params, inputs: np.ndarray) -> np.ndarray:
-    """Teacher-space embeddings for raw audio rows (no cache)."""
-    z, _ = adapter_forward(config, params, inputs)
-    return z
 
 
 def _pack(arrays: Params, names: Sequence[str]) -> np.ndarray:

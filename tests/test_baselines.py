@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodal import (
-    BaselineKind,
     EmbeddingSet,
     MissingPrototypeError,
     Modality,
@@ -33,7 +32,7 @@ from xmodal import (
 from xmodal import baselines, evaluation
 from xmodal.embeddings import similarity_matrix
 from xmodal.evaluation import chance_map_oracle, rank_by_score
-from xmodal.pipeline import teacher_prototype_set
+from xmodal.pipeline import prepare_world, teacher_prototype_set
 from xmodal.rng import rng_for
 from xmodal.runconfig import parse_config
 
@@ -43,15 +42,6 @@ from test_acceptance import oracle_ap, oracle_pair_scores, oracle_rank
 
 def eset(matrix, labels, modality=Modality.AUDIO) -> EmbeddingSet:
     return EmbeddingSet(np.asarray(matrix, dtype=np.float64), np.asarray(labels), modality)
-
-
-class TestBaselineKind:
-    def test_values(self):
-        assert {k.value for k in BaselineKind} == {
-            "random_projection",
-            "text_mapping",
-            "cascaded_zero_shot",
-        }
 
 
 class TestRandomProjection:
@@ -155,17 +145,15 @@ class TestTextMapping:
                 small_world.student_text.take([0]), teacher.take([0]), TrainConfig(batch_size=4, epochs=epochs)
             )
 
-    def test_unsorted_labels_are_aligned(self, small_world):
-        # Shuffling the student rows must not change what gets learned:
-        # pairs are joined on species id, not on row position.
+    def test_unsorted_labels_rejected(self, small_world):
+        # Shuffled student rows are not re-sorted: the text sets are
+        # per-class tables, labels strictly ascending.
         teacher = teacher_prototype_set(small_world)
         st = small_world.student_text
         perm = rng_for(1, "permute").permutation(8)
         shuffled = eset(st.matrix[perm], st.labels[perm], st.modality)
-        tc = TrainConfig(batch_size=4, epochs=4, seed=9)
-        _, a = text_mapping_baseline(st, teacher, tc)
-        _, b = text_mapping_baseline(shuffled, teacher, tc)
-        assert np.allclose(a.matrix, b.matrix, atol=1e-12)
+        with pytest.raises(SpeciesMismatchError, match="student text must hold one row per class"):
+            text_mapping_baseline(shuffled, teacher, TrainConfig(batch_size=4, epochs=4, seed=9))
 
     def test_audio_embeddings_route(self, small_world):
         # Clips classified to species sp must be ranked by the mapped row
@@ -193,6 +181,69 @@ class TestTextMapping:
         audio_protos = class_prototypes(audio)
         with pytest.raises(MissingPrototypeError, match="no mapped text"):
             text_mapping_rankings(table, audio, audio_protos, small_world.images)
+
+
+def out_of_order(table):
+    """``table`` with its first two rows swapped."""
+    return table.take([1, 0, *range(2, table.n_items)])
+
+
+def duplicated(table):
+    """``table`` with its last row repeated."""
+    return table.take([*range(table.n_items), table.n_items - 1])
+
+
+DEFECTS = {"out_of_order": out_of_order, "duplicate": duplicated}
+
+
+class TestClassTables:
+    # A per-class table enters every baseline with one row per class,
+    # labels strictly ascending; any other table is an error, never
+    # silently re-sorted or misread.
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("side", ["student", "teacher"])
+    def test_text_mapping_baseline(self, small_world, side, defect):
+        tables = {"student": small_world.student_text, "teacher": teacher_prototype_set(small_world)}
+        tables[side] = DEFECTS[defect](tables[side])
+        with pytest.raises(SpeciesMismatchError, match=f"{side} text must hold one row per class"):
+            text_mapping_baseline(tables["student"], tables["teacher"], TrainConfig(batch_size=4, epochs=1))
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("name", ["mapped table", "prototypes"])
+    def test_text_mapping_rankings(self, small_world, name, defect):
+        audio = small_world.audio_features
+        tables = {"mapped table": teacher_prototype_set(small_world), "prototypes": class_prototypes(audio)}
+        tables[name] = DEFECTS[defect](tables[name])
+        with pytest.raises(SpeciesMismatchError, match=f"^{name} must hold one row per class"):
+            text_mapping_rankings(tables["mapped table"], audio, tables["prototypes"], small_world.images)
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("side", ["student", "teacher"])
+    def test_cascade(self, small_world, side, defect):
+        audio = small_world.audio_features
+        tables = {"student": class_prototypes(audio), "teacher": teacher_prototype_set(small_world)}
+        tables[side] = DEFECTS[defect](tables[side])
+        with pytest.raises(SpeciesMismatchError, match="^prototypes must hold one row per class"):
+            cascaded_zero_shot_baseline(audio, small_world.images, tables["student"], tables["teacher"])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[0, 1, 2, 4, 3, *range(5, 48)], rng_for(3, "shuffle").permutation(48).tolist()],
+        ids=["rows_3_4_swapped", "shuffled"],
+    )
+    def test_default_mapped_table_out_of_order(self, rows):
+        # Read by position, the default world's mapped table with rows 3
+        # and 4 swapped scores mAP 0.6131 in place of 0.6269, and a
+        # shuffled one indexes past the table.
+        config = parse_config("")
+        prepared = prepare_world(config)
+        _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
+        audio = prepared.eval_view.audio_features
+        images = prepared.eval_view.images
+        ranked = text_mapping_rankings(table, audio, prepared.audio_prototypes, images)
+        assert f"{map_from_ranked(ranked, audio.labels, images.labels).value:.4f}" == "0.6269"
+        with pytest.raises(SpeciesMismatchError, match="^mapped table must hold one row per class"):
+            text_mapping_rankings(table.take(rows), audio, prepared.audio_prototypes, images)
 
 
 # SHA-256 of (the mapped table's matrix.tobytes(), repr(loss_curve)) fit on
@@ -348,12 +399,13 @@ def oracle_cascade_orders(audio, images, student_prototypes, teacher_prototypes)
 
 @st.composite
 def cascade_inputs(draw, teacher_rows=None):
-    """Audio, images and both prototype tables over negative-capable labels.
+    """Audio, images and both prototype tables over negative-capable labels,
+    the tables' labels ascending.
 
     ``teacher_rows`` caps the distinct palette rows of the teacher table,
     so that classes share prototypes and their cosines tie exactly.
     """
-    classes = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True))
+    classes = sorted(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True)))
     labels = st.sampled_from(classes)
     rows = st.integers(0, len(EXACT_PALETTE) - 1)
 
@@ -373,12 +425,11 @@ def cascade_inputs(draw, teacher_rows=None):
     )
 
 
-def float_sort_rankings(audio, images, student_prototypes, teacher_prototypes):
+def float_sort_rankings(audio, images, student_prototypes, teacher):
     """Each predicted class's gallery order and scores, ascending class,
     by a stable float sort of the negated scores over the presorted gallery."""
     audio_pred, _ = nearest_prototype(audio, student_prototypes)
-    image_pred, image_conf = nearest_prototype(images, teacher_prototypes)
-    teacher = teacher_prototypes.take(np.argsort(teacher_prototypes.labels, kind="stable"))
+    image_pred, image_conf = nearest_prototype(images, teacher)
     proto_cos = baselines.similarity_matrix(teacher, teacher)
     presorted = np.argsort(-image_conf, kind="stable")
     rows = np.searchsorted(teacher.labels, np.unique(audio_pred))
@@ -435,13 +486,11 @@ def assert_map_matches_oracle(ranked, audio, images, orders, cells):
 
 
 class TestTextMappingMatchesNaiveOracle:
-    # The teacher table of cascade_inputs stands in for the mapped table,
-    # whose labels text_mapping_baseline returns ascending.
+    # The teacher table of cascade_inputs stands in for the mapped table.
     @given(cascade_inputs(), st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
     def test_rankings_and_map(self, inputs, cells):
-        audio, images, audio_prototypes, teacher = inputs
-        table = teacher.take(np.argsort(teacher.labels, kind="stable"))
+        audio, images, audio_prototypes, table = inputs
         audio_pred, _ = oracle_predict(audio, audio_prototypes)
         scores = oracle_pair_scores(table.matrix, images.matrix)
         row = {int(label): j for j, label in enumerate(table.labels)}

@@ -6,6 +6,7 @@ import re
 import shutil
 import stat
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +62,11 @@ class TestParser:
     def test_invalid_kind_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["baseline", "--kind", "oracle"])
+
+    def test_kind_choices_in_summary_order(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["baseline", "--help"])
+        assert "--kind {random_projection,text_mapping,cascaded_zero_shot}" in capsys.readouterr().out
 
 
 class TestGen:
@@ -157,6 +163,27 @@ class TestEval:
         assert err.startswith("error: parameters ")
         assert "do not fit the mlp_encoder_plus_head adapter" in err
         assert re.search(message, err)
+
+
+    @pytest.mark.parametrize("edit", ["other_config", "wrong_shape"])
+    def test_eval_refuses_a_blob_before_generating_the_world(self, config_path, tmp_path, capsys, edit):
+        run_cli("train", "--config", str(config_path))
+        blob = tmp_path / "out" / "params.xmpb"
+        params, stored_hash = load_params(blob)
+        seed = []
+        if edit == "other_config":
+            seed = ["--seed", "99"]
+            expected = f"error: params blob at {blob} was trained under config {stored_hash}, but the current config"
+        else:
+            save_params({**params, "head_w": params["head_w"][:, :-1]}, blob, stored_hash)
+            expected = "error: parameters "
+        capsys.readouterr()
+        with mock.patch("xmodal.cli.prepare_world") as prepare_world:
+            assert run_cli("eval", "--config", str(config_path), *seed) == 2
+        prepare_world.assert_not_called()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(expected)
 
 
 class TestBaseline:

@@ -710,14 +710,20 @@ class TestPrototypes:
         assert np.all(confidence > 0.9)
 
     def test_nearest_prototype_tie_lowest_label(self):
-        protos = eset([[1.0, 0.0], [1.0, 0.0]], [30, 5])
+        protos = eset([[1.0, 0.0], [1.0, 0.0]], [5, 30])
         predicted, _ = nearest_prototype(eset([[1.0, 0.0]], [0]), protos)
         assert predicted.tolist() == [5]
 
     def test_duplicate_prototype_labels_rejected(self):
         protos = eset([[1.0, 0.0], [0.0, 1.0]], [3, 3])
-        with pytest.raises(SpeciesMismatchError, match="unique"):
+        with pytest.raises(SpeciesMismatchError, match="one row per class, labels strictly ascending; row 1 "):
             nearest_prototype(eset([[1.0, 0.0]], [0]), protos)
+
+    def test_out_of_order_prototype_labels_rejected(self):
+        # A table is never re-sorted: out of order, it is an error.
+        protos = eset(np.eye(3), [1, 5, 3])
+        with pytest.raises(SpeciesMismatchError, match="prototypes must hold one row per class.*row 2 "):
+            nearest_prototype(eset([[1.0, 0.0, 0.0]], [0]), protos)
 
     def test_nearest_prototype_needs_a_prototype(self):
         # Raised NumPy's ValueError from argmax of an empty sequence.

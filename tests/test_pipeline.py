@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from xmodal import (
-    BaselineKind,
+    InvalidConfigError,
     load_params,
     read_embedding_set,
     text_mapping_baseline,
@@ -21,7 +21,9 @@ from xmodal.cli import main
 from xmodal.embeddings import similarity_matrix
 from xmodal.evaluation import nearest_prototype, rank_by_score
 from xmodal.pipeline import (
+    BASELINES,
     SUMMARY_METHOD_ORDER,
+    _method_audio,
     baseline_report,
     chance_map,
     embedded_audio_set,
@@ -34,7 +36,7 @@ from xmodal.pipeline import (
 )
 from xmodal.runconfig import adapter_config_for, config_hash, parse_config
 from xmodal.storage import save_params
-from xmodal.trainer import embed_audio, init_params, train_adapter
+from xmodal.trainer import adapter_forward, init_params, train_adapter
 
 from test_acceptance import oracle_ap
 
@@ -71,7 +73,7 @@ class TestPreparation:
         audio = small_world.audio_features
         out = embedded_audio_set(SMALL_ADAPTER, params, audio)
         assert np.array_equal(out.labels, audio.labels)
-        assert np.array_equal(out.matrix, embed_audio(SMALL_ADAPTER, params, audio.matrix))
+        assert np.array_equal(out.matrix, adapter_forward(SMALL_ADAPTER, params, audio.matrix)[0])
 
     def test_prepare_world(self, small_run_config):
         prepared = prepare_world(small_run_config)
@@ -93,20 +95,36 @@ class TestPreparation:
 
 
 class TestBaselineReports:
+    def test_method_names(self):
+        # The one list of methods: the baselines in summary order, then
+        # the distilled student.
+        assert BASELINES == ("random_projection", "text_mapping", "cascaded_zero_shot")
+        assert SUMMARY_METHOD_ORDER == (*BASELINES, "distilled")
+
     def test_metric_names(self, small_run_config):
         prepared = prepare_world(small_run_config)
-        for kind in BaselineKind:
-            report = baseline_report(small_run_config, prepared, kind)
-            assert report.metric_name == f"audio_image_map.{kind.value}"
+        for method in BASELINES:
+            report = baseline_report(small_run_config, prepared, method)
+            assert report.metric_name == f"audio_image_map.{method}"
             assert 0.0 <= report.value <= 1.0
 
-    @pytest.mark.parametrize("kind", list(BaselineKind), ids=[kind.value for kind in BaselineKind])
-    def test_baseline_command_scores_as_eval_does(self, kind, small_run_config, small_result):
-        report = baseline_report(small_run_config, small_result.prepared, kind)
-        from_eval = small_result.reports[f"audio_image_map.{kind.value}"]
+    @pytest.mark.parametrize("method", BASELINES)
+    def test_baseline_command_scores_as_eval_does(self, method, small_run_config, small_result):
+        report = baseline_report(small_run_config, small_result.prepared, method)
+        from_eval = small_result.reports[f"audio_image_map.{method}"]
         assert report.value == from_eval.value
         assert report.per_query is not None
         assert report.per_query == from_eval.per_query
+
+    @pytest.mark.parametrize("method", ["distilled", "oracle", "Text_Mapping"])
+    def test_unknown_baseline_rejected(self, method, small_result, small_run_config):
+        with pytest.raises(InvalidConfigError, match=f"unknown baseline '{method}'"):
+            baseline_report(small_run_config, small_result.prepared, method)
+
+    def test_method_table_rejects_an_unknown_name(self, small_result, small_run_config):
+        # An unknown name is an error, not the last method of the table.
+        with pytest.raises(InvalidConfigError, match="unknown method 'cascade'"):
+            _method_audio(small_run_config, small_result.prepared, "cascade")
 
 
 class TestEvaluateTrained:
@@ -327,7 +345,7 @@ def test_text_mapping_map_matches_a_python_oracle(world, monkeypatch):
     if world == "eval_wide":
         config = parse_config(perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG)
     prepared = prepare_world(config)
-    report = baseline_report(config, prepared, BaselineKind.TEXT_MAPPING)
+    report = baseline_report(config, prepared, "text_mapping")
     _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
     audio = prepared.eval_view.audio_features
     images = prepared.eval_view.images

@@ -125,6 +125,17 @@ class TestParseConfig:
             with pytest.raises(ConfigTypeError, match=re.escape(where)):
                 parse_config(text)
 
+    def test_repeated_key_names_both_lines(self):
+        # Keeping the last value would silently parse this to seed 2.
+        with pytest.raises(ConfigTypeError, match="line 3: world.seed is already set on line 1"):
+            parse_config("world.seed = 1\n# again\nworld.seed = 2\n")
+        # Checked before the value: a repeat is an error even when equal
+        # or when the world it would build is invalid.
+        with pytest.raises(ConfigTypeError, match="line 2: train.tau is already set on line 1"):
+            parse_config("train.tau = 0.1\ntrain.tau = 0.1\n")
+        with pytest.raises(ConfigTypeError, match="line 2: output_dir is already set on line 1"):
+            parse_config("output_dir = a\n  output_dir = b  # comment\n")
+
     def test_missing_equals(self):
         with pytest.raises(ConfigTypeError, match="expected 'key = value'"):
             parse_config("world.seed 7\n")
