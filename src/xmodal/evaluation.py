@@ -6,10 +6,14 @@ defined once, by ``rank_by_score``: one stable ``argsort`` of the negated
 scores. Truncated mean average precision (mAP@K) normalizes each query
 by min(total relevant, K), the standard convention.
 
-Metrics work on row blocks of the score matrix, not query by query. A
-block holds at most ``_BLOCK_CELLS`` cells (its height is that budget
-over the gallery width), so the temporaries stay near a megabyte each
-whatever the number of queries. Within a block:
+Metrics work on row blocks of the score matrix, not query by query, and
+never hold the whole matrix. A block holds at most ``_BLOCK_CELLS``
+cells (its height is that budget over the gallery width).
+``map_retrieval`` and ``knn_classify`` score a block when they reach it,
+by one GEMM of its query rows against the gallery, on rows scaled to
+unit norm once per side, and let it go before the next. So the score
+block and its temporaries stay near a megabyte each, whatever the number
+of queries. Within a block:
 
 * mAP needs only the ranks of each query's relevant gallery items, not
   the whole order. The negated scores of every row are sorted by value
@@ -30,7 +34,8 @@ whatever the number of queries. Within a block:
   ``np.add.accumulate``. Adding 0.0 is exact, so this is the plain
   sequential sum of a one-query loop over the ranked list, bit for bit;
   pairwise ``np.sum`` would round differently;
-* kNN picks its k neighbors by k passes of ``np.argmax`` over a copy of
+* kNN leave-one-out writes ``-inf`` over the block's self cells, then
+  picks its k neighbors by k passes of ``np.argmax`` over a copy of
   the block, each writing ``-inf`` over the cell it picked. ``argmax``
   returns the lowest index among equal maxima (+-0.0 equal), which is
   the full stable ranking's tie order, so the k picks are exactly its
@@ -63,7 +68,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embeddings import EmbeddingSet, similarity_matrix
+from .embeddings import EmbeddingSet, _cosine_rows, similarity_matrix
 from .errors import (
     EmptyGalleryError,
     InvalidConfigError,
@@ -322,10 +327,10 @@ def map_retrieval(
         raise InvalidConfigError(f"k must be >= 1, got {k}")
     if gallery.n_items == 0:
         raise EmptyGalleryError("cannot rank an empty gallery")
-    scores = similarity_matrix(queries, gallery)
+    scores = _cosine_rows(queries, gallery)
 
     def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
-        return _search_ranks(scores[rows], columns)
+        return _search_ranks(scores(rows), columns)
 
     return _map_report(ranks_of, queries.labels, gallery.labels, k, metric_name)
 
@@ -415,13 +420,14 @@ def knn_classify(queries: EmbeddingSet, reference: EmbeddingSet, k: int) -> Eval
     usable = reference.n_items - (1 if exclude_self else 0)
     if k > usable:
         raise KTooLargeError(f"k={k} but only {usable} usable reference items")
-    scores = similarity_matrix(queries, reference)
-    if exclude_self:
-        np.fill_diagonal(scores, -np.inf)
+    scores = _cosine_rows(queries, reference)
     per_query: List[float] = []
     # A block row also holds a k-by-k vote table.
     for rows in _row_blocks(queries.n_items, max(reference.n_items, k * k)):
-        neighbor_labels = reference.labels[_top_k(scores[rows], k)]
+        block = scores(rows)
+        if exclude_self:
+            block[np.arange(block.shape[0]), np.arange(rows.start, rows.stop)] = -np.inf
+        neighbor_labels = reference.labels[_top_k(block, k)]
         # Votes for each neighbor's class; the first-ranked neighbor of a
         # most-voted class is the prediction, so vote ties go by rank.
         votes = (neighbor_labels[:, :, None] == neighbor_labels[:, None, :]).sum(axis=2)

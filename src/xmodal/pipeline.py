@@ -190,8 +190,9 @@ def evaluate_trained(config: RunConfig, prepared: PreparedWorld, params: Params)
     """All evaluation reports for a trained adapter plus the baselines."""
     eval_audio = prepared.eval_view.audio_features
     teacher = prepared.teacher_prototypes
-    # Built before any score matrix: building each just before its scoring
-    # raised a 192-species eval's peak RSS 5 %, by allocator reuse alone.
+    # Built before any score block: building each just before its scoring
+    # raised the benchmark's eval_wide peak RSS from 56.7 to 60.7 MB, by
+    # allocator reuse alone.
     distilled = _method_audio(config, prepared, "distilled", params)
     projected = _method_audio(config, prepared, "random_projection")
     audio = {"distilled": distilled, "random_projection": projected}
@@ -199,6 +200,9 @@ def evaluate_trained(config: RunConfig, prepared: PreparedWorld, params: Params)
     for method in SUMMARY_METHOD_ORDER:
         rows = audio[method] if method in audio else _method_audio(config, prepared, method)
         reports[f"audio_image_map.{method}"] = _audio_image_map(prepared, method, rows)
+        # A method's RankedList is freed before the next method builds its
+        # own: 2.6 MB off the benchmark's eval_wide peak RSS.
+        del rows
     # kNN is leave-one-out within the eval split (self-matches excluded),
     # so raw and distilled embeddings face the same neighbor pool.
     k = config.eval.knn_k

@@ -1,5 +1,6 @@
 """Retrieval and classification metrics against hand-computed oracles."""
 
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -30,7 +31,7 @@ from xmodal import (
     zero_shot_classify,
 )
 from xmodal import evaluation
-from xmodal.embeddings import similarity_matrix
+from xmodal.embeddings import _cosine_rows, similarity_matrix
 from xmodal.evaluation import rank_by_score
 from xmodal.rng import rng_for
 
@@ -911,3 +912,59 @@ class TestBatchedMatchesNaiveOracles:
         with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
             value = chance_map_oracle(n_per_class, n_classes, trials=trials, seed=3)
         assert value == sum(values) / len(values)
+
+
+def gaussian_set(n_rows, dim, seed, n_classes=192) -> EmbeddingSet:
+    rng = rng_for(seed, "row blocks")
+    return eset(rng.standard_normal((n_rows, dim)), np.arange(n_rows) % n_classes)
+
+
+def traced_peak_mb(call) -> float:
+    """Peak memory that ``call()`` allocates above what is live on entry, in MB."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestScoreRowBlocks:
+    # The eval_wide shapes: 1920 eval clips against 960 images, and kNN
+    # leave-one-out over the 1920 clips, in the raw audio (20) and the
+    # teacher (32) dimensions.
+
+    @pytest.mark.parametrize("metric", ["knn", "map"])
+    def test_metrics_never_hold_the_whole_score_matrix(self, metric):
+        # The whole float64 matrices are 29.5 MB (1920 x 1920) and 14.7 MB
+        # (1920 x 960); one row block and its temporaries take a few MB.
+        clips = gaussian_set(1920, 32, 0)
+        images = gaussian_set(960, 32, 1)
+        calls = {"knn": lambda: knn_classify(clips, clips, 5), "map": lambda: map_retrieval(clips, images)}
+        assert traced_peak_mb(calls[metric]) < 8.0
+
+    @pytest.mark.parametrize("dim", [20, 32])
+    @pytest.mark.parametrize("width", [960, 1920])
+    def test_blocks_hold_the_bits_of_the_whole_product(self, dim, width):
+        # The premise of the benchmark's pinned eval_wide digests, which
+        # were recorded when both metrics ranked rows of the whole product.
+        clips = gaussian_set(1920, dim, 0)
+        gallery = gaussian_set(width, dim, 1)
+        whole = similarity_matrix(clips, gallery)
+        scores = _cosine_rows(clips, gallery)
+        for rows in evaluation._row_blocks(clips.n_items, width):
+            assert np.array_equal(scores(rows), whole[rows])
+
+    @pytest.mark.parametrize("dim", [20, 32])
+    def test_reports_equal_one_whole_block(self, dim):
+        clips = gaussian_set(1920, dim, 0)
+        images = gaussian_set(960, dim, 1)
+        blocked = map_retrieval(clips, images), knn_classify(clips, clips, 5)
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", clips.n_items**2):
+            whole = map_retrieval(clips, images), knn_classify(clips, clips, 5)
+        assert blocked == whole
