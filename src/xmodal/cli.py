@@ -9,6 +9,10 @@ artifact and rewrite ``manifest.txt``; this module only prints:
 * ``baseline`` score one baseline (``--kind``); writes nothing
 * ``run``      ``gen`` + ``train`` + ``eval``, writing the same bytes
 
+Each subcommand draws only the world rows it reads: ``train`` no image
+row, ``eval`` and ``baseline`` the eval split's image rows, and ``gen``
+and ``run`` every row, because they write every embedding file.
+
 Every subcommand accepts ``--config PATH`` (line-oriented key=value
 text; defaults apply when omitted) and ``--seed N`` (N >= 0), which
 overrides both the world seed and the training seed. All output is
@@ -93,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for name in names:
                 print(f"wrote {out / name}")
         elif args.command == "train":
-            report = train_stage(config, prepare_world(config), out)
+            report = train_stage(config, prepare_world(config, image_sides=()), out)
             print(f"config_hash = {run_hash}")
             print(f"steps = {report.steps}")
             if report.loss_curve:
@@ -101,10 +105,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"final_epoch_loss = {report.loss_curve[-1]:.10f}")
         elif args.command == "eval":
             params = load_trained(config, out)
-            _, _, summary = eval_stage(config, prepare_world(config), params, out)
+            _, _, summary = eval_stage(config, prepare_world(config, image_sides=("eval",)), params, out)
             print(summary, end="")
         elif args.command == "baseline":
-            report = baseline_report(config, prepare_world(config), args.kind)
+            report = baseline_report(config, prepare_world(config, image_sides=("eval",)), args.kind)
             print(f"config_hash = {run_hash}")
             print(f"{report.metric_name} = {report.value:.6f}")
         else:

@@ -8,6 +8,14 @@ no directory they write nothing. :func:`run_experiment` is the three in
 order. Stages recompute the world from its config, never from the
 float32 embedding files, which exist for other tools.
 
+A stage draws only the world rows it reads. :func:`prepare_world` draws
+the split from the config first, then the text channels, every audio
+row and the image rows of the sides it is asked for: ``eval`` and
+``baseline`` the eval side's, ``train`` none, and ``gen`` and ``run``
+all of them, because they write every ``.xmeb``. Rows are drawn per row
+key, so a row drawn alone is bit-equal to the same row of the whole
+world.
+
 ``SUMMARY_METHOD_ORDER`` is the one list of method names. One builder
 maps each to its teacher-space eval audio rows (the text mapping and the
 cascade: their ``RankedList``), shared by ``evaluate_trained`` and
@@ -47,7 +55,7 @@ from .evaluation import (
 from .runconfig import RunConfig, adapter_config_for, canonical_config_text, config_hash
 from .storage import load_params, save_params, write_atomic, write_embedding_set
 from .trainer import Params, TrainReport, adapter_forward, check_params, train_adapter
-from .world import World, generate_world, world_split
+from .world import World, generate_world, split_rows, world_split
 
 __all__ = [
     "PreparedWorld",
@@ -104,7 +112,12 @@ def embedded_audio_set(adapter_config, params: Params, audio: EmbeddingSet) -> E
 
 @dataclass(frozen=True)
 class PreparedWorld:
-    """World plus the derived artifacts every method shares."""
+    """World plus the derived artifacts every method shares.
+
+    ``world`` holds every text and audio row but only the image rows of
+    the sides :func:`prepare_world` was asked for; a side asked for no
+    image rows holds none.
+    """
 
     world: World
     train_view: World
@@ -113,10 +126,23 @@ class PreparedWorld:
     audio_prototypes: EmbeddingSet
 
 
-def prepare_world(config: RunConfig) -> PreparedWorld:
-    """Generate the world, split it, and build both prototype tables."""
-    world = generate_world(config.world)
-    train_view, eval_view = world_split(world, config.eval.holdout_fraction, seed=config.world.seed)
+# The split sides, in the order split_rows returns them.
+_SIDES = ("train", "eval")
+
+
+def prepare_world(config: RunConfig, image_sides: Tuple[str, ...] = _SIDES) -> PreparedWorld:
+    """Split, generate and build both prototype tables, drawing only the
+    image rows of ``image_sides``; each side holds no image row of the others.
+
+    The split permutations are drawn once, before any row values.
+    """
+    sides = [
+        rows if name in image_sides else rows._replace(images=rows.images[:0])
+        for name, rows in zip(_SIDES, split_rows(config.world, config.eval.holdout_fraction, config.world.seed))
+    ]
+    image_rows = np.sort(np.concatenate([rows.images for rows in sides]))
+    world = generate_world(config.world, image_rows=image_rows)
+    train_view, eval_view = world_split(world, sides)
     return PreparedWorld(
         world=world,
         train_view=train_view,

@@ -18,6 +18,13 @@ writes that path for both callers. ``draw_streams`` hashes its prefix
 ``seed/name`` once per call; each row copies that hash state and feeds it
 only the row's own ``/key/...`` suffix, which gives the digest of the
 whole path.
+
+``standard_normal`` rows are drawn in place, straight into each row of
+``out``, which must be a C-contiguous float64 matrix (NumPy raises
+otherwise). The call passes no size, which NumPy would check against the
+row on every call: 1.9 µs per 32-wide draw against 2.5 µs for a draw and
+a copy, and 3.0 µs with the size passed as well (NumPy 2.4.6 on one core
+of a 2-core x86 VM). Other methods' draws are copied into their rows.
 """
 
 from __future__ import annotations
@@ -59,6 +66,8 @@ def draw_streams(
     buffered output words and no buffered 32-bit half. Each row's key is
     the hash of ``seed/name``, computed once, extended by the row's
     ``/key/...`` suffix; the empty key adds nothing. Returns ``out``.
+    ``standard_normal`` draws each row in place, its size the width of
+    ``out``; ``out`` must be a C-contiguous float64 matrix.
     """
     bit_generator = np.random.Philox(counter=0, key=0)
     generator = np.random.Generator(bit_generator)
@@ -73,11 +82,15 @@ def draw_streams(
         "has_uint32": 0,
         "uinteger": 0,
     }
+    in_place = method == "standard_normal"
     for row, key in enumerate(keys):
         path = prefix.copy()
         if key:
             path.update(("/" + "/".join(map(str, key))).encode("utf-8"))
         words["key"] = _KEY_WORDS.unpack(path.digest())
         bit_generator.state = state
-        out[row] = draw(*args, **kwargs)
+        if in_place:
+            draw(out=out[row])
+        else:
+            out[row] = draw(*args, **kwargs)
     return out

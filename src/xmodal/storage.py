@@ -190,7 +190,10 @@ def save_params(params: Dict[str, np.ndarray], path: Union[str, Path], config_ha
 
 
 def load_params(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], str]:
-    """Read a params blob; returns (arrays, config_hash). Every value must be finite."""
+    """Read a params blob; returns (arrays, config_hash).
+
+    Every value must be finite and every array name distinct.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < PARAMS_HEADER.size:
         raise PayloadTooShortError(PARAMS_HEADER.size, len(raw), "params header")
@@ -212,6 +215,8 @@ def load_params(path: Union[str, Path]) -> Tuple[Dict[str, np.ndarray], str]:
             name = raw[offset : offset + name_len].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"array name at byte {offset} is not UTF-8") from exc
+        if name in params:
+            raise FileFormatError(f"array {name!r} at byte {offset} is already declared earlier in the blob")
         offset += name_len
         (ndim,) = struct.unpack_from("<B", raw, offset)
         offset += 1

@@ -19,6 +19,13 @@ Species ids are genus-major: species ``s`` belongs to genus
 A train/eval split side is a :class:`World` too: it shares the text
 channels and holds a subset of the audio and image rows.
 
+The split is drawn first, from the config alone: :func:`split_rows`
+gives each side's row positions. :func:`generate_world` then draws every
+row, or only the image rows it is given, and :func:`world_split` takes
+each side's rows from the world that holds them. A side that asks for a
+row its world never drew is an ``InvalidConfigError``. So a stage draws
+only the rows it reads, and drawing fewer rows moves no bit of the rest.
+
 Teacher-space scales are norm-relative (draws are scaled by 1/sqrt(d))
 because rows in that space are unit-normalized; the raw audio feature
 space is not normalized, so its noise is per-coordinate.
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +46,7 @@ from .embeddings import EmbeddingSet, Modality
 from .errors import InvalidConfigError, TooFewItemsError, ZeroVectorError
 from .rng import draw_streams
 
-__all__ = ["WorldConfig", "World", "generate_world", "world_split"]
+__all__ = ["WorldConfig", "World", "SideRows", "generate_world", "split_rows", "world_split"]
 
 # Audio hierarchy geometry: species latents sit around a per-genus anchor
 # at this fraction of the anchor scale. Together with sigma_audio this
@@ -117,9 +124,10 @@ class World:
     ``species_centres`` holds the noise-free unit teacher-space centre of
     each species; teacher text and image rows are noisy draws around it.
     ``audio_indices``/``image_indices`` give each audio/image row's
-    position in the generated world's arrays: ``arange`` on a generated
-    world, the side's rows on a split side. Text channels and centres are
-    whole on both.
+    position in the whole world's arrays, in ascending order: ``arange``
+    on a whole generated world, the drawn image rows on a world drawn
+    with ``image_rows``, the side's rows on a split side. Text channels
+    and centres are whole on all of them.
     """
 
     config: WorldConfig
@@ -162,12 +170,14 @@ def _unit_rows(rows: np.ndarray, keys, what: str) -> np.ndarray:
     return rows
 
 
-def generate_world(config: WorldConfig) -> World:
-    """Generate the full world deterministically from its config.
+def generate_world(config: WorldConfig, image_rows: Optional[np.ndarray] = None) -> World:
+    """Generate the world deterministically from its config.
 
     Each channel is drawn as one matrix, one keyed stream per row, and
     built with whole-matrix arithmetic that matches the per-row formulas
-    element for element.
+    element for element. ``image_rows`` (ascending positions) draws only
+    those image rows, each bit-equal to the same row of the whole world;
+    ``None`` draws them all.
     """
     seed = config.seed
     d_t = config.d_teacher
@@ -185,19 +195,25 @@ def generate_world(config: WorldConfig) -> World:
     centres = _unit_rows(genus_centres[species_genus] + species_offsets, species, "species centre")
     centres.setflags(write=False)
 
-    def around_centres(name: str, per_species: int, sigma: float, modality: Modality) -> EmbeddingSet:
-        keys = [(sp, i) for sp in range(n_species) for i in range(per_species)]
-        rows = np.repeat(centres, per_species, axis=0) + _norm_relative_rows(seed, name, keys, sigma, d_t)
-        return EmbeddingSet(
-            matrix=_unit_rows(rows, keys, name),
-            labels=np.repeat(np.arange(n_species, dtype=np.int64), per_species),
-            modality=modality,
-        )
+    def around_centres(name: str, per_species: int, sigma: float, modality: Modality, rows) -> EmbeddingSet:
+        # Row r is item r % per_species of species r // per_species.
+        keys = [divmod(r, per_species) for r in rows.tolist()]
+        labels = rows // per_species
+        noisy = centres[labels] + _norm_relative_rows(seed, name, keys, sigma, d_t)
+        return EmbeddingSet(matrix=_unit_rows(noisy, keys, name), labels=labels, modality=modality)
 
+    n_variants = n_species * config.variant_count
     teacher_text = around_centres(
-        "teacher_text", config.variant_count, config.sigma_variant, Modality.TEACHER_TEXT
+        "teacher_text",
+        config.variant_count,
+        config.sigma_variant,
+        Modality.TEACHER_TEXT,
+        np.arange(n_variants, dtype=np.int64),
     )
-    images = around_centres("image", config.images_per_species, config.sigma_image, Modality.IMAGE)
+    if image_rows is None:
+        image_rows = np.arange(n_species * config.images_per_species)
+    image_rows = np.asarray(image_rows, dtype=np.int64)
+    images = around_centres("image", config.images_per_species, config.sigma_image, Modality.IMAGE, image_rows)
 
     genus_keys = [(genus,) for genus in range(config.n_genera)]
     species_keys = [(sp,) for sp in range(n_species)]
@@ -234,7 +250,7 @@ def generate_world(config: WorldConfig) -> World:
         images=images,
         audio_features=audio,
         audio_indices=np.arange(audio.n_items, dtype=np.int64),
-        image_indices=np.arange(images.n_items, dtype=np.int64),
+        image_indices=image_rows,
     )
 
 
@@ -246,27 +262,23 @@ def _split_counts(n_items: int, holdout_fraction: float, what: str) -> int:
     return min(max(n_eval, 1), n_items - 1)
 
 
-def world_split(world: World, holdout_fraction: float, seed: int) -> Tuple[World, World]:
-    """Split a generated world's audio and images per species into (train, eval) sides.
+class SideRows(NamedTuple):
+    """One split side's rows, as ascending positions in the whole world."""
 
-    Every species keeps at least one item on each side. Both sides share
-    the config, the text channels and the species centres with ``world``.
-    The split depends only on ``seed`` and the per-species item counts,
-    not on the embedding values. A world that lacks some generated rows,
-    such as a split side, cannot be split again.
+    audio: np.ndarray
+    images: np.ndarray
+
+
+def split_rows(config: WorldConfig, holdout_fraction: float, seed: int) -> Tuple[SideRows, SideRows]:
+    """The (train, eval) rows of the audio and images, split per species.
+
+    Every species keeps at least one item on each side. The split
+    depends only on ``seed`` and the per-species item counts, so it is
+    drawn from the config, before any row values.
     """
     if not (0.0 < holdout_fraction < 1.0):
         raise InvalidConfigError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    config = world.config
     n_species = config.n_species
-    if (world.audio_features.n_items, world.images.n_items) != (
-        n_species * config.audio_per_species,
-        n_species * config.images_per_species,
-    ):
-        raise InvalidConfigError(
-            f"can only split a whole generated world; this one holds {world.audio_features.n_items} "
-            f"audio and {world.images.n_items} image rows"
-        )
 
     def split(name: str, per_species: int, what: str) -> Tuple[np.ndarray, np.ndarray]:
         # Each species' eval items are the first n_eval of its permutation.
@@ -279,16 +291,39 @@ def world_split(world: World, holdout_fraction: float, seed: int) -> Tuple[World
         # Flat positions are species * per_species + item: ascending per species.
         return np.flatnonzero(~held_out), np.flatnonzero(held_out)
 
-    train_audio_idx, eval_audio_idx = split("split_audio", config.audio_per_species, "audio")
-    train_image_idx, eval_image_idx = split("split_image", config.images_per_species, "images")
+    train_audio, eval_audio = split("split_audio", config.audio_per_species, "audio")
+    train_images, eval_images = split("split_image", config.images_per_species, "images")
+    return SideRows(train_audio, train_images), SideRows(eval_audio, eval_images)
 
-    def side(audio_idx: np.ndarray, image_idx: np.ndarray) -> World:
-        return replace(
-            world,
-            images=world.images.take(image_idx),
-            audio_features=world.audio_features.take(audio_idx),
-            audio_indices=audio_idx,
-            image_indices=image_idx,
+
+def _held_positions(held: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
+    """Where each of ``rows`` sits among a world's ``held`` rows (both ascending)."""
+    missing = ~np.isin(rows, held)
+    if missing.any():
+        raise InvalidConfigError(
+            f"{what} row {rows[np.argmax(missing)]} was never drawn in this world; a side takes its "
+            "rows from a whole generated world or from one drawn with them"
         )
+    return np.searchsorted(held, rows)
 
-    return side(train_audio_idx, train_image_idx), side(eval_audio_idx, eval_image_idx)
+
+def world_split(world: World, sides: Tuple[SideRows, ...]) -> Tuple[World, ...]:
+    """One :class:`World` per side of ``sides`` (from :func:`split_rows`).
+
+    Each side holds its audio and image rows, taken from ``world``, and
+    shares the config, the text channels and the species centres with
+    it. A side that asks for a row ``world`` does not hold, such as a row
+    of the other side of a split side, is an ``InvalidConfigError``.
+    """
+    return tuple(
+        replace(
+            world,
+            images=world.images.take(_held_positions(world.image_indices, rows.images, "image")),
+            audio_features=world.audio_features.take(
+                _held_positions(world.audio_indices, rows.audio, "audio")
+            ),
+            audio_indices=rows.audio,
+            image_indices=rows.images,
+        )
+        for rows in sides
+    )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from xmodal import EmbeddingSet, Modality, RunConfig, WorldConfig, generate_world, world_split
+from xmodal import EmbeddingSet, Modality, RunConfig, WorldConfig, generate_world, split_rows, world_split
 from xmodal.runconfig import EvalConfig
 from xmodal.trainer import AdapterConfig, TrainConfig
 
@@ -40,7 +40,7 @@ def small_world():
 
 @pytest.fixture(scope="session")
 def small_views(small_world):
-    return world_split(small_world, holdout_fraction=0.25, seed=SMALL_WORLD.seed)
+    return world_split(small_world, split_rows(SMALL_WORLD, holdout_fraction=0.25, seed=SMALL_WORLD.seed))
 
 
 @pytest.fixture(scope="session")

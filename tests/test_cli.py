@@ -11,8 +11,19 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from xmodal import load_params, read_embedding_set, save_params
+from xmodal import (
+    InvalidConfigError,
+    generate_world,
+    load_params,
+    read_embedding_set,
+    save_params,
+    split_rows,
+    world_split,
+)
+from xmodal import cli as cli_module
+from xmodal import world as world_module
 from xmodal.cli import build_parser, main
+from xmodal.runconfig import parse_config
 
 SMALL_CONFIG = """
 world.seed = 11
@@ -264,6 +275,76 @@ class TestRun:
 
         assert hash_of(new_summary) != hash_of(base_summary)
         assert not np.array_equal(new_audio.matrix, base_audio.matrix)
+
+
+class TestRowsEachStageDraws:
+    """Each command draws only the world rows it reads, bit-equal to the whole world's."""
+
+    def run(self, config_path, command, *extra):
+        """Run one command; (draws as (stream name, row count), PreparedWorlds the CLI built)."""
+        draws, prepared = [], []
+        draw_streams, prepare = world_module.draw_streams, cli_module.prepare_world
+
+        def recording_draw(out, seed, name, keys, *args, **kwargs):
+            draws.append((name, len(keys)))
+            return draw_streams(out, seed, name, keys, *args, **kwargs)
+
+        def recording_prepare(*args, **kwargs):
+            prepared.append(prepare(*args, **kwargs))
+            return prepared[-1]
+
+        with mock.patch.object(world_module, "draw_streams", recording_draw), mock.patch.object(
+            cli_module, "prepare_world", recording_prepare
+        ):
+            assert run_cli(command, "--config", str(config_path), *extra) == 0
+        return draws, prepared
+
+    @staticmethod
+    def config_of(config_path):
+        return parse_config(config_path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    def test_eval_stages_hold_the_eval_image_rows(self, config_path, command):
+        run_cli("train", "--config", str(config_path))
+        extra = ["--kind", "cascaded_zero_shot"] if command == "baseline" else []
+        draws, (prepared,) = self.run(config_path, command, *extra)
+        config = self.config_of(config_path)
+        _, eval_rows = split_rows(config.world, config.eval.holdout_fraction, config.world.seed)
+        whole = generate_world(config.world).images
+        assert prepared.world.image_indices.tolist() == eval_rows.images.tolist()
+        assert ("image", eval_rows.images.size) in draws
+        for held in (prepared.world.images, prepared.eval_view.images):
+            assert held.matrix.tobytes() == whole.matrix[eval_rows.images].tobytes()
+            assert held.labels.tolist() == whole.labels[eval_rows.images].tolist()
+        assert prepared.train_view.images.n_items == 0
+
+    def test_train_draws_no_image_row(self, config_path):
+        draws, (prepared,) = self.run(config_path, "train")
+        assert sum(n_keys for name, n_keys in draws if name == "image") == 0
+        assert prepared.world.images.n_items == 0
+
+    def test_gen_and_run_draw_every_image_row(self, config_path):
+        world = self.config_of(config_path).world
+        n_images = world.n_species * world.images_per_species
+        for command in ("gen", "run"):
+            draws, _ = self.run(config_path, command)
+            assert ("image", n_images) in draws
+
+    @pytest.mark.parametrize("command", ["train", "eval", "baseline", "run"])
+    def test_split_permutations_drawn_once_per_stage(self, config_path, command):
+        if command in ("eval", "baseline"):
+            run_cli("train", "--config", str(config_path))
+        extra = ["--kind", "random_projection"] if command == "baseline" else []
+        draws, _ = self.run(config_path, command, *extra)
+        names = [name for name, _ in draws]
+        assert (names.count("split_audio"), names.count("split_image")) == (1, 1)
+
+    def test_rows_never_drawn_raise(self, config_path):
+        config = self.config_of(config_path)
+        sides = split_rows(config.world, config.eval.holdout_fraction, config.world.seed)
+        eval_only = generate_world(config.world, image_rows=sides[1].images)
+        with pytest.raises(InvalidConfigError, match=r"image row \d+ was never drawn"):
+            world_split(eval_only, sides)
 
 
 class TestErrors:

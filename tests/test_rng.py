@@ -1,6 +1,7 @@
 """Counter-based RNG streams: determinism, independence and re-keyed draws."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,3 +130,44 @@ class TestDrawStreams:
         out = draw_streams(np.empty((len(keys), 3)), seed, "any", keys, "standard_normal", 3)
         for row, key in zip(out, keys):
             assert np.array_equal(row, rng_for(seed, "any", *key).standard_normal(3))
+
+    # standard_normal rows are drawn straight into a C-contiguous float64 out.
+    @pytest.mark.parametrize("dim", [1, 20, 32])
+    def test_in_place_rows_equal_fresh_generators(self, dim):
+        out = np.empty((len(KEYS), dim))
+        assert out.flags.c_contiguous
+        draw_streams(out, 7, "in_place", KEYS, "standard_normal", dim)
+        for row, key in zip(out, KEYS):
+            assert np.array_equal(row, rng_for(7, "in_place", *key).standard_normal(dim))
+
+    def test_in_place_draw_passes_out_and_no_size(self):
+        # A size passed with out makes NumPy check it on every row; the
+        # in-place call passes out alone.
+        calls = []
+
+        class Recording(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                calls.append((args, sorted(kwargs)))
+                return super().standard_normal(*args, **kwargs)
+
+        with mock.patch.object(np.random, "Generator", Recording):
+            draw_streams(np.empty((3, 4)), 1, "spy", [(0,), (1,), (2,)], "standard_normal", 4)
+        assert calls == [((), ["out"])] * 3
+
+    def test_in_place_empty_key_is_the_bare_name(self):
+        out = draw_streams(np.empty((1, 20)), 3, "bare", [()], "standard_normal", 20)
+        assert np.array_equal(out[0], rng_for(3, "bare").standard_normal(20))
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda n, dim: np.empty((n, dim), order="F"), ValueError),
+            (lambda n, dim: np.empty((n, 2 * dim))[:, ::2], ValueError),
+            (lambda n, dim: np.empty((n, dim), dtype=np.float32), TypeError),
+        ],
+        ids=["fortran", "strided", "float32"],
+    )
+    def test_other_out_raises(self, make, error):
+        # NumPy refuses to draw into a row that is not contiguous float64.
+        with pytest.raises(error, match="output array"):
+            draw_streams(make(len(KEYS), 5), 7, "refused", KEYS, "standard_normal", 5)

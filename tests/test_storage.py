@@ -320,6 +320,19 @@ class TestParamsBlob:
         with pytest.raises(FileFormatError, match="not UTF-8"):
             load_params(path)
 
+    def test_array_declared_twice(self, tmp_path):
+        # A blob that repeats a record used to load with one array fewer
+        # than it declares, the later copy winning.
+        path = tmp_path / "p.xmpb"
+        save_params({"w": np.ones(2)}, path, config_hash="a" * 16)
+        raw = path.read_bytes()
+        header, record = raw[:28], raw[28:]
+        path.write_bytes(header[:24] + struct.pack("<I", 2) + record + record)
+        # The second name starts after the header, the first record and its length field.
+        second_name = 28 + len(record) + 2
+        with pytest.raises(FileFormatError, match=f"array 'w' at byte {second_name} is already declared"):
+            load_params(path)
+
     @pytest.mark.parametrize(
         "shape",
         [

@@ -16,6 +16,7 @@ from xmodal import (
     TooFewItemsError,
     WorldConfig,
     generate_world,
+    split_rows,
     world_split,
 )
 from xmodal.rng import rng_for
@@ -131,7 +132,7 @@ class TestMatchesPerRowReference:
     @settings(max_examples=40, deadline=None)
     def test_split(self, config, fraction, seed):
         world = generate_world(config)
-        train, held_out = world_split(world, fraction, seed)
+        train, held_out = world_split(world, split_rows(config, fraction, seed))
         for per_species, name, indices in (
             (config.audio_per_species, "split_audio", "audio_indices"),
             (config.images_per_species, "split_image", "image_indices"),
@@ -303,12 +304,12 @@ class TestWorldSplit:
     def test_fraction_bounds(self, small_world):
         for bad in (0.0, 1.0, -0.25, 1.5):
             with pytest.raises(InvalidConfigError, match="holdout_fraction"):
-                world_split(small_world, holdout_fraction=bad, seed=0)
+                split_rows(small_world.config, holdout_fraction=bad, seed=0)
 
     def test_split_side_cannot_be_split_again(self, small_views):
         for side in small_views:
             with pytest.raises(InvalidConfigError, match="whole generated world"):
-                world_split(side, holdout_fraction=0.25, seed=0)
+                world_split(side, split_rows(side.config, holdout_fraction=0.25, seed=0))
 
     def test_partition_is_disjoint_and_complete(self, small_views, small_world):
         train, eval_ = small_views
@@ -352,13 +353,13 @@ class TestWorldSplit:
             assert int(np.sum(train.images.labels == sp)) == 3
 
     def test_tiny_fraction_keeps_one_eval_item(self, small_world):
-        train, eval_ = world_split(small_world, holdout_fraction=0.01, seed=3)
+        train, eval_ = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.01, seed=3))
         for sp in range(8):
             assert int(np.sum(eval_.audio_features.labels == sp)) == 1
             assert int(np.sum(eval_.images.labels == sp)) == 1
 
     def test_huge_fraction_keeps_one_train_item(self, small_world):
-        train, eval_ = world_split(small_world, holdout_fraction=0.99, seed=3)
+        train, eval_ = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.99, seed=3))
         for sp in range(8):
             assert int(np.sum(train.audio_features.labels == sp)) == 1
             assert int(np.sum(train.images.labels == sp)) == 1
@@ -371,22 +372,22 @@ class TestWorldSplit:
                 assert np.array_equal(block, np.sort(block))
 
     def test_split_determinism_and_seed_sensitivity(self, small_world):
-        a1 = world_split(small_world, holdout_fraction=0.25, seed=11)
-        a2 = world_split(small_world, holdout_fraction=0.25, seed=11)
-        b = world_split(small_world, holdout_fraction=0.25, seed=12)
+        a1 = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.25, seed=11))
+        a2 = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.25, seed=11))
+        b = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.25, seed=12))
         assert np.array_equal(a1[1].audio_indices, a2[1].audio_indices)
         assert not np.array_equal(a1[1].audio_indices, b[1].audio_indices)
 
     def test_single_item_species_cannot_split(self):
         world = generate_world(dataclasses.replace(SMALL_WORLD, audio_per_species=1))
         with pytest.raises(TooFewItemsError, match="at least 2 items"):
-            world_split(world, holdout_fraction=0.25, seed=0)
+            world_split(world, split_rows(world.config, holdout_fraction=0.25, seed=0))
 
     @given(st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=25, deadline=None)
     def test_eval_count_tracks_fraction(self, fraction):
         world = generate_world(SMALL_WORLD)
-        train, eval_ = world_split(world, holdout_fraction=fraction, seed=2)
+        train, eval_ = world_split(world, split_rows(world.config, holdout_fraction=fraction, seed=2))
         n = SMALL_WORLD.audio_per_species
         expected = min(max(int(np.floor(fraction * n + 0.5)), 1), n - 1)
         for sp in range(8):
