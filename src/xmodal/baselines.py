@@ -43,12 +43,6 @@ from .evaluation import RankedList, check_class_table, check_labels_covered, nea
 from .rng import rng_for
 from .trainer import Layer, TrainConfig, TrainReport, fit, mlp_forward, mlp_init
 
-__all__ = [
-    "random_projection_baseline",
-    "text_mapping_baseline",
-    "text_mapping_rankings",
-    "cascaded_zero_shot_baseline",
-]
 
 def random_projection_baseline(audio_features: EmbeddingSet, d_teacher: int, seed: int) -> EmbeddingSet:
     """Audio rows times a fixed Gaussian matrix, then row-normalized.

@@ -41,8 +41,6 @@ from .pipeline import (
 from .runconfig import RunConfig, config_hash, parse_config
 from .world import generate_world
 
-__all__ = ["main", "build_parser"]
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xmodal", description="text-bridged cross-modal distillation")
@@ -108,9 +106,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             _, _, summary = eval_stage(config, prepare_world(config, image_sides=("eval",)), params, out)
             print(summary, end="")
         elif args.command == "baseline":
-            report = baseline_report(config, prepare_world(config, image_sides=("eval",)), args.kind)
+            key, report = baseline_report(config, prepare_world(config, image_sides=("eval",)), args.kind)
             print(f"config_hash = {run_hash}")
-            print(f"{report.metric_name} = {report.value:.6f}")
+            print(f"{key} = {report.value:.6f}")
         else:
             print(run_experiment(config).summary, end="")
     except (XmodalError, OSError) as exc:

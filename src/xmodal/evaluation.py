@@ -58,13 +58,17 @@ as one contiguous slice, the rows and the reduction of a masked
 ``.mean(axis=0)``. (``np.add.reduceat`` is not that reduction: it
 rounds differently.)
 
-Metric means are plain sequential sums over the per-query values.
+An ``EvalReport`` holds one metric's per-query values and sets its
+``value`` from them once: their plain left-to-right ``sum / len``, bit
+for bit the one-query loop's mean (``np.mean`` and ``math.fsum`` round
+differently). A report carries no name: the key the pipeline files it
+under is its only name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,21 +84,6 @@ from .errors import (
 )
 from .rng import draw_streams
 
-__all__ = [
-    "EvalReport",
-    "RankedList",
-    "rank_by_score",
-    "map_retrieval",
-    "map_from_ranked",
-    "chance_map_oracle",
-    "knn_classify",
-    "zero_shot_classify",
-    "class_prototypes",
-    "check_labels_covered",
-    "check_class_table",
-    "nearest_prototype",
-]
-
 # Cells in one row block of a score matrix. Block temporaries (negated
 # scores, order, running sums) are then 1 MB each at float64/int64.
 _BLOCK_CELLS = 1 << 17
@@ -102,23 +91,23 @@ _BLOCK_CELLS = 1 << 17
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One metric value with its per-query breakdown and metadata."""
+    """One metric's per-query values, their mean ``value`` and metadata.
 
-    metric_name: str
-    value: float
-    per_query: Optional[Tuple[float, ...]] = None
+    The report has no name: the key it is filed under is its name.
+    """
+
+    per_query: Tuple[float, ...]
     k: Optional[int] = None
     metadata: Dict[str, object] = field(default_factory=dict)
+    value: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise InvalidConfigError(f"metric value must lie in [0, 1], got {self.value}")
-        if self.per_query is not None:
-            mean = sum(self.per_query) / len(self.per_query)
-            if abs(mean - self.value) > 1e-12:
-                raise InvalidConfigError(
-                    f"value {self.value} does not equal the per-query mean {mean}"
-                )
+        if not self.per_query:
+            raise InvalidConfigError("a metric needs at least one per-query value")
+        value = sum(self.per_query) / len(self.per_query)
+        if not (0.0 <= value <= 1.0):
+            raise InvalidConfigError(f"metric value must lie in [0, 1], got {value}")
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -263,16 +252,11 @@ def _ap_from_ranks(ranks: np.ndarray, limit: int, denom) -> np.ndarray:
     return np.add.accumulate(precision, axis=1)[:, -1] / denom
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
-
-
 def _map_report(
     ranks_of: Callable[[slice, np.ndarray], np.ndarray],
     query_labels: np.ndarray,
     gallery_labels: np.ndarray,
     k: Optional[int],
-    metric_name: Optional[str],
 ) -> EvalReport:
     """mAP of the queries labelled ``query_labels``, one row each.
 
@@ -299,10 +283,7 @@ def _map_report(
     per_query = ap[scored].tolist()
     if not per_query:
         raise NoRelevantItemsError("no query has any relevant gallery item")
-    name = metric_name or ("map" if k is None else f"map@{k}")
     return EvalReport(
-        metric_name=name,
-        value=_mean(per_query),
         per_query=tuple(per_query),
         k=k,
         metadata={
@@ -312,12 +293,7 @@ def _map_report(
     )
 
 
-def map_retrieval(
-    queries: EmbeddingSet,
-    gallery: EmbeddingSet,
-    k: Optional[int] = None,
-    metric_name: Optional[str] = None,
-) -> EvalReport:
+def map_retrieval(queries: EmbeddingSet, gallery: EmbeddingSet, k: Optional[int] = None) -> EvalReport:
     """Mean average precision for label-match retrieval, optionally @k.
 
     Queries with no relevant gallery item are excluded from the mean;
@@ -332,7 +308,7 @@ def map_retrieval(
     def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
         return _search_ranks(scores(rows), columns)
 
-    return _map_report(ranks_of, queries.labels, gallery.labels, k, metric_name)
+    return _map_report(ranks_of, queries.labels, gallery.labels, k)
 
 
 def map_from_ranked(
@@ -340,7 +316,6 @@ def map_from_ranked(
     query_labels: np.ndarray,
     gallery_labels: np.ndarray,
     k: Optional[int] = None,
-    metric_name: Optional[str] = None,
 ) -> EvalReport:
     """Mean average precision over pre-ranked galleries.
 
@@ -367,7 +342,7 @@ def map_from_ranked(
     def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
         return ranks[row_of[rows, None], columns]
 
-    return _map_report(ranks_of, query_labels, gallery_labels, k, metric_name)
+    return _map_report(ranks_of, query_labels, gallery_labels, k)
 
 
 def chance_map_oracle(n_per_class: int, n_classes: int, trials: int = 1000, seed: int = 0) -> float:
@@ -389,7 +364,7 @@ def chance_map_oracle(n_per_class: int, n_classes: int, trials: int = 1000, seed
         draw_streams(perms, seed, "chance", keys, "permutation", n_items)
         ranks = _inverse_ranks(perms)[:, :n_per_class]
         values.extend(_ap_from_ranks(ranks, n_items, n_per_class).tolist())
-    return _mean(values)
+    return sum(values) / len(values)
 
 
 def _same_set(queries: EmbeddingSet, reference: EmbeddingSet) -> bool:
@@ -434,13 +409,7 @@ def knn_classify(queries: EmbeddingSet, reference: EmbeddingSet, k: int) -> Eval
         first = np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)
         prediction = neighbor_labels[np.arange(first.size), first]
         per_query.extend((prediction == queries.labels[rows]).astype(np.float64).tolist())
-    return EvalReport(
-        metric_name=f"knn@{k}_accuracy",
-        value=_mean(per_query),
-        per_query=tuple(per_query),
-        k=k,
-        metadata={"exclude_self": exclude_self},
-    )
+    return EvalReport(per_query=tuple(per_query), k=k, metadata={"exclude_self": exclude_self})
 
 
 def class_prototypes(embedding_set: EmbeddingSet) -> EmbeddingSet:
@@ -499,9 +468,4 @@ def zero_shot_classify(queries: EmbeddingSet, prototypes: EmbeddingSet) -> EvalR
     check_labels_covered(queries.labels, prototypes.labels, "no prototype for labels {}")
     predicted, _ = nearest_prototype(queries, prototypes)
     per_query = tuple(float(p == t) for p, t in zip(predicted, queries.labels))
-    return EvalReport(
-        metric_name="zero_shot_accuracy",
-        value=_mean(per_query),
-        per_query=per_query,
-        metadata={"n_prototypes": prototypes.n_items},
-    )
+    return EvalReport(per_query=per_query, metadata={"n_prototypes": prototypes.n_items})

@@ -29,8 +29,6 @@ from .embeddings import _divide_by_norms, _unit_rows
 from .errors import InvalidConfigError, ShapeMismatchError, TooFewItemsError
 from .rng import rng_for
 
-__all__ = ["LossOutput", "distill_loss", "infonce_loss", "distill_loss_symbolic_check"]
-
 
 @dataclass(frozen=True)
 class LossOutput:

@@ -57,22 +57,6 @@ from .storage import load_params, save_params, write_atomic, write_embedding_set
 from .trainer import Params, TrainReport, adapter_forward, check_params, train_adapter
 from .world import World, generate_world, split_rows, world_split
 
-__all__ = [
-    "PreparedWorld",
-    "ExperimentResult",
-    "teacher_prototype_set",
-    "embedded_audio_set",
-    "prepare_world",
-    "baseline_report",
-    "evaluate_trained",
-    "render_summary",
-    "write_world_artifacts",
-    "train_stage",
-    "load_trained",
-    "eval_stage",
-    "run_experiment",
-]
-
 BASELINES = ("random_projection", "text_mapping", "cascaded_zero_shot")
 SUMMARY_METHOD_ORDER = (*BASELINES, "distilled")
 
@@ -194,22 +178,19 @@ def _method_audio(
     raise InvalidConfigError(f"unknown method {method!r}; the methods are {', '.join(SUMMARY_METHOD_ORDER)}")
 
 
-def _audio_image_map(
-    prepared: PreparedWorld, method: str, audio: Union[EmbeddingSet, RankedList]
-) -> EvalReport:
+def _audio_image_map(prepared: PreparedWorld, audio: Union[EmbeddingSet, RankedList]) -> EvalReport:
     """Audio-to-image retrieval mAP of one method's rows or rankings."""
     images = prepared.eval_view.images
-    name = f"audio_image_map.{method}"
     if isinstance(audio, EmbeddingSet):
-        return map_retrieval(audio, images, metric_name=name)
-    return map_from_ranked(audio, prepared.eval_view.audio_features.labels, images.labels, metric_name=name)
+        return map_retrieval(audio, images)
+    return map_from_ranked(audio, prepared.eval_view.audio_features.labels, images.labels)
 
 
-def baseline_report(config: RunConfig, prepared: PreparedWorld, method: str) -> EvalReport:
-    """Audio-to-image retrieval mAP of one baseline, by name, on the eval split."""
+def baseline_report(config: RunConfig, prepared: PreparedWorld, method: str) -> Tuple[str, EvalReport]:
+    """Report key and audio-to-image retrieval mAP of one baseline, by name, on the eval split."""
     if method not in BASELINES:
         raise InvalidConfigError(f"unknown baseline {method!r}; the baselines are {', '.join(BASELINES)}")
-    return _audio_image_map(prepared, method, _method_audio(config, prepared, method))
+    return f"audio_image_map.{method}", _audio_image_map(prepared, _method_audio(config, prepared, method))
 
 
 def evaluate_trained(config: RunConfig, prepared: PreparedWorld, params: Params) -> Dict[str, EvalReport]:
@@ -225,7 +206,7 @@ def evaluate_trained(config: RunConfig, prepared: PreparedWorld, params: Params)
     reports: Dict[str, EvalReport] = {}
     for method in SUMMARY_METHOD_ORDER:
         rows = audio[method] if method in audio else _method_audio(config, prepared, method)
-        reports[f"audio_image_map.{method}"] = _audio_image_map(prepared, method, rows)
+        reports[f"audio_image_map.{method}"] = _audio_image_map(prepared, rows)
         # A method's RankedList is freed before the next method builds its
         # own: 2.6 MB off the benchmark's eval_wide peak RSS.
         del rows
@@ -236,9 +217,7 @@ def evaluate_trained(config: RunConfig, prepared: PreparedWorld, params: Params)
     reports["knn_accuracy.distilled"] = knn_classify(distilled, distilled, k)
     reports["zero_shot_accuracy.distilled"] = zero_shot_classify(distilled, teacher)
     reports["zero_shot_accuracy.random_projection"] = zero_shot_classify(projected, teacher)
-    reports["text_audio_map.distilled"] = map_retrieval(
-        teacher, distilled, k=config.eval.map_k, metric_name="text_audio_map.distilled"
-    )
+    reports["text_audio_map.distilled"] = map_retrieval(teacher, distilled, k=config.eval.map_k)
     return reports
 
 

@@ -27,15 +27,6 @@ from .errors import ConfigTypeError, InvalidConfigError, UnknownKeyError
 from .trainer import AdapterConfig, TrainConfig
 from .world import WorldConfig
 
-__all__ = [
-    "EvalConfig",
-    "RunConfig",
-    "parse_config",
-    "canonical_config_text",
-    "config_hash",
-    "adapter_config_for",
-]
-
 
 @dataclass(frozen=True)
 class EvalConfig:

@@ -36,16 +36,6 @@ import numpy as np
 from .embeddings import EmbeddingSet, Modality
 from .errors import FileFormatError, PayloadTooShortError
 
-__all__ = [
-    "MAGIC",
-    "VERSION",
-    "write_atomic",
-    "write_embedding_set",
-    "read_embedding_set",
-    "save_params",
-    "load_params",
-]
-
 MAGIC = b"XMEB"
 VERSION = 1
 DTYPE_FLOAT32 = 0

@@ -45,23 +45,6 @@ from .objective import infonce_loss
 from .rng import rng_for
 from .world import World
 
-__all__ = [
-    "AdapterConfig",
-    "TrainConfig",
-    "TrainReport",
-    "init_params",
-    "check_params",
-    "mlp_init",
-    "adapter_forward",
-    "adapter_backward",
-    "mlp_forward",
-    "mlp_backward",
-    "make_optimizer",
-    "xavier_uniform",
-    "fit",
-    "train_adapter",
-]
-
 ADAPTER_MODES = ("linear_head_only", "mlp_encoder_plus_head")
 OPTIMIZERS = ("adam", "sgd_momentum")
 

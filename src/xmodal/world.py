@@ -46,8 +46,6 @@ from .embeddings import EmbeddingSet, Modality
 from .errors import InvalidConfigError, TooFewItemsError, ZeroVectorError
 from .rng import draw_streams
 
-__all__ = ["WorldConfig", "World", "SideRows", "generate_world", "split_rows", "world_split"]
-
 # Audio hierarchy geometry: species latents sit around a per-genus anchor
 # at this fraction of the anchor scale. Together with sigma_audio this
 # fixes the irreducible audio confusion rate between sibling species.

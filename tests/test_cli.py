@@ -1,11 +1,14 @@
 """CLI subcommands, exercised in-process through main()."""
 
+import contextlib
 import hashlib
+import io
 import os
 import re
 import shutil
 import stat
 import struct
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -197,12 +200,32 @@ class TestEval:
         assert captured.err.startswith(expected)
 
 
+@pytest.fixture(scope="module")
+def default_run_reports(tmp_path_factory):
+    """``reports.txt`` of ``xmodal run`` on the default config, as {key: value}."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("default_run"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("run") == 0
+        lines = Path("runs/default/reports.txt").read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" = ") for line in lines)
+
+
 class TestBaseline:
     @pytest.mark.parametrize("kind", ["random_projection", "text_mapping", "cascaded_zero_shot"])
     def test_each_kind(self, config_path, kind, capsys):
         assert run_cli("baseline", "--config", str(config_path), "--kind", kind) == 0
         out = capsys.readouterr().out
         assert f"audio_image_map.{kind} = " in out
+
+    @pytest.mark.parametrize("kind", ["random_projection", "text_mapping", "cascaded_zero_shot"])
+    def test_default_config_prints_the_key_and_value_of_run(self, kind, default_run_reports, capsys):
+        # The baseline prints its report under the key reports.txt files
+        # it under, with the value that ``run`` writes there.
+        assert run_cli("baseline", "--kind", kind) == 0
+        value = default_run_reports[f"audio_image_map.{kind}.value"]
+        assert default_run_reports["config_hash"] == "65edaf666cf456f0"
+        assert capsys.readouterr().out == f"config_hash = 65edaf666cf456f0\naudio_image_map.{kind} = {value}\n"
 
 
 class TestRun:

@@ -1,5 +1,6 @@
 """Retrieval and classification metrics against hand-computed oracles."""
 
+import math
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -53,15 +54,23 @@ BLOCK_CELLS = st.integers(1, 40)
 
 class TestEvalReport:
     def test_value_bounds(self):
-        with pytest.raises(InvalidConfigError):
-            EvalReport(metric_name="m", value=1.5)
-        with pytest.raises(InvalidConfigError):
-            EvalReport(metric_name="m", value=-0.1)
+        with pytest.raises(InvalidConfigError, match=r"\[0, 1\]"):
+            EvalReport(per_query=(1.5,))
+        with pytest.raises(InvalidConfigError, match=r"\[0, 1\]"):
+            EvalReport(per_query=(-0.1,))
+        with pytest.raises(InvalidConfigError, match=r"\[0, 1\]"):
+            EvalReport(per_query=(float("nan"),))
 
-    def test_per_query_mean_must_match(self):
-        EvalReport(metric_name="m", value=0.5, per_query=(0.0, 1.0))
-        with pytest.raises(InvalidConfigError, match="per-query mean"):
-            EvalReport(metric_name="m", value=0.4, per_query=(0.0, 1.0))
+    def test_empty_per_query_raises(self):
+        with pytest.raises(InvalidConfigError, match="at least one per-query value"):
+            EvalReport(per_query=())
+
+    def test_value_is_the_sequential_mean(self):
+        # The left-to-right sum / len, bit for bit; np.mean and math.fsum
+        # both round to 0.1 here.
+        report = EvalReport(per_query=(0.1,) * 10)
+        assert report.value == 0.09999999999999999
+        assert float(np.mean((0.1,) * 10)) == math.fsum((0.1,) * 10) / 10 == 0.1
 
 
 def one_ranking(order, scores):
@@ -257,7 +266,6 @@ class TestMapRetrieval:
         s = eset(np.eye(3), [0, 1, 2])
         report = map_retrieval(s, s)
         assert report.value == 1.0
-        assert report.metric_name == "map"
 
     def test_duplicate_and_orthogonal(self):
         queries = eset([[1.0, 0.0]], [7])
@@ -298,7 +306,6 @@ class TestMapRetrieval:
         # Rank order: g0 (label 1), g1 (label 0), g2 (label 0).
         assert full.value == pytest.approx((1 / 2 + 2 / 3) / 2, abs=1e-12)
         assert at1.value == 0.0  # top-1 is irrelevant; denom = min(2, 1)
-        assert at1.metric_name == "map@1"
         assert at1.k == 1
 
     @pytest.mark.parametrize("k, ap", [(None, 0.5), (1, 0.0), (2, 0.5), (3, 0.5), (4, 0.5), (5, 0.5)])
@@ -568,7 +575,6 @@ class TestKnnClassify:
         q = eset([[0.99, 0.01]], [3])
         report = knn_classify(q, ref, k=1)
         assert report.value == 1.0
-        assert report.metric_name == "knn@1_accuracy"
         assert report.metadata["exclude_self"] is False
 
     def test_majority_vote(self):
@@ -742,7 +748,6 @@ class TestZeroShot:
         q = eset([[0.9, 0.1], [0.2, 0.8], [1.0, 0.01]], [0, 1, 0])
         report = zero_shot_classify(q, protos)
         assert report.value == 1.0
-        assert report.metric_name == "zero_shot_accuracy"
         assert report.metadata["n_prototypes"] == 2
 
     def test_partial_accuracy(self):

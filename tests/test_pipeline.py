@@ -31,6 +31,7 @@ from xmodal.pipeline import (
     render_summary,
     run_experiment,
     teacher_prototype_set,
+    write_reports,
     write_train_log,
     write_world_artifacts,
 )
@@ -101,19 +102,12 @@ class TestBaselineReports:
         assert BASELINES == ("random_projection", "text_mapping", "cascaded_zero_shot")
         assert SUMMARY_METHOD_ORDER == (*BASELINES, "distilled")
 
-    def test_metric_names(self, small_run_config):
-        prepared = prepare_world(small_run_config)
-        for method in BASELINES:
-            report = baseline_report(small_run_config, prepared, method)
-            assert report.metric_name == f"audio_image_map.{method}"
-            assert 0.0 <= report.value <= 1.0
-
     @pytest.mark.parametrize("method", BASELINES)
     def test_baseline_command_scores_as_eval_does(self, method, small_run_config, small_result):
-        report = baseline_report(small_run_config, small_result.prepared, method)
-        from_eval = small_result.reports[f"audio_image_map.{method}"]
+        key, report = baseline_report(small_run_config, small_result.prepared, method)
+        from_eval = small_result.reports[key]
+        assert key == f"audio_image_map.{method}"
         assert report.value == from_eval.value
-        assert report.per_query is not None
         assert report.per_query == from_eval.per_query
 
     @pytest.mark.parametrize("method", ["distilled", "oracle", "Text_Mapping"])
@@ -257,9 +251,11 @@ class TestRunExperiment:
         assert adapter_config_for(bad).d_in == 9
 
 
-# SHA-256 of the default config's summary.txt, the README run. Evaluation
-# may get faster but must not move a byte of it.
+# SHA-256 of the default config's summary.txt and reports.txt, the README
+# run. Evaluation may get faster but must not move a byte of either;
+# reports.txt also prints every report's k and metadata.
 DEFAULT_SUMMARY_SHA256 = "0067f866022d7c982067f6da633a67cde21d65173e33750429bd36722efc27b5"
+DEFAULT_REPORTS_SHA256 = "7ebb57c010f5bb102dfd85c0a45c08f4d7ebca78865a07a00de388fbb3ecf47b"
 
 
 # SHA-256 of (params.xmpb, train_log.txt) trained on the default world,
@@ -345,7 +341,7 @@ def test_text_mapping_map_matches_a_python_oracle(world, monkeypatch):
     if world == "eval_wide":
         config = parse_config(perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG)
     prepared = prepare_world(config)
-    report = baseline_report(config, prepared, "text_mapping")
+    _, report = baseline_report(config, prepared, "text_mapping")
     _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
     audio = prepared.eval_view.audio_features
     images = prepared.eval_view.images
@@ -388,6 +384,11 @@ class TestDefaultConfigOrdering:
     def test_summary_bytes_pinned(self, default_experiment):
         result, _ = default_experiment
         assert hashlib.sha256(result.summary.encode("utf-8")).hexdigest() == DEFAULT_SUMMARY_SHA256
+
+    def test_reports_bytes_pinned(self, default_experiment, tmp_path):
+        result, _ = default_experiment
+        write_reports(result.reports, result.chance, tmp_path / "reports.txt", result.config_hash)
+        assert hashlib.sha256((tmp_path / "reports.txt").read_bytes()).hexdigest() == DEFAULT_REPORTS_SHA256
 
     def test_distilled_clears_text_mapping_and_random(self, default_experiment):
         result, _ = default_experiment

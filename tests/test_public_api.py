@@ -57,3 +57,19 @@ def test_every_public_function_and_class_is_used_outside_the_tests():
         and node.name not in used
     ]
     assert test_only == [], f"public API that only the tests call: {test_only}"
+
+
+def test_no_module_declares_all():
+    # The underscore rule above is the one record of the public surface;
+    # an ``__all__`` list would be a second one that nothing reads.
+    declaring = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        )
+    ]
+    assert declaring == [], f"modules that assign __all__: {declaring}"
