@@ -12,22 +12,20 @@ also has access to:
   :func:`xmodal.trainer.fit`, with each species paired with its canonical
   teacher row; it reports through the adapter's ``TrainReport``. At
   inference an audio clip is classified to a species with audio-space
-  class prototypes and gets the ranking of that species' mapped text
-  row: the gallery is ranked once per distinct predicted species.
+  class prototypes and gets the gallery's cosines with that species'
+  mapped text row: one score row per distinct predicted species.
 * ``cascaded_zero_shot``: two independent zero-shot classifiers (audio
   vs audio-space prototypes, image vs teacher text prototypes) chained
   by scoring each image with the cosine between the two predicted class
   prototypes. A misclassification in either stage propagates to the
-  ranking. A clip's ranking depends only on its predicted class, so the
-  gallery is ranked once per distinct predicted class. Every score is a cell
-  of the (predicted classes x classes) cosine table, so each class's
-  sort runs on the cells' dense ranks in its row of that table, small
-  unsigned integers that NumPy radix-sorts, in place of the float
-  scores; equal ranks are exactly equal scores, so the order and its
-  ties are the float sort's.
+  ranking. Every score is a cell of the (predicted classes x classes)
+  cosine table, handed over as minus the cell's dense rank in its row,
+  a small signed integer that NumPy radix-sorts; equal ranks are
+  exactly equal cosines, so the order and its ties are the float sort's.
 
-Both classify-then-look-up baselines return one ``RankedList``: a row
-per distinct predicted class, and for each clip the row of its class.
+Both classify-then-look-up baselines score and do not rank: each returns
+one ``RankedList``, a score row per distinct predicted class and, for
+each clip, the row of its class.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSet, normalize_rows, similarity_matrix
 from .errors import SpeciesMismatchError
-from .evaluation import RankedList, check_class_table, check_labels_covered, nearest_prototype, rank_by_score
+from .evaluation import RankedList, check_class_table, check_labels_covered, nearest_prototype
 from .rng import rng_for
 from .trainer import Layer, TrainConfig, TrainReport, fit, mlp_forward, mlp_init
 
@@ -97,21 +95,19 @@ def text_mapping_rankings(
     audio_prototypes: EmbeddingSet,
     images: EmbeddingSet,
 ) -> RankedList:
-    """Rank the images for each audio clip via the mapped-text route.
+    """Score the images for each audio clip via the mapped-text route.
 
     Each clip is classified to a species with the audio-space prototypes
-    and ranks the images by their cosine with that species' row of
+    and scores the images by their cosine with that species' row of
     ``table``, the mapped table that :func:`text_mapping_baseline`
-    returns. The gallery is ranked once per distinct predicted species,
-    one row each in ascending label order.
+    returns: one row per distinct predicted species, ascending.
     """
     check_class_table(table, "mapped table")
     predicted, _ = nearest_prototype(audio, audio_prototypes)
     check_labels_covered(predicted, table.labels, "no mapped text for predicted labels {}")
     classes, clip_class = np.unique(predicted, return_inverse=True)
     scores = similarity_matrix(table.take(np.searchsorted(table.labels, classes)), images)
-    orders = rank_by_score(scores)
-    return RankedList(clip_class, orders, np.take_along_axis(scores, orders, axis=1))
+    return RankedList(clip_class, scores, np.arange(images.n_items))
 
 
 def cascaded_zero_shot_baseline(
@@ -120,14 +116,13 @@ def cascaded_zero_shot_baseline(
     student_prototypes: EmbeddingSet,
     teacher_prototypes: EmbeddingSet,
 ) -> RankedList:
-    """Rank images per predicted audio class through two zero-shot classifiers.
+    """Score images per predicted audio class through two zero-shot classifiers.
 
     score(image | clip) = cosine between the teacher prototypes of the
     clip's predicted class and the image's predicted class. Ties break
     by the image's own classification confidence (descending), then by
-    gallery index. A clip's ranking depends only on its predicted class,
-    so the gallery is ranked once per distinct predicted class, one row
-    each in ascending label order.
+    gallery index: the columns follow that order. One score row per
+    distinct predicted class, ascending.
     """
     check_labels_covered(audio.labels, teacher_prototypes.labels, "no teacher prototype for audio labels {}")
     check_labels_covered(images.labels, teacher_prototypes.labels, "no teacher prototype for image labels {}")
@@ -146,20 +141,18 @@ def cascaded_zero_shot_baseline(
     presorted = np.argsort(-image_conf, kind="stable")
     image_class = np.searchsorted(teacher_prototypes.labels, image_pred[presorted])
     # An image's score is one cell of its predicted class's row of the
-    # cosine table, so it sorts as that cell's dense rank in the row:
-    # equal values (+-0.0 too, and every NaN) share one, and NaN ranks
-    # last, as in a float sort. The ranks are small unsigned keys, which
-    # a stable sort orders by radix. (Any kind of sort of the row gives
-    # the same ranks; the stable one is the float sort that evaluation
-    # already runs, so no other sort code is paged in.)
+    # cosine table, so it sorts as minus that cell's dense rank in the
+    # row: equal values (+-0.0 too, and every NaN) share one, and NaN
+    # ranks last, as in a float sort. Small signed keys sort by radix;
+    # float cosines full of ties would take a timsort. (Any kind of sort
+    # of the row gives the same ranks; the stable one is the float sort
+    # that evaluation already runs, so no other sort code is paged in.)
     negated = -proto_cos[classes]
     by_value = np.argsort(negated, axis=1, kind="stable")
     ordered = np.take_along_axis(negated, by_value, axis=1)
     steps = (ordered[:, 1:] != ordered[:, :-1]) & ~np.isnan(ordered[:, :-1])
-    ranks = np.zeros(negated.shape, dtype=np.min_scalar_type(negated.shape[1]))
+    ranks = np.zeros(negated.shape, dtype=np.min_scalar_type(-negated.shape[1]))
     np.cumsum(steps, axis=1, dtype=ranks.dtype, out=ranks[:, 1:])
-    keys = np.empty_like(ranks)
-    np.put_along_axis(keys, by_value, ranks, axis=1)
-    within = np.argsort(keys[:, image_class], axis=1, kind="stable")
-    ranked_scores = proto_cos[classes[:, None], image_class[within]]
-    return RankedList(clip_class, presorted[within], ranked_scores)
+    scores = np.empty_like(ranks)
+    np.put_along_axis(scores, by_value, -ranks, axis=1)
+    return RankedList(clip_class, scores[:, image_class], presorted)

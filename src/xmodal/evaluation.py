@@ -43,12 +43,11 @@ of queries. Within a block:
   ``-inf``, is ranked by ``rank_by_score`` instead. The passes cost k N
   per row, against N log N for a sort: fine for the small k of kNN.
 
-A ``RankedList`` holds the rankings of one classify-then-look-up
-method: one gallery order per distinct ranking, and for every query the
-row that ranks it. The cascade and the text-mapping baseline give every
-clip the ranking of its predicted class, so they build and check one row
-per class. ``map_from_ranked`` inverts every row once and reports the
-queries in query order.
+Methods score and this module ranks. A ``RankedList`` holds the score
+rows of one classify-then-look-up method (one per predicted class), the
+gallery order its columns follow, and for every query the row that
+scores it. ``map_from_ranked`` ranks and inverts every row once and
+reports the queries in query order.
 
 A per-class table (prototypes, a mapped text table) has one row per class,
 labels strictly ascending; ``check_class_table`` checks it on entry.
@@ -112,40 +111,36 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class RankedList:
-    """The gallery rankings of one method, shared by the queries they serve.
+    """The gallery score rows of one method, shared by the queries they serve.
 
-    Query ``i`` is ranked by row ``row_of[i]`` of ``orders``; ``orders``
-    and ``scores`` hold one row per distinct ranking, the scores aligned
-    with the order.
+    Query ``i`` is scored by row ``row_of[i]`` of ``scores``, and column
+    ``j`` scores gallery item ``gallery_order[j]``. Ranking negates the
+    scores in their dtype, so integer ones must be signed and above the
+    type's least value, which negates to itself.
     """
 
     row_of: np.ndarray
-    orders: np.ndarray
     scores: np.ndarray
+    gallery_order: np.ndarray
 
     def __post_init__(self) -> None:
         row_of = np.asarray(self.row_of, dtype=np.int64)
-        orders = np.asarray(self.orders, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = np.asarray(self.scores)
+        gallery_order = np.asarray(self.gallery_order, dtype=np.int64)
         if row_of.ndim != 1:
             raise InvalidConfigError(f"row_of must be 1-d, got shape {row_of.shape}")
-        if orders.shape != scores.shape or orders.ndim != 2:
-            raise InvalidConfigError("orders and scores must be 2-d and aligned")
-        n_rows, width = orders.shape
+        if scores.ndim != 2 or scores.dtype.kind not in "fi":
+            raise InvalidConfigError(f"scores must be 2-d float or signed integer, got {scores.dtype} {scores.shape}")
+        if scores.dtype.kind == "i" and scores.size and scores.min() == np.iinfo(scores.dtype).min:
+            raise InvalidConfigError(f"{scores.dtype} scores must lie above {np.iinfo(scores.dtype).min}")
+        n_rows, width = scores.shape
         if row_of.size and (row_of.min() < 0 or row_of.max() >= n_rows):
-            raise InvalidConfigError(f"row_of must lie in [0, {n_rows}), one row per ranking")
-        # A row of entries in [0, width) that marks every cell of its row
-        # of a boolean table is a permutation.
-        seen = np.zeros(orders.shape, dtype=bool)
-        if orders.size and orders.min() >= 0 and orders.max() < width:
-            seen[np.arange(n_rows)[:, None], orders] = True
-        if not seen.all():
-            raise InvalidConfigError("every row of orders must be a permutation of the gallery")
-        if np.any(scores[:, 1:] > scores[:, :-1]):
-            raise InvalidConfigError("scores must be non-increasing along each ranking")
+            raise InvalidConfigError(f"row_of must lie in [0, {n_rows}), one score row each")
+        if gallery_order.shape != (width,) or not np.array_equal(np.sort(gallery_order), np.arange(width)):
+            raise InvalidConfigError(f"gallery_order must be a permutation of the {width} columns")
         object.__setattr__(self, "row_of", row_of)
-        object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "gallery_order", gallery_order)
 
 
 def _row_blocks(n_rows: int, width: int) -> Iterator[slice]:
@@ -169,9 +164,10 @@ def rank_by_score(scores: np.ndarray) -> np.ndarray:
     """Gallery order: descending score, ties by ascending index.
 
     Sorts along the last axis, so a score row gives one ranking and a
-    block of rows gives one ranking per row. NaN ranks last.
+    block of rows gives one ranking per row. NaN ranks last. Integer
+    scores are sorted as integers (by radix up to 16 bits).
     """
-    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
+    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")
 
 
 def _inverse_ranks(orders: np.ndarray) -> np.ndarray:
@@ -317,12 +313,12 @@ def map_from_ranked(
     gallery_labels: np.ndarray,
     k: Optional[int] = None,
 ) -> EvalReport:
-    """Mean average precision over pre-ranked galleries.
+    """Mean average precision over shared score rows.
 
     Query ``i`` is ranked by row ``ranked.row_of[i]`` and scored with
     ``query_labels[i]``, so the labels must have the shape of ``row_of``.
-    Every row is inverted once, and each query reads the ranks of its
-    relevant items from its row. ``per_query`` is in query order.
+    Every row is ranked and inverted once, and each query reads the ranks
+    of its relevant items from its row. ``per_query`` is in query order.
     """
     if k is not None and k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
@@ -334,15 +330,15 @@ def map_from_ranked(
         )
     if gallery_labels.size == 0:
         raise EmptyGalleryError("cannot rank an empty gallery")
-    if ranked.orders.shape[1] != gallery_labels.size:
-        raise InvalidConfigError("every ranking must order the whole gallery")
-    ranks = _inverse_ranks(ranked.orders)
+    if ranked.scores.shape[1] != gallery_labels.size:
+        raise InvalidConfigError("every score row must score the whole gallery")
+    ranks = _inverse_ranks(rank_by_score(ranked.scores))
     row_of = ranked.row_of
 
     def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
         return ranks[row_of[rows, None], columns]
 
-    return _map_report(ranks_of, query_labels, gallery_labels, k)
+    return _map_report(ranks_of, query_labels, gallery_labels[ranked.gallery_order], k)
 
 
 def chance_map_oracle(n_per_class: int, n_classes: int, trials: int = 1000, seed: int = 0) -> float:

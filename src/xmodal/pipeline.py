@@ -159,7 +159,7 @@ def _method_audio(
     The learned maps (``distilled``, ``random_projection``) give an
     embedding row per clip. The classify-then-look-up baselines
     (``text_mapping``, ``cascaded_zero_shot``) give a ``RankedList``:
-    each clip gets the gallery ranking of its predicted species. Only
+    each clip gets the gallery scores of its predicted species. Only
     ``distilled`` reads ``params``, the trained adapter. The text-mapping
     baseline fits its map here, on every call, from its own keyed
     streams; this is the only place the map is fitted.
@@ -179,7 +179,7 @@ def _method_audio(
 
 
 def _audio_image_map(prepared: PreparedWorld, audio: Union[EmbeddingSet, RankedList]) -> EvalReport:
-    """Audio-to-image retrieval mAP of one method's rows or rankings."""
+    """Audio-to-image retrieval mAP of one method's rows or score rows."""
     images = prepared.eval_view.images
     if isinstance(audio, EmbeddingSet):
         return map_retrieval(audio, images)

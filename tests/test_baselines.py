@@ -44,6 +44,11 @@ def eset(matrix, labels, modality=Modality.AUDIO) -> EmbeddingSet:
     return EmbeddingSet(np.asarray(matrix, dtype=np.float64), np.asarray(labels), modality)
 
 
+def gallery_orders(ranked):
+    """Each score row's gallery order, as ``map_from_ranked`` ranks it."""
+    return ranked.gallery_order[rank_by_score(ranked.scores)]
+
+
 class TestRandomProjection:
     def test_rows_unit_norm_and_labels_kept(self, small_world):
         out = random_projection_baseline(small_world.audio_features, d_teacher=12, seed=3)
@@ -156,9 +161,10 @@ class TestTextMapping:
             text_mapping_baseline(shuffled, teacher, TrainConfig(batch_size=4, epochs=4, seed=9))
 
     def test_audio_embeddings_route(self, small_world):
-        # Clips classified to species sp must be ranked by the mapped row
+        # Clips classified to species sp must be scored by the mapped row
         # of sp (here: the teacher prototype itself), one row per distinct
-        # predicted species in ascending label order.
+        # predicted species in ascending label order, over the gallery in
+        # index order.
         teacher_protos = teacher_prototype_set(small_world)
         audio = small_world.audio_features
         images = small_world.images
@@ -168,11 +174,10 @@ class TestTextMapping:
         classes = np.unique(predicted)
         assert ranked.row_of.tolist() == np.searchsorted(classes, predicted).tolist()
         scores = similarity_matrix(teacher_protos.take(np.searchsorted(teacher_protos.labels, classes)), images)
+        assert ranked.gallery_order.tolist() == list(range(images.n_items))
         for i in range(audio.n_items):
             row = scores[np.searchsorted(classes, predicted[i])]
-            order = rank_by_score(row)
-            assert ranked.orders[ranked.row_of[i]].tolist() == order.tolist()
-            assert ranked.scores[ranked.row_of[i]].tobytes() == row[order].tobytes()
+            assert ranked.scores[ranked.row_of[i]].tobytes() == row.tobytes()
 
     def test_missing_mapped_species(self, small_world):
         # Species 0 is missing from the mapped table.
@@ -315,11 +320,24 @@ class TestCascadedZeroShot:
         audio_prototypes = class_prototypes(small_world.audio_features)
         ranked = cascaded_zero_shot_baseline(audio, images, audio_prototypes, teacher_prototype_set(small_world))
         predicted, _ = nearest_prototype(audio, audio_prototypes)
-        # One ranking per distinct predicted class, in ascending label
+        # One score row per distinct predicted class, in ascending label
         # order; every clip reads the row of its predicted class.
         classes = np.unique(predicted)
-        assert ranked.orders.shape == (classes.size, images.n_items) and classes.size > 1
+        assert ranked.scores.shape == (classes.size, images.n_items) and classes.size > 1
         assert ranked.row_of.tolist() == np.searchsorted(classes, predicted).tolist()
+
+    # Minus a dense rank among n classes fits the smallest signed type
+    # that holds -n: int8 up to 128 classes, int16 from 129.
+    @pytest.mark.parametrize("n_classes, dtype", [(127, np.int8), (128, np.int8), (129, np.int16)])
+    def test_scores_are_small_signed_integers(self, n_classes, dtype):
+        rng = rng_for(n_classes, "many classes")
+        teacher = eset(rng.standard_normal((n_classes, 6)), np.arange(n_classes), Modality.TEACHER_TEXT)
+        picks = rng.integers(0, n_classes, 40)
+        audio = eset(teacher.matrix[picks[:20]], picks[:20])
+        images = eset(teacher.matrix[picks[20:]] + 0.1 * rng.standard_normal((20, 6)), picks[20:], Modality.IMAGE)
+        inputs = (audio, images, eset(teacher.matrix, teacher.labels), teacher)
+        assert cascaded_zero_shot_baseline(*inputs).scores.dtype == dtype
+        assert_float_sort_rankings(inputs)
 
     def test_audio_misclassification_propagates(self):
         # Stage one maps the clip to species B, so B's images rank above
@@ -330,7 +348,7 @@ class TestCascadedZeroShot:
         audio = eset([[0.01, 1.0]], [0], Modality.AUDIO)
         images = eset([[1.0, 0.01], [0.01, 1.0]], [0, 1], Modality.IMAGE)
         ranked = cascaded_zero_shot_baseline(audio, images, audio_protos, protos_teacher)
-        assert ranked.orders.tolist() == [[1, 0]]
+        assert gallery_orders(ranked).tolist() == [[1, 0]]
 
     def test_tie_break_by_image_confidence(self):
         # Both images classify to the same species, so their cascade
@@ -340,7 +358,7 @@ class TestCascadedZeroShot:
         audio = eset([[1.0, 0.0]], [0], Modality.AUDIO)
         images = eset([[0.7, 0.7], [1.0, 0.05]], [0, 0], Modality.IMAGE)
         ranked = cascaded_zero_shot_baseline(audio, images, audio_protos, protos)
-        assert ranked.orders.tolist() == [[1, 0]]
+        assert gallery_orders(ranked).tolist() == [[1, 0]]
 
     def test_missing_prototype_errors(self, small_world):
         audio = small_world.audio_features
@@ -370,8 +388,8 @@ class TestCascadedZeroShot:
         a = cascaded_zero_shot_baseline(*args)
         b = cascaded_zero_shot_baseline(*args)
         assert np.array_equal(a.row_of, b.row_of)
-        assert np.array_equal(a.orders, b.orders)
-        assert a.scores.tobytes() == b.scores.tobytes()
+        assert np.array_equal(a.gallery_order, b.gallery_order)
+        assert a.scores.dtype == b.scores.dtype and a.scores.tobytes() == b.scores.tobytes()
 
 
 def oracle_predict(items, prototypes):
@@ -426,8 +444,9 @@ def cascade_inputs(draw, teacher_rows=None):
 
 
 def float_sort_rankings(audio, images, student_prototypes, teacher):
-    """Each predicted class's gallery order and scores, ascending class,
-    by a stable float sort of the negated scores over the presorted gallery."""
+    """Each predicted class's gallery order and ranked float scores,
+    ascending class, by a stable float sort of the negated scores over
+    the presorted gallery."""
     audio_pred, _ = nearest_prototype(audio, student_prototypes)
     image_pred, image_conf = nearest_prototype(images, teacher)
     proto_cos = baselines.similarity_matrix(teacher, teacher)
@@ -441,8 +460,14 @@ def float_sort_rankings(audio, images, student_prototypes, teacher):
 def assert_float_sort_rankings(inputs):
     orders, scores = float_sort_rankings(*inputs)
     ranked = cascaded_zero_shot_baseline(*inputs)
-    assert ranked.orders.tolist() == orders.tolist()
-    assert ranked.scores.tobytes() == scores.tobytes()
+    within = rank_by_score(ranked.scores)
+    assert ranked.gallery_order[within].tolist() == orders.tolist()
+    # In rank order, the integer scores tie exactly where the cosines do
+    # (every NaN ties with every NaN).
+    keys = np.take_along_axis(ranked.scores, within, axis=1)
+    nan = np.isnan(scores)
+    float_ties = (scores[:, 1:] == scores[:, :-1]) | (nan[:, 1:] & nan[:, :-1])
+    assert np.array_equal(keys[:, 1:] == keys[:, :-1], float_ties)
 
 
 # Edits of the cascade's cosine table, cell by cell: keep, +0.0, -0.0,
@@ -498,7 +523,7 @@ class TestTextMappingMatchesNaiveOracle:
         ranked = text_mapping_rankings(table, audio, audio_prototypes, images)
         classes = sorted(set(audio_pred))
         assert ranked.row_of.tolist() == [classes.index(p) for p in audio_pred]
-        assert [ranked.orders[ranked.row_of[i]].tolist() for i in range(audio.n_items)] == orders
+        assert gallery_orders(ranked)[ranked.row_of].tolist() == orders
         assert_map_matches_oracle(ranked, audio, images, orders, cells)
 
     def test_nan_mapped_row_ranks_in_index_order(self):
@@ -510,7 +535,7 @@ class TestTextMappingMatchesNaiveOracle:
         table = eset([[np.nan, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]], [0, 1], Modality.TEACHER_TEXT)
         ranked = text_mapping_rankings(table, audio, prototypes, images)
         assert ranked.row_of.tolist() == [0, 1, 0]
-        assert np.isnan(ranked.scores[0]).all() and ranked.orders[0].tolist() == [0, 1, 2]
+        assert np.isnan(ranked.scores[0]).all() and gallery_orders(ranked)[0].tolist() == [0, 1, 2]
         report = map_from_ranked(ranked, audio.labels, images.labels)
         assert report.per_query[0] == report.per_query[2] == oracle_ap([False, True, False], 1)
 
@@ -523,11 +548,11 @@ class TestCascadeMatchesNaiveOracle:
         audio_pred, orders = oracle_cascade_orders(*inputs)
         ranked = cascaded_zero_shot_baseline(*inputs)
         # One row per predicted class, ascending; clip i reads the row of
-        # its class, and that row is its ranking.
+        # its class, and that row ranks the gallery in its order.
         classes = sorted(set(audio_pred))
-        assert ranked.orders.shape[0] == len(classes)
+        assert ranked.scores.shape[0] == len(classes)
         assert ranked.row_of.tolist() == [classes.index(p) for p in audio_pred]
-        assert [ranked.orders[ranked.row_of[i]].tolist() for i in range(audio.n_items)] == orders
+        assert gallery_orders(ranked)[ranked.row_of].tolist() == orders
         assert_map_matches_oracle(ranked, audio, images, orders, cells)
 
     @given(cascade_inputs(teacher_rows=2))
@@ -543,12 +568,13 @@ class TestCascadeMatchesNaiveOracle:
 
     def test_nan_teacher_prototype(self):
         # Every image scores NaN against the NaN prototype, so every image
-        # is predicted as its class and all of its cosines are NaN.
+        # is predicted as its class, all of its cosines are NaN, and they
+        # share one integer score.
         audio = eset(EXACT_PALETTE[[0, 8, 16, 2]], [0, 1, 2, 0])
         images = eset(EXACT_PALETTE[[8, 0, 16, 1, 9]], [1, 0, 2, 0, 1], Modality.IMAGE)
         student = eset(EXACT_PALETTE[[0, 8, 16]], [0, 1, 2])
         teacher_rows = [[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
         teacher = eset(teacher_rows, [0, 1, 2], Modality.TEACHER_TEXT)
         ranked = cascaded_zero_shot_baseline(audio, images, student, teacher)
-        assert np.isnan(ranked.scores).all()
+        assert (ranked.scores == ranked.scores[:, :1]).all()
         assert_float_sort_rankings((audio, images, student, teacher))

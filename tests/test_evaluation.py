@@ -73,61 +73,93 @@ class TestEvalReport:
         assert float(np.mean((0.1,) * 10)) == math.fsum((0.1,) * 10) / 10 == 0.1
 
 
-def one_ranking(order, scores):
-    """A record of one query ranked by one order."""
-    return RankedList(row_of=[0], orders=[order], scores=[scores])
+def scores_inducing(orders):
+    """Float score rows whose descending order is ``orders``, row by row."""
+    orders = np.asarray(orders, dtype=np.int64).reshape(len(orders), -1)
+    scores = np.empty(orders.shape)
+    np.put_along_axis(scores, orders, np.arange(orders.shape[1], 0, -1, dtype=np.float64), axis=1)
+    return scores
+
+
+def one_ranking(order):
+    """A record of one query whose scores rank the gallery in ``order``."""
+    return RankedList(row_of=[0], scores=scores_inducing([order]), gallery_order=np.arange(len(order)))
 
 
 class TestRankedList:
     def test_valid(self):
-        r = RankedList(row_of=[1, 0, 1], orders=[[2, 0, 1], [0, 1, 2]], scores=[[0.9, 0.5, 0.5], [1.0, 0.0, 0.0]])
-        assert r.orders.dtype == np.int64 and r.orders.shape == (2, 3)
+        r = RankedList(row_of=[1, 0, 1], scores=[[0.9, 0.5, 0.5], [1.0, 0.0, 0.0]], gallery_order=[2, 0, 1])
+        assert r.gallery_order.dtype == np.int64 and r.gallery_order.tolist() == [2, 0, 1]
         assert r.row_of.dtype == np.int64 and r.row_of.tolist() == [1, 0, 1]
-        assert r.scores.dtype == np.float64
+        assert r.scores.dtype == np.float64 and r.scores.shape == (2, 3)
+        # Signed integer scores above the type's least value, and float32
+        # scores, keep their dtype.
+        for scores in (np.int8([[-127, 0, 127]]), np.int16([[-32767, 0, 1]]), np.float32([[-1.0, 0.0, 1.0]])):
+            assert RankedList([0], scores, [0, 1, 2]).scores.dtype == scores.dtype
 
     def test_order_must_be_permutation(self):
-        with pytest.raises(InvalidConfigError, match="permutation"):
-            one_ranking([0, 0, 1], [1.0, 0.5, 0.4])
-        # One bad row among good ones.
-        with pytest.raises(InvalidConfigError, match="permutation"):
-            RankedList(row_of=[0], orders=[[1, 0, 2], [2, 2, 0]], scores=np.zeros((2, 3)))
+        with pytest.raises(InvalidConfigError, match="permutation of the 3 columns"):
+            RankedList(row_of=[0], scores=np.zeros((1, 3)), gallery_order=[0, 0, 1])
 
     # Duplicates, entries past the end and negative entries are all drawn,
-    # in a row placed after a valid one.
+    # for a record of two score rows.
     @given(st.lists(st.integers(-2, 6), max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_accepts_exactly_the_permutations(self, order):
         is_permutation = sorted(order) == list(range(len(order)))
         try:
-            RankedList(row_of=[1], orders=[list(range(len(order))), order], scores=np.zeros((2, len(order))))
+            RankedList(row_of=[1], scores=np.zeros((2, len(order))), gallery_order=order)
         except InvalidConfigError:
             assert not is_permutation
         else:
             assert is_permutation
 
-    def test_scores_must_be_sorted(self):
-        with pytest.raises(InvalidConfigError, match="non-increasing"):
-            one_ranking([0, 1], [0.1, 0.9])
-        with pytest.raises(InvalidConfigError, match="non-increasing"):
-            RankedList(row_of=[0], orders=[[0, 1], [1, 0]], scores=[[0.9, 0.1], [0.1, 0.9]])
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            np.array([[2, 1]], dtype=np.uint8),
+            np.array([[2, 1]], dtype=np.uint64),
+            np.array([[True, False]]),
+            np.array([["b", "a"]]),
+            np.array([[1 + 0j, 0j]]),
+            np.array([[0.9, 0.1]], dtype=object),
+        ],
+        ids=["uint8", "uint64", "bool", "str", "complex", "object"],
+    )
+    def test_scores_of_other_kinds_rejected(self, scores):
+        # An unsigned row wraps under negation, so it would rank backwards.
+        with pytest.raises(InvalidConfigError, match="float or signed integer"):
+            RankedList(row_of=[0], scores=scores, gallery_order=[0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    def test_least_integer_score_rejected(self, dtype):
+        # -(-128) is -128 in int8: that score would rank first, not last.
+        least = np.iinfo(dtype).min
+        with pytest.raises(InvalidConfigError, match=f"above {least}"):
+            RankedList(row_of=[0], scores=np.array([[0, least]], dtype=dtype), gallery_order=[0, 1])
 
     def test_misaligned_rejected(self):
-        for orders, scores in [([[0, 1]], [[0.9]]), ([0, 1], [0.9, 0.1]), ([[0, 1]], [[0.9, 0.1], [0.9, 0.1]])]:
-            with pytest.raises(InvalidConfigError, match="2-d and aligned"):
-                RankedList(row_of=[0], orders=orders, scores=scores)
+        # Scores that are not 2-d, and an order one entry short, one too
+        # many or 2-d against two score columns.
+        for scores in ([0.9, 0.1], [[[0.9, 0.1]]], 0.5):
+            with pytest.raises(InvalidConfigError, match="scores must be 2-d"):
+                RankedList(row_of=[0], scores=scores, gallery_order=[0, 1])
+        for order in ([0], [0, 1, 2], [[0, 1]]):
+            with pytest.raises(InvalidConfigError, match="permutation of the 2 columns"):
+                RankedList(row_of=[0], scores=[[0.9, 0.1], [0.1, 0.9]], gallery_order=order)
 
     def test_negative_query_index_rejected(self):
-        # Query 1 names row -1: every row must be a ranking of the record.
+        # Query 1 names row -1: every row must be a score row of the record.
         with pytest.raises(InvalidConfigError, match=r"row_of must lie in \[0, 2\)"):
-            RankedList(row_of=[1, -1], orders=[[0, 1], [1, 0]], scores=[[0.9, 0.1], [0.9, 0.1]])
+            RankedList(row_of=[1, -1], scores=[[0.9, 0.1], [0.1, 0.9]], gallery_order=[0, 1])
 
     def test_row_past_the_last_ranking_rejected(self):
         with pytest.raises(InvalidConfigError, match=r"row_of must lie in \[0, 1\)"):
-            RankedList(row_of=[0, 1], orders=[[0, 1]], scores=[[0.9, 0.1]])
+            RankedList(row_of=[0, 1], scores=[[0.9, 0.1]], gallery_order=[0, 1])
 
     def test_row_of_must_be_flat(self):
         with pytest.raises(InvalidConfigError, match="row_of must be 1-d"):
-            RankedList(row_of=[[0, 0]], orders=[[0, 1]], scores=[[0.9, 0.1]])
+            RankedList(row_of=[[0, 0]], scores=[[0.9, 0.1]], gallery_order=[0, 1])
 
 
 class TestRankByScore:
@@ -170,6 +202,21 @@ class TestRankByScore:
         assert order.dtype == np.intp
         assert order.shape == scores.shape
         assert order.tolist() == expected
+
+    # Integer rows are negated and sorted in their own dtype. Small values
+    # make ties common; widths past 16 take NumPy's unstable default sort
+    # off its small-array path, so only a stable sort keeps index order.
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_rows_rank_as_their_float_cast(self, data):
+        dtype = data.draw(st.sampled_from([np.int8, np.int16]), label="dtype")
+        info = np.iinfo(dtype)
+        value = st.integers(-3, 3) | st.integers(info.min + 1, info.max)
+        width = data.draw(st.integers(0, 40), label="width")
+        n_rows = data.draw(st.integers(1, 4), label="rows")
+        rows = [data.draw(st.lists(value, min_size=width, max_size=width)) for _ in range(n_rows)]
+        scores = np.array(rows, dtype=dtype).reshape(n_rows, width)
+        assert rank_by_score(scores).tolist() == rank_by_score(scores.astype(np.float64)).tolist()
 
 
 def assert_ranks_invert_rank_by_score(scores, data):
@@ -224,7 +271,7 @@ def ap_of_flags(flags, k=None) -> float:
     """AP of one query whose gallery, in ranked order, has these relevance
     flags: ``map_from_ranked`` over one ranking, so the AP core at its input."""
     labels = np.asarray(flags, dtype=np.int64)
-    return map_from_ranked(one_ranking(np.arange(labels.size), np.zeros(labels.size)), [1], labels, k=k).value
+    return map_from_ranked(one_ranking(np.arange(labels.size)), [1], labels, k=k).value
 
 
 class TestAveragePrecision:
@@ -423,7 +470,8 @@ class TestRepeatedQueryRows:
 class TestMapFromRanked:
     # Gaussian rows give distinct scores, so map_retrieval takes the rank
     # search and map_from_ranked the inverse of the full order. Classes of
-    # unequal size leave padded slots, and k reaches past the gallery.
+    # unequal size leave padded slots, and k reaches past the gallery. The
+    # record's columns follow a drawn gallery order.
     @given(st.data(), BLOCK_CELLS)
     @settings(max_examples=100, deadline=None)
     def test_matches_map_retrieval(self, data, cells):
@@ -436,8 +484,8 @@ class TestMapFromRanked:
         g = eset(rng.standard_normal((n_gallery, 3)), gallery_labels)
         k = data.draw(st.none() | st.integers(1, n_gallery + 3), label="k")
         scores = similarity_matrix(q, g)
-        orders = rank_by_score(scores)
-        ranked = RankedList(np.arange(n_queries), orders, np.take_along_axis(scores, orders, axis=1))
+        gallery_order = np.array(data.draw(st.permutations(range(n_gallery)), label="gallery order"))
+        ranked = RankedList(np.arange(n_queries), scores[:, gallery_order], gallery_order)
         with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
             if not np.isin(q.labels, g.labels).any():
                 with pytest.raises(NoRelevantItemsError):
@@ -450,9 +498,9 @@ class TestMapFromRanked:
         assert via_ranked == direct
         assert (direct.value, direct.per_query) == oracle_map_at(q, g, k, scores=scores.tolist())
 
-    # Queries share a few drawn rankings. One row per query and one row
-    # per distinct ranking, the shared rows in a drawn order, must score
-    # every query the same, in query order.
+    # Queries share a few drawn rankings, each induced by a score row. One
+    # row per query and one row per distinct ranking, the shared rows in a
+    # drawn order, must score every query the same, in query order.
     @given(st.data(), BLOCK_CELLS)
     @settings(max_examples=100, deadline=None)
     def test_shared_rankings_match_one_list_per_query(self, data, cells):
@@ -467,10 +515,10 @@ class TestMapFromRanked:
         query_labels = np.array(data.draw(st.lists(QUERY_LABELS, min_size=n_queries, max_size=n_queries)))
         gallery_labels = np.array(data.draw(st.lists(GALLERY_LABELS, min_size=n_gallery, max_size=n_gallery)))
         k = data.draw(st.none() | st.integers(1, n_gallery + 3), label="k")
-        scores = np.linspace(1.0, 0.0, n_gallery)
+        scores = scores_inducing(orders)
 
         def ranked(row_of, rows):
-            return RankedList(row_of, orders[rows], np.tile(scores, (len(rows), 1)))
+            return RankedList(row_of, scores[rows], np.arange(n_gallery))
 
         per_query = ranked(np.arange(n_queries), ranking_of)
         used = np.unique(ranking_of)
@@ -503,42 +551,42 @@ class TestMapFromRanked:
         # query reads, in front of and behind the read ones, scores the
         # same.
         labels, gallery_labels = np.array([0, 1, 0]), np.array([1, 0, 0, 1])
-        orders = np.array([[2, 0, 3, 1], [0, 1, 2, 3]])
-        scores = np.tile([0.4, 0.3, 0.2, 0.1], (2, 1))
-        read = map_from_ranked(RankedList([0, 1, 1], orders, scores), labels, gallery_labels)
-        unread = orders[:, ::-1]
-        padded = RankedList([1, 2, 2], np.vstack([unread[:1], orders, unread[1:]]), np.tile(scores[0], (4, 1)))
+        scores = scores_inducing([[2, 0, 3, 1], [0, 1, 2, 3]])
+        read = map_from_ranked(RankedList([0, 1, 1], scores, np.arange(4)), labels, gallery_labels)
+        unread = -scores
+        padded = RankedList([1, 2, 2], np.vstack([unread[:1], scores, unread[1:]]), np.arange(4))
         assert map_from_ranked(padded, labels, gallery_labels) == read
 
     @pytest.mark.parametrize("query_index", [-1, 2, 5])
     def test_query_index_must_name_a_label(self, query_index):
         # Queries 0 .. query_index against two labels: past 1 a query has
         # no label, and at -1 no label has a query.
-        ranked = RankedList(np.zeros(query_index + 1, dtype=np.int64), [[1, 0]], [[0.9, 0.1]])
+        ranked = RankedList(np.zeros(query_index + 1, dtype=np.int64), [[0.1, 0.9]], [0, 1])
         with pytest.raises(InvalidConfigError, match="query_labels must have the shape of row_of"):
             map_from_ranked(ranked, np.array([0, 1]), np.array([0, 1]))
 
     def test_label_without_a_query_rejected(self):
         # Three labels, two queries: the third label names no query, so
         # it is an error, not a query left unscored.
-        ranked = RankedList([0, 1], [[1, 0], [0, 1]], [[0.9, 0.1], [0.9, 0.1]])
+        ranked = RankedList([0, 1], [[0.1, 0.9], [0.9, 0.1]], [0, 1])
         with pytest.raises(InvalidConfigError, match=r"shape of row_of, \(2,\), got \(3,\)"):
             map_from_ranked(ranked, np.array([0, 1, 0]), np.array([0, 1]))
 
     def test_query_labels_must_be_flat(self):
-        ranked = RankedList([0, 0], [[1, 0]], [[0.9, 0.1]])
+        ranked = RankedList([0, 0], [[0.1, 0.9]], [0, 1])
         with pytest.raises(InvalidConfigError, match="shape of row_of"):
             map_from_ranked(ranked, np.array([[0, 1]]), np.array([0, 1]))
 
     def test_empty_gallery_labels(self):
-        ranked = RankedList([0], np.empty((1, 0)), np.empty((1, 0)))
+        ranked = RankedList([0], np.empty((1, 0)), [])
         with pytest.raises(EmptyGalleryError):
             map_from_ranked(ranked, np.array([0]), np.array([], dtype=np.int64))
 
     def test_list_must_rank_the_whole_gallery(self):
-        partial = one_ranking([1, 0], [0.9, 0.1])
-        with pytest.raises(InvalidConfigError, match="whole gallery"):
-            map_from_ranked(partial, np.array([0]), np.array([0, 1, 0]))
+        # Two score columns against a gallery of three labels, or of one.
+        for gallery_labels in ([0, 1, 0], [0]):
+            with pytest.raises(InvalidConfigError, match="whole gallery"):
+                map_from_ranked(one_ranking([1, 0]), np.array([0]), np.array(gallery_labels))
 
 
 class TestChanceMapOracle:

@@ -16,8 +16,7 @@ from xmodal import (
     read_embedding_set,
     text_mapping_baseline,
 )
-from xmodal import evaluation
-from xmodal.cli import main
+from xmodal import cli, evaluation
 from xmodal.embeddings import similarity_matrix
 from xmodal.evaluation import nearest_prototype, rank_by_score
 from xmodal.pipeline import (
@@ -310,22 +309,38 @@ def perfbench_module(name, monkeypatch):
     return module
 
 
-def test_many_class_eval_bytes_match_the_benchmark_reference(tmp_path, monkeypatch):
-    # The benchmark's eval_wide op: train then eval a 192-species world
-    # (1920 eval clips x 960 images), so the cascade ranks the gallery
-    # for up to 192 predicted classes. Its config and output digests are
-    # read from perfbench/, which owns them.
+def benchmark_op(workload, seed, tmp_path, monkeypatch):
+    """Run the benchmark's op of ``workload`` at ``seed`` in ``tmp_path``,
+    as the benchmark runs it; its output digests and the reference ones."""
     workloads = perfbench_module("workloads", monkeypatch)
-    seed = "7"
-    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["eval_wide"][seed]
-    monkeypatch.chdir(tmp_path)
-    Path("xmodal.cfg").write_text(workloads.EVAL_WIDE_CONFIG, encoding="utf-8")
-    for command in ("train", "eval"):
-        assert main([command, "--config", "xmodal.cfg", "--seed", seed]) == 0
-    digests = {
-        name: hashlib.sha256((workloads.OUTPUT_DIR / name).read_bytes()).hexdigest() for name in reference
-    }
+    reference = workloads.load_reference()[workload][str(seed)]
+    result = workloads.run_op(cli, workloads.WORKLOADS[workload], seed, tmp_path, None)
+    assert result.ok, result.error
+    return result.digests, reference
+
+
+# The benchmark's eval_wide op: train then eval a 192-species world (1920
+# eval clips x 960 images), so the cascade ranks the gallery for up to
+# 192 predicted classes. Three seeds pin three worlds' cascade tie
+# patterns. The configs and digests are read from perfbench/, which owns
+# them.
+@pytest.mark.parametrize("seed", [3, 7, 12])
+def test_many_class_eval_bytes_match_the_benchmark_reference(seed, tmp_path, monkeypatch):
+    digests, reference = benchmark_op("eval_wide", seed, tmp_path, monkeypatch)
     assert digests == reference
+
+
+def test_long_training_bytes_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # The benchmark's train_long op: 150 epochs on the default world.
+    digests, reference = benchmark_op("train_long", 7, tmp_path, monkeypatch)
+    assert digests == reference
+
+
+def test_default_pins_are_the_benchmark_reference():
+    # default_run seed 7 is the default config, so the benchmark's
+    # reference digests and this file's pins must not drift apart.
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["default_run"]["7"]
+    assert reference == {"summary.txt": DEFAULT_SUMMARY_SHA256, "params.xmpb": TRAINING_ARTIFACT_SHA256[""][0]}
 
 
 @pytest.mark.parametrize("world", ["default", "eval_wide"])
@@ -372,7 +387,7 @@ def test_benchmark_tracer_wraps_and_restores_ranked_list(monkeypatch):
     tracer.install()
     try:
         assert evaluation.RankedList.__init__ is not init
-        evaluation.RankedList([0], [[1, 0]], [[0.9, 0.1]])
+        evaluation.RankedList([0], [[0.1, 0.9]], [1, 0])
     finally:
         tracer.remove()
         tracer.end_op()
