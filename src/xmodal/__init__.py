@@ -58,6 +58,6 @@ from .trainer import (
     init_params,
     train_adapter,
 )
-from .world import World, WorldConfig, generate_world, split_rows, world_split
+from .world import World, WorldConfig, generate_world, split_rows
 
 __version__ = "0.1.0"

@@ -14,7 +14,9 @@ row and the image rows of the sides it is asked for: ``eval`` and
 ``baseline`` the eval side's, ``train`` none, and ``gen`` and ``run``
 all of them, because they write every ``.xmeb``. Rows are drawn per row
 key, so a row drawn alone is bit-equal to the same row of the whole
-world.
+world. It is the only code that turns the split into rows: it takes
+each side's rows from the world it drew, by their position among the
+drawn rows, so a side can hold no row that was not drawn.
 
 ``SUMMARY_METHOD_ORDER`` is the one list of method names. One builder
 maps each to its teacher-space eval audio rows (the text mapping and the
@@ -28,7 +30,7 @@ that reruns of the same config are byte-identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -55,7 +57,7 @@ from .evaluation import (
 from .runconfig import RunConfig, adapter_config_for, canonical_config_text, config_hash
 from .storage import load_params, save_params, write_atomic, write_embedding_set
 from .trainer import Params, TrainReport, adapter_forward, check_params, train_adapter
-from .world import World, generate_world, split_rows, world_split
+from .world import World, generate_world, split_rows
 
 BASELINES = ("random_projection", "text_mapping", "cascaded_zero_shot")
 SUMMARY_METHOD_ORDER = (*BASELINES, "distilled")
@@ -116,9 +118,12 @@ _SIDES = ("train", "eval")
 
 def prepare_world(config: RunConfig, image_sides: Tuple[str, ...] = _SIDES) -> PreparedWorld:
     """Split, generate and build both prototype tables, drawing only the
-    image rows of ``image_sides``; each side holds no image row of the others.
+    image rows of ``image_sides``; a side not in it holds no image row.
 
-    The split permutations are drawn once, before any row values.
+    The split permutations are drawn once, before any row values. The
+    world holds every audio row and the sorted union of the asked sides'
+    image rows, so a side's image row ``r`` sits at
+    ``searchsorted(image_rows, r)``.
     """
     sides = [
         rows if name in image_sides else rows._replace(images=rows.images[:0])
@@ -126,7 +131,14 @@ def prepare_world(config: RunConfig, image_sides: Tuple[str, ...] = _SIDES) -> P
     ]
     image_rows = np.sort(np.concatenate([rows.images for rows in sides]))
     world = generate_world(config.world, image_rows=image_rows)
-    train_view, eval_view = world_split(world, sides)
+    train_view, eval_view = (
+        replace(
+            world,
+            audio_features=world.audio_features.take(rows.audio),
+            images=world.images.take(np.searchsorted(image_rows, rows.images)),
+        )
+        for rows in sides
+    )
     return PreparedWorld(
         world=world,
         train_view=train_view,

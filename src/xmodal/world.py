@@ -21,10 +21,10 @@ channels and holds a subset of the audio and image rows.
 
 The split is drawn first, from the config alone: :func:`split_rows`
 gives each side's row positions. :func:`generate_world` then draws every
-row, or only the image rows it is given, and :func:`world_split` takes
-each side's rows from the world that holds them. A side that asks for a
-row its world never drew is an ``InvalidConfigError``. So a stage draws
-only the rows it reads, and drawing fewer rows moves no bit of the rest.
+row, or only the image rows it is given, each bit-equal to the same row
+of the whole world. So a stage draws only the rows it reads, and drawing
+fewer rows moves no bit of the rest. ``pipeline.prepare_world`` is the
+one place that turns the split into sides.
 
 Teacher-space scales are norm-relative (draws are scaled by 1/sqrt(d))
 because rows in that space are unit-normalized; the raw audio feature
@@ -37,7 +37,7 @@ row is reproducible from (seed, entity path) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -121,11 +121,10 @@ class World:
 
     ``species_centres`` holds the noise-free unit teacher-space centre of
     each species; teacher text and image rows are noisy draws around it.
-    ``audio_indices``/``image_indices`` give each audio/image row's
-    position in the whole world's arrays, in ascending order: ``arange``
-    on a whole generated world, the drawn image rows on a world drawn
-    with ``image_rows``, the side's rows on a split side. Text channels
-    and centres are whole on all of them.
+    Audio and image rows are in ascending world position: all of them on
+    a whole generated world, the drawn image rows on a world drawn with
+    ``image_rows``, the side's rows on a split side. Text channels and
+    centres are whole on all of them.
     """
 
     config: WorldConfig
@@ -134,8 +133,6 @@ class World:
     student_text: EmbeddingSet
     images: EmbeddingSet
     audio_features: EmbeddingSet
-    audio_indices: np.ndarray
-    image_indices: np.ndarray
 
     @property
     def n_species(self) -> int:
@@ -174,8 +171,9 @@ def generate_world(config: WorldConfig, image_rows: Optional[np.ndarray] = None)
     Each channel is drawn as one matrix, one keyed stream per row, and
     built with whole-matrix arithmetic that matches the per-row formulas
     element for element. ``image_rows`` (ascending positions) draws only
-    those image rows, each bit-equal to the same row of the whole world;
-    ``None`` draws them all.
+    those image rows, each bit-equal to the same row of the whole world,
+    in that order; ``None`` draws them all. The world does not record
+    which rows it holds: image row ``i`` is ``image_rows[i]``.
     """
     seed = config.seed
     d_t = config.d_teacher
@@ -247,8 +245,6 @@ def generate_world(config: WorldConfig, image_rows: Optional[np.ndarray] = None)
         student_text=student_text,
         images=images,
         audio_features=audio,
-        audio_indices=np.arange(audio.n_items, dtype=np.int64),
-        image_indices=image_rows,
     )
 
 
@@ -292,36 +288,3 @@ def split_rows(config: WorldConfig, holdout_fraction: float, seed: int) -> Tuple
     train_audio, eval_audio = split("split_audio", config.audio_per_species, "audio")
     train_images, eval_images = split("split_image", config.images_per_species, "images")
     return SideRows(train_audio, train_images), SideRows(eval_audio, eval_images)
-
-
-def _held_positions(held: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
-    """Where each of ``rows`` sits among a world's ``held`` rows (both ascending)."""
-    missing = ~np.isin(rows, held)
-    if missing.any():
-        raise InvalidConfigError(
-            f"{what} row {rows[np.argmax(missing)]} was never drawn in this world; a side takes its "
-            "rows from a whole generated world or from one drawn with them"
-        )
-    return np.searchsorted(held, rows)
-
-
-def world_split(world: World, sides: Tuple[SideRows, ...]) -> Tuple[World, ...]:
-    """One :class:`World` per side of ``sides`` (from :func:`split_rows`).
-
-    Each side holds its audio and image rows, taken from ``world``, and
-    shares the config, the text channels and the species centres with
-    it. A side that asks for a row ``world`` does not hold, such as a row
-    of the other side of a split side, is an ``InvalidConfigError``.
-    """
-    return tuple(
-        replace(
-            world,
-            images=world.images.take(_held_positions(world.image_indices, rows.images, "image")),
-            audio_features=world.audio_features.take(
-                _held_positions(world.audio_indices, rows.audio, "audio")
-            ),
-            audio_indices=rows.audio,
-            image_indices=rows.images,
-        )
-        for rows in sides
-    )

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from xmodal import EmbeddingSet, Modality, RunConfig, WorldConfig, generate_world, split_rows, world_split
+from xmodal import EmbeddingSet, Modality, RunConfig, WorldConfig, generate_world
+from xmodal.pipeline import prepare_world
 from xmodal.runconfig import EvalConfig
 from xmodal.trainer import AdapterConfig, TrainConfig
 
@@ -39,8 +40,14 @@ def small_world():
 
 
 @pytest.fixture(scope="session")
-def small_views(small_world):
-    return world_split(small_world, split_rows(SMALL_WORLD, holdout_fraction=0.25, seed=SMALL_WORLD.seed))
+def small_prepared():
+    """The small world as every stage prepares it: holdout 0.25, split by the world's seed."""
+    return prepare_world(RunConfig(world=SMALL_WORLD))
+
+
+@pytest.fixture(scope="session")
+def small_views(small_prepared):
+    return small_prepared.train_view, small_prepared.eval_view
 
 
 @pytest.fixture(scope="session")

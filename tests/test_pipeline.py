@@ -12,8 +12,10 @@ import pytest
 
 from xmodal import (
     InvalidConfigError,
+    generate_world,
     load_params,
     read_embedding_set,
+    split_rows,
     text_mapping_baseline,
 )
 from xmodal import cli, evaluation
@@ -374,6 +376,36 @@ def test_text_mapping_map_matches_a_python_oracle(world, monkeypatch):
             per_query.append(oracle_ap(flags, n_rel))
     assert report.per_query == tuple(per_query)
     assert report.value == sum(per_query) / len(per_query)
+
+
+def assert_rows_of(held, whole, rows):
+    """``held`` is ``whole`` at positions ``rows``, bit for bit."""
+    assert held.matrix.shape == (rows.size, whole.matrix.shape[1])
+    assert held.matrix.tobytes() == whole.matrix[rows].tobytes()
+    assert held.labels.tolist() == whole.labels[rows].tolist()
+
+
+@pytest.mark.parametrize("image_sides", [(), ("eval",), ("train", "eval")], ids=["none", "eval", "both"])
+@pytest.mark.parametrize("world", ["default", "eval_wide"])
+def test_prepare_world_holds_each_side_at_its_split_rows(world, image_sides, monkeypatch):
+    # Each side is the whole world at its split_rows positions; a side not
+    # in image_sides holds no image, and the world holds exactly the
+    # sorted union of the asked sides' image rows.
+    config = parse_config("")
+    if world == "eval_wide":
+        config = parse_config(perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG)
+    prepared = prepare_world(config, image_sides=image_sides)
+    whole = generate_world(config.world)
+    train, eval_ = split_rows(config.world, config.eval.holdout_fraction, config.world.seed)
+    sides = {"train": train, "eval": eval_}
+    union = np.sort(np.concatenate([np.empty(0, np.int64)] + [sides[name].images for name in image_sides]))
+    assert_rows_of(prepared.world.images, whole.images, union)
+    for name, view in (("train", prepared.train_view), ("eval", prepared.eval_view)):
+        assert_rows_of(view.audio_features, whole.audio_features, sides[name].audio)
+        if name in image_sides:
+            assert_rows_of(view.images, whole.images, sides[name].images)
+        else:
+            assert view.images.n_items == 0
 
 
 def test_benchmark_tracer_wraps_and_restores_ranked_list(monkeypatch):

@@ -1,8 +1,10 @@
-"""Smoke tests of the sweep scripts in ``scripts/``: each runs end to end
-on the package API and prints one row per configuration it sweeps."""
+"""Smoke tests of the scripts in ``scripts/``: each sweep runs end to end
+on the package API and prints one row per configuration it sweeps, and
+the reference replay names each op whose outputs differ."""
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -41,3 +43,19 @@ def test_adapter_ablation_prints_one_row_per_mode(capsys):
         retrieval, zero_shot, final_loss = map(float, row[2:])
         assert 0.0 <= retrieval <= 1.0 and 0.0 <= zero_shot <= 1.0
         assert math.isfinite(final_loss) and final_loss >= 0.0
+
+
+def test_verify_reference_names_the_op_that_differs(capsys, monkeypatch):
+    # The script imports perfbench/workloads.py as "workloads"; undo that.
+    monkeypatch.setitem(sys.modules, "workloads", None)
+    script = load_script("verify_reference")
+    assert script.main(["eval_wide:3"]) == 0
+    assert capsys.readouterr().out == "1 of 1 reference ops match\n"
+    reference = script.workloads.load_reference()
+    reference["eval_wide"]["3"]["reports.txt"] = "0" * 64
+    monkeypatch.setattr(script.workloads, "load_reference", lambda: reference)
+    assert script.main(["eval_wide:3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "eval_wide seed 3: digest mismatch in reports.txt",
+        "0 of 1 reference ops match",
+    ]

@@ -548,11 +548,7 @@ class TestTrainAdapter:
 
     def test_too_few_items(self, small_views):
         train_view, _ = small_views
-        tiny = dataclasses.replace(
-            train_view,
-            audio_features=train_view.audio_features.take([0]),
-            audio_indices=train_view.audio_indices[:1],
-        )
+        tiny = dataclasses.replace(train_view, audio_features=train_view.audio_features.take([0]))
         with pytest.raises(TooFewItemsError, match="at least 2 items, got 1"):
             train_adapter(tiny, SMALL_ADAPTER, SMALL_TRAIN)
 

@@ -17,7 +17,6 @@ from xmodal import (
     WorldConfig,
     generate_world,
     split_rows,
-    world_split,
 )
 from xmodal.rng import rng_for
 from xmodal import world as world_module
@@ -131,16 +130,15 @@ class TestMatchesPerRowReference:
     @given(WORLD_CONFIGS, st.sampled_from([0.1, 0.25, 0.5, 0.9]), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_split(self, config, fraction, seed):
-        world = generate_world(config)
-        train, held_out = world_split(world, split_rows(config, fraction, seed))
-        for per_species, name, indices in (
-            (config.audio_per_species, "split_audio", "audio_indices"),
-            (config.images_per_species, "split_image", "image_indices"),
+        train, held_out = split_rows(config, fraction, seed)
+        for per_species, name, channel in (
+            (config.audio_per_species, "split_audio", "audio"),
+            (config.images_per_species, "split_image", "images"),
         ):
             n_eval = min(max(int(math.floor(fraction * per_species + 0.5)), 1), per_species - 1)
             expected = reference_split(config.n_species, per_species, n_eval, seed, name)
-            assert getattr(train, indices).tolist() == expected[0]
-            assert getattr(held_out, indices).tolist() == expected[1]
+            assert getattr(train, channel).tolist() == expected[0]
+            assert getattr(held_out, channel).tolist() == expected[1]
 
     def test_zero_row_is_named(self):
         # All-zero draws leave every species centre at the origin.
@@ -202,9 +200,6 @@ class TestGenerateWorld:
         assert small_world.images.matrix.shape == (8 * c.images_per_species, c.d_teacher)
         assert small_world.audio_features.matrix.shape == (8 * c.audio_per_species, c.d_student_in)
         assert small_world.student_text.matrix.shape == (8, c.d_student)
-        # A generated world holds every row: its indices are positions 0..n-1.
-        assert small_world.audio_indices.tolist() == list(range(8 * c.audio_per_species))
-        assert small_world.image_indices.tolist() == list(range(8 * c.images_per_species))
 
     def test_modalities_and_unit_norms(self, small_world):
         assert small_world.teacher_text.modality is Modality.TEACHER_TEXT
@@ -300,48 +295,43 @@ class TestGenerateWorld:
         assert within < between
 
 
+def species_counts(rows, per_species):
+    """Items per species among ``rows``, positions in a whole world's channel."""
+    return np.bincount(rows // per_species, minlength=SMALL_WORLD.n_species).tolist()
+
+
 class TestWorldSplit:
     def test_fraction_bounds(self, small_world):
         for bad in (0.0, 1.0, -0.25, 1.5):
             with pytest.raises(InvalidConfigError, match="holdout_fraction"):
                 split_rows(small_world.config, holdout_fraction=bad, seed=0)
 
-    def test_split_side_cannot_be_split_again(self, small_views):
-        for side in small_views:
-            with pytest.raises(InvalidConfigError, match="whole generated world"):
-                world_split(side, split_rows(side.config, holdout_fraction=0.25, seed=0))
-
-    def test_partition_is_disjoint_and_complete(self, small_views, small_world):
-        train, eval_ = small_views
-        audio_all = np.concatenate([train.audio_indices, eval_.audio_indices])
-        image_all = np.concatenate([train.image_indices, eval_.image_indices])
+    def test_partition_is_disjoint_and_complete(self, small_world):
+        train, eval_ = split_rows(SMALL_WORLD, holdout_fraction=0.25, seed=SMALL_WORLD.seed)
+        audio_all = np.concatenate([train.audio, eval_.audio])
+        image_all = np.concatenate([train.images, eval_.images])
         assert sorted(audio_all.tolist()) == list(range(small_world.audio_features.n_items))
         assert sorted(image_all.tolist()) == list(range(small_world.images.n_items))
-        assert not set(train.audio_indices) & set(eval_.audio_indices)
-        assert not set(train.image_indices) & set(eval_.image_indices)
+        assert not set(train.audio) & set(eval_.audio)
+        assert not set(train.images) & set(eval_.images)
 
     def test_views_take_rows_from_world(self, small_views, small_world):
-        train, eval_ = small_views
-        for view in (train, eval_):
-            assert np.array_equal(
-                view.audio_features.matrix, small_world.audio_features.matrix[view.audio_indices]
-            )
-            assert np.array_equal(
-                view.images.matrix, small_world.images.matrix[view.image_indices]
-            )
-            assert np.array_equal(
-                view.audio_features.labels, small_world.audio_features.labels[view.audio_indices]
-            )
+        sides = split_rows(SMALL_WORLD, holdout_fraction=0.25, seed=SMALL_WORLD.seed)
+        for view, rows in zip(small_views, sides):
+            assert np.array_equal(view.audio_features.matrix, small_world.audio_features.matrix[rows.audio])
+            assert np.array_equal(view.images.matrix, small_world.images.matrix[rows.images])
+            assert np.array_equal(view.audio_features.labels, small_world.audio_features.labels[rows.audio])
 
-    def test_text_channels_shared(self, small_views, small_world):
+    def test_text_channels_shared(self, small_views, small_prepared):
+        world = small_prepared.world
         train, eval_ = small_views
         for side in (train, eval_):
-            assert side.config is small_world.config
-            assert side.species_centres is small_world.species_centres
-        assert train.teacher_text is small_world.teacher_text
-        assert eval_.teacher_text is small_world.teacher_text
-        assert train.student_text is small_world.student_text
-        assert eval_.student_text is small_world.student_text
+            assert side.config is world.config
+            assert side.species_centres is world.species_centres
+        assert train.teacher_text is world.teacher_text
+        assert eval_.teacher_text is world.teacher_text
+        assert train.student_text is world.student_text
+        assert eval_.student_text is world.student_text
 
     def test_per_species_counts(self, small_views, small_world):
         # 6 audio at f=0.25 -> 2 eval; 4 images at f=0.25 -> 1 eval.
@@ -352,43 +342,40 @@ class TestWorldSplit:
             assert int(np.sum(eval_.images.labels == sp)) == 1
             assert int(np.sum(train.images.labels == sp)) == 3
 
-    def test_tiny_fraction_keeps_one_eval_item(self, small_world):
-        train, eval_ = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.01, seed=3))
-        for sp in range(8):
-            assert int(np.sum(eval_.audio_features.labels == sp)) == 1
-            assert int(np.sum(eval_.images.labels == sp)) == 1
+    def test_tiny_fraction_keeps_one_eval_item(self):
+        _, eval_ = split_rows(SMALL_WORLD, holdout_fraction=0.01, seed=3)
+        assert species_counts(eval_.audio, SMALL_WORLD.audio_per_species) == [1] * 8
+        assert species_counts(eval_.images, SMALL_WORLD.images_per_species) == [1] * 8
 
-    def test_huge_fraction_keeps_one_train_item(self, small_world):
-        train, eval_ = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.99, seed=3))
-        for sp in range(8):
-            assert int(np.sum(train.audio_features.labels == sp)) == 1
-            assert int(np.sum(train.images.labels == sp)) == 1
+    def test_huge_fraction_keeps_one_train_item(self):
+        train, _ = split_rows(SMALL_WORLD, holdout_fraction=0.99, seed=3)
+        assert species_counts(train.audio, SMALL_WORLD.audio_per_species) == [1] * 8
+        assert species_counts(train.images, SMALL_WORLD.images_per_species) == [1] * 8
 
-    def test_indices_sorted_within_species(self, small_views):
-        train, eval_ = small_views
-        for view in (train, eval_):
-            for sp in range(8):
-                block = view.audio_indices[view.audio_features.labels == sp]
-                assert np.array_equal(block, np.sort(block))
+    def test_indices_sorted_within_species(self):
+        c = SMALL_WORLD
+        for side in split_rows(c, holdout_fraction=0.25, seed=c.seed):
+            for rows, per_species in ((side.audio, c.audio_per_species), (side.images, c.images_per_species)):
+                for sp in range(8):
+                    block = rows[rows // per_species == sp]
+                    assert np.array_equal(block, np.sort(block))
 
-    def test_split_determinism_and_seed_sensitivity(self, small_world):
-        a1 = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.25, seed=11))
-        a2 = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.25, seed=11))
-        b = world_split(small_world, split_rows(small_world.config, holdout_fraction=0.25, seed=12))
-        assert np.array_equal(a1[1].audio_indices, a2[1].audio_indices)
-        assert not np.array_equal(a1[1].audio_indices, b[1].audio_indices)
+    def test_split_determinism_and_seed_sensitivity(self):
+        a1 = split_rows(SMALL_WORLD, holdout_fraction=0.25, seed=11)
+        a2 = split_rows(SMALL_WORLD, holdout_fraction=0.25, seed=11)
+        b = split_rows(SMALL_WORLD, holdout_fraction=0.25, seed=12)
+        assert np.array_equal(a1[1].audio, a2[1].audio)
+        assert not np.array_equal(a1[1].audio, b[1].audio)
 
     def test_single_item_species_cannot_split(self):
-        world = generate_world(dataclasses.replace(SMALL_WORLD, audio_per_species=1))
+        config = dataclasses.replace(SMALL_WORLD, audio_per_species=1)
         with pytest.raises(TooFewItemsError, match="at least 2 items"):
-            world_split(world, split_rows(world.config, holdout_fraction=0.25, seed=0))
+            split_rows(config, holdout_fraction=0.25, seed=0)
 
     @given(st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=25, deadline=None)
     def test_eval_count_tracks_fraction(self, fraction):
-        world = generate_world(SMALL_WORLD)
-        train, eval_ = world_split(world, split_rows(world.config, holdout_fraction=fraction, seed=2))
+        _, eval_ = split_rows(SMALL_WORLD, holdout_fraction=fraction, seed=2)
         n = SMALL_WORLD.audio_per_species
         expected = min(max(int(np.floor(fraction * n + 0.5)), 1), n - 1)
-        for sp in range(8):
-            assert int(np.sum(eval_.audio_features.labels == sp)) == expected
+        assert species_counts(eval_.audio, n) == [expected] * 8
