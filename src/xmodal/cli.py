@@ -4,18 +4,24 @@ Subcommands call the pipeline's stage functions, which write every
 artifact and rewrite ``manifest.txt``; this module only prints:
 
 * ``gen``      write the world's embedding files and config text
-* ``train``    train the adapter, write params blob and loss log
-* ``eval``     check and evaluate a trained params blob, write reports and summary
+* ``train``    train the adapter, write params blob, audio prototypes and loss log
+* ``eval``     check and evaluate what ``train`` wrote, write reports and summary
 * ``baseline`` score one baseline (``--kind``); writes nothing
 * ``run``      ``gen`` + ``train`` + ``eval``, writing the same bytes
+* ``verify``   re-hash a run directory against its ``manifest.txt``
 
-Each subcommand draws only the world rows it reads: ``train`` no image
-row, ``eval`` and ``baseline`` the eval split's image rows, and ``gen``
-and ``run`` every row, because they write every embedding file.
+Each subcommand draws only the world rows it reads:
 
-Every subcommand accepts ``--config PATH`` (line-oriented key=value
-text; defaults apply when omitted) and ``--seed N`` (N >= 0), which
-overrides both the world seed and the training seed. All output is
+* ``train``    the train split's clips and every prompt variant; no image
+* ``eval``     the eval split's clips and images and the canonical
+  prompts; the audio prototypes come from ``train``'s ``prototypes.xmpb``
+* ``baseline`` every clip, for the audio prototypes, the eval split's
+  images and the canonical prompts
+* ``gen`` and ``run`` every row, because they write every embedding file
+
+Every subcommand but ``verify`` accepts ``--config PATH`` (line-oriented
+key=value text; defaults apply when omitted) and ``--seed N`` (N >= 0),
+which overrides both the world seed and the training seed. All output is
 deterministic for a fixed config.
 """
 
@@ -36,6 +42,7 @@ from .pipeline import (
     prepare_world,
     run_experiment,
     train_stage,
+    verify_manifest,
     write_world_artifacts,
 )
 from .runconfig import RunConfig, config_hash, parse_config
@@ -57,6 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override world and train seeds")
         if name == "baseline":
             cmd.add_argument("--kind", required=True, choices=BASELINES, help="which baseline to score")
+    verify = sub.add_parser("verify", help="re-hash a run directory against its manifest")
+    verify.add_argument("dir", type=Path, help="run directory holding manifest.txt")
     return parser
 
 
@@ -86,6 +95,11 @@ def _load_config(config_path: Optional[Path], seed: Optional[int]) -> RunConfig:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "verify":
+            verified_hash, n_artifacts = verify_manifest(args.dir)
+            print(f"config_hash = {verified_hash}")
+            print(f"{n_artifacts} artifacts match {args.dir / 'manifest.txt'}")
+            return 0
         config = _load_config(args.config, args.seed)
         out = Path(config.output_dir)
         run_hash = config_hash(config)
@@ -95,18 +109,26 @@ def main(argv: Optional[List[str]] = None) -> int:
             for name in names:
                 print(f"wrote {out / name}")
         elif args.command == "train":
-            report = train_stage(config, prepare_world(config, image_sides=()), out)
+            report = train_stage(config, prepare_world(config, image_sides=(), audio_sides=("train",)), out)
             print(f"config_hash = {run_hash}")
             print(f"steps = {report.steps}")
             if report.loss_curve:
                 print(f"first_epoch_loss = {report.loss_curve[0]:.10f}")
                 print(f"final_epoch_loss = {report.loss_curve[-1]:.10f}")
         elif args.command == "eval":
-            params = load_trained(config, out)
-            _, _, summary = eval_stage(config, prepare_world(config, image_sides=("eval",)), params, out)
+            trained = load_trained(config, out)
+            prepared = prepare_world(
+                config,
+                image_sides=("eval",),
+                audio_sides=("eval",),
+                every_prompt=False,
+                audio_prototypes=trained.audio_prototypes,
+            )
+            _, _, summary = eval_stage(config, prepared, trained.params, out)
             print(summary, end="")
         elif args.command == "baseline":
-            key, report = baseline_report(config, prepare_world(config, image_sides=("eval",)), args.kind)
+            prepared = prepare_world(config, image_sides=("eval",), every_prompt=False)
+            key, report = baseline_report(config, prepared, args.kind)
             print(f"config_hash = {run_hash}")
             print(f"{key} = {report.value:.6f}")
         else:

@@ -5,18 +5,28 @@ and :func:`eval_stage` each write their artifacts through
 :func:`xmodal.storage.write_atomic`, then rewrite ``manifest.txt`` (the
 config hash, then size and SHA-256 of each known artifact present); with
 no directory they write nothing. :func:`run_experiment` is the three in
-order. Stages recompute the world from its config, never from the
+order. :func:`verify_manifest` re-hashes a directory against its
+manifest. Stages recompute the world from its config, never from the
 float32 embedding files, which exist for other tools.
 
+``train_stage`` writes the trained state, the adapter (``params.xmpb``)
+and the audio prototypes (``prototypes.xmpb``, the class means of the
+train-split audio); :func:`load_trained` is the one hand-over of both to
+``eval``, checked against the config before any world row is drawn.
+
 A stage draws only the world rows it reads. :func:`prepare_world` draws
-the split from the config first, then the text channels, every audio
-row and the image rows of the sides it is asked for: ``eval`` and
-``baseline`` the eval side's, ``train`` none, and ``gen`` and ``run``
-all of them, because they write every ``.xmeb``. Rows are drawn per row
-key, so a row drawn alone is bit-equal to the same row of the whole
-world. It is the only code that turns the split into rows: it takes
-each side's rows from the world it drew, by their position among the
-drawn rows, so a side can hold no row that was not drawn.
+the split from the config first, then the student text, the teacher
+text (every prompt variant, or only the canonical variant 0) and the
+audio and image rows of the sides it is asked for. ``train`` draws the
+train side's clips and no image; ``eval`` the eval side's clips and
+images and the canonical prompts, because the prototypes come from
+``train``; ``baseline`` every clip, for the prototypes, with the eval
+side's images and the canonical prompts; ``gen`` and ``run`` every row,
+because they write every ``.xmeb``. Rows are drawn per row key, so a row
+drawn alone is bit-equal to the same row of the whole world. It is the
+only code that turns the split into rows: it takes each side's rows from
+the world it drew, by their position among the drawn rows, so a side can
+hold no row that was not drawn.
 
 ``SUMMARY_METHOD_ORDER`` is the one list of method names. One builder
 maps each to its teacher-space eval audio rows (the text mapping and the
@@ -30,9 +40,10 @@ that reruns of the same config are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +54,7 @@ from .baselines import (
     text_mapping_rankings,
 )
 from .embeddings import EmbeddingSet, Modality
-from .errors import InvalidConfigError, XmodalError
+from .errors import FileFormatError, InvalidConfigError, ShapeMismatchError, XmodalError
 from .evaluation import (
     EvalReport,
     RankedList,
@@ -57,7 +68,7 @@ from .evaluation import (
 from .runconfig import RunConfig, adapter_config_for, canonical_config_text, config_hash
 from .storage import load_params, save_params, write_atomic, write_embedding_set
 from .trainer import Params, TrainReport, adapter_forward, check_params, train_adapter
-from .world import World, generate_world, split_rows
+from .world import SideRows, World, generate_world, split_rows
 
 BASELINES = ("random_projection", "text_mapping", "cascaded_zero_shot")
 SUMMARY_METHOD_ORDER = (*BASELINES, "distilled")
@@ -80,7 +91,7 @@ _SUMMARY_BLOCKS = {
 
 # World sets go to NAME.xmeb; the manifest lists every artifact present.
 _WORLD_SETS = ("audio_features", "images", "student_text", "teacher_text")
-_STAGE_FILES = ("config.txt", "params.xmpb", "train_log.txt", "reports.txt", "summary.txt")
+_STAGE_FILES = ("config.txt", "params.xmpb", "prototypes.xmpb", "train_log.txt", "reports.txt", "summary.txt")
 _ARTIFACTS = sorted([f"{name}.xmeb" for name in _WORLD_SETS] + list(_STAGE_FILES))
 
 
@@ -100,9 +111,9 @@ def embedded_audio_set(adapter_config, params: Params, audio: EmbeddingSet) -> E
 class PreparedWorld:
     """World plus the derived artifacts every method shares.
 
-    ``world`` holds every text and audio row but only the image rows of
-    the sides :func:`prepare_world` was asked for; a side asked for no
-    image rows holds none.
+    ``world`` holds the student text, the teacher text rows and the audio
+    and image rows that :func:`prepare_world` was asked for; a side asked
+    for no audio or image rows holds none.
     """
 
     world: World
@@ -116,35 +127,59 @@ class PreparedWorld:
 _SIDES = ("train", "eval")
 
 
-def prepare_world(config: RunConfig, image_sides: Tuple[str, ...] = _SIDES) -> PreparedWorld:
+def prepare_world(
+    config: RunConfig,
+    image_sides: Tuple[str, ...] = _SIDES,
+    audio_sides: Tuple[str, ...] = _SIDES,
+    every_prompt: bool = True,
+    audio_prototypes: Optional[EmbeddingSet] = None,
+) -> PreparedWorld:
     """Split, generate and build both prototype tables, drawing only the
-    image rows of ``image_sides``; a side not in it holds no image row.
+    image rows of ``image_sides`` and the audio rows of ``audio_sides``;
+    a side not in one holds no row of that channel.
+
+    ``every_prompt=False`` draws only the canonical variant-0 teacher
+    text rows, the teacher prototypes. ``audio_prototypes`` is the table
+    ``train`` handed over (:func:`load_trained`); without it the table is
+    built from the train side's audio, which must then be drawn.
 
     The split permutations are drawn once, before any row values. The
-    world holds every audio row and the sorted union of the asked sides'
-    image rows, so a side's image row ``r`` sits at
-    ``searchsorted(image_rows, r)``.
+    world holds the sorted union of the asked sides' audio rows and of
+    their image rows, so a side's row ``r`` sits at
+    ``searchsorted(rows, r)`` of its channel's union.
     """
     sides = [
-        rows if name in image_sides else rows._replace(images=rows.images[:0])
+        SideRows(
+            rows.audio if name in audio_sides else rows.audio[:0],
+            rows.images if name in image_sides else rows.images[:0],
+        )
         for name, rows in zip(_SIDES, split_rows(config.world, config.eval.holdout_fraction, config.world.seed))
     ]
+    audio_rows = np.sort(np.concatenate([rows.audio for rows in sides]))
     image_rows = np.sort(np.concatenate([rows.images for rows in sides]))
-    world = generate_world(config.world, image_rows=image_rows)
+    canonical = np.arange(config.world.n_species, dtype=np.int64) * config.world.variant_count
+    world = generate_world(
+        config.world,
+        image_rows=image_rows,
+        audio_rows=audio_rows,
+        teacher_rows=None if every_prompt else canonical,
+    )
     train_view, eval_view = (
         replace(
             world,
-            audio_features=world.audio_features.take(rows.audio),
+            audio_features=world.audio_features.take(np.searchsorted(audio_rows, rows.audio)),
             images=world.images.take(np.searchsorted(image_rows, rows.images)),
         )
         for rows in sides
     )
+    if audio_prototypes is None:
+        audio_prototypes = class_prototypes(train_view.audio_features)
     return PreparedWorld(
         world=world,
         train_view=train_view,
         eval_view=eval_view,
-        teacher_prototypes=teacher_prototype_set(world),
-        audio_prototypes=class_prototypes(train_view.audio_features),
+        teacher_prototypes=teacher_prototype_set(world) if every_prompt else world.teacher_text,
+        audio_prototypes=audio_prototypes,
     )
 
 
@@ -271,6 +306,52 @@ def _write_manifest(out: Path, run_hash: str) -> None:
     write_atomic(out / "manifest.txt", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+_HASH_LINE = re.compile(r"config_hash = [0-9a-f]{16}")
+_ARTIFACT_LINE = re.compile(r"artifact = (\S+) ([0-9]+) ([0-9a-f]{64})")
+
+
+def verify_manifest(out: Union[str, Path]) -> Tuple[str, int]:
+    """Re-hash ``out`` against its ``manifest.txt``; (config hash, artifact count).
+
+    The first line must be the config hash line, and each later line an
+    artifact line naming a known artifact, in the order
+    :func:`_write_manifest` writes them. Raises :class:`XmodalError`
+    naming the first listed file that is missing or whose size or
+    SHA-256 differs, or a known artifact present but not listed.
+    """
+    out = Path(out)
+    manifest = out / "manifest.txt"
+    try:
+        lines = manifest.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{manifest} is not UTF-8 text") from exc
+    if not lines or not _HASH_LINE.fullmatch(lines[0]):
+        raise FileFormatError(f"{manifest} line 1 is not a 'config_hash = <16 hex digits>' line")
+    listed: List[str] = []
+    for number, line in enumerate(lines[1:], start=2):
+        match = _ARTIFACT_LINE.fullmatch(line)
+        if match is None or match[1] not in _ARTIFACTS or (listed and match[1] <= listed[-1]):
+            raise FileFormatError(
+                f"{manifest} line {number} is not an artifact line of a known artifact, in name order"
+            )
+        name, size, digest = match.groups()
+        path = out / name
+        if not path.is_file():
+            raise XmodalError(f"{path} is listed in {manifest} but missing")
+        data = path.read_bytes()
+        found = (len(data), hashlib.sha256(data).hexdigest())
+        if found != (int(size), digest):
+            raise XmodalError(
+                f"{path} does not match {manifest}: it has {found[0]} bytes with SHA-256 {found[1]}, "
+                f"the manifest lists {size} bytes with SHA-256 {digest}"
+            )
+        listed.append(name)
+    for name in _ARTIFACTS:
+        if name not in listed and (out / name).is_file():
+            raise XmodalError(f"{out / name} is present but {manifest} does not list it")
+    return lines[0].split(" = ")[1], len(listed)
+
+
 def write_world_artifacts(config: RunConfig, world: World, out_dir: Union[str, Path]) -> List[str]:
     """The gen stage: world embedding files, config text, manifest; returns the file names."""
     out = Path(out_dir)
@@ -307,30 +388,58 @@ def write_reports(reports: Dict[str, EvalReport], chance: float, path: Union[str
 
 
 def train_stage(config: RunConfig, prepared: PreparedWorld, out: Optional[Path]) -> TrainReport:
-    """The train stage: fit the adapter; write params, log and manifest to ``out``."""
+    """The train stage: fit the adapter; write params, audio prototypes,
+    log and manifest to ``out``."""
     report = train_adapter(prepared.train_view, adapter_config_for(config), config.train)
     if out is not None:
         run_hash = config_hash(config)
         out.mkdir(parents=True, exist_ok=True)
         save_params(report.final_params, out / "params.xmpb", run_hash)
+        save_params({"audio_prototypes": prepared.audio_prototypes.matrix}, out / "prototypes.xmpb", run_hash)
         write_train_log(report, out / "train_log.txt", run_hash)
         _write_manifest(out, run_hash)
     return report
 
 
-def load_trained(config: RunConfig, out: Path) -> Params:
-    """The adapter that :func:`train_stage` wrote to ``out``; refuses a blob
-    trained under another config hash or not of the configured shapes."""
-    path = out / "params.xmpb"
-    params, stored_hash = load_params(path)
-    run_hash = config_hash(config)
+class Trained(NamedTuple):
+    """The state :func:`train_stage` hands to ``eval``."""
+
+    params: Params
+    audio_prototypes: EmbeddingSet
+
+
+def _load_blob(path: Path, run_hash: str) -> Dict[str, np.ndarray]:
+    """The arrays of a blob that ``train`` wrote under ``run_hash``."""
+    try:
+        arrays, stored_hash = load_params(path)
+    except FileNotFoundError as exc:
+        raise XmodalError(f"{path} is missing; run `xmodal train` with this config first") from exc
     if stored_hash != run_hash:
         raise XmodalError(
-            f"params blob at {path} was trained under config {stored_hash}, "
+            f"{path.stem} blob at {path} was trained under config {stored_hash}, "
             f"but the current config hashes to {run_hash}"
         )
+    return arrays
+
+
+def load_trained(config: RunConfig, out: Path) -> Trained:
+    """The adapter and audio prototypes that :func:`train_stage` wrote to
+    ``out``; refuses either blob when it was written under another config
+    hash or does not hold exactly the configured arrays and shapes."""
+    run_hash = config_hash(config)
+    params = _load_blob(out / "params.xmpb", run_hash)
     check_params(adapter_config_for(config), params)
-    return params
+    path = out / "prototypes.xmpb"
+    arrays = _load_blob(path, run_hash)
+    species = config.world.n_species
+    expected = {"audio_prototypes": (species, config.world.d_student_in)}
+    got = {name: array.shape for name, array in arrays.items()}
+    if got != expected:
+        raise ShapeMismatchError(
+            f"prototypes blob at {path} holds {sorted(got.items())}, not {sorted(expected.items())}"
+        )
+    prototypes = EmbeddingSet(arrays["audio_prototypes"], np.arange(species, dtype=np.int64), Modality.AUDIO)
+    return Trained(params, prototypes)
 
 
 def eval_stage(

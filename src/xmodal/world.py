@@ -21,10 +21,11 @@ channels and holds a subset of the audio and image rows.
 
 The split is drawn first, from the config alone: :func:`split_rows`
 gives each side's row positions. :func:`generate_world` then draws every
-row, or only the image rows it is given, each bit-equal to the same row
-of the whole world. So a stage draws only the rows it reads, and drawing
-fewer rows moves no bit of the rest. ``pipeline.prepare_world`` is the
-one place that turns the split into sides.
+row, or only the audio, image and teacher text rows it is given, each
+bit-equal to the same row of the whole world. So a stage draws only the
+rows it reads, and drawing fewer rows moves no bit of the rest.
+``pipeline.prepare_world`` is the one place that turns the split into
+sides.
 
 Teacher-space scales are norm-relative (draws are scaled by 1/sqrt(d))
 because rows in that space are unit-normalized; the raw audio feature
@@ -121,10 +122,10 @@ class World:
 
     ``species_centres`` holds the noise-free unit teacher-space centre of
     each species; teacher text and image rows are noisy draws around it.
-    Audio and image rows are in ascending world position: all of them on
-    a whole generated world, the drawn image rows on a world drawn with
-    ``image_rows``, the side's rows on a split side. Text channels and
-    centres are whole on all of them.
+    Audio, image and teacher text rows are in ascending world position:
+    all of them on a whole generated world, the drawn rows on a world
+    drawn with row selections, and the side's audio and image rows on a
+    split side. Student text and centres are always whole.
     """
 
     config: WorldConfig
@@ -165,15 +166,22 @@ def _unit_rows(rows: np.ndarray, keys, what: str) -> np.ndarray:
     return rows
 
 
-def generate_world(config: WorldConfig, image_rows: Optional[np.ndarray] = None) -> World:
+def generate_world(
+    config: WorldConfig,
+    image_rows: Optional[np.ndarray] = None,
+    audio_rows: Optional[np.ndarray] = None,
+    teacher_rows: Optional[np.ndarray] = None,
+) -> World:
     """Generate the world deterministically from its config.
 
     Each channel is drawn as one matrix, one keyed stream per row, and
     built with whole-matrix arithmetic that matches the per-row formulas
-    element for element. ``image_rows`` (ascending positions) draws only
-    those image rows, each bit-equal to the same row of the whole world,
-    in that order; ``None`` draws them all. The world does not record
-    which rows it holds: image row ``i`` is ``image_rows[i]``.
+    element for element. ``image_rows``, ``audio_rows`` and
+    ``teacher_rows`` (ascending positions) draw only those rows of the
+    image, audio and teacher text channels, each bit-equal to the same
+    row of the whole world, in that order; ``None`` draws them all. The
+    world does not record which rows it holds: image row ``i`` is
+    ``image_rows[i]``, and likewise for the other two.
     """
     seed = config.seed
     d_t = config.d_teacher
@@ -191,24 +199,22 @@ def generate_world(config: WorldConfig, image_rows: Optional[np.ndarray] = None)
     centres = _unit_rows(genus_centres[species_genus] + species_offsets, species, "species centre")
     centres.setflags(write=False)
 
+    def positions(rows: Optional[np.ndarray], per_species: int) -> np.ndarray:
+        if rows is None:
+            return np.arange(n_species * per_species, dtype=np.int64)
+        return np.asarray(rows, dtype=np.int64)
+
     def around_centres(name: str, per_species: int, sigma: float, modality: Modality, rows) -> EmbeddingSet:
         # Row r is item r % per_species of species r // per_species.
+        rows = positions(rows, per_species)
         keys = [divmod(r, per_species) for r in rows.tolist()]
         labels = rows // per_species
         noisy = centres[labels] + _norm_relative_rows(seed, name, keys, sigma, d_t)
         return EmbeddingSet(matrix=_unit_rows(noisy, keys, name), labels=labels, modality=modality)
 
-    n_variants = n_species * config.variant_count
     teacher_text = around_centres(
-        "teacher_text",
-        config.variant_count,
-        config.sigma_variant,
-        Modality.TEACHER_TEXT,
-        np.arange(n_variants, dtype=np.int64),
+        "teacher_text", config.variant_count, config.sigma_variant, Modality.TEACHER_TEXT, teacher_rows
     )
-    if image_rows is None:
-        image_rows = np.arange(n_species * config.images_per_species)
-    image_rows = np.asarray(image_rows, dtype=np.int64)
     images = around_centres("image", config.images_per_species, config.sigma_image, Modality.IMAGE, image_rows)
 
     genus_keys = [(genus,) for genus in range(config.n_genera)]
@@ -218,11 +224,13 @@ def generate_world(config: WorldConfig, image_rows: Optional[np.ndarray] = None)
         seed, "audio_latent", species_keys, d_in
     )
     audio_latents = _unit_rows(anchors[species_genus] + audio_offsets, species_keys, "audio latent")
-    clip_keys = [(sp, j) for sp in range(n_species) for j in range(config.audio_per_species)]
+    # Clip r is clip r % audio_per_species of species r // audio_per_species.
+    audio_rows = positions(audio_rows, config.audio_per_species)
+    clip_keys = [divmod(r, config.audio_per_species) for r in audio_rows.tolist()]
+    clip_species = audio_rows // config.audio_per_species
     audio = EmbeddingSet(
-        matrix=np.repeat(audio_latents, config.audio_per_species, axis=0)
-        + config.sigma_audio * _gaussian_rows(seed, "audio", clip_keys, d_in),
-        labels=np.repeat(np.arange(n_species, dtype=np.int64), config.audio_per_species),
+        matrix=audio_latents[clip_species] + config.sigma_audio * _gaussian_rows(seed, "audio", clip_keys, d_in),
+        labels=clip_species,
         modality=Modality.AUDIO,
     )
 

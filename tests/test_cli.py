@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from xmodal import (
+    class_prototypes,
     generate_world,
     load_params,
     read_embedding_set,
@@ -66,6 +67,11 @@ class TestParser:
                 [command] + (["--kind", "random_projection"] if command == "baseline" else [])
             )
             assert args.command == command
+        assert parser.parse_args(["verify", "runs/default"]).dir == Path("runs/default")
+
+    def test_verify_takes_no_config(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "runs/default", "--config", "x.txt"])
 
     def test_baseline_requires_kind(self, capsys):
         with pytest.raises(SystemExit):
@@ -197,6 +203,45 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith(expected)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("missing", "is missing; run `xmodal train` with this config first"),
+            ("other_config", "was trained under config 0123456789abcdef, but the current config hashes to "),
+            ("wrong_shape", "holds [('audio_prototypes', (8, 7))], not [('audio_prototypes', (8, 8))]"),
+            ("extra_array", "holds [('audio_prototypes', (8, 8)), ('extra', (1,))], not "),
+            ("renamed_array", "holds [('prototypes', (8, 8))], not "),
+        ],
+    )
+    def test_eval_refuses_a_prototypes_blob_before_generating_the_world(
+        self, config_path, tmp_path, capsys, edit, message
+    ):
+        # eval reads the audio prototypes that train wrote, and checks them
+        # against the config before it draws any world row.
+        run_cli("train", "--config", str(config_path))
+        blob = tmp_path / "out" / "prototypes.xmpb"
+        arrays, stored_hash = load_params(blob)
+        table = arrays["audio_prototypes"]
+        if edit == "missing":
+            blob.unlink()
+        elif edit == "other_config":
+            save_params(arrays, blob, "0123456789abcdef")
+        elif edit == "wrong_shape":
+            save_params({"audio_prototypes": table[:, :-1]}, blob, stored_hash)
+        elif edit == "extra_array":
+            save_params({**arrays, "extra": np.zeros(1)}, blob, stored_hash)
+        else:
+            save_params({"prototypes": table}, blob, stored_hash)
+        capsys.readouterr()
+        with mock.patch("xmodal.cli.prepare_world") as prepare_world:
+            assert run_cli("eval", "--config", str(config_path)) == 2
+        prepare_world.assert_not_called()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {blob}" if edit == "missing" else f"error: prototypes blob at {blob} ")
+        assert message in captured.err
+        assert not (tmp_path / "out" / "summary.txt").exists()
+
 
 @pytest.fixture(scope="module")
 def default_run_reports(tmp_path_factory):
@@ -247,7 +292,7 @@ class TestRun:
 
         assert run_cli("run", "--config", str(config_path)) == 0
         from_run = digests()
-        assert len(from_run) == 10 and "manifest.txt" in from_run
+        assert len(from_run) == 11 and "manifest.txt" in from_run
         shutil.rmtree(out)
         for command in ("gen", "train", "eval"):
             assert run_cli(command, "--config", str(config_path)) == 0
@@ -276,7 +321,7 @@ class TestRun:
         finally:
             os.umask(old)
         files = sorted((tmp_path / "out").iterdir())
-        assert len(files) == 10
+        assert len(files) == 11
         for path in files:
             assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
@@ -296,6 +341,78 @@ class TestRun:
 
         assert hash_of(new_summary) != hash_of(base_summary)
         assert not np.array_equal(new_audio.matrix, base_audio.matrix)
+
+
+def _flip_last_byte(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+
+
+def _edit_manifest(out, edit):
+    manifest = out / "manifest.txt"
+    manifest.write_text(edit(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+class TestVerify:
+    def test_every_writing_command_leaves_a_verified_directory(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command, n_artifacts in (("gen", 5), ("train", 8), ("eval", 10), ("run", 10)):
+            assert run_cli(command, "--config", str(config_path)) == 0
+            capsys.readouterr()
+            assert run_cli("verify", str(out)) == 0
+            run_hash = (out / "manifest.txt").read_text().splitlines()[0]
+            assert capsys.readouterr().out == f"{run_hash}\n{n_artifacts} artifacts match {out / 'manifest.txt'}\n"
+
+    @pytest.mark.parametrize(
+        "edit, named, message",
+        [
+            # params.xmpb is listed before summary.txt, so it is named first.
+            (
+                lambda out: [_flip_last_byte(out / name) for name in ("summary.txt", "params.xmpb")],
+                "params.xmpb",
+                r"does not match .*manifest.txt: it has \d+ bytes with SHA-256 [0-9a-f]{64}, the manifest lists",
+            ),
+            (
+                lambda out: [(out / name).unlink() for name in ("train_log.txt", "prototypes.xmpb")],
+                "prototypes.xmpb",
+                r"is listed in .*manifest.txt but missing",
+            ),
+            (
+                lambda out: _edit_manifest(out, lambda text: re.sub(r"artifact = summary.txt .*\n", "", text)),
+                "summary.txt",
+                r"is present but .*manifest.txt does not list it",
+            ),
+            (
+                lambda out: _edit_manifest(out, lambda text: text.replace("config_hash = ", "config_hash = x", 1)),
+                "manifest.txt",
+                r"line 1 is not a 'config_hash = <16 hex digits>' line",
+            ),
+            (
+                lambda out: _edit_manifest(out, lambda text: text.replace("artifact = config.txt", "artifact = ../x")),
+                "manifest.txt",
+                r"line 3 is not an artifact line of a known artifact, in name order",
+            ),
+            (
+                lambda out: _edit_manifest(out, lambda text: text + text.splitlines()[-1] + "\n"),
+                "manifest.txt",
+                r"line 12 is not an artifact line of a known artifact, in name order",
+            ),
+            (lambda out: (out / "manifest.txt").unlink(), "manifest.txt", "No such file"),
+        ],
+        ids=["changed", "missing", "unlisted", "bad_hash_line", "unknown_name", "listed_twice", "no_manifest"],
+    )
+    def test_exit_2_names_the_first_file_that_differs(self, config_path, tmp_path, capsys, edit, named, message):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config_path)) == 0
+        edit(out)
+        capsys.readouterr()
+        assert run_cli("verify", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        first_path = re.search(r"/\S+", captured.err)[0].rstrip(":'")
+        assert Path(first_path).name == named
+        assert re.search(message, captured.err)
 
 
 class TestRowsEachStageDraws:
@@ -349,6 +466,40 @@ class TestRowsEachStageDraws:
         for command in ("gen", "run"):
             draws, _ = self.run(config_path, command)
             assert ("image", n_images) in draws
+            assert ("audio", world.n_species * world.audio_per_species) in draws
+            assert ("teacher_text", world.n_species * world.variant_count) in draws
+
+    @pytest.mark.parametrize("command", ["train", "eval", "baseline"])
+    def test_each_stage_draws_its_clips_and_prompts(self, config_path, command):
+        # train reads the train clips and every prompt variant. eval reads
+        # the eval clips, the canonical prompts and train's prototypes.
+        # baseline builds the prototypes itself, so it reads every clip.
+        if command != "train":
+            run_cli("train", "--config", str(config_path))
+        extra = ["--kind", "text_mapping"] if command == "baseline" else []
+        draws, (prepared,) = self.run(config_path, command, *extra)
+        config = self.config_of(config_path)
+        whole = generate_world(config.world)
+        split = dict(zip(("train", "eval"), split_rows(config.world, config.eval.holdout_fraction, config.world.seed)))
+        sides = {"train": ["train"], "eval": ["eval"], "baseline": ["train", "eval"]}[command]
+        canonical = np.arange(config.world.n_species) * config.world.variant_count
+        prompts = np.arange(whole.teacher_text.n_items) if command == "train" else canonical
+        audio = np.sort(np.concatenate([split[side].audio for side in sides]))
+        assert [n for name, n in draws if name == "audio"] == [audio.size]
+        assert [n for name, n in draws if name == "teacher_text"] == [prompts.size]
+
+        def assert_rows_of(held, whole_set, rows):
+            assert held.matrix.tobytes() == whole_set.matrix[rows].tobytes()
+            assert held.labels.tolist() == whole_set.labels[rows].tolist()
+
+        assert_rows_of(prepared.world.audio_features, whole.audio_features, audio)
+        assert_rows_of(prepared.world.teacher_text, whole.teacher_text, prompts)
+        assert_rows_of(prepared.teacher_prototypes, whole.teacher_text, canonical)
+        for name, view in (("train", prepared.train_view), ("eval", prepared.eval_view)):
+            rows = split[name].audio if name in sides else np.empty(0, np.int64)
+            assert_rows_of(view.audio_features, whole.audio_features, rows)
+        expected = class_prototypes(whole.audio_features.take(split["train"].audio))
+        assert_rows_of(prepared.audio_prototypes, expected, np.arange(config.world.n_species))
 
     @pytest.mark.parametrize("command", ["train", "eval", "baseline", "run"])
     def test_split_permutations_drawn_once_per_stage(self, config_path, command):

@@ -1,8 +1,10 @@
 """End-to-end experiment pipeline: preparation, evaluation, artifacts."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 
 from xmodal import (
     InvalidConfigError,
+    class_prototypes,
     generate_world,
     load_params,
     read_embedding_set,
@@ -28,6 +31,7 @@ from xmodal.pipeline import (
     baseline_report,
     chance_map,
     embedded_audio_set,
+    load_trained,
     prepare_world,
     render_summary,
     run_experiment,
@@ -184,6 +188,7 @@ class TestRunExperiment:
             "audio_features.xmeb",
             "config.txt",
             "params.xmpb",
+            "prototypes.xmpb",
             "train_log.txt",
             "reports.txt",
             "summary.txt",
@@ -406,6 +411,24 @@ def test_prepare_world_holds_each_side_at_its_split_rows(world, image_sides, mon
             assert_rows_of(view.images, whole.images, sides[name].images)
         else:
             assert view.images.n_items == 0
+
+
+@pytest.mark.parametrize("world", ["default", "eval_wide"])
+def test_train_hands_over_the_prototypes_of_the_whole_worlds_train_rows(world, tmp_path, monkeypatch):
+    # train draws only the train clips; the table it writes, as eval
+    # loads it, is the class means of the whole world's train rows, bit
+    # for bit, with one row per species in species order.
+    text = "" if world == "default" else perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG
+    config = parse_config(text)
+    monkeypatch.chdir(tmp_path)
+    Path("config.txt").write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--config", "config.txt"]) == 0
+    trained = load_trained(config, Path(config.output_dir))
+    train, _ = split_rows(config.world, config.eval.holdout_fraction, config.world.seed)
+    expected = class_prototypes(generate_world(config.world).audio_features.take(train.audio))
+    assert trained.audio_prototypes.matrix.tobytes() == expected.matrix.tobytes()
+    assert trained.audio_prototypes.labels.tolist() == expected.labels.tolist() == list(range(config.world.n_species))
 
 
 def test_benchmark_tracer_wraps_and_restores_ranked_list(monkeypatch):

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts in ``scripts/``: each sweep runs end to end
-on the package API and prints one row per configuration it sweeps, and
-the reference replay names each op whose outputs differ."""
+on the package API and prints one row per configuration it sweeps, the
+reference replay names each op whose outputs differ, and the A/B script
+alternates two trees' ops in one process."""
 
 import importlib.util
 import math
@@ -59,3 +60,24 @@ def test_verify_reference_names_the_op_that_differs(capsys, monkeypatch):
         "eval_wide seed 3: digest mismatch in reports.txt",
         "0 of 1 reference ops match",
     ]
+
+
+def test_interleave_ab_runs_one_round_of_the_repo_against_itself(capsys, monkeypatch):
+    # The script imports perfbench/workloads.py as "workloads" and each
+    # tree as its own package alias; undo both.
+    monkeypatch.setitem(sys.modules, "workloads", None)
+    root = SCRIPTS.parent
+    script = load_script("interleave_ab")
+    try:
+        assert script.main([str(root), str(root), "eval_wide", "--rounds", "1", "--seed", "3"]) == 0
+        old_cli, new_cli = (sys.modules[f"xmodal_{side}.cli"] for side in script.SIDES)
+        assert old_cli is not new_cli
+        assert Path(old_cli.__file__).resolve() == Path(new_cli.__file__).resolve() == root / "src/xmodal/cli.py"
+    finally:
+        for name in [name for name in sys.modules if name.startswith(("xmodal_old", "xmodal_new"))]:
+            del sys.modules[name]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "eval_wide seed 3: 1 rounds timed, 0 ops failed"
+    assert [line.split()[:2] for line in out[1:3]] == [["old", "median"], ["new", "median"]]
+    assert out[3].startswith("median paired ratio new/old = ")
+    assert out[4] in ("new faster in 0 of 1 rounds", "new faster in 1 of 1 rounds")

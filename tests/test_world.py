@@ -140,6 +140,29 @@ class TestMatchesPerRowReference:
             assert getattr(train, channel).tolist() == expected[0]
             assert getattr(held_out, channel).tolist() == expected[1]
 
+    @given(WORLD_CONFIGS, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_selected_rows(self, config, data):
+        # Rows drawn alone are the whole world's rows at those positions.
+        whole = generate_world(config)
+        selected = {}
+        for name in ("images", "audio_features", "teacher_text"):
+            n_rows = getattr(whole, name).n_items
+            picked = data.draw(st.sets(st.integers(0, n_rows - 1), max_size=n_rows), label=name)
+            selected[name] = np.array(sorted(picked), dtype=np.int64)
+        world = generate_world(
+            config,
+            image_rows=selected["images"],
+            audio_rows=selected["audio_features"],
+            teacher_rows=selected["teacher_text"],
+        )
+        for name, rows in selected.items():
+            held, full = getattr(world, name), getattr(whole, name)
+            assert held.matrix.shape == (rows.size, full.matrix.shape[1])
+            assert held.matrix.tobytes() == full.matrix[rows].tobytes(), name
+            assert held.labels.tolist() == full.labels[rows].tolist(), name
+        assert world.student_text.matrix.tobytes() == whole.student_text.matrix.tobytes()
+
     def test_zero_row_is_named(self):
         # All-zero draws leave every species centre at the origin.
         def zeros(out, *args, **kwargs):
