@@ -10,7 +10,8 @@ also has access to:
   It is a layer-table MLP (``map1`` + ReLU, ``map2``), started from
   :func:`xmodal.trainer.mlp_init` and trained by the adapter's own loop,
   :func:`xmodal.trainer.fit`, with each species paired with its canonical
-  teacher row; it reports through the adapter's ``TrainReport``. At
+  teacher row; it reports through the adapter's ``TrainReport``. ``train``
+  fits it once, and ``eval`` scores the mapped table ``train`` wrote. At
   inference an audio clip is classified to a species with audio-space
   class prototypes and gets the gallery's cosines with that species'
   mapped text row: one score row per distinct predicted species.

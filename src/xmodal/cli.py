@@ -4,7 +4,7 @@ Subcommands call the pipeline's stage functions, which write every
 artifact and rewrite ``manifest.txt``; this module only prints:
 
 * ``gen``      write the world's embedding files and config text
-* ``train``    train the adapter, write params blob, audio prototypes and loss log
+* ``train``    fit the adapter and the text map, write params, tables and loss log
 * ``eval``     check and evaluate what ``train`` wrote, write reports and summary
 * ``baseline`` score one baseline (``--kind``); writes nothing
 * ``run``      ``gen`` + ``train`` + ``eval``, writing the same bytes
@@ -14,7 +14,7 @@ Each subcommand draws only the world rows it reads:
 
 * ``train``    the train split's clips and every prompt variant; no image
 * ``eval``     the eval split's clips and images and the canonical
-  prompts; the audio prototypes come from ``train``'s ``prototypes.xmpb``
+  prompts; the per-species tables come from ``train``'s ``prototypes.xmpb``
 * ``baseline`` every clip, for the audio prototypes, the eval split's
   images and the canonical prompts
 * ``gen`` and ``run`` every row, because they write every embedding file
@@ -122,7 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 image_sides=("eval",),
                 audio_sides=("eval",),
                 every_prompt=False,
-                audio_prototypes=trained.audio_prototypes,
+                trained=trained,
             )
             _, _, summary = eval_stage(config, prepared, trained.params, out)
             print(summary, end="")

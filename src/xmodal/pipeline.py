@@ -9,10 +9,10 @@ order. :func:`verify_manifest` re-hashes a directory against its
 manifest. Stages recompute the world from its config, never from the
 float32 embedding files, which exist for other tools.
 
-``train_stage`` writes the trained state, the adapter (``params.xmpb``)
-and the audio prototypes (``prototypes.xmpb``, the class means of the
-train-split audio); :func:`load_trained` is the one hand-over of both to
-``eval``, checked against the config before any world row is drawn.
+``train_stage`` writes the trained state: the adapter (``params.xmpb``)
+and the baselines' per-species tables (``prototypes.xmpb``: the audio
+prototypes and the text map's output). :func:`load_trained` checks it
+all against the config before any row is drawn; ``eval`` fits nothing.
 
 A stage draws only the world rows it reads. :func:`prepare_world` draws
 the split from the config first, then the student text, the teacher
@@ -31,7 +31,7 @@ hold no row that was not drawn.
 ``SUMMARY_METHOD_ORDER`` is the one list of method names. One builder
 maps each to its teacher-space eval audio rows (the text mapping and the
 cascade: their ``RankedList``), shared by ``evaluate_trained`` and
-``baseline_report``, so the text-mapping map is fitted in one place.
+``baseline_report``. Only :func:`prepare_world` fits the text map.
 
 The summary is deliberately free of wallclock or environment data so
 that reruns of the same config are byte-identical.
@@ -121,6 +121,7 @@ class PreparedWorld:
     eval_view: World
     teacher_prototypes: EmbeddingSet
     audio_prototypes: EmbeddingSet
+    mapped_text: EmbeddingSet
 
 
 # The split sides, in the order split_rows returns them.
@@ -132,16 +133,17 @@ def prepare_world(
     image_sides: Tuple[str, ...] = _SIDES,
     audio_sides: Tuple[str, ...] = _SIDES,
     every_prompt: bool = True,
-    audio_prototypes: Optional[EmbeddingSet] = None,
+    trained: Optional[Trained] = None,
 ) -> PreparedWorld:
-    """Split, generate and build both prototype tables, drawing only the
+    """Split, generate and build the per-species tables, drawing only the
     image rows of ``image_sides`` and the audio rows of ``audio_sides``;
     a side not in one holds no row of that channel.
 
     ``every_prompt=False`` draws only the canonical variant-0 teacher
-    text rows, the teacher prototypes. ``audio_prototypes`` is the table
-    ``train`` handed over (:func:`load_trained`); without it the table is
-    built from the train side's audio, which must then be drawn.
+    text rows, the teacher prototypes. ``trained`` is the state ``train``
+    handed over (:func:`load_trained`); without it both tables are built:
+    the audio prototypes from the train side's audio, which must then be
+    drawn, and the mapped text by the one fit of the text map.
 
     The split permutations are drawn once, before any row values. The
     world holds the sorted union of the asked sides' audio rows and of
@@ -172,14 +174,19 @@ def prepare_world(
         )
         for rows in sides
     )
-    if audio_prototypes is None:
+    teacher_prototypes = teacher_prototype_set(world) if every_prompt else world.teacher_text
+    if trained is None:
         audio_prototypes = class_prototypes(train_view.audio_features)
+        _, mapped_text = text_mapping_baseline(world.student_text, teacher_prototypes, config.train)
+    else:
+        audio_prototypes, mapped_text = trained.audio_prototypes, trained.mapped_text
     return PreparedWorld(
         world=world,
         train_view=train_view,
         eval_view=eval_view,
-        teacher_prototypes=teacher_prototype_set(world) if every_prompt else world.teacher_text,
+        teacher_prototypes=teacher_prototypes,
         audio_prototypes=audio_prototypes,
+        mapped_text=mapped_text,
     )
 
 
@@ -207,9 +214,9 @@ def _method_audio(
     embedding row per clip. The classify-then-look-up baselines
     (``text_mapping``, ``cascaded_zero_shot``) give a ``RankedList``:
     each clip gets the gallery scores of its predicted species. Only
-    ``distilled`` reads ``params``, the trained adapter. The text-mapping
-    baseline fits its map here, on every call, from its own keyed
-    streams; this is the only place the map is fitted.
+    ``distilled`` reads ``params``, the trained adapter. Nothing here is
+    fitted: the text-mapping baseline scores ``prepared.mapped_text``,
+    the table :func:`prepare_world` built or ``train`` handed over.
     """
     eval_audio = prepared.eval_view.audio_features
     images = prepared.eval_view.images
@@ -218,8 +225,7 @@ def _method_audio(
     if method == "random_projection":
         return random_projection_baseline(eval_audio, config.world.d_teacher, config.world.seed)
     if method == "text_mapping":
-        _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
-        return text_mapping_rankings(table, eval_audio, prepared.audio_prototypes, images)
+        return text_mapping_rankings(prepared.mapped_text, eval_audio, prepared.audio_prototypes, images)
     if method == "cascaded_zero_shot":
         return cascaded_zero_shot_baseline(eval_audio, images, prepared.audio_prototypes, prepared.teacher_prototypes)
     raise InvalidConfigError(f"unknown method {method!r}; the methods are {', '.join(SUMMARY_METHOD_ORDER)}")
@@ -388,24 +394,26 @@ def write_reports(reports: Dict[str, EvalReport], chance: float, path: Union[str
 
 
 def train_stage(config: RunConfig, prepared: PreparedWorld, out: Optional[Path]) -> TrainReport:
-    """The train stage: fit the adapter; write params, audio prototypes,
-    log and manifest to ``out``."""
+    """The train stage: fit the adapter; write params, the per-species
+    tables, log and manifest to ``out``."""
     report = train_adapter(prepared.train_view, adapter_config_for(config), config.train)
     if out is not None:
         run_hash = config_hash(config)
         out.mkdir(parents=True, exist_ok=True)
         save_params(report.final_params, out / "params.xmpb", run_hash)
-        save_params({"audio_prototypes": prepared.audio_prototypes.matrix}, out / "prototypes.xmpb", run_hash)
+        tables = {"audio_prototypes": prepared.audio_prototypes.matrix, "mapped_text": prepared.mapped_text.matrix}
+        save_params(tables, out / "prototypes.xmpb", run_hash)
         write_train_log(report, out / "train_log.txt", run_hash)
         _write_manifest(out, run_hash)
     return report
 
 
 class Trained(NamedTuple):
-    """The state :func:`train_stage` hands to ``eval``."""
+    """The state :func:`train_stage` hands to ``eval``: the adapter and both tables."""
 
     params: Params
     audio_prototypes: EmbeddingSet
+    mapped_text: EmbeddingSet
 
 
 def _load_blob(path: Path, run_hash: str) -> Dict[str, np.ndarray]:
@@ -423,23 +431,27 @@ def _load_blob(path: Path, run_hash: str) -> Dict[str, np.ndarray]:
 
 
 def load_trained(config: RunConfig, out: Path) -> Trained:
-    """The adapter and audio prototypes that :func:`train_stage` wrote to
-    ``out``; refuses either blob when it was written under another config
-    hash or does not hold exactly the configured arrays and shapes."""
+    """The adapter and per-species tables that :func:`train_stage` wrote
+    to ``out``; refuses either blob when it was written under another
+    config hash or does not hold exactly the configured arrays and shapes."""
     run_hash = config_hash(config)
     params = _load_blob(out / "params.xmpb", run_hash)
     check_params(adapter_config_for(config), params)
     path = out / "prototypes.xmpb"
     arrays = _load_blob(path, run_hash)
     species = config.world.n_species
-    expected = {"audio_prototypes": (species, config.world.d_student_in)}
+    expected = {
+        "audio_prototypes": (species, config.world.d_student_in),
+        "mapped_text": (species, config.world.d_teacher),
+    }
     got = {name: array.shape for name, array in arrays.items()}
     if got != expected:
         raise ShapeMismatchError(
             f"prototypes blob at {path} holds {sorted(got.items())}, not {sorted(expected.items())}"
         )
-    prototypes = EmbeddingSet(arrays["audio_prototypes"], np.arange(species, dtype=np.int64), Modality.AUDIO)
-    return Trained(params, prototypes)
+    labels = np.arange(species, dtype=np.int64)
+    prototypes = EmbeddingSet(arrays["audio_prototypes"], labels, Modality.AUDIO)
+    return Trained(params, prototypes, EmbeddingSet(arrays["mapped_text"], labels, Modality.STUDENT_TEXT))
 
 
 def eval_stage(

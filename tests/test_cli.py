@@ -208,30 +208,45 @@ class TestEval:
         [
             ("missing", "is missing; run `xmodal train` with this config first"),
             ("other_config", "was trained under config 0123456789abcdef, but the current config hashes to "),
-            ("wrong_shape", "holds [('audio_prototypes', (8, 7))], not [('audio_prototypes', (8, 8))]"),
-            ("extra_array", "holds [('audio_prototypes', (8, 8)), ('extra', (1,))], not "),
-            ("renamed_array", "holds [('prototypes', (8, 8))], not "),
+            (
+                "wrong_shape",
+                "holds [('audio_prototypes', (8, 7)), ('mapped_text', (8, 12))], "
+                "not [('audio_prototypes', (8, 8)), ('mapped_text', (8, 12))]",
+            ),
+            ("extra_array", "holds [('audio_prototypes', (8, 8)), ('extra', (1,)), ('mapped_text', (8, 12))], not "),
+            ("renamed_array", "holds [('mapped_text', (8, 12)), ('prototypes', (8, 8))], not "),
+            (
+                "mapped_text_missing",
+                "holds [('audio_prototypes', (8, 8))], not [('audio_prototypes', (8, 8)), ('mapped_text', (8, 12))]",
+            ),
+            ("mapped_text_wrong_width", "holds [('audio_prototypes', (8, 8)), ('mapped_text', (8, 11))], not "),
+            ("mapped_text_renamed", "holds [('audio_prototypes', (8, 8)), ('text_table', (8, 12))], not "),
         ],
     )
     def test_eval_refuses_a_prototypes_blob_before_generating_the_world(
         self, config_path, tmp_path, capsys, edit, message
     ):
-        # eval reads the audio prototypes that train wrote, and checks them
-        # against the config before it draws any world row.
+        # eval reads the two per-species tables that train wrote, and
+        # checks them against the config before it draws any world row.
+        # Each edit changes one thing of the blob.
         run_cli("train", "--config", str(config_path))
         blob = tmp_path / "out" / "prototypes.xmpb"
         arrays, stored_hash = load_params(blob)
-        table = arrays["audio_prototypes"]
+        table, mapped = arrays["audio_prototypes"], arrays["mapped_text"]
         if edit == "missing":
             blob.unlink()
         elif edit == "other_config":
             save_params(arrays, blob, "0123456789abcdef")
-        elif edit == "wrong_shape":
-            save_params({"audio_prototypes": table[:, :-1]}, blob, stored_hash)
-        elif edit == "extra_array":
-            save_params({**arrays, "extra": np.zeros(1)}, blob, stored_hash)
         else:
-            save_params({"prototypes": table}, blob, stored_hash)
+            edited = {
+                "wrong_shape": {**arrays, "audio_prototypes": table[:, :-1]},
+                "extra_array": {**arrays, "extra": np.zeros(1)},
+                "renamed_array": {"prototypes": table, "mapped_text": mapped},
+                "mapped_text_missing": {"audio_prototypes": table},
+                "mapped_text_wrong_width": {**arrays, "mapped_text": mapped[:, :-1]},
+                "mapped_text_renamed": {"audio_prototypes": table, "text_table": mapped},
+            }[edit]
+            save_params(edited, blob, stored_hash)
         capsys.readouterr()
         with mock.patch("xmodal.cli.prepare_world") as prepare_world:
             assert run_cli("eval", "--config", str(config_path)) == 2
@@ -241,6 +256,21 @@ class TestEval:
         assert captured.err.startswith(f"error: {blob}" if edit == "missing" else f"error: prototypes blob at {blob} ")
         assert message in captured.err
         assert not (tmp_path / "out" / "summary.txt").exists()
+
+    def test_eval_fits_nothing_and_writes_the_summary_of_run(self, config_path, tmp_path, capsys):
+        # train fits every learned object and eval only scores: with fit
+        # refused wherever it is looked up, eval still writes the bytes
+        # of an unpatched run's summary.
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(config_path)) == 0
+        from_run = (out / "summary.txt").read_bytes()
+        shutil.rmtree(out)
+        assert run_cli("train", "--config", str(config_path)) == 0
+        refuse = mock.Mock(side_effect=AssertionError("eval called fit"))
+        with mock.patch("xmodal.baselines.fit", refuse), mock.patch("xmodal.trainer.fit", refuse):
+            assert run_cli("eval", "--config", str(config_path)) == 0
+        refuse.assert_not_called()
+        assert (out / "summary.txt").read_bytes() == from_run
 
 
 @pytest.fixture(scope="module")

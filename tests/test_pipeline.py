@@ -236,7 +236,9 @@ class TestRunExperiment:
             monkeypatch.chdir(tmp_path / name)
             run_experiment(config)
         a, b = tmp_path / "a" / "run", tmp_path / "b" / "run"
-        for name in ("summary.txt", "reports.txt", "train_log.txt", "params.xmpb", "audio_features.xmeb"):
+        for name in (
+            "summary.txt", "reports.txt", "train_log.txt", "params.xmpb", "prototypes.xmpb", "audio_features.xmeb"
+        ):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_write_world_artifacts_alone(self, tmp_path, small_run_config, small_world):
@@ -415,9 +417,10 @@ def test_prepare_world_holds_each_side_at_its_split_rows(world, image_sides, mon
 
 @pytest.mark.parametrize("world", ["default", "eval_wide"])
 def test_train_hands_over_the_prototypes_of_the_whole_worlds_train_rows(world, tmp_path, monkeypatch):
-    # train draws only the train clips; the table it writes, as eval
-    # loads it, is the class means of the whole world's train rows, bit
-    # for bit, with one row per species in species order.
+    # train draws only the train clips; the tables it writes, as eval
+    # loads them, are the class means of the whole world's train rows and
+    # the text map fitted on the whole world's student text and canonical
+    # prompts, bit for bit, each with one row per species in species order.
     text = "" if world == "default" else perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG
     config = parse_config(text)
     monkeypatch.chdir(tmp_path)
@@ -426,9 +429,13 @@ def test_train_hands_over_the_prototypes_of_the_whole_worlds_train_rows(world, t
         assert cli.main(["train", "--config", "config.txt"]) == 0
     trained = load_trained(config, Path(config.output_dir))
     train, _ = split_rows(config.world, config.eval.holdout_fraction, config.world.seed)
-    expected = class_prototypes(generate_world(config.world).audio_features.take(train.audio))
+    whole = generate_world(config.world)
+    expected = class_prototypes(whole.audio_features.take(train.audio))
     assert trained.audio_prototypes.matrix.tobytes() == expected.matrix.tobytes()
     assert trained.audio_prototypes.labels.tolist() == expected.labels.tolist() == list(range(config.world.n_species))
+    _, mapped = text_mapping_baseline(whole.student_text, teacher_prototype_set(whole), config.train)
+    assert trained.mapped_text.matrix.tobytes() == mapped.matrix.tobytes()
+    assert trained.mapped_text.labels.tolist() == mapped.labels.tolist() == list(range(config.world.n_species))
 
 
 def test_benchmark_tracer_wraps_and_restores_ranked_list(monkeypatch):
