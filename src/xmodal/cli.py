@@ -10,14 +10,8 @@ artifact and rewrite ``manifest.txt``; this module only prints:
 * ``run``      ``gen`` + ``train`` + ``eval``, writing the same bytes
 * ``verify``   re-hash a run directory against its ``manifest.txt``
 
-Each subcommand draws only the world rows it reads:
-
-* ``train``    the train split's clips and every prompt variant; no image
-* ``eval``     the eval split's clips and images and the canonical
-  prompts; the per-species tables come from ``train``'s ``prototypes.xmpb``
-* ``baseline`` every clip, for the audio prototypes, the eval split's
-  images and the canonical prompts
-* ``gen`` and ``run`` every row, because they write every embedding file
+Each subcommand draws only the world rows it reads: the table of them is
+``pipeline._DRAWS``, which :func:`xmodal.pipeline.prepare_world` reads.
 
 Every subcommand but ``verify`` accepts ``--config PATH`` (line-oriented
 key=value text; defaults apply when omitted) and ``--seed N`` (N >= 0),
@@ -46,7 +40,6 @@ from .pipeline import (
     write_world_artifacts,
 )
 from .runconfig import RunConfig, config_hash, parse_config
-from .world import generate_world
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,38 +94,33 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{n_artifacts} artifacts match {args.dir / 'manifest.txt'}")
             return 0
         config = _load_config(args.config, args.seed)
+        if args.command == "run":
+            print(run_experiment(config).summary, end="")
+            return 0
         out = Path(config.output_dir)
         run_hash = config_hash(config)
+        # eval checks what train wrote before it draws any row.
+        trained = load_trained(config, out) if args.command == "eval" else None
+        prepared = prepare_world(config, args.command)
         if args.command == "gen":
-            names = write_world_artifacts(config, generate_world(config.world), out)
+            names = write_world_artifacts(config, prepared.world, out)
             print(f"config_hash = {run_hash}")
             for name in names:
                 print(f"wrote {out / name}")
         elif args.command == "train":
-            report = train_stage(config, prepare_world(config, image_sides=(), audio_sides=("train",)), out)
+            report, _ = train_stage(config, prepared, out)
             print(f"config_hash = {run_hash}")
             print(f"steps = {report.steps}")
             if report.loss_curve:
                 print(f"first_epoch_loss = {report.loss_curve[0]:.10f}")
                 print(f"final_epoch_loss = {report.loss_curve[-1]:.10f}")
         elif args.command == "eval":
-            trained = load_trained(config, out)
-            prepared = prepare_world(
-                config,
-                image_sides=("eval",),
-                audio_sides=("eval",),
-                every_prompt=False,
-                trained=trained,
-            )
-            _, _, summary = eval_stage(config, prepared, trained.params, out)
+            _, _, summary = eval_stage(config, prepared, trained, out)
             print(summary, end="")
-        elif args.command == "baseline":
-            prepared = prepare_world(config, image_sides=("eval",), every_prompt=False)
+        else:
             key, report = baseline_report(config, prepared, args.kind)
             print(f"config_hash = {run_hash}")
             print(f"{key} = {report.value:.6f}")
-        else:
-            print(run_experiment(config).summary, end="")
     except (XmodalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

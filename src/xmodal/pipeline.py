@@ -9,29 +9,22 @@ order. :func:`verify_manifest` re-hashes a directory against its
 manifest. Stages recompute the world from its config, never from the
 float32 embedding files, which exist for other tools.
 
-``train_stage`` writes the trained state: the adapter (``params.xmpb``)
-and the baselines' per-species tables (``prototypes.xmpb``: the audio
-prototypes and the text map's output). :func:`load_trained` checks it
-all against the config before any row is drawn; ``eval`` fits nothing.
+:func:`train_stage` returns the trained state, a :class:`Trained`, and
+writes it: the adapter (``params.xmpb``) and the baselines' per-species
+tables (``prototypes.xmpb``: the audio prototypes and the text map's
+output). ``run`` scores the one it returns; ``eval`` fits nothing and
+scores what :func:`load_trained` reads back, checked against the config
+before any row is drawn.
 
-A stage draws only the world rows it reads. :func:`prepare_world` draws
-the split from the config first, then the student text, the teacher
-text (every prompt variant, or only the canonical variant 0) and the
-audio and image rows of the sides it is asked for. ``train`` draws the
-train side's clips and no image; ``eval`` the eval side's clips and
-images and the canonical prompts, because the prototypes come from
-``train``; ``baseline`` every clip, for the prototypes, with the eval
-side's images and the canonical prompts; ``gen`` and ``run`` every row,
-because they write every ``.xmeb``. Rows are drawn per row key, so a row
-drawn alone is bit-equal to the same row of the whole world. It is the
-only code that turns the split into rows: it takes each side's rows from
-the world it drew, by their position among the drawn rows, so a side can
-hold no row that was not drawn.
+A stage draws only the world rows it reads: :func:`prepare_world` takes
+each command's sides and prompts from one table, ``_DRAWS``, and is the
+only code that turns the split into rows.
 
 ``SUMMARY_METHOD_ORDER`` is the one list of method names. One builder
 maps each to its teacher-space eval audio rows (the text mapping and the
 cascade: their ``RankedList``), shared by ``evaluate_trained`` and
-``baseline_report``. Only :func:`prepare_world` fits the text map.
+``baseline_report``, which builds its own :class:`Trained` with no
+adapter.
 
 The summary is deliberately free of wallclock or environment data so
 that reruns of the same config are byte-identical.
@@ -109,17 +102,24 @@ def embedded_audio_set(adapter_config, params: Params, audio: EmbeddingSet) -> E
 
 @dataclass(frozen=True)
 class PreparedWorld:
-    """World plus the derived artifacts every method shares.
+    """World plus its split sides and the canonical prompts.
 
     ``world`` holds the student text, the teacher text rows and the audio
-    and image rows that :func:`prepare_world` was asked for; a side asked
-    for no audio or image rows holds none.
+    and image rows that the command draws (``_DRAWS``); a side holds no
+    row of a channel that the command does not draw for it.
     """
 
     world: World
     train_view: World
     eval_view: World
     teacher_prototypes: EmbeddingSet
+
+
+class Trained(NamedTuple):
+    """The trained state: the adapter (``None`` for ``baseline``, which
+    trains none) and the baselines' two per-species tables."""
+
+    params: Params
     audio_prototypes: EmbeddingSet
     mapped_text: EmbeddingSet
 
@@ -127,29 +127,35 @@ class PreparedWorld:
 # The split sides, in the order split_rows returns them.
 _SIDES = ("train", "eval")
 
+# What each command draws: (audio sides, image sides, every prompt
+# variant or only the canonical variant 0). train reads the train clips
+# and every prompt; eval the eval clips and images and the canonical
+# prompts, because its tables come from train; baseline every clip, for
+# the audio prototypes, with the eval images and the canonical prompts;
+# gen and run every row, because they write every .xmeb.
+_DRAWS = {
+    "gen": (_SIDES, _SIDES, True),
+    "train": (("train",), (), True),
+    "eval": (("eval",), ("eval",), False),
+    "baseline": (_SIDES, ("eval",), False),
+    "run": (_SIDES, _SIDES, True),
+}
 
-def prepare_world(
-    config: RunConfig,
-    image_sides: Tuple[str, ...] = _SIDES,
-    audio_sides: Tuple[str, ...] = _SIDES,
-    every_prompt: bool = True,
-    trained: Optional[Trained] = None,
-) -> PreparedWorld:
-    """Split, generate and build the per-species tables, drawing only the
-    image rows of ``image_sides`` and the audio rows of ``audio_sides``;
-    a side not in one holds no row of that channel.
 
-    ``every_prompt=False`` draws only the canonical variant-0 teacher
-    text rows, the teacher prototypes. ``trained`` is the state ``train``
-    handed over (:func:`load_trained`); without it both tables are built:
-    the audio prototypes from the train side's audio, which must then be
-    drawn, and the mapped text by the one fit of the text map.
+def prepare_world(config: RunConfig, command: str) -> PreparedWorld:
+    """Split and generate the rows that ``command`` draws (``_DRAWS``):
+    the audio rows of its audio sides, the image rows of its image sides
+    and every teacher prompt variant or only the canonical ones. A side
+    not among a channel's sides holds no row of that channel.
 
     The split permutations are drawn once, before any row values. The
-    world holds the sorted union of the asked sides' audio rows and of
+    world holds the sorted union of the drawn sides' audio rows and of
     their image rows, so a side's row ``r`` sits at
-    ``searchsorted(rows, r)`` of its channel's union.
+    ``searchsorted(rows, r)`` of its channel's union. Rows are drawn per
+    row key, so a row drawn alone is bit-equal to the same row of the
+    whole world.
     """
+    audio_sides, image_sides, every_prompt = _DRAWS[command]
     sides = [
         SideRows(
             rows.audio if name in audio_sides else rows.audio[:0],
@@ -175,19 +181,15 @@ def prepare_world(
         for rows in sides
     )
     teacher_prototypes = teacher_prototype_set(world) if every_prompt else world.teacher_text
-    if trained is None:
-        audio_prototypes = class_prototypes(train_view.audio_features)
-        _, mapped_text = text_mapping_baseline(world.student_text, teacher_prototypes, config.train)
-    else:
-        audio_prototypes, mapped_text = trained.audio_prototypes, trained.mapped_text
-    return PreparedWorld(
-        world=world,
-        train_view=train_view,
-        eval_view=eval_view,
-        teacher_prototypes=teacher_prototypes,
-        audio_prototypes=audio_prototypes,
-        mapped_text=mapped_text,
-    )
+    return PreparedWorld(world, train_view, eval_view, teacher_prototypes)
+
+
+def _fit_tables(config: RunConfig, prepared: PreparedWorld, params: Optional[Params]) -> Trained:
+    """``params`` with the two per-species tables built from ``prepared``:
+    the class means of the train side's audio, and the text map's output
+    from the one fit of the text map."""
+    _, mapped_text = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
+    return Trained(params, class_prototypes(prepared.train_view.audio_features), mapped_text)
 
 
 def _images_per_species_eval(prepared: PreparedWorld) -> int:
@@ -206,28 +208,27 @@ def chance_map(config: RunConfig, prepared: PreparedWorld) -> float:
 
 
 def _method_audio(
-    config: RunConfig, prepared: PreparedWorld, method: str, params: Optional[Params] = None
+    config: RunConfig, prepared: PreparedWorld, trained: Trained, method: str
 ) -> Union[EmbeddingSet, RankedList]:
     """The method table: one method's eval audio, by method name.
 
     The learned maps (``distilled``, ``random_projection``) give an
     embedding row per clip. The classify-then-look-up baselines
     (``text_mapping``, ``cascaded_zero_shot``) give a ``RankedList``:
-    each clip gets the gallery scores of its predicted species. Only
-    ``distilled`` reads ``params``, the trained adapter. Nothing here is
-    fitted: the text-mapping baseline scores ``prepared.mapped_text``,
-    the table :func:`prepare_world` built or ``train`` handed over.
+    each clip gets the gallery scores of its predicted species. Nothing
+    here is fitted: ``distilled`` reads the adapter of ``trained`` and
+    the two baselines its per-species tables.
     """
     eval_audio = prepared.eval_view.audio_features
     images = prepared.eval_view.images
     if method == "distilled":
-        return embedded_audio_set(adapter_config_for(config), params, eval_audio)
+        return embedded_audio_set(adapter_config_for(config), trained.params, eval_audio)
     if method == "random_projection":
         return random_projection_baseline(eval_audio, config.world.d_teacher, config.world.seed)
     if method == "text_mapping":
-        return text_mapping_rankings(prepared.mapped_text, eval_audio, prepared.audio_prototypes, images)
+        return text_mapping_rankings(trained.mapped_text, eval_audio, trained.audio_prototypes, images)
     if method == "cascaded_zero_shot":
-        return cascaded_zero_shot_baseline(eval_audio, images, prepared.audio_prototypes, prepared.teacher_prototypes)
+        return cascaded_zero_shot_baseline(eval_audio, images, trained.audio_prototypes, prepared.teacher_prototypes)
     raise InvalidConfigError(f"unknown method {method!r}; the methods are {', '.join(SUMMARY_METHOD_ORDER)}")
 
 
@@ -240,25 +241,27 @@ def _audio_image_map(prepared: PreparedWorld, audio: Union[EmbeddingSet, RankedL
 
 
 def baseline_report(config: RunConfig, prepared: PreparedWorld, method: str) -> Tuple[str, EvalReport]:
-    """Report key and audio-to-image retrieval mAP of one baseline, by name, on the eval split."""
+    """Report key and audio-to-image retrieval mAP of one baseline, by name,
+    on the eval split; the per-species tables are built from ``prepared``."""
     if method not in BASELINES:
         raise InvalidConfigError(f"unknown baseline {method!r}; the baselines are {', '.join(BASELINES)}")
-    return f"audio_image_map.{method}", _audio_image_map(prepared, _method_audio(config, prepared, method))
+    trained = _fit_tables(config, prepared, None)
+    return f"audio_image_map.{method}", _audio_image_map(prepared, _method_audio(config, prepared, trained, method))
 
 
-def evaluate_trained(config: RunConfig, prepared: PreparedWorld, params: Params) -> Dict[str, EvalReport]:
+def evaluate_trained(config: RunConfig, prepared: PreparedWorld, trained: Trained) -> Dict[str, EvalReport]:
     """All evaluation reports for a trained adapter plus the baselines."""
     eval_audio = prepared.eval_view.audio_features
     teacher = prepared.teacher_prototypes
     # Built before any score block: building each just before its scoring
     # raised the benchmark's eval_wide peak RSS from 56.7 to 60.7 MB, by
     # allocator reuse alone.
-    distilled = _method_audio(config, prepared, "distilled", params)
-    projected = _method_audio(config, prepared, "random_projection")
+    distilled = _method_audio(config, prepared, trained, "distilled")
+    projected = _method_audio(config, prepared, trained, "random_projection")
     audio = {"distilled": distilled, "random_projection": projected}
     reports: Dict[str, EvalReport] = {}
     for method in SUMMARY_METHOD_ORDER:
-        rows = audio[method] if method in audio else _method_audio(config, prepared, method)
+        rows = audio[method] if method in audio else _method_audio(config, prepared, trained, method)
         reports[f"audio_image_map.{method}"] = _audio_image_map(prepared, rows)
         # A method's RankedList is freed before the next method builds its
         # own: 2.6 MB off the benchmark's eval_wide peak RSS.
@@ -393,27 +396,20 @@ def write_reports(reports: Dict[str, EvalReport], chance: float, path: Union[str
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def train_stage(config: RunConfig, prepared: PreparedWorld, out: Optional[Path]) -> TrainReport:
-    """The train stage: fit the adapter; write params, the per-species
-    tables, log and manifest to ``out``."""
+def train_stage(config: RunConfig, prepared: PreparedWorld, out: Optional[Path]) -> Tuple[TrainReport, Trained]:
+    """The train stage: fit the adapter and build the per-species tables;
+    write params, tables, log and manifest to ``out``."""
     report = train_adapter(prepared.train_view, adapter_config_for(config), config.train)
+    trained = _fit_tables(config, prepared, report.final_params)
     if out is not None:
         run_hash = config_hash(config)
         out.mkdir(parents=True, exist_ok=True)
-        save_params(report.final_params, out / "params.xmpb", run_hash)
-        tables = {"audio_prototypes": prepared.audio_prototypes.matrix, "mapped_text": prepared.mapped_text.matrix}
+        save_params(trained.params, out / "params.xmpb", run_hash)
+        tables = {"audio_prototypes": trained.audio_prototypes.matrix, "mapped_text": trained.mapped_text.matrix}
         save_params(tables, out / "prototypes.xmpb", run_hash)
         write_train_log(report, out / "train_log.txt", run_hash)
         _write_manifest(out, run_hash)
-    return report
-
-
-class Trained(NamedTuple):
-    """The state :func:`train_stage` hands to ``eval``: the adapter and both tables."""
-
-    params: Params
-    audio_prototypes: EmbeddingSet
-    mapped_text: EmbeddingSet
+    return report, trained
 
 
 def _load_blob(path: Path, run_hash: str) -> Dict[str, np.ndarray]:
@@ -455,10 +451,10 @@ def load_trained(config: RunConfig, out: Path) -> Trained:
 
 
 def eval_stage(
-    config: RunConfig, prepared: PreparedWorld, params: Params, out: Optional[Path]
+    config: RunConfig, prepared: PreparedWorld, trained: Trained, out: Optional[Path]
 ) -> Tuple[Dict[str, EvalReport], float, str]:
     """The eval stage: (reports, chance, summary); write them and the manifest to ``out``."""
-    reports = evaluate_trained(config, prepared, params)
+    reports = evaluate_trained(config, prepared, trained)
     chance = chance_map(config, prepared)
     summary = render_summary(config, reports, chance)
     if out is not None:
@@ -473,9 +469,9 @@ def eval_stage(
 def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     """The three stages into ``config.output_dir``; ``write=False`` writes nothing."""
     out = Path(config.output_dir) if write else None
-    prepared = prepare_world(config)
+    prepared = prepare_world(config, "run")
     if out is not None:
         write_world_artifacts(config, prepared.world, out)
-    train_report = train_stage(config, prepared, out)
-    reports, chance, summary = eval_stage(config, prepared, train_report.final_params, out)
+    train_report, trained = train_stage(config, prepared, out)
+    reports, chance, summary = eval_stage(config, prepared, trained, out)
     return ExperimentResult(config, config_hash(config), prepared, train_report, reports, chance, summary)

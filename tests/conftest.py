@@ -42,7 +42,7 @@ def small_world():
 @pytest.fixture(scope="session")
 def small_prepared():
     """The small world as every stage prepares it: holdout 0.25, split by the world's seed."""
-    return prepare_world(RunConfig(world=SMALL_WORLD))
+    return prepare_world(RunConfig(world=SMALL_WORLD), "run")
 
 
 @pytest.fixture(scope="session")

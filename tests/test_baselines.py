@@ -241,14 +241,15 @@ class TestClassTables:
         # and 4 swapped scores mAP 0.6131 in place of 0.6269, and a
         # shuffled one indexes past the table.
         config = parse_config("")
-        prepared = prepare_world(config)
+        prepared = prepare_world(config, "run")
         _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
         audio = prepared.eval_view.audio_features
         images = prepared.eval_view.images
-        ranked = text_mapping_rankings(table, audio, prepared.audio_prototypes, images)
+        audio_prototypes = class_prototypes(prepared.train_view.audio_features)
+        ranked = text_mapping_rankings(table, audio, audio_prototypes, images)
         assert f"{map_from_ranked(ranked, audio.labels, images.labels).value:.4f}" == "0.6269"
         with pytest.raises(SpeciesMismatchError, match="^mapped table must hold one row per class"):
-            text_mapping_rankings(table.take(rows), audio, prepared.audio_prototypes, images)
+            text_mapping_rankings(table.take(rows), audio, audio_prototypes, images)
 
 
 # SHA-256 of (the mapped table's matrix.tobytes(), repr(loss_curve)) fit on

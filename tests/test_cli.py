@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from xmodal import (
-    class_prototypes,
     generate_world,
     load_params,
     read_embedding_set,
@@ -25,6 +24,7 @@ from xmodal import (
 from xmodal import cli as cli_module
 from xmodal import world as world_module
 from xmodal.cli import build_parser, main
+from xmodal.pipeline import _DRAWS
 from xmodal.runconfig import parse_config
 
 SMALL_CONFIG = """
@@ -499,21 +499,20 @@ class TestRowsEachStageDraws:
             assert ("audio", world.n_species * world.audio_per_species) in draws
             assert ("teacher_text", world.n_species * world.variant_count) in draws
 
-    @pytest.mark.parametrize("command", ["train", "eval", "baseline"])
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "baseline"])
     def test_each_stage_draws_its_clips_and_prompts(self, config_path, command):
-        # train reads the train clips and every prompt variant. eval reads
-        # the eval clips, the canonical prompts and train's prototypes.
-        # baseline builds the prototypes itself, so it reads every clip.
-        if command != "train":
+        # Each command draws the clips of its audio sides and every prompt
+        # variant or only the canonical ones, as the draw table says.
+        if command in ("eval", "baseline"):
             run_cli("train", "--config", str(config_path))
         extra = ["--kind", "text_mapping"] if command == "baseline" else []
         draws, (prepared,) = self.run(config_path, command, *extra)
         config = self.config_of(config_path)
         whole = generate_world(config.world)
         split = dict(zip(("train", "eval"), split_rows(config.world, config.eval.holdout_fraction, config.world.seed)))
-        sides = {"train": ["train"], "eval": ["eval"], "baseline": ["train", "eval"]}[command]
+        sides, _, every_prompt = _DRAWS[command]
         canonical = np.arange(config.world.n_species) * config.world.variant_count
-        prompts = np.arange(whole.teacher_text.n_items) if command == "train" else canonical
+        prompts = np.arange(whole.teacher_text.n_items) if every_prompt else canonical
         audio = np.sort(np.concatenate([split[side].audio for side in sides]))
         assert [n for name, n in draws if name == "audio"] == [audio.size]
         assert [n for name, n in draws if name == "teacher_text"] == [prompts.size]
@@ -528,10 +527,8 @@ class TestRowsEachStageDraws:
         for name, view in (("train", prepared.train_view), ("eval", prepared.eval_view)):
             rows = split[name].audio if name in sides else np.empty(0, np.int64)
             assert_rows_of(view.audio_features, whole.audio_features, rows)
-        expected = class_prototypes(whole.audio_features.take(split["train"].audio))
-        assert_rows_of(prepared.audio_prototypes, expected, np.arange(config.world.n_species))
 
-    @pytest.mark.parametrize("command", ["train", "eval", "baseline", "run"])
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "baseline", "run"])
     def test_split_permutations_drawn_once_per_stage(self, config_path, command):
         if command in ("eval", "baseline"):
             run_cli("train", "--config", str(config_path))

@@ -25,6 +25,7 @@ from xmodal import cli, evaluation
 from xmodal.embeddings import similarity_matrix
 from xmodal.evaluation import nearest_prototype, rank_by_score
 from xmodal.pipeline import (
+    _DRAWS,
     BASELINES,
     SUMMARY_METHOD_ORDER,
     _method_audio,
@@ -36,6 +37,7 @@ from xmodal.pipeline import (
     render_summary,
     run_experiment,
     teacher_prototype_set,
+    train_stage,
     write_reports,
     write_train_log,
     write_world_artifacts,
@@ -82,20 +84,21 @@ class TestPreparation:
         assert np.array_equal(out.matrix, adapter_forward(SMALL_ADAPTER, params, audio.matrix)[0])
 
     def test_prepare_world(self, small_run_config):
-        prepared = prepare_world(small_run_config)
+        prepared = prepare_world(small_run_config, "run")
         assert prepared.world.n_species == 8
         n_audio = prepared.train_view.audio_features.n_items + prepared.eval_view.audio_features.n_items
         assert n_audio == prepared.world.audio_features.n_items
         assert np.array_equal(prepared.teacher_prototypes.labels, np.arange(8))
-        # Audio prototypes come from the train side only.
-        assert np.array_equal(prepared.audio_prototypes.labels, np.arange(8))
+        # train builds the audio prototypes from the train side only.
+        _, trained = train_stage(small_run_config, prepared, None)
+        assert np.array_equal(trained.audio_prototypes.labels, np.arange(8))
         sp0 = prepared.train_view.audio_features.matrix[
             prepared.train_view.audio_features.labels == 0
         ]
-        assert np.allclose(prepared.audio_prototypes.matrix[0], sp0.mean(axis=0), atol=1e-12)
+        assert np.allclose(trained.audio_prototypes.matrix[0], sp0.mean(axis=0), atol=1e-12)
 
     def test_chance_map_in_range(self, small_run_config):
-        prepared = prepare_world(small_run_config)
+        prepared = prepare_world(small_run_config, "run")
         value = chance_map(small_run_config, prepared)
         assert 0.0 < value < 1.0
 
@@ -121,9 +124,10 @@ class TestBaselineReports:
             baseline_report(small_run_config, small_result.prepared, method)
 
     def test_method_table_rejects_an_unknown_name(self, small_result, small_run_config):
-        # An unknown name is an error, not the last method of the table.
+        # An unknown name is an error, not the last method of the table,
+        # and is refused before any trained state is read.
         with pytest.raises(InvalidConfigError, match="unknown method 'cascade'"):
-            _method_audio(small_run_config, small_result.prepared, "cascade")
+            _method_audio(small_run_config, small_result.prepared, None, "cascade")
 
 
 class TestEvaluateTrained:
@@ -294,7 +298,7 @@ TRAINING_ARTIFACT_SHA256 = {
 )
 def test_training_artifact_bytes_pinned(overrides, tmp_path):
     config = parse_config(overrides)
-    prepared = prepare_world(config)
+    prepared = prepare_world(config, "run")
     report = train_adapter(prepared.train_view, adapter_config_for(config), config.train)
     run_hash = config_hash(config)
     save_params(report.final_params, tmp_path / "params.xmpb", run_hash)
@@ -364,12 +368,12 @@ def test_text_mapping_map_matches_a_python_oracle(world, monkeypatch):
     config = parse_config("")
     if world == "eval_wide":
         config = parse_config(perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG)
-    prepared = prepare_world(config)
+    prepared = prepare_world(config, "run")
     _, report = baseline_report(config, prepared, "text_mapping")
     _, table = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
     audio = prepared.eval_view.audio_features
     images = prepared.eval_view.images
-    predicted, _ = nearest_prototype(audio, prepared.audio_prototypes)
+    predicted, _ = nearest_prototype(audio, class_prototypes(prepared.train_view.audio_features))
     species = np.unique(predicted).tolist()
     assert len(species) < audio.n_items / 2
     mapped = table.take(np.searchsorted(table.labels, species))
@@ -392,27 +396,30 @@ def assert_rows_of(held, whole, rows):
     assert held.labels.tolist() == whole.labels[rows].tolist()
 
 
-@pytest.mark.parametrize("image_sides", [(), ("eval",), ("train", "eval")], ids=["none", "eval", "both"])
+@pytest.mark.parametrize("command", list(_DRAWS))
 @pytest.mark.parametrize("world", ["default", "eval_wide"])
-def test_prepare_world_holds_each_side_at_its_split_rows(world, image_sides, monkeypatch):
-    # Each side is the whole world at its split_rows positions; a side not
-    # in image_sides holds no image, and the world holds exactly the
-    # sorted union of the asked sides' image rows.
+def test_prepare_world_holds_each_side_at_its_split_rows(world, command, monkeypatch):
+    # Each side holds the whole world's rows at its split_rows positions,
+    # in each channel the command draws that side of, and no row in the
+    # other channels; the world holds exactly the sorted union of the
+    # drawn sides' rows of each channel.
     config = parse_config("")
     if world == "eval_wide":
         config = parse_config(perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG)
-    prepared = prepare_world(config, image_sides=image_sides)
+    prepared = prepare_world(config, command)
     whole = generate_world(config.world)
-    train, eval_ = split_rows(config.world, config.eval.holdout_fraction, config.world.seed)
-    sides = {"train": train, "eval": eval_}
-    union = np.sort(np.concatenate([np.empty(0, np.int64)] + [sides[name].images for name in image_sides]))
-    assert_rows_of(prepared.world.images, whole.images, union)
-    for name, view in (("train", prepared.train_view), ("eval", prepared.eval_view)):
-        assert_rows_of(view.audio_features, whole.audio_features, sides[name].audio)
-        if name in image_sides:
-            assert_rows_of(view.images, whole.images, sides[name].images)
-        else:
-            assert view.images.n_items == 0
+    split = dict(zip(("train", "eval"), split_rows(config.world, config.eval.holdout_fraction, config.world.seed)))
+    views = {"train": prepared.train_view, "eval": prepared.eval_view}
+    audio_sides, image_sides, _ = _DRAWS[command]
+    for channel, drawn_sides, rows_of in (
+        ("audio_features", audio_sides, lambda rows: rows.audio),
+        ("images", image_sides, lambda rows: rows.images),
+    ):
+        union = np.sort(np.concatenate([np.empty(0, np.int64)] + [rows_of(split[name]) for name in drawn_sides]))
+        assert_rows_of(getattr(prepared.world, channel), getattr(whole, channel), union)
+        for name, view in views.items():
+            rows = rows_of(split[name]) if name in drawn_sides else np.empty(0, np.int64)
+            assert_rows_of(getattr(view, channel), getattr(whole, channel), rows)
 
 
 @pytest.mark.parametrize("world", ["default", "eval_wide"])
@@ -436,6 +443,27 @@ def test_train_hands_over_the_prototypes_of_the_whole_worlds_train_rows(world, t
     _, mapped = text_mapping_baseline(whole.student_text, teacher_prototype_set(whole), config.train)
     assert trained.mapped_text.matrix.tobytes() == mapped.matrix.tobytes()
     assert trained.mapped_text.labels.tolist() == mapped.labels.tolist() == list(range(config.world.n_species))
+
+
+def test_train_stage_returns_the_trained_state_that_eval_loads(tmp_path, monkeypatch):
+    # run scores the Trained that train_stage returns, and eval the one
+    # that load_trained reads back from train's directory. On the default
+    # config they hold the same arrays, bit for bit, with the same labels
+    # and modalities.
+    config = parse_config("")
+    monkeypatch.chdir(tmp_path)
+    out = Path(config.output_dir)
+    _, returned = train_stage(config, prepare_world(config, "run"), out)
+    loaded = load_trained(config, out)
+    assert sorted(loaded.params) == sorted(returned.params)
+    for name, array in returned.params.items():
+        assert (loaded.params[name].dtype, loaded.params[name].shape) == (array.dtype, array.shape)
+        assert loaded.params[name].tobytes() == array.tobytes()
+    for held, read in ((returned.audio_prototypes, loaded.audio_prototypes), (returned.mapped_text, loaded.mapped_text)):
+        assert (read.matrix.dtype, read.matrix.shape) == (held.matrix.dtype, held.matrix.shape)
+        assert read.matrix.tobytes() == held.matrix.tobytes()
+        assert (read.labels.dtype, read.labels.tolist()) == (held.labels.dtype, held.labels.tolist())
+        assert read.modality == held.modality
 
 
 def test_benchmark_tracer_wraps_and_restores_ranked_list(monkeypatch):
