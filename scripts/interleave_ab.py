@@ -7,18 +7,25 @@ each tree's modules apart. Every round runs one op of WORKLOAD on each
 tree, at the same seed, through ``perfbench/workloads.run_op``, as the
 benchmark runs it, and checks its output digests against
 ``perfbench/reference.json``. Rounds alternate which tree goes first,
-and one untimed op per tree runs before the first round.
+and one untimed op per tree runs before the first round. That warm-up
+op's command (not its fixture) runs under ``tracemalloc``, through the
+``before``/``after`` hooks of ``run_op``. The new tree's warm-up goes
+first, so its peak also holds the process's one-time lazy imports (NumPy
+imports ``numpy.ma`` on the first ``np.unique``, about 1 MB).
 
 Both sides share one process, one host state and one time window, so
-their gap is not the swing between separate benchmark runs. Only the
-op's wall time is compared; set-up and peak RSS need separate processes.
+their gap is not the swing between separate benchmark runs. The op's
+wall time is compared, and the warm-up command's traced peak is printed;
+set-up and peak RSS need separate processes.
 
 Usage:
     python3 scripts/interleave_ab.py OLD_TREE NEW_TREE WORKLOAD --rounds N [--seed S]
 
 Prints each side's median op seconds and quartiles, the median of the
-per-round ratio new/old, and the rounds where the new tree was faster,
-then one JSON line with every round's seconds. Exits 1 if any op fails.
+per-round ratio new/old, the rounds where the new tree was faster and
+each side's traced peak of its warm-up command (MB allocated above what
+was live when it started), then one JSON line with every round's
+seconds. Exits 1 if any op fails.
 """
 
 import argparse
@@ -28,6 +35,7 @@ import json
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,6 +62,17 @@ def load_cli(tree: Path, alias: str):
     return importlib.import_module(f"{alias}.cli")
 
 
+def tracing(peaks, side):
+    """``before`` and ``after`` hooks of ``run_op`` that store the traced
+    peak of the command they enclose, in MB, as ``peaks[side]``."""
+
+    def after():
+        peaks[side] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+
+    return tracemalloc.start, after
+
+
 def quartiles(values):
     if len(values) < 2:
         return ""
@@ -76,13 +95,17 @@ def main(argv=None) -> int:
     reference = workloads.load_reference()[workload.name]
     clis = {side: load_cli(tree, f"xmodal_{side}") for side, tree in zip(SIDES, (args.old_tree, args.new_tree))}
     seconds = {side: [] for side in SIDES}
+    peaks = {}
     failed = 0
     with tempfile.TemporaryDirectory(prefix="interleave-ab-") as workdir:
         for index in range(-1, args.rounds):
             seed = workload.op_seed(args.seed, max(index, 0))
             order = SIDES if index % 2 == 0 else SIDES[::-1]
+            expected = reference.get(str(seed))
+            # The untimed warm-up op runs its command under tracemalloc.
+            hooks = {side: tracing(peaks, side) if index < 0 else () for side in SIDES}
             results = {
-                side: workloads.run_op(clis[side], workload, seed, Path(workdir), reference.get(str(seed)))
+                side: workloads.run_op(clis[side], workload, seed, Path(workdir), expected, *hooks[side])
                 for side in order
             }
             for side, result in results.items():
@@ -102,6 +125,9 @@ def main(argv=None) -> int:
         wins = sum(new < old for old, new in zip(seconds["old"], seconds["new"]))
         print(f"median paired ratio new/old = {statistics.median(ratios):.4f}")
         print(f"new faster in {wins} of {rounds} rounds")
+    for side in SIDES:
+        if side in peaks:
+            print(f"{side}  warm-up command traced peak {peaks[side]:.3f} MB")
     print(json.dumps({"workload": workload.name, "seed": args.seed, "failed": failed, "seconds": seconds}))
     return 1 if failed else 0
 

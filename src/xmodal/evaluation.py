@@ -463,5 +463,5 @@ def zero_shot_classify(queries: EmbeddingSet, prototypes: EmbeddingSet) -> EvalR
         raise TooFewItemsError("no queries to classify")
     check_labels_covered(queries.labels, prototypes.labels, "no prototype for labels {}")
     predicted, _ = nearest_prototype(queries, prototypes)
-    per_query = tuple(float(p == t) for p, t in zip(predicted, queries.labels))
+    per_query = tuple((predicted == queries.labels).astype(np.float64).tolist())
     return EvalReport(per_query=per_query, metadata={"n_prototypes": prototypes.n_items})

@@ -49,6 +49,7 @@ from .baselines import (
 from .embeddings import EmbeddingSet, Modality
 from .errors import FileFormatError, InvalidConfigError, ShapeMismatchError, XmodalError
 from .evaluation import (
+    _BLOCK_CELLS,
     EvalReport,
     RankedList,
     chance_map_oracle,
@@ -96,8 +97,27 @@ def teacher_prototype_set(world: World) -> EmbeddingSet:
 
 
 def embedded_audio_set(adapter_config, params: Params, audio: EmbeddingSet) -> EmbeddingSet:
-    """Audio rows pushed through the adapter, labels preserved."""
-    return EmbeddingSet(adapter_forward(adapter_config, params, audio.matrix)[0], audio.labels, Modality.AUDIO)
+    """Audio rows pushed through the adapter, labels preserved.
+
+    The rows go through in blocks written into one output, so no
+    activation grows with the number of clips. ``height`` is the
+    evaluation block budget over the adapter's widest layer (256 rows at
+    ``d_hidden = 512``, a 1 MB hidden block). ``n`` rows make
+    ``n // height`` blocks of near-equal size, so no block is shorter
+    than ``height`` and a set of fewer than two blocks' rows goes
+    through in one call. A short tail block would change the bits: on
+    the benchmark's ``eval_wide`` adapter, every block of 51 rows or more
+    held the bits of the same rows of the whole forward, and every block
+    of 50 or fewer (OpenBLAS's small-matrix path) did not.
+    """
+    n = audio.n_items
+    height = max(1, _BLOCK_CELLS // max(fan_out for _, _, fan_out, _ in adapter_config.layers))
+    blocks = max(1, n // height)
+    edges = [n * block // blocks for block in range(blocks + 1)]
+    out = np.empty((n, adapter_config.d_teacher))
+    for start, stop in zip(edges, edges[1:]):
+        out[start:stop] = adapter_forward(adapter_config, params, audio.matrix[start:stop])[0]
+    return EmbeddingSet(out, audio.labels, Modality.AUDIO)
 
 
 @dataclass(frozen=True)
@@ -117,11 +137,13 @@ class PreparedWorld:
 
 class Trained(NamedTuple):
     """The trained state: the adapter (``None`` for ``baseline``, which
-    trains none) and the baselines' two per-species tables."""
+    trains none) and the baselines' two per-species tables. ``baseline``
+    leaves ``mapped_text`` ``None`` unless it scores ``text_mapping``,
+    the one method that reads it."""
 
     params: Params
     audio_prototypes: EmbeddingSet
-    mapped_text: EmbeddingSet
+    mapped_text: Optional[EmbeddingSet]
 
 
 # The split sides, in the order split_rows returns them.
@@ -184,11 +206,15 @@ def prepare_world(config: RunConfig, command: str) -> PreparedWorld:
     return PreparedWorld(world, train_view, eval_view, teacher_prototypes)
 
 
-def _fit_tables(config: RunConfig, prepared: PreparedWorld, params: Optional[Params]) -> Trained:
-    """``params`` with the two per-species tables built from ``prepared``:
-    the class means of the train side's audio, and the text map's output
-    from the one fit of the text map."""
-    _, mapped_text = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
+def _fit_tables(
+    config: RunConfig, prepared: PreparedWorld, params: Optional[Params], fit_text_map: bool = True
+) -> Trained:
+    """``params`` with the per-species tables built from ``prepared``: the
+    class means of the train side's audio, and, if ``fit_text_map``, the
+    text map's output from the one fit of the text map."""
+    mapped_text = None
+    if fit_text_map:
+        _, mapped_text = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
     return Trained(params, class_prototypes(prepared.train_view.audio_features), mapped_text)
 
 
@@ -242,10 +268,11 @@ def _audio_image_map(prepared: PreparedWorld, audio: Union[EmbeddingSet, RankedL
 
 def baseline_report(config: RunConfig, prepared: PreparedWorld, method: str) -> Tuple[str, EvalReport]:
     """Report key and audio-to-image retrieval mAP of one baseline, by name,
-    on the eval split; the per-species tables are built from ``prepared``."""
+    on the eval split; the per-species tables are built from ``prepared``,
+    and the text map is fitted only for ``text_mapping``."""
     if method not in BASELINES:
         raise InvalidConfigError(f"unknown baseline {method!r}; the baselines are {', '.join(BASELINES)}")
-    trained = _fit_tables(config, prepared, None)
+    trained = _fit_tables(config, prepared, None, fit_text_map=method == "text_mapping")
     return f"audio_image_map.{method}", _audio_image_map(prepared, _method_audio(config, prepared, trained, method))
 
 
@@ -253,19 +280,21 @@ def evaluate_trained(config: RunConfig, prepared: PreparedWorld, trained: Traine
     """All evaluation reports for a trained adapter plus the baselines."""
     eval_audio = prepared.eval_view.audio_features
     teacher = prepared.teacher_prototypes
-    # Built before any score block: building each just before its scoring
-    # raised the benchmark's eval_wide peak RSS from 56.7 to 60.7 MB, by
-    # allocator reuse alone.
-    distilled = _method_audio(config, prepared, trained, "distilled")
-    projected = _method_audio(config, prepared, trained, "random_projection")
-    audio = {"distilled": distilled, "random_projection": projected}
+    # Each method's rows are built when the loop reaches them, and the
+    # embedding sets are kept for the reports below. Since the forward
+    # runs in row blocks, building both sets before any score block
+    # raised the benchmark's eval_wide peak RSS from 49.4 to 50.2 MB.
+    embedded: Dict[str, EmbeddingSet] = {}
     reports: Dict[str, EvalReport] = {}
     for method in SUMMARY_METHOD_ORDER:
-        rows = audio[method] if method in audio else _method_audio(config, prepared, trained, method)
+        rows = _method_audio(config, prepared, trained, method)
+        if isinstance(rows, EmbeddingSet):
+            embedded[method] = rows
         reports[f"audio_image_map.{method}"] = _audio_image_map(prepared, rows)
         # A method's RankedList is freed before the next method builds its
         # own: 2.6 MB off the benchmark's eval_wide peak RSS.
         del rows
+    distilled, projected = embedded["distilled"], embedded["random_projection"]
     # kNN is leave-one-out within the eval split (self-matches excluded),
     # so raw and distilled embeddings face the same neighbor pool.
     k = config.eval.knn_k

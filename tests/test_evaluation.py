@@ -801,7 +801,10 @@ class TestZeroShot:
     def test_partial_accuracy(self):
         protos = eset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
         q = eset([[0.9, 0.1], [0.9, 0.1]], [0, 1])
-        assert zero_shot_classify(q, protos).value == 0.5
+        report = zero_shot_classify(q, protos)
+        assert report.value == 0.5
+        assert report.per_query == (1.0, 0.0)
+        assert [type(value) for value in report.per_query] == [float, float]
 
     def test_missing_prototype(self):
         protos = eset([[1.0, 0.0]], [0])

@@ -47,6 +47,7 @@ from xmodal.storage import save_params
 from xmodal.trainer import adapter_forward, init_params, train_adapter
 
 from test_acceptance import oracle_ap
+from test_evaluation import gaussian_set, traced_peak_mb
 
 EXPECTED_REPORT_KEYS = {
     "audio_image_map.distilled",
@@ -464,6 +465,52 @@ def test_train_stage_returns_the_trained_state_that_eval_loads(tmp_path, monkeyp
         assert read.matrix.tobytes() == held.matrix.tobytes()
         assert (read.labels.dtype, read.labels.tolist()) == (held.labels.dtype, held.labels.tolist())
         assert read.modality == held.modality
+
+
+@pytest.fixture(scope="module")
+def eval_wide_adapter():
+    """The benchmark's eval_wide config at seed 7: its adapter config, the
+    params it trains and its eval clips."""
+    with pytest.MonkeyPatch.context() as patch:
+        config = parse_config(perfbench_module("workloads", patch).EVAL_WIDE_CONFIG)
+    prepared = prepare_world(config, "run")
+    report = train_adapter(prepared.train_view, adapter_config_for(config), config.train)
+    return adapter_config_for(config), report.final_params, prepared.eval_view.audio_features
+
+
+@pytest.mark.parametrize(
+    "world, n_rows", [("default", 240), ("eval_wide", 257), ("eval_wide", 300), ("eval_wide", 1920)]
+)
+def test_embedded_audio_set_holds_the_bits_of_the_whole_forward(world, n_rows, request):
+    # The eval forward runs in blocks of at least 256 rows at d_hidden =
+    # 512, and their rows are bit-equal to the same rows of one whole
+    # forward: the default eval split (240 clips, one block), all 1920
+    # eval_wide clips (seven blocks), and prefixes of 257 and 300 clips,
+    # whose tail after one 256-row block would be 1 and 44 rows: short
+    # enough for OpenBLAS's small-matrix path, which changes the bits.
+    if world == "default":
+        result, _ = request.getfixturevalue("default_experiment")
+        adapter = adapter_config_for(result.config)
+        params, clips = result.train_report.final_params, result.prepared.eval_view.audio_features
+    else:
+        adapter, params, clips = request.getfixturevalue("eval_wide_adapter")
+    assert clips.n_items == {"default": 240, "eval_wide": 1920}[world]
+    clips = clips.take(np.arange(n_rows))
+    whole = adapter_forward(adapter, params, clips.matrix)[0]
+    blocked = embedded_audio_set(adapter, params, clips)
+    assert blocked.matrix.shape == whole.shape
+    assert blocked.matrix.tobytes() == whole.tobytes()
+    assert blocked.labels.tolist() == clips.labels.tolist()
+
+
+def test_embedded_audio_set_holds_no_whole_hidden_activation():
+    # 1920 clips through the default adapter: one whole forward holds a
+    # 1920 x 512 float64 hidden activation (7.5 MB); the blocks hold at
+    # most 511 rows of it at a time, next to the 0.5 MB output.
+    adapter = adapter_config_for(parse_config(""))
+    params = init_params(adapter, seed=7)
+    clips = gaussian_set(1920, adapter.d_in, 0)
+    assert traced_peak_mb(lambda: embedded_audio_set(adapter, params, clips)) < 2.0
 
 
 def test_benchmark_tracer_wraps_and_restores_ranked_list(monkeypatch):

@@ -5,6 +5,7 @@ alternates two trees' ops in one process."""
 
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -81,3 +82,7 @@ def test_interleave_ab_runs_one_round_of_the_repo_against_itself(capsys, monkeyp
     assert [line.split()[:2] for line in out[1:3]] == [["old", "median"], ["new", "median"]]
     assert out[3].startswith("median paired ratio new/old = ")
     assert out[4] in ("new faster in 0 of 1 rounds", "new faster in 1 of 1 rounds")
+    # Then each side's traced peak of its untimed eval command: a few MB.
+    for side, line in zip(script.SIDES, out[5:7]):
+        match = re.fullmatch(rf"{side}  warm-up command traced peak ([0-9]+\.[0-9]{{3}}) MB", line)
+        assert match and 1.0 < float(match[1]) < 20.0, line
