@@ -10,8 +10,10 @@ benchmark runs it, and checks its output digests against
 and one untimed op per tree runs before the first round. That warm-up
 op's command (not its fixture) runs under ``tracemalloc``, through the
 ``before``/``after`` hooks of ``run_op``. The new tree's warm-up goes
-first, so its peak also holds the process's one-time lazy imports (NumPy
-imports ``numpy.ma`` on the first ``np.unique``, about 1 MB).
+first, so its peak also holds the process's one-time lazy imports that
+both trees make. A lazy import that only one tree makes lands in that
+tree's peak: a tree whose label checks call ``np.setdiff1d`` imports
+``numpy.ma`` (about 1 MB) through its plain ``np.unique``.
 
 Both sides share one process, one host state and one time window, so
 their gap is not the swing between separate benchmark runs. The op's

@@ -429,9 +429,9 @@ def class_prototypes(embedding_set: EmbeddingSet) -> EmbeddingSet:
 
 def check_labels_covered(labels: np.ndarray, known: np.ndarray, message: str) -> None:
     """Raise MissingPrototypeError, filling ``message``'s ``{}`` with the labels not in ``known``."""
-    missing = np.setdiff1d(labels, known)
-    if missing.size:
-        raise MissingPrototypeError(message.format(missing.tolist()))
+    # np.isin, since np.setdiff1d's plain np.unique imports numpy.ma.
+    if not np.isin(labels, known).all():
+        raise MissingPrototypeError(message.format(np.setdiff1d(labels, known).tolist()))
 
 
 def check_class_table(table: EmbeddingSet, name: str) -> None:

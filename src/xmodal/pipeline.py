@@ -20,11 +20,10 @@ A stage draws only the world rows it reads: :func:`prepare_world` takes
 each command's sides and prompts from one table, ``_DRAWS``, and is the
 only code that turns the split into rows.
 
-``SUMMARY_METHOD_ORDER`` is the one list of method names. One builder
-maps each to its teacher-space eval audio rows (the text mapping and the
-cascade: their ``RankedList``), shared by ``evaluate_trained`` and
-``baseline_report``, which builds its own :class:`Trained` with no
-adapter.
+``_SUMMARY_BLOCKS`` is the one list of reports, keyed ``<metric>.<method>``:
+a method table builds each method's eval audio and a metric table scores it,
+for ``evaluate_trained`` and for ``baseline_report`` (which builds its own
+:class:`Trained` with no adapter).
 
 The summary is deliberately free of wallclock or environment data so
 that reruns of the same config are byte-identical.
@@ -81,6 +80,17 @@ _SUMMARY_BLOCKS = {
         "zero_shot_accuracy.random_projection": "zero-shot random-proj",
         "text_audio_map.distilled": "text->audio map@{map_k}",
     },
+}
+
+# The metric table: report ``<metric>.<method>`` is one call on the method's eval audio.
+_METRICS = {
+    "audio_image_map": lambda config, prepared, audio: _audio_image_map(prepared, audio),
+    # kNN is leave-one-out on the eval split, so every method faces the same neighbor pool.
+    "knn_accuracy": lambda config, prepared, audio: knn_classify(audio, audio, config.eval.knn_k),
+    "zero_shot_accuracy": lambda config, prepared, audio: zero_shot_classify(audio, prepared.teacher_prototypes),
+    "text_audio_map": lambda config, prepared, audio: map_retrieval(
+        prepared.teacher_prototypes, audio, k=config.eval.map_k
+    ),
 }
 
 # World sets go to NAME.xmeb; the manifest lists every artifact present.
@@ -243,10 +253,12 @@ def _method_audio(
     (``text_mapping``, ``cascaded_zero_shot``) give a ``RankedList``:
     each clip gets the gallery scores of its predicted species. Nothing
     here is fitted: ``distilled`` reads the adapter of ``trained`` and
-    the two baselines its per-species tables.
+    the two baselines its per-species tables. ``raw`` is the eval clips.
     """
     eval_audio = prepared.eval_view.audio_features
     images = prepared.eval_view.images
+    if method == "raw":
+        return eval_audio
     if method == "distilled":
         return embedded_audio_set(adapter_config_for(config), trained.params, eval_audio)
     if method == "random_projection":
@@ -255,7 +267,7 @@ def _method_audio(
         return text_mapping_rankings(trained.mapped_text, eval_audio, trained.audio_prototypes, images)
     if method == "cascaded_zero_shot":
         return cascaded_zero_shot_baseline(eval_audio, images, trained.audio_prototypes, prepared.teacher_prototypes)
-    raise InvalidConfigError(f"unknown method {method!r}; the methods are {', '.join(SUMMARY_METHOD_ORDER)}")
+    raise InvalidConfigError(f"unknown method {method!r}; the methods are {', '.join(('raw', *SUMMARY_METHOD_ORDER))}")
 
 
 def _audio_image_map(prepared: PreparedWorld, audio: Union[EmbeddingSet, RankedList]) -> EvalReport:
@@ -273,36 +285,22 @@ def baseline_report(config: RunConfig, prepared: PreparedWorld, method: str) -> 
     if method not in BASELINES:
         raise InvalidConfigError(f"unknown baseline {method!r}; the baselines are {', '.join(BASELINES)}")
     trained = _fit_tables(config, prepared, None, fit_text_map=method == "text_mapping")
-    return f"audio_image_map.{method}", _audio_image_map(prepared, _method_audio(config, prepared, trained, method))
+    metric = "audio_image_map"
+    return f"{metric}.{method}", _METRICS[metric](config, prepared, _method_audio(config, prepared, trained, method))
 
 
 def evaluate_trained(config: RunConfig, prepared: PreparedWorld, trained: Trained) -> Dict[str, EvalReport]:
-    """All evaluation reports for a trained adapter plus the baselines."""
-    eval_audio = prepared.eval_view.audio_features
-    teacher = prepared.teacher_prototypes
-    # Each method's rows are built when the loop reaches them, and the
-    # embedding sets are kept for the reports below. Since the forward
-    # runs in row blocks, building both sets before any score block
-    # raised the benchmark's eval_wide peak RSS from 49.4 to 50.2 MB.
-    embedded: Dict[str, EmbeddingSet] = {}
+    """Every report of ``_SUMMARY_BLOCKS`` but the chance. Each method's
+    eval audio is built once, in table order, scored by every metric filed
+    under it, and freed before the next method builds its own."""
+    keys = [key.split(".") for labels in _SUMMARY_BLOCKS.values() for key in labels if key != "chance_map"]
     reports: Dict[str, EvalReport] = {}
-    for method in SUMMARY_METHOD_ORDER:
-        rows = _method_audio(config, prepared, trained, method)
-        if isinstance(rows, EmbeddingSet):
-            embedded[method] = rows
-        reports[f"audio_image_map.{method}"] = _audio_image_map(prepared, rows)
-        # A method's RankedList is freed before the next method builds its
-        # own: 2.6 MB off the benchmark's eval_wide peak RSS.
-        del rows
-    distilled, projected = embedded["distilled"], embedded["random_projection"]
-    # kNN is leave-one-out within the eval split (self-matches excluded),
-    # so raw and distilled embeddings face the same neighbor pool.
-    k = config.eval.knn_k
-    reports["knn_accuracy.raw"] = knn_classify(eval_audio, eval_audio, k)
-    reports["knn_accuracy.distilled"] = knn_classify(distilled, distilled, k)
-    reports["zero_shot_accuracy.distilled"] = zero_shot_classify(distilled, teacher)
-    reports["zero_shot_accuracy.random_projection"] = zero_shot_classify(projected, teacher)
-    reports["text_audio_map.distilled"] = map_retrieval(teacher, distilled, k=config.eval.map_k)
+    for method in dict.fromkeys(method for _, method in keys):
+        audio = _method_audio(config, prepared, trained, method)
+        for metric, of in keys:
+            if of == method:
+                reports[f"{metric}.{method}"] = _METRICS[metric](config, prepared, audio)
+        del audio
     return reports
 
 

@@ -1,8 +1,12 @@
 """Retrieval and classification metrics against hand-computed oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,6 +42,7 @@ from xmodal.rng import rng_for
 
 from conftest import EXACT_PALETTE, brute_force_scores, exact_sets
 from test_acceptance import oracle_ap, oracle_knn_loo, oracle_map, oracle_pair_scores, oracle_rank
+from test_cli import SMALL_CONFIG
 
 
 def eset(matrix, labels, modality=Modality.AUDIO) -> EmbeddingSet:
@@ -821,6 +826,25 @@ class TestZeroShot:
         # Raised a bare ZeroDivisionError from the mean of no queries.
         with pytest.raises(TooFewItemsError, match="no queries"):
             zero_shot_classify(eset(np.zeros((0, 2)), []), eset(np.eye(2), [0, 1]))
+
+
+def test_a_run_never_imports_numpy_ma(tmp_path):
+    # The label checks test membership with np.isin: np.setdiff1d's plain
+    # np.unique imports numpy.ma, about 1 MB and 24 ms per process. A fresh
+    # interpreter, because this one may hold numpy.ma already.
+    config = tmp_path / "config.txt"
+    config.write_text(SMALL_CONFIG + f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from xmodal.cli import main\n"
+        f"status = main(['run', '--config', {str(config)!r}])\n"
+        "print('status', status, 'numpy.ma', 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(evaluation.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "status 0 numpy.ma False"
 
 
 # -- batched evaluation against the acceptance gate's naive oracles -------------

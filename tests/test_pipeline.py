@@ -21,7 +21,7 @@ from xmodal import (
     split_rows,
     text_mapping_baseline,
 )
-from xmodal import cli, evaluation
+from xmodal import cli, evaluation, pipeline
 from xmodal.embeddings import similarity_matrix
 from xmodal.evaluation import nearest_prototype, rank_by_score
 from xmodal.pipeline import (
@@ -65,6 +65,11 @@ EXPECTED_REPORT_KEYS = {
 @pytest.fixture(scope="module")
 def small_result(small_run_config):
     return run_experiment(small_run_config, write=False)
+
+
+@pytest.fixture(scope="module")
+def small_trained(small_run_config, small_result):
+    return train_stage(small_run_config, small_result.prepared, None)[1]
 
 
 class TestPreparation:
@@ -124,11 +129,16 @@ class TestBaselineReports:
         with pytest.raises(InvalidConfigError, match=f"unknown baseline '{method}'"):
             baseline_report(small_run_config, small_result.prepared, method)
 
-    def test_method_table_rejects_an_unknown_name(self, small_result, small_run_config):
+    def test_method_table_rejects_an_unknown_name(self, small_result, small_run_config, small_trained):
         # An unknown name is an error, not the last method of the table,
-        # and is refused before any trained state is read.
-        with pytest.raises(InvalidConfigError, match="unknown method 'cascade'"):
+        # and is refused before any trained state is read. The message
+        # lists every name the table accepts.
+        names = ("raw", *SUMMARY_METHOD_ORDER)
+        with pytest.raises(InvalidConfigError, match="unknown method 'cascade'") as raised:
             _method_audio(small_run_config, small_result.prepared, None, "cascade")
+        assert str(raised.value).endswith(f"the methods are {', '.join(names)}")
+        for name in names:
+            _method_audio(small_run_config, small_result.prepared, small_trained, name)
 
 
 class TestEvaluateTrained:
@@ -143,6 +153,28 @@ class TestEvaluateTrained:
 
     def test_text_audio_map_truncated(self, small_result, small_run_config):
         assert small_result.reports["text_audio_map.distilled"].k == small_run_config.eval.map_k
+
+    def test_scores_the_summary_table_building_each_method_once(
+        self, small_result, small_run_config, small_trained, monkeypatch
+    ):
+        # The summary table is the one list of reports: every key but the
+        # chance is scored, and each method named in it, raw included, is
+        # built once, in the order the methods first appear.
+        keys = [key for labels in pipeline._SUMMARY_BLOCKS.values() for key in labels if key != "chance_map"]
+        built = []
+        method_audio = pipeline._method_audio
+
+        def spy(config, prepared, trained, method):
+            built.append(method)
+            return method_audio(config, prepared, trained, method)
+
+        monkeypatch.setattr(pipeline, "_method_audio", spy)
+        reports = pipeline.evaluate_trained(small_run_config, small_result.prepared, small_trained)
+        assert built == list(dict.fromkeys(key.split(".")[1] for key in keys))
+        assert set(built) == {"raw", *SUMMARY_METHOD_ORDER}
+        assert sorted(reports) == sorted(keys)
+        for key, report in reports.items():
+            assert report.per_query == small_result.reports[key].per_query, key
 
 
 class TestRenderSummary:
