@@ -301,6 +301,11 @@ class TestRunExperiment:
 # reports.txt also prints every report's k and metadata.
 DEFAULT_SUMMARY_SHA256 = "0067f866022d7c982067f6da633a67cde21d65173e33750429bd36722efc27b5"
 DEFAULT_REPORTS_SHA256 = "7ebb57c010f5bb102dfd85c0a45c08f4d7ebca78865a07a00de388fbb3ecf47b"
+# SHA-256 of the default config's prototypes.xmpb, the per-species tables
+# that train writes and eval reads. Like the trained-weight pins below it
+# holds for one BLAS kernel: mapped_text is the text map's output, trained
+# and applied through `@`.
+DEFAULT_PROTOTYPES_SHA256 = "8d7aed0654dd72edee0d4a262a9b0ee420832cc923b3b8e8d18482a7977b0142"
 
 
 # SHA-256 of (params.xmpb, train_log.txt) trained on the default world,
@@ -573,6 +578,11 @@ class TestDefaultConfigOrdering:
         result, _ = default_experiment
         write_reports(result.reports, result.chance, tmp_path / "reports.txt", result.config_hash)
         assert hashlib.sha256((tmp_path / "reports.txt").read_bytes()).hexdigest() == DEFAULT_REPORTS_SHA256
+
+    def test_prototypes_bytes_pinned(self, default_experiment, tmp_path):
+        result, _ = default_experiment
+        train_stage(result.config, result.prepared, tmp_path)
+        assert hashlib.sha256((tmp_path / "prototypes.xmpb").read_bytes()).hexdigest() == DEFAULT_PROTOTYPES_SHA256
 
     def test_distilled_clears_text_mapping_and_random(self, default_experiment):
         result, _ = default_experiment
