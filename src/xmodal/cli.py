@@ -12,6 +12,8 @@ artifact and rewrite ``manifest.txt``; this module only prints:
 
 Each subcommand draws only the world rows it reads: the table of them is
 ``pipeline._DRAWS``, which :func:`xmodal.pipeline.prepare_world` reads.
+What ``train`` writes and ``eval`` reads back is one table too,
+``pipeline._blob_shapes``: each blob file's array names and shapes.
 
 Every subcommand but ``verify`` accepts ``--config PATH`` (line-oriented
 key=value text; defaults apply when omitted) and ``--seed N`` (N >= 0),

@@ -9,12 +9,14 @@ order. :func:`verify_manifest` re-hashes a directory against its
 manifest. Stages recompute the world from its config, never from the
 float32 embedding files, which exist for other tools.
 
-:func:`train_stage` returns the trained state, a :class:`Trained`, and
-writes it: the adapter (``params.xmpb``) and the baselines' per-species
-tables (``prototypes.xmpb``: the audio prototypes and the text map's
-output). ``run`` scores the one it returns; ``eval`` fits nothing and
-scores what :func:`load_trained` reads back, checked against the config
-before any row is drawn.
+:func:`train_stage` returns the trained state, a ``Trained`` dict of
+blob file name -> named arrays, and writes each blob: the adapter
+(``params.xmpb``) and the baselines' per-species tables
+(``prototypes.xmpb``: the audio prototypes and the text map's output).
+``_blob_shapes`` is the one list of what ``train`` writes and ``eval``
+reads. ``run`` scores the state it returns; ``eval`` fits nothing and
+scores what :func:`load_trained` reads back, each blob checked against
+that list before any row is drawn.
 
 A stage draws only the world rows it reads: :func:`prepare_world` takes
 each command's sides and prompts from one table, ``_DRAWS``, and is the
@@ -23,7 +25,7 @@ only code that turns the split into rows.
 ``_SUMMARY_BLOCKS`` is the one list of reports, keyed ``<metric>.<method>``:
 a method table builds each method's eval audio and a metric table scores it,
 for ``evaluate_trained`` and for ``baseline_report`` (which builds its own
-:class:`Trained` with no adapter).
+``Trained`` with no adapter blob).
 
 The summary is deliberately free of wallclock or environment data so
 that reruns of the same config are byte-identical.
@@ -35,7 +37,7 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +62,7 @@ from .evaluation import (
 )
 from .runconfig import RunConfig, adapter_config_for, canonical_config_text, config_hash
 from .storage import load_params, save_params, write_atomic, write_embedding_set
-from .trainer import Params, TrainReport, adapter_forward, check_params, train_adapter
+from .trainer import Params, TrainReport, adapter_forward, layer_shapes, train_adapter
 from .world import SideRows, World, generate_world, split_rows
 
 BASELINES = ("random_projection", "text_mapping", "cascaded_zero_shot")
@@ -145,15 +147,22 @@ class PreparedWorld:
     teacher_prototypes: EmbeddingSet
 
 
-class Trained(NamedTuple):
-    """The trained state: the adapter (``None`` for ``baseline``, which
-    trains none) and the baselines' two per-species tables. ``baseline``
-    leaves ``mapped_text`` ``None`` unless it scores ``text_mapping``,
-    the one method that reads it."""
+# The trained state: blob file name -> the named arrays train writes to it.
+Trained = Dict[str, Params]
 
-    params: Params
-    audio_prototypes: EmbeddingSet
-    mapped_text: Optional[EmbeddingSet]
+
+def _blob_shapes(config: RunConfig) -> Dict[str, Dict[str, Tuple[int, ...]]]:
+    """The one list of what ``train`` writes and ``eval`` reads: blob file
+    name -> array name -> shape. Each table holds a row per species, in
+    species order."""
+    species = config.world.n_species
+    return {
+        "params.xmpb": layer_shapes(adapter_config_for(config).layers),
+        "prototypes.xmpb": {
+            "audio_prototypes": (species, config.world.d_student_in),
+            "mapped_text": (species, config.world.d_teacher),
+        },
+    }
 
 
 # The split sides, in the order split_rows returns them.
@@ -216,16 +225,15 @@ def prepare_world(config: RunConfig, command: str) -> PreparedWorld:
     return PreparedWorld(world, train_view, eval_view, teacher_prototypes)
 
 
-def _fit_tables(
-    config: RunConfig, prepared: PreparedWorld, params: Optional[Params], fit_text_map: bool = True
-) -> Trained:
-    """``params`` with the per-species tables built from ``prepared``: the
-    class means of the train side's audio, and, if ``fit_text_map``, the
-    text map's output from the one fit of the text map."""
-    mapped_text = None
+def _fit_tables(config: RunConfig, prepared: PreparedWorld, fit_text_map: bool = True) -> Params:
+    """The per-species tables built from ``prepared``: the class means of
+    the train side's audio, and, if ``fit_text_map``, the text map's
+    output from the one fit of the text map."""
+    tables = {"audio_prototypes": class_prototypes(prepared.train_view.audio_features).matrix}
     if fit_text_map:
-        _, mapped_text = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
-    return Trained(params, class_prototypes(prepared.train_view.audio_features), mapped_text)
+        _, mapped = text_mapping_baseline(prepared.world.student_text, prepared.teacher_prototypes, config.train)
+        tables["mapped_text"] = mapped.matrix
+    return tables
 
 
 def _images_per_species_eval(prepared: PreparedWorld) -> int:
@@ -260,13 +268,17 @@ def _method_audio(
     if method == "raw":
         return eval_audio
     if method == "distilled":
-        return embedded_audio_set(adapter_config_for(config), trained.params, eval_audio)
+        return embedded_audio_set(adapter_config_for(config), trained["params.xmpb"], eval_audio)
     if method == "random_projection":
         return random_projection_baseline(eval_audio, config.world.d_teacher, config.world.seed)
-    if method == "text_mapping":
-        return text_mapping_rankings(trained.mapped_text, eval_audio, trained.audio_prototypes, images)
-    if method == "cascaded_zero_shot":
-        return cascaded_zero_shot_baseline(eval_audio, images, trained.audio_prototypes, prepared.teacher_prototypes)
+    if method in ("text_mapping", "cascaded_zero_shot"):
+        tables = trained["prototypes.xmpb"]
+        species = np.arange(config.world.n_species)
+        prototypes = EmbeddingSet(tables["audio_prototypes"], species, Modality.AUDIO)
+        if method == "text_mapping":
+            mapped = EmbeddingSet(tables["mapped_text"], species, Modality.STUDENT_TEXT)
+            return text_mapping_rankings(mapped, eval_audio, prototypes, images)
+        return cascaded_zero_shot_baseline(eval_audio, images, prototypes, prepared.teacher_prototypes)
     raise InvalidConfigError(f"unknown method {method!r}; the methods are {', '.join(('raw', *SUMMARY_METHOD_ORDER))}")
 
 
@@ -284,7 +296,7 @@ def baseline_report(config: RunConfig, prepared: PreparedWorld, method: str) -> 
     and the text map is fitted only for ``text_mapping``."""
     if method not in BASELINES:
         raise InvalidConfigError(f"unknown baseline {method!r}; the baselines are {', '.join(BASELINES)}")
-    trained = _fit_tables(config, prepared, None, fit_text_map=method == "text_mapping")
+    trained = {"prototypes.xmpb": _fit_tables(config, prepared, fit_text_map=method == "text_mapping")}
     metric = "audio_image_map"
     return f"{metric}.{method}", _METRICS[metric](config, prepared, _method_audio(config, prepared, trained, method))
 
@@ -427,54 +439,41 @@ def train_stage(config: RunConfig, prepared: PreparedWorld, out: Optional[Path])
     """The train stage: fit the adapter and build the per-species tables;
     write params, tables, log and manifest to ``out``."""
     report = train_adapter(prepared.train_view, adapter_config_for(config), config.train)
-    trained = _fit_tables(config, prepared, report.final_params)
+    trained = {"params.xmpb": report.final_params, "prototypes.xmpb": _fit_tables(config, prepared)}
     if out is not None:
         run_hash = config_hash(config)
         out.mkdir(parents=True, exist_ok=True)
-        save_params(trained.params, out / "params.xmpb", run_hash)
-        tables = {"audio_prototypes": trained.audio_prototypes.matrix, "mapped_text": trained.mapped_text.matrix}
-        save_params(tables, out / "prototypes.xmpb", run_hash)
+        for blob, arrays in trained.items():
+            save_params(arrays, out / blob, run_hash)
         write_train_log(report, out / "train_log.txt", run_hash)
         _write_manifest(out, run_hash)
     return report, trained
 
 
-def _load_blob(path: Path, run_hash: str) -> Dict[str, np.ndarray]:
-    """The arrays of a blob that ``train`` wrote under ``run_hash``."""
-    try:
-        arrays, stored_hash = load_params(path)
-    except FileNotFoundError as exc:
-        raise XmodalError(f"{path} is missing; run `xmodal train` with this config first") from exc
-    if stored_hash != run_hash:
-        raise XmodalError(
-            f"{path.stem} blob at {path} was trained under config {stored_hash}, "
-            f"but the current config hashes to {run_hash}"
-        )
-    return arrays
-
-
 def load_trained(config: RunConfig, out: Path) -> Trained:
-    """The adapter and per-species tables that :func:`train_stage` wrote
-    to ``out``; refuses either blob when it was written under another
+    """The blobs of ``_blob_shapes`` that :func:`train_stage` wrote to
+    ``out``; refuses a blob that is missing, was written under another
     config hash or does not hold exactly the configured arrays and shapes."""
     run_hash = config_hash(config)
-    params = _load_blob(out / "params.xmpb", run_hash)
-    check_params(adapter_config_for(config), params)
-    path = out / "prototypes.xmpb"
-    arrays = _load_blob(path, run_hash)
-    species = config.world.n_species
-    expected = {
-        "audio_prototypes": (species, config.world.d_student_in),
-        "mapped_text": (species, config.world.d_teacher),
-    }
-    got = {name: array.shape for name, array in arrays.items()}
-    if got != expected:
-        raise ShapeMismatchError(
-            f"prototypes blob at {path} holds {sorted(got.items())}, not {sorted(expected.items())}"
-        )
-    labels = np.arange(species, dtype=np.int64)
-    prototypes = EmbeddingSet(arrays["audio_prototypes"], labels, Modality.AUDIO)
-    return Trained(params, prototypes, EmbeddingSet(arrays["mapped_text"], labels, Modality.STUDENT_TEXT))
+    trained: Trained = {}
+    for blob, shapes in _blob_shapes(config).items():
+        path = out / blob
+        try:
+            arrays, stored_hash = load_params(path)
+        except FileNotFoundError as exc:
+            raise XmodalError(f"{path} is missing; run `xmodal train` with this config first") from exc
+        if stored_hash != run_hash:
+            raise XmodalError(
+                f"{path.stem} blob at {path} was trained under config {stored_hash}, "
+                f"but the current config hashes to {run_hash}"
+            )
+        got = {name: array.shape for name, array in arrays.items()}
+        if got != shapes:
+            raise ShapeMismatchError(
+                f"{path.stem} blob at {path} holds {sorted(got.items())}, not {sorted(shapes.items())}"
+            )
+        trained[blob] = arrays
+    return trained
 
 
 def eval_stage(

@@ -203,22 +203,13 @@ def init_params(config: AdapterConfig, seed: int) -> Params:
     return mlp_init(config.layers, seed, "init")
 
 
-def _check_shapes(layers: Sequence[Layer], params: Params, network: str) -> None:
-    """Raise ShapeMismatchError unless ``params`` hold exactly the layers' arrays."""
-    expected = {}
+def layer_shapes(layers: Sequence[Layer]) -> Dict[str, Tuple[int, ...]]:
+    """Name and shape of each parameter array of a layer table."""
+    shapes: Dict[str, Tuple[int, ...]] = {}
     for name, fan_in, fan_out, _ in layers:
-        expected[f"{name}_w"] = (fan_out, fan_in)
-        expected[f"{name}_b"] = (fan_out,)
-    got = {key: np.shape(value) for key, value in params.items()}
-    if got != expected:
-        raise ShapeMismatchError(
-            f"parameters {sorted(got.items())} do not fit the {network}, which needs {sorted(expected.items())}"
-        )
-
-
-def check_params(config: AdapterConfig, params: Params) -> None:
-    """Raise ShapeMismatchError unless ``params`` fit the layer table."""
-    _check_shapes(config.layers, params, f"{config.mode} adapter")
+        shapes[f"{name}_w"] = (fan_out, fan_in)
+        shapes[f"{name}_b"] = (fan_out,)
+    return shapes
 
 
 def adapter_forward(config: AdapterConfig, params: Params, inputs: np.ndarray) -> Tuple[np.ndarray, list]:
@@ -342,7 +333,12 @@ def fit(
     n = inputs.shape[0]
     if n < 2:
         raise TooFewItemsError(f"training needs at least 2 items, got {n}")
-    _check_shapes(layers, params, "layer table")
+    expected = layer_shapes(layers)
+    got = {key: np.shape(value) for key, value in params.items()}
+    if got != expected:
+        raise ShapeMismatchError(
+            f"parameters {sorted(got.items())} do not fit the layer table, which needs {sorted(expected.items())}"
+        )
     unit_targets = _unit_rows(targets, "teacher")
     # The optimizer packs copies of the arrays and rebinds this dict's entries.
     params = dict(params)

@@ -179,8 +179,7 @@ class TestEval:
         capsys.readouterr()
         assert run_cli("eval", "--config", str(config_path)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: parameters ")
-        assert "do not fit the mlp_encoder_plus_head adapter" in err
+        assert err.startswith(f"error: params blob at {blob} holds [")
         assert re.search(message, err)
 
 
@@ -195,7 +194,7 @@ class TestEval:
             expected = f"error: params blob at {blob} was trained under config {stored_hash}, but the current config"
         else:
             save_params({**params, "head_w": params["head_w"][:, :-1]}, blob, stored_hash)
-            expected = "error: parameters "
+            expected = f"error: params blob at {blob} holds ["
         capsys.readouterr()
         with mock.patch("xmodal.cli.prepare_world") as prepare_world:
             assert run_cli("eval", "--config", str(config_path), *seed) == 2
@@ -203,6 +202,8 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(expected)
+        if edit == "wrong_shape":
+            assert re.search(r"\('head_w', \(12, 9\)\)", captured.err)
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -95,13 +95,15 @@ class TestPreparation:
         n_audio = prepared.train_view.audio_features.n_items + prepared.eval_view.audio_features.n_items
         assert n_audio == prepared.world.audio_features.n_items
         assert np.array_equal(prepared.teacher_prototypes.labels, np.arange(8))
-        # train builds the audio prototypes from the train side only.
+        # train builds the audio prototypes from the train side only: row
+        # s is the mean of species s's train clips.
         _, trained = train_stage(small_run_config, prepared, None)
-        assert np.array_equal(trained.audio_prototypes.labels, np.arange(8))
-        sp0 = prepared.train_view.audio_features.matrix[
-            prepared.train_view.audio_features.labels == 0
-        ]
-        assert np.allclose(trained.audio_prototypes.matrix[0], sp0.mean(axis=0), atol=1e-12)
+        train_audio = prepared.train_view.audio_features
+        assert np.array_equal(class_prototypes(train_audio).labels, np.arange(8))
+        prototypes = trained["prototypes.xmpb"]["audio_prototypes"]
+        assert prototypes.shape == (8, train_audio.dim)
+        for species, row in enumerate(prototypes):
+            assert np.allclose(row, train_audio.matrix[train_audio.labels == species].mean(axis=0), atol=1e-12)
 
     def test_chance_map_in_range(self, small_run_config):
         prepared = prepare_world(small_run_config, "run")
@@ -465,43 +467,44 @@ def test_train_hands_over_the_prototypes_of_the_whole_worlds_train_rows(world, t
     # train draws only the train clips; the tables it writes, as eval
     # loads them, are the class means of the whole world's train rows and
     # the text map fitted on the whole world's student text and canonical
-    # prompts, bit for bit, each with one row per species in species order.
+    # prompts, bit for bit. Both come with one row per species in species
+    # order, which is what lets eval label the rows by species.
     text = "" if world == "default" else perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG
     config = parse_config(text)
     monkeypatch.chdir(tmp_path)
     Path("config.txt").write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["train", "--config", "config.txt"]) == 0
-    trained = load_trained(config, Path(config.output_dir))
+    tables = load_trained(config, Path(config.output_dir))["prototypes.xmpb"]
     train, _ = split_rows(config.world, config.eval.holdout_fraction, config.world.seed)
     whole = generate_world(config.world)
     expected = class_prototypes(whole.audio_features.take(train.audio))
-    assert trained.audio_prototypes.matrix.tobytes() == expected.matrix.tobytes()
-    assert trained.audio_prototypes.labels.tolist() == expected.labels.tolist() == list(range(config.world.n_species))
     _, mapped = text_mapping_baseline(whole.student_text, teacher_prototype_set(whole), config.train)
-    assert trained.mapped_text.matrix.tobytes() == mapped.matrix.tobytes()
-    assert trained.mapped_text.labels.tolist() == mapped.labels.tolist() == list(range(config.world.n_species))
+    for name, table in (("audio_prototypes", expected), ("mapped_text", mapped)):
+        assert (tables[name].dtype, tables[name].shape) == (table.matrix.dtype, table.matrix.shape)
+        assert tables[name].tobytes() == table.matrix.tobytes()
+        assert table.labels.tolist() == list(range(config.world.n_species))
 
 
-def test_train_stage_returns_the_trained_state_that_eval_loads(tmp_path, monkeypatch):
-    # run scores the Trained that train_stage returns, and eval the one
-    # that load_trained reads back from train's directory. On the default
-    # config they hold the same arrays, bit for bit, with the same labels
-    # and modalities.
-    config = parse_config("")
+@pytest.mark.parametrize("mode", ["mlp_encoder_plus_head", "linear_head_only"], ids=["mlp", "linear"])
+def test_train_stage_returns_the_trained_state_that_eval_loads(mode, tmp_path, monkeypatch):
+    # run scores the blobs that train_stage returns, and eval the ones
+    # that load_trained reads back from train's directory. In either
+    # adapter mode both hold exactly the arrays and shapes that
+    # _blob_shapes lists, and the same arrays, bit for bit.
+    config = parse_config(f"adapter.mode = {mode}")
     monkeypatch.chdir(tmp_path)
     out = Path(config.output_dir)
     _, returned = train_stage(config, prepare_world(config, "run"), out)
     loaded = load_trained(config, out)
-    assert sorted(loaded.params) == sorted(returned.params)
-    for name, array in returned.params.items():
-        assert (loaded.params[name].dtype, loaded.params[name].shape) == (array.dtype, array.shape)
-        assert loaded.params[name].tobytes() == array.tobytes()
-    for held, read in ((returned.audio_prototypes, loaded.audio_prototypes), (returned.mapped_text, loaded.mapped_text)):
-        assert (read.matrix.dtype, read.matrix.shape) == (held.matrix.dtype, held.matrix.shape)
-        assert read.matrix.tobytes() == held.matrix.tobytes()
-        assert (read.labels.dtype, read.labels.tolist()) == (held.labels.dtype, held.labels.tolist())
-        assert read.modality == held.modality
+    shapes = pipeline._blob_shapes(config)
+    assert list(returned) == list(loaded) == list(shapes)
+    for blob, arrays in returned.items():
+        assert {name: array.shape for name, array in arrays.items()} == shapes[blob]
+        assert sorted(loaded[blob]) == sorted(arrays)
+        for name, array in arrays.items():
+            assert (loaded[blob][name].dtype, loaded[blob][name].shape) == (array.dtype, array.shape)
+            assert loaded[blob][name].tobytes() == array.tobytes()
 
 
 @pytest.fixture(scope="module")
