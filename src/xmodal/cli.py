@@ -16,9 +16,9 @@ What ``train`` writes and ``eval`` reads back is one table too,
 ``pipeline._blob_shapes``: each blob file's array names and shapes.
 
 Every subcommand but ``verify`` accepts ``--config PATH`` (line-oriented
-key=value text; defaults apply when omitted) and ``--seed N`` (N >= 0),
-which overrides both the world seed and the training seed. All output is
-deterministic for a fixed config.
+key=value text; defaults apply when omitted) and ``--seed N``
+(0 <= N < 2**63), which overrides both the world seed and the training
+seed. All output is deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .pipeline import (
     verify_manifest,
     write_world_artifacts,
 )
-from .runconfig import RunConfig, config_hash, parse_config
+from .runconfig import RunConfig, _int64, config_hash, parse_config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", type=Path, default=None, help="config file path")
-        cmd.add_argument("--seed", type=int, default=None, help="override world and train seeds")
+        cmd.add_argument("--seed", type=_int64, default=None, help="override world and train seeds")
         if name == "baseline":
             cmd.add_argument("--kind", required=True, choices=BASELINES, help="which baseline to score")
     verify = sub.add_parser("verify", help="re-hash a run directory against its manifest")

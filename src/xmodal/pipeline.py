@@ -118,9 +118,11 @@ def embedded_audio_set(adapter_config, params: Params, audio: EmbeddingSet) -> E
     ``n // height`` blocks of near-equal size, so no block is shorter
     than ``height`` and a set of fewer than two blocks' rows goes
     through in one call. A short tail block would change the bits: on
-    the benchmark's ``eval_wide`` adapter, every block of 51 rows or more
-    held the bits of the same rows of the whole forward, and every block
-    of 50 or fewer (OpenBLAS's small-matrix path) did not.
+    the benchmark's ``eval_wide`` adapter, under OpenBLAS's SkylakeX
+    kernel, every block of 51 rows or more held the bits of the same rows
+    of the whole forward, and every block of 50 or fewer (OpenBLAS's
+    small-matrix path) did not. Under its Haswell kernel, 28 of 1920
+    blocked rows differ from the whole forward.
     """
     n = audio.n_items
     height = max(1, _BLOCK_CELLS // max(fan_out for _, _, fan_out, _ in adapter_config.layers))

@@ -7,12 +7,12 @@ key absent from the file keeps its documented default, so the empty
 string parses to the default configuration.
 
 The parser only converts text: the field's type picks the converter
-(``int``, ``float``, ``str``, or a comma list of floats for
-``train.prompt_mixture``); a field of any other type raises ``TypeError``
-at import. The config dataclasses are the only validators. Each line is
-applied to the config built so far, so a bound error names the line and
-key that broke it; unknown keys are rejected by name, and a key given
-twice by both its lines. The canonical text rendering of a config is
+(``int`` in the signed 64-bit range, ``float``, ``str``, or a comma list
+of floats for ``train.prompt_mixture``); a field of any other type
+raises ``TypeError`` at import. The config dataclasses are the only
+validators. Each line is applied to the config built so far, so a bound
+error names the line and key that broke it; unknown keys are rejected by
+name, and a key given twice by both its lines. The canonical text rendering of a config is
 itself a valid config file and is the input to the provenance hash
 embedded in artifacts.
 """
@@ -79,6 +79,13 @@ def adapter_config_for(config: RunConfig) -> AdapterConfig:
     )
 
 
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is outside the 64-bit integer range")
+    return value
+
+
 def _float_list(text: str) -> Tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
@@ -99,7 +106,7 @@ def _key_table() -> Dict[str, Tuple[Optional[str], str, Callable[[str], object]]
         (None, RunConfig, "adapter_d_hidden", "adapter.d_hidden"),
         (None, RunConfig, "output_dir", "output_dir"),
     ]
-    converters = {int: int, float: float, str: str, Optional[Tuple[float, ...]]: _float_list}
+    converters = {int: _int64, float: float, str: str, Optional[Tuple[float, ...]]: _float_list}
     table = {}
     for section, cls, name, key in entries:
         kind = get_type_hints(cls)[name]

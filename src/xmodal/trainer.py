@@ -43,7 +43,7 @@ from .errors import (
 from .embeddings import _unit_rows
 from .objective import infonce_loss
 from .rng import rng_for
-from .world import World
+from .world import World, _check_buildable
 
 ADAPTER_MODES = ("linear_head_only", "mlp_encoder_plus_head")
 OPTIMIZERS = ("adam", "sgd_momentum")
@@ -69,6 +69,11 @@ class AdapterConfig:
         for name in ("d_in", "d_student", "d_teacher", "d_hidden"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # The widths of the layer table below, input side first.
+        mlp_widths = ("d_in", "d_hidden", "d_student", "d_teacher")
+        widths = ("d_in", "d_teacher") if self.mode == "linear_head_only" else mlp_widths
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            _check_buildable(getattr(self, fan_in), getattr(self, fan_out), f"{fan_in}, {fan_out}")
 
     @property
     def layers(self) -> Tuple[Layer, ...]:

@@ -57,6 +57,12 @@ AUDIO_OFFSET_RATIO = 1.35
 # species a cosine of about 0.8 in the student text space.
 
 
+def _check_buildable(rows: int, width: int, keys: str) -> None:
+    """Refuse a float64 matrix NumPy cannot build: more than 2**63 - 1 bytes, in Python ints."""
+    if 8 * rows * width > 2**63 - 1:
+        raise InvalidConfigError(f"{keys} give a {rows} x {width} matrix, too large for any array")
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Full specification of a synthetic world."""
@@ -106,6 +112,15 @@ class WorldConfig:
                 raise InvalidConfigError(f"{name} must be a finite non-negative real, got {value}")
         if self.sigma_family <= 0:
             raise InvalidConfigError("sigma_family must be positive; the hierarchy needs a top level")
+        # Each channel is one float64 matrix: so many rows per species, so wide.
+        for per_species, width, keys in (
+            (self.variant_count, self.d_teacher, "variant_count, d_teacher"),
+            (self.images_per_species, self.d_teacher, "images_per_species, d_teacher"),
+            (self.audio_per_species, self.d_student_in, "audio_per_species, d_student_in"),
+            (1, self.d_student, "d_student"),
+        ):
+            rows = self.n_species * per_species
+            _check_buildable(rows, width, f"n_families, genera_per_family, species_per_genus, {keys}")
 
     @property
     def n_genera(self) -> int:

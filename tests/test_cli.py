@@ -573,6 +573,14 @@ class TestErrors:
         assert "seed must be >= 0" in err
         assert not (tmp_path / "out").exists()
 
+    def test_seed_outside_int64_exit_2(self, config_path, tmp_path, capsys):
+        # The config text cannot carry such a seed, so config.txt could not either.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("gen", "--config", str(config_path), "--seed", str(2**63))
+        assert exit_info.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert run_cli("gen", "--config", str(tmp_path / "nope.txt")) == 2
         assert "error:" in capsys.readouterr().err

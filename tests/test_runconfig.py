@@ -22,7 +22,7 @@ from xmodal import (
 )
 from xmodal import runconfig
 from xmodal.runconfig import canonical_config_text
-from xmodal.trainer import ADAPTER_MODES, OPTIMIZERS
+from xmodal.trainer import ADAPTER_MODES, OPTIMIZERS, AdapterConfig
 
 
 class TestEvalConfig:
@@ -171,6 +171,47 @@ class TestParseConfig:
             parse_config("world.seed = -1\n")
 
 
+class TestSizeBounds:
+    """Out-of-range sizes fail as config errors, before any array exists. No value here is run."""
+
+    def test_integers_outside_int64_name_line_and_key(self):
+        int_keys = [key for key, (_, _, convert) in runconfig._KEYS.items() if convert is runconfig._int64]
+        assert "eval.map_k" in int_keys and "adapter.d_hidden" in int_keys
+        for key in int_keys:
+            for value in (2**63, -(2**63) - 1, 10**20):
+                with pytest.raises(ConfigTypeError, match=f"line 1: {re.escape(key)}: {value} is outside"):
+                    parse_config(f"{key} = {value}\n")
+        assert parse_config(f"world.seed = {2**63 - 1}\n").world.seed == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "key, value, keys",
+        [
+            ("world.n_families", 2**62, "n_families, genera_per_family, species_per_genus, variant_count, d_teacher"),
+            ("world.images_per_species", 2**58, "images_per_species, d_teacher"),
+            ("world.d_student_in", 2**56, "audio_per_species, d_student_in"),
+            ("world.d_student", 2**57, "species_per_genus, d_student"),
+            ("adapter.d_hidden", 2**58, "d_in, d_hidden"),
+        ],
+    )
+    def test_matrix_numpy_cannot_build_names_the_keys(self, key, value, keys):
+        with pytest.raises(ConfigTypeError, match=f"line 1: {re.escape(key)}: .*{re.escape(keys)} give a"):
+            parse_config(f"{key} = {value}\n")
+
+    def test_constructors_refuse_past_the_int64_byte_count(self):
+        limit = (2**63 - 1) // 8
+        AdapterConfig(mode="linear_head_only", d_in=1, d_teacher=limit)
+        with pytest.raises(InvalidConfigError, match="d_in, d_teacher give a 1 x"):
+            AdapterConfig(mode="linear_head_only", d_in=1, d_teacher=limit + 1)
+        assert AdapterConfig(mode="linear_head_only", d_hidden=2**62).d_hidden == 2**62  # no layer reads it
+        with pytest.raises(InvalidConfigError, match="d_hidden, d_student give a"):
+            AdapterConfig(d_in=1, d_hidden=2**40, d_student=2**20)
+        # Two species of two prompt variants: the teacher text matrix is the widest, 4 rows of d_teacher.
+        tiny = dict(n_families=1, genera_per_family=1, species_per_genus=2, variant_count=2, images_per_species=1)
+        WorldConfig(**tiny, d_teacher=limit // 4)
+        with pytest.raises(InvalidConfigError, match="variant_count, d_teacher give a 4 x"):
+            WorldConfig(**tiny, d_teacher=limit // 4 + 1)
+
+
 class TestCanonicalText:
     def test_round_trip_default(self):
         c = RunConfig()
@@ -231,7 +272,7 @@ def _run_configs(draw):
         st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).filter(lambda t: t[0] * t[1] * t[2] >= 2)
     )
     world = WorldConfig(
-        seed=draw(st.integers(0, 2**63)),
+        seed=draw(st.integers(0, 2**63 - 1)),
         n_families=n_families,
         genera_per_family=genera,
         species_per_genus=species,
@@ -258,7 +299,7 @@ def _run_configs(draw):
         beta1=draw(_PROBABILITY),
         beta2=draw(_PROBABILITY),
         adam_eps=draw(_FINITE_POSITIVE),
-        seed=draw(st.integers(-(2**63), 2**63)),
+        seed=draw(st.integers(-(2**63), 2**63 - 1)),
         prompt_mixture=draw(st.none() | _mixtures()),
     )
     eval_config = EvalConfig(

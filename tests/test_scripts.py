@@ -1,7 +1,8 @@
-"""Smoke tests of the scripts in ``scripts/``: each sweep runs end to end
-on the package API and prints one row per configuration it sweeps, the
-reference replay names each op whose outputs differ, and the A/B script
-alternates two trees' ops in one process."""
+"""Smoke tests of the scripts in ``scripts/``, one or more per script:
+the sweep driver runs end to end on the package API and prints one row
+per run, the reference replay names each op whose outputs differ, and
+the A/B script alternates two trees' ops in one process. A script that
+no test here loads fails ``test_every_script_has_a_smoke_test``."""
 
 import importlib.util
 import math
@@ -23,28 +24,33 @@ def rows(text, first_fields):
     return [line.split() for line in text.splitlines() if line.split()[:1] and line.split()[0] in first_fields]
 
 
-def test_seed_stability_prints_one_row_per_seed(capsys):
-    script = load_script("seed_stability")
-    assert script.main(["--seeds", "1"]) == 0
+def test_sweep_over_seeds_prints_one_row_per_seed(capsys):
+    script = load_script("sweep")
+    assert script.main(["--seeds", "0-0"]) == 0
     out = capsys.readouterr().out
-    seed_rows = rows(out, {str(seed) for seed in range(10)})
-    assert [row[0] for row in seed_rows] == ["0"]
-    assert len(seed_rows[0]) == 1 + len(script.METRICS)
-    assert all(0.0 <= float(value) <= 1.0 for value in seed_rows[0][1:])
-    summary = rows(out, {name for name, _ in script.METRICS})
-    assert [row[0] for row in summary] == [name for name, _ in script.METRICS]
-    assert all(row[-1] == "0.0000" for row in summary)  # one seed has no spread
+    (seed_row,) = rows(out, {str(seed) for seed in range(10)})
+    assert seed_row[0] == "0" and len(seed_row) == 1 + len(script.COLUMNS)
+    assert all(0.0 <= float(value) <= 1.0 for value in seed_row[1:7])  # the report keys
+    mean, std = rows(out, {"mean", "std"})
+    assert mean[1:] == seed_row[1:]
+    assert set(std[1:]) == {"0.0000"}  # one seed has no spread
 
 
-def test_adapter_ablation_prints_one_row_per_mode(capsys):
-    script = load_script("adapter_ablation")
-    assert script.main(["--epochs", "1"]) == 0
-    mode_rows = rows(capsys.readouterr().out, {"linear_head_only", "mlp_encoder_plus_head"})
-    assert [row[:2] for row in mode_rows] == [["linear_head_only", "1"], ["mlp_encoder_plus_head", "1"]]
-    for row in mode_rows:
-        retrieval, zero_shot, final_loss = map(float, row[2:])
+def test_sweep_over_modes_and_budgets_prints_one_row_each(capsys, tmp_path):
+    script = load_script("sweep")
+    # The base config sets a swept key, which the sweep replaces: the parser rejects a repeated key.
+    (tmp_path / "base.txt").write_text("train.epochs = 3\n")
+    modes = ("linear_head_only", "mlp_encoder_plus_head")
+    assert script.main(["--config", str(tmp_path / "base.txt"), "--set", "adapter.mode=" + ",".join(modes),
+                        "--set", "train.epochs=1"]) == 0
+    mode_rows = rows(capsys.readouterr().out, set(modes))
+    assert [row[:3] for row in mode_rows] == [[mode, "1", seed] for mode in modes for seed in ("7", "mean", "std")]
+    for row in mode_rows[::3]:
+        retrieval, _, _, _, zero_shot, _, final_loss, steps = map(float, row[3:])
         assert 0.0 <= retrieval <= 1.0 and 0.0 <= zero_shot <= 1.0
-        assert math.isfinite(final_loss) and final_loss >= 0.0
+        assert math.isfinite(final_loss) and final_loss >= 0.0 and steps == 23  # one epoch of 23 batches
+    assert script.main(["--seeds", "0-1", "--set", "world.seed=3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_reference_names_the_op_that_differs(capsys, monkeypatch):
@@ -86,3 +92,8 @@ def test_interleave_ab_runs_one_round_of_the_repo_against_itself(capsys, monkeyp
     for side, line in zip(script.SIDES, out[5:7]):
         match = re.fullmatch(rf"{side}  warm-up command traced peak ([0-9]+\.[0-9]{{3}}) MB", line)
         assert match and 1.0 < float(match[1]) < 20.0, line
+
+
+def test_every_script_has_a_smoke_test():
+    called = set(re.findall(r'load_script\("(\w+)"\)', Path(__file__).read_text(encoding="utf-8")))
+    assert {path.stem for path in SCRIPTS.glob("*.py")} - called == set()
