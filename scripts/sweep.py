@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Sweep: rerun the experiment over seeds and config settings, one row per run.
 
-Each run's config is the ``--config`` file (or the defaults) with each
-swept key set once. ``--set KEY=V1,V2,...`` sweeps the cross product of
-its values in command-line order; a comma-valued key
+Each run's config is the ``--config`` file (or the defaults) with the
+swept keys given to ``parse_config`` as settings, which replace the
+file's values. ``--set KEY=V1,V2,...`` sweeps the cross product of its
+values in command-line order; a comma-valued key
 (``train.prompt_mixture``) cannot be swept. ``--seeds A-B`` sets
-``world.seed`` and ``train.seed`` per run, as the CLI's ``--seed`` does.
+``runconfig.SEED_KEYS`` per run, as the CLI's ``--seed`` does.
 A row is the setting, the world seed and ``COLUMNS``; each setting's
 rows end with their mean and sample standard deviation. A config error
 prints ``error: ...`` and exits 2.
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from xmodal.errors import XmodalError
 from xmodal.pipeline import run_experiment
-from xmodal.runconfig import canonical_config_text, parse_config
+from xmodal.runconfig import SEED_KEYS, parse_config, read_config_text
 
 COLUMNS = (  # (key, header): report keys, then two values of the TrainReport
     ("audio_image_map.distilled", "map.distilled"), ("audio_image_map.text_mapping", "map.text_map"),
@@ -33,14 +34,6 @@ COLUMNS = (  # (key, header): report keys, then two values of the TrainReport
     ("zero_shot_accuracy.distilled", "zs.distilled"), ("knn_accuracy.distilled", "knn.distilled"),
     ("train.final_loss", "final_loss"), ("train.steps", "steps"),  # the final loss is NaN when no epoch ran
 )
-SEED_KEYS = ("world.seed", "train.seed")
-
-
-def with_keys(base: str, values: dict):
-    """``base`` with each key of ``values`` set once (the parser rejects a repeated key)."""
-    lines = canonical_config_text(parse_config(base)).splitlines()
-    kept = [line for line in lines if line.split(" = ")[0] not in values]
-    return parse_config("\n".join([f"{key} = {value}" for key, value in values.items()] + kept))
 
 
 def plan(args):
@@ -53,9 +46,9 @@ def plan(args):
     if args.seeds is not None and (not bounds or int(bounds[1]) > int(bounds[2]) or set(keys) & set(SEED_KEYS)):
         raise ValueError(f"--seeds takes A-B with A <= B, and no --set of {' or '.join(SEED_KEYS)}")
     seeds = [dict.fromkeys(SEED_KEYS, n) for n in range(int(bounds[1]), int(bounds[2]) + 1)] if bounds else [{}]
-    base = args.config.read_text(encoding="utf-8") if args.config else ""
+    base = read_config_text(args.config) if args.config else ""
     settings = itertools.product(*([v.strip() for v in values.split(",")] for _, _, values in swept))
-    return keys, [(s, [with_keys(base, {**dict(zip(keys, s)), **seed}) for seed in seeds]) for s in settings]
+    return keys, [(s, [parse_config(base, {**dict(zip(keys, s)), **seed}) for seed in seeds]) for s in settings]
 
 
 def measure(config):

@@ -17,19 +17,19 @@ What ``train`` writes and ``eval`` reads back is one table too,
 
 Every subcommand but ``verify`` accepts ``--config PATH`` (line-oriented
 key=value text; defaults apply when omitted) and ``--seed N``
-(0 <= N < 2**63), which overrides both the world seed and the training
-seed. All output is deterministic for a fixed config.
+(0 <= N < 2**63), a setting of both ``runconfig.SEED_KEYS`` that
+``parse_config`` applies over the file, so its errors name the key. All
+output is deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from .errors import ConfigFileError, XmodalError
+from .errors import XmodalError
 from .pipeline import (
     BASELINES,
     baseline_report,
@@ -41,7 +41,7 @@ from .pipeline import (
     verify_manifest,
     write_world_artifacts,
 )
-from .runconfig import RunConfig, _int64, config_hash, parse_config
+from .runconfig import SEED_KEYS, _int64, config_hash, parse_config, read_config_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,29 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_text(config_path: Path) -> str:
-    try:
-        return config_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigFileError(f"cannot read config {config_path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise ConfigFileError(
-            f"config {config_path} is not UTF-8 text: byte 0x{byte:02x} at offset {exc.start}"
-        ) from exc
-
-
-def _load_config(config_path: Optional[Path], seed: Optional[int]) -> RunConfig:
-    config = parse_config(_read_config_text(config_path) if config_path is not None else "")
-    if seed is not None:
-        config = replace(
-            config,
-            world=replace(config.world, seed=seed),
-            train=replace(config.train, seed=seed),
-        )
-    return config
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -95,7 +72,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"config_hash = {verified_hash}")
             print(f"{n_artifacts} artifacts match {args.dir / 'manifest.txt'}")
             return 0
-        config = _load_config(args.config, args.seed)
+        text = read_config_text(args.config) if args.config is not None else ""
+        config = parse_config(text, dict.fromkeys(SEED_KEYS, args.seed) if args.seed is not None else None)
         if args.command == "run":
             print(run_experiment(config).summary, end="")
             return 0

@@ -338,7 +338,6 @@ class ExperimentResult:
     """Everything a full run produces, before or without serialization."""
 
     config: RunConfig
-    config_hash: str
     prepared: PreparedWorld
     train_report: TrainReport
     reports: Dict[str, EvalReport]
@@ -502,4 +501,4 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
         write_world_artifacts(config, prepared.world, out)
     train_report, trained = train_stage(config, prepared, out)
     reports, chance, summary = eval_stage(config, prepared, trained, out)
-    return ExperimentResult(config, config_hash(config), prepared, train_report, reports, chance, summary)
+    return ExperimentResult(config, prepared, train_report, reports, chance, summary)

@@ -56,10 +56,8 @@ def rng_for(seed: int, *parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *parts)))
 
 
-def draw_streams(
-    out: np.ndarray, seed: int, name: str, keys: Iterable[Tuple], method: str, *args, **kwargs
-) -> np.ndarray:
-    """Fill ``out[i]`` with ``getattr(rng_for(seed, name, *keys[i]), method)(*args, **kwargs)``.
+def draw_streams(out: np.ndarray, seed: int, name: str, keys: Iterable[Tuple], method: str, *args) -> np.ndarray:
+    """Fill ``out[i]`` with ``getattr(rng_for(seed, name, *keys[i]), method)(*args)``.
 
     All rows are drawn on one Philox generator, re-keyed before each row
     to the state a fresh ``Philox(key=...)`` starts in: counter 0, no
@@ -92,5 +90,5 @@ def draw_streams(
         if in_place:
             draw(out=out[row])
         else:
-            out[row] = draw(*args, **kwargs)
+            out[row] = draw(*args)
     return out

@@ -6,13 +6,21 @@ Config files are line-oriented ``section.key = value`` text (UTF-8,
 key absent from the file keeps its documented default, so the empty
 string parses to the default configuration.
 
+This module is the one place that builds a config from text:
+``read_config_text`` reads a file, and ``parse_config`` applies its lines
+and then a mapping of settings, key -> value, such as the CLI's
+``--seed`` (``SEED_KEYS``) or a sweep's values. A setting's value is
+read from its ``str`` as a line's text is, and it replaces the file's
+value for its key.
+
 The parser only converts text: the field's type picks the converter
 (``int`` in the signed 64-bit range, ``float``, ``str``, or a comma list
 of floats for ``train.prompt_mixture``); a field of any other type
 raises ``TypeError`` at import. The config dataclasses are the only
-validators. Each line is applied to the config built so far, so a bound
-error names the line and key that broke it; unknown keys are rejected by
-name, and a key given twice by both its lines. The canonical text rendering of a config is
+validators. Each line, then each setting, is applied to the config built
+so far, so a bound error names the line or setting and the key that
+broke it; unknown keys are rejected by name, and a key given twice in
+the file by both its lines. The canonical text rendering of a config is
 itself a valid config file and is the input to the provenance hash
 embedded in artifacts.
 """
@@ -21,9 +29,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, Optional, Tuple, get_type_hints
+from pathlib import Path
+from typing import Callable, Dict, Mapping, Optional, Tuple, get_type_hints
 
-from .errors import ConfigTypeError, InvalidConfigError, UnknownKeyError
+from .errors import ConfigFileError, ConfigTypeError, InvalidConfigError, UnknownKeyError
 from .trainer import AdapterConfig, TrainConfig
 from .world import WorldConfig
 
@@ -117,10 +126,37 @@ def _key_table() -> Dict[str, Tuple[Optional[str], str, Callable[[str], object]]
 
 
 _KEYS = _key_table()
+# The keys that one seed sets: the CLI's --seed and a sweep's --seeds.
+SEED_KEYS = ("world.seed", "train.seed")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse config text; absent keys keep defaults."""
+def read_config_text(path: Path) -> str:
+    """The text of a config file; an unreadable or non-UTF-8 file is a ``ConfigFileError``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigFileError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ConfigFileError(f"config {path} is not UTF-8 text: byte 0x{byte:02x} at offset {exc.start}") from exc
+
+
+def _set_key(config: RunConfig, key: str, value: object, where: str) -> RunConfig:
+    """``config`` with ``key`` converted from ``str(value)`` and validated; errors begin with ``where``."""
+    if key not in _KEYS:
+        raise UnknownKeyError(f"{where}: unknown config key {key!r}")
+    section, name, convert = _KEYS[key]
+    try:
+        converted = convert(str(value).strip())
+        if section is None:
+            return replace(config, **{name: converted})
+        return replace(config, **{section: replace(getattr(config, section), **{name: converted})})
+    except (ValueError, InvalidConfigError) as exc:
+        raise ConfigTypeError(f"{where}: {key}: {exc}") from None
+
+
+def parse_config(text: str, settings: Optional[Mapping[str, object]] = None) -> RunConfig:
+    """Parse config text, then apply ``settings`` (key -> value); absent keys keep defaults."""
     config = RunConfig()
     seen: Dict[str, int] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -131,20 +167,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigTypeError(f"line {line_no}: expected 'key = value', got {raw_line.strip()!r}")
         key, _, value_text = line.partition("=")
         key = key.strip()
-        if key not in _KEYS:
-            raise UnknownKeyError(f"line {line_no}: unknown config key {key!r}")
         if key in seen:
             raise ConfigTypeError(f"line {line_no}: {key} is already set on line {seen[key]}")
+        config = _set_key(config, key, value_text, f"line {line_no}")
         seen[key] = line_no
-        section, name, convert = _KEYS[key]
-        try:
-            value = convert(value_text.strip())
-            if section is None:
-                config = replace(config, **{name: value})
-            else:
-                config = replace(config, **{section: replace(getattr(config, section), **{name: value})})
-        except (ValueError, InvalidConfigError) as exc:
-            raise ConfigTypeError(f"line {line_no}: {key}: {exc}") from None
+    for key, value in (settings or {}).items():
+        config = _set_key(config, key, value, "setting")
     return config
 
 

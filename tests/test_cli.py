@@ -458,9 +458,9 @@ class TestRowsEachStageDraws:
         draws, prepared = [], []
         draw_streams, prepare = world_module.draw_streams, cli_module.prepare_world
 
-        def recording_draw(out, seed, name, keys, *args, **kwargs):
+        def recording_draw(out, seed, name, keys, *args):
             draws.append((name, len(keys)))
-            return draw_streams(out, seed, name, keys, *args, **kwargs)
+            return draw_streams(out, seed, name, keys, *args)
 
         def recording_prepare(*args, **kwargs):
             prepared.append(prepare(*args, **kwargs))
@@ -571,6 +571,8 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "seed must be >= 0" in err
+        # --seed is a setting of the config keys, so the error names the key it set.
+        assert "world.seed" in err
         assert not (tmp_path / "out").exists()
 
     def test_seed_outside_int64_exit_2(self, config_path, tmp_path, capsys):

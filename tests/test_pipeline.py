@@ -42,7 +42,7 @@ from xmodal.pipeline import (
     write_train_log,
     write_world_artifacts,
 )
-from xmodal.runconfig import adapter_config_for, config_hash, parse_config
+from xmodal.runconfig import RunConfig, adapter_config_for, canonical_config_text, config_hash, parse_config
 from xmodal.storage import save_params
 from xmodal.trainer import adapter_forward, init_params, train_adapter
 
@@ -186,7 +186,7 @@ class TestRenderSummary:
         assert lines[0] == "audio-to-image retrieval mAP (eval split)"
         for offset, method in enumerate(SUMMARY_METHOD_ORDER, start=1):
             assert lines[offset].strip().startswith(method)
-        assert f"config_hash = {small_result.config_hash}" in lines
+        assert f"config_hash = {config_hash(small_result.config)}" in lines
         machine = [l for l in lines if l.startswith("summary.")]
         assert machine[-1].startswith("summary.chance_map = ")
         assert machine[:-1] == sorted(machine[:-1])
@@ -201,7 +201,6 @@ class TestRenderSummary:
 class TestRunExperiment:
     def test_result_fields(self, small_result, small_run_config):
         assert small_result.config == small_run_config
-        assert small_result.config_hash == config_hash(small_run_config)
         assert len(small_result.train_report.loss_curve) == small_run_config.train.epochs
         assert small_result.summary.endswith("\n")
 
@@ -238,10 +237,10 @@ class TestRunExperiment:
         assert (out / "summary.txt").read_text() == result.summary
 
         config_text = (out / "config.txt").read_text()
-        assert config_text.startswith(f"# config_hash = {result.config_hash}\n")
+        assert config_text.startswith(f"# config_hash = {config_hash(result.config)}\n")
 
         manifest = (out / "manifest.txt").read_text().splitlines()
-        assert manifest[0] == f"config_hash = {result.config_hash}"
+        assert manifest[0] == f"config_hash = {config_hash(result.config)}"
         entries = [line.split(" = ")[1].split(" ") for line in manifest[1:]]
         assert [name for name, _, _ in entries] == sorted(expected - {"manifest.txt"})
         for name, size, digest in entries:
@@ -250,12 +249,12 @@ class TestRunExperiment:
             assert digest == hashlib.sha256(data).hexdigest()
 
         params, stored_hash = load_params(out / "params.xmpb")
-        assert stored_hash == result.config_hash
+        assert stored_hash == config_hash(result.config)
         for key, value in result.train_report.final_params.items():
             assert np.array_equal(params[key], value)
 
         reports_text = (out / "reports.txt").read_text()
-        assert reports_text.startswith(f"config_hash = {result.config_hash}\n")
+        assert reports_text.startswith(f"config_hash = {config_hash(result.config)}\n")
         for key in EXPECTED_REPORT_KEYS:
             assert f"{key}.value = " in reports_text
         assert "chance_map.value = " in reports_text
@@ -572,6 +571,31 @@ def test_benchmark_tracer_wraps_and_restores_ranked_list(monkeypatch):
     assert [span[spans.NAME] for span in tracer.op_spans(0)] == ["evaluation.RankedList"]
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block_after(marker):
+    """The text of the first fenced block after the README line that ends with ``marker``."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.endswith(marker))
+    opening = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("```"))
+    closing = next(i for i in range(opening + 1, len(lines)) if lines[i].startswith("```"))
+    return "".join(line + "\n" for line in lines[opening + 1 : closing])
+
+
+class TestReadmeDefaults:
+    """The README's printed defaults and quick-start output are the program's own."""
+
+    def test_defaults_block_is_the_canonical_default_text(self):
+        assert readme_block_after("The defaults:") == canonical_config_text(RunConfig())
+
+    def test_quick_start_block_is_the_head_of_the_default_summary(self, default_experiment):
+        result, _ = default_experiment
+        *head, last = readme_block_after("which trains the default configuration and prints:").splitlines()
+        assert last == "..."  # the summary.* lines follow
+        assert result.summary.startswith("".join(line + "\n" for line in head))
+
+
 class TestDefaultConfigOrdering:
     def test_summary_bytes_pinned(self, default_experiment):
         result, _ = default_experiment
@@ -579,7 +603,7 @@ class TestDefaultConfigOrdering:
 
     def test_reports_bytes_pinned(self, default_experiment, tmp_path):
         result, _ = default_experiment
-        write_reports(result.reports, result.chance, tmp_path / "reports.txt", result.config_hash)
+        write_reports(result.reports, result.chance, tmp_path / "reports.txt", config_hash(result.config))
         assert hashlib.sha256((tmp_path / "reports.txt").read_bytes()).hexdigest() == DEFAULT_REPORTS_SHA256
 
     def test_prototypes_bytes_pinned(self, default_experiment, tmp_path):

@@ -74,31 +74,31 @@ PINNED_AUDIO_3_1 = [
 # as UTF-8 in the middle of a path.
 KEYS = [(0,), (3, 1), ("a", 2), (17, 0, 5), (2**40,), (), ("é", 3)]
 
+# (positional arguments, row width, dtype) of each method's draw.
 DRAWS = {
-    "standard_normal": ((5,), {}, np.float64),
-    "permutation": ((9,), {}, np.int64),
-    "uniform": ((-1.0, 2.0, 4), {}, np.float64),
-    # Three 32-bit draws leave half of a 64-bit output buffered.
-    "integers": ((0, 1000), {"size": 3, "dtype": np.uint32}, np.uint32),
+    "standard_normal": ((5,), 5, np.float64),
+    "permutation": ((9,), 9, np.int64),
+    "uniform": ((-1.0, 2.0, 4), 4, np.float64),
+    # low, high, size, dtype: three 32-bit draws leave half of a 64-bit output buffered.
+    "integers": ((0, 1000, 3, np.uint32), 3, np.uint32),
 }
 
 
 class TestDrawStreams:
     @pytest.mark.parametrize("method", sorted(DRAWS))
     def test_rows_equal_fresh_generators(self, method):
-        args, kwargs, dtype = DRAWS[method]
-        width = args[-1] if method != "integers" else kwargs["size"]
+        args, width, dtype = DRAWS[method]
         out = np.empty((len(KEYS), width), dtype=dtype)
-        draw_streams(out, 7, "rows", KEYS, method, *args, **kwargs)
+        draw_streams(out, 7, "rows", KEYS, method, *args)
         for row, key in zip(out, KEYS):
-            expected = getattr(rng_for(7, "rows", *key), method)(*args, **kwargs)
+            expected = getattr(rng_for(7, "rows", *key), method)(*args)
             assert np.array_equal(row, expected)
 
     def test_buffered_half_word_is_dropped_between_keys(self):
         # Each row's draw of three uint32 leaves one buffered; the next key
         # must start from an empty buffer, as a fresh generator does.
         out = np.empty((2, 3), dtype=np.uint32)
-        draw_streams(out, 0, "u32", [(0,), (1,)], "integers", 2**32, size=3, dtype=np.uint32)
+        draw_streams(out, 0, "u32", [(0,), (1,)], "integers", 0, 2**32, 3, np.uint32)
         fresh = rng_for(0, "u32", 1).integers(2**32, size=3, dtype=np.uint32)
         assert np.array_equal(out[1], fresh)
 

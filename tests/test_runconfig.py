@@ -171,6 +171,38 @@ class TestParseConfig:
             parse_config("world.seed = -1\n")
 
 
+class TestSettings:
+    """``parse_config(text, settings)``: each setting goes through a line's per-key step, after the file."""
+
+    def test_setting_replaces_the_file_value(self):
+        config = parse_config("world.seed = 3\n", {"world.seed": 5})
+        assert config.world.seed == 5
+        assert config == parse_config("world.seed = 5\n")
+
+    def test_settings_read_text_as_a_line_does(self):
+        text = "train.epochs = 3\nadapter.mode = linear_head_only\n"
+        settings = {"adapter.mode": "mlp_encoder_plus_head", "train.tau": " 0.05 ", "world.seed": 9}
+        expected = "train.epochs = 3\nadapter.mode = mlp_encoder_plus_head\ntrain.tau = 0.05\nworld.seed = 9\n"
+        assert parse_config(text, settings) == parse_config(expected)
+
+    def test_bad_setting_names_the_key(self):
+        with pytest.raises(ConfigTypeError, match=re.escape("setting: train.tau: ")):
+            parse_config("train.tau = 0.1\n", {"train.tau": "0"})
+        with pytest.raises(ConfigTypeError, match=re.escape("setting: world.seed: seed must be >= 0, got -1")):
+            parse_config("", {"world.seed": -1})
+        with pytest.raises(ConfigTypeError, match=re.escape("setting: train.epochs: ")):
+            parse_config("", {"train.epochs": "three"})
+        with pytest.raises(UnknownKeyError, match=re.escape("setting: unknown config key 'world.speed'")):
+            parse_config("", {"world.speed": "1"})
+
+    def test_file_errors_come_first(self):
+        # The file is parsed on its own: a setting does not excuse a repeated or bad line.
+        with pytest.raises(ConfigTypeError, match="line 2: world.seed is already set on line 1"):
+            parse_config("world.seed = 1\nworld.seed = 2\n", {"world.seed": 3})
+        with pytest.raises(ConfigTypeError, match="line 1: train.tau"):
+            parse_config("train.tau = -1\n", {"train.tau": "0.1"})
+
+
 class TestSizeBounds:
     """Out-of-range sizes fail as config errors, before any array exists. No value here is run."""
 

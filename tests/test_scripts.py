@@ -38,7 +38,7 @@ def test_sweep_over_seeds_prints_one_row_per_seed(capsys):
 
 def test_sweep_over_modes_and_budgets_prints_one_row_each(capsys, tmp_path):
     script = load_script("sweep")
-    # The base config sets a swept key, which the sweep replaces: the parser rejects a repeated key.
+    # The base config sets a swept key; the sweep's setting replaces its value.
     (tmp_path / "base.txt").write_text("train.epochs = 3\n")
     modes = ("linear_head_only", "mlp_encoder_plus_head")
     assert script.main(["--config", str(tmp_path / "base.txt"), "--set", "adapter.mode=" + ",".join(modes),
@@ -51,6 +51,19 @@ def test_sweep_over_modes_and_budgets_prints_one_row_each(capsys, tmp_path):
         assert math.isfinite(final_loss) and final_loss >= 0.0 and steps == 23  # one epoch of 23 batches
     assert script.main(["--seeds", "0-1", "--set", "world.seed=3"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_config_errors_match_the_cli(capsys, tmp_path):
+    # The sweep reads and sets keys through runconfig, as the CLI does, so the errors are the CLI's.
+    script = load_script("sweep")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"world.seed = 7\n# caf\xff\n")
+    assert script.main(["--config", str(bad), "--seeds", "0-0"]) == 2
+    assert capsys.readouterr().err == f"error: config {bad} is not UTF-8 text: byte 0xff at offset 20\n"
+    assert script.main(["--set", "world.speed=1,2"]) == 2
+    assert capsys.readouterr().err == "error: setting: unknown config key 'world.speed'\n"
+    assert script.main(["--set", "train.tau=0"]) == 2
+    assert capsys.readouterr().err.startswith("error: setting: train.tau: ")
 
 
 def test_verify_reference_names_the_op_that_differs(capsys, monkeypatch):
