@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -95,8 +95,9 @@ def _divide_by_norms(matrix: np.ndarray, norms: np.ndarray, side: str) -> np.nda
     return matrix / norms[:, None]
 
 
-def _cosine_rows(queries: EmbeddingSet, gallery: EmbeddingSet) -> Callable[[slice], np.ndarray]:
-    """``scores(rows)``: rows ``rows`` of the cosine matrix, a fresh array.
+def _cosine_rows(queries: EmbeddingSet, gallery: EmbeddingSet) -> Callable[..., np.ndarray]:
+    """``scores(rows, out=None)``: rows ``rows`` of the cosine matrix, in
+    ``out`` (C-contiguous, of the rows' shape) or a fresh array.
 
     Both sides are scaled to unit rows once, here; each call is then one
     BLAS GEMM of the query rows against the whole gallery. Zero rows
@@ -107,8 +108,8 @@ def _cosine_rows(queries: EmbeddingSet, gallery: EmbeddingSet) -> Callable[[slic
     q = _unit_rows(queries.matrix, "query")
     g = _unit_rows(gallery.matrix, "gallery").T
 
-    def scores(rows: slice) -> np.ndarray:
-        return q[rows] @ g
+    def scores(rows: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.matmul(q[rows], g, out=out)
 
     return scores
 

@@ -3,17 +3,46 @@
 All rankings are by descending cosine similarity with ties broken by
 ascending gallery index, so every metric is deterministic. That order is
 defined once, by ``rank_by_score``: one stable ``argsort`` of the negated
-scores. Truncated mean average precision (mAP@K) normalizes each query
-by min(total relevant, K), the standard convention.
+scores, which the fallbacks below run on their own rows. Truncated mean
+average precision (mAP@K) normalizes each query by min(total relevant,
+K), the standard convention.
 
 Metrics work on row blocks of the score matrix, not query by query, and
 never hold the whole matrix. A block holds at most ``_BLOCK_CELLS``
 cells (its height is that budget over the gallery width).
 ``map_retrieval`` and ``knn_classify`` score a block when they reach it,
 by one GEMM of its query rows against the gallery, on rows scaled to
-unit norm once per side, and let it go before the next. So the score
-block and its temporaries stay near a megabyte each, whatever the number
-of queries. Within a block:
+unit norm once per side, written into a buffer that the next block
+reuses. So the score block and its temporaries stay near a megabyte
+each, whatever the number of queries.
+
+The blocks of one call run on two lanes (``_on_lanes``): the calling
+thread and one helper thread, each taking the next block left. Each
+block writes its results into its own slots, and the partition is the
+one-lane partition, so every result is the same bit for bit whichever
+lane ran a block, and whether a second lane ran at all. A second lane
+runs only when the call covers two blocks or more and the process may
+run on more than one CPU; the default world's metrics are one block
+each, so they start no thread. ``map_retrieval``'s and
+``knn_classify``'s blocks, and the row blocks of ``rank_by_score``, go
+on two lanes. ``map_from_ranked``'s blocks are small gathers, which
+would only queue for the GIL, so they stay on one lane. Three rules
+keep the lanes apart:
+
+* lane 1 runs NumPy and this package's private helpers only. A public
+  function is entered and left on the calling thread, so a tracer that
+  keeps one stack of calls per process still sees them nest;
+* lane 1 gets long calls that release the GIL (GEMM, sort, ``argsort``,
+  ``argmax`` passes), not loops of small gathers;
+* the calling thread allocates each lane's block-sized buffers (the
+  GEMM output, negated in place, and the sorted copy) once per call.
+  An array that the helper thread allocates lands in a heap of its own,
+  which the process keeps; ``rank_by_score`` sorts 16 rows per
+  ``argsort`` there, so its output stays small.
+
+With an unpinned multi-threaded BLAS, both lanes call it at once; each
+call still computes its block with the same kernel, so the bits are
+unchanged. Within a block:
 
 * mAP needs only the ranks of each query's relevant gallery items, not
   the whole order. The negated scores of every row are sorted by value
@@ -23,8 +52,8 @@ of queries. Within a block:
   rank. A row of distinct non-NaN scores has exactly one descending
   order, so the count is exact there. Rows whose sorted scores hold an
   equal adjacent pair (``==``, which also catches tied infinities and
-  +-0.0) or a NaN are ranked by ``rank_by_score`` and read through its
-  inverse permutation. The search costs R log N per query for R relevant
+  +-0.0) or a NaN are ranked in full and read through the inverse
+  permutation. The search costs R log N per query for R relevant
   items in a gallery of N, so with very few large classes (two in 960
   items, R = 480) it costs a block more than one full ``argsort`` would;
 * average precision has one core for its three callers (``map_retrieval``,
@@ -35,12 +64,13 @@ of queries. Within a block:
   sequential sum of a one-query loop over the ranked list, bit for bit;
   pairwise ``np.sum`` would round differently;
 * kNN leave-one-out writes ``-inf`` over the block's self cells, then
-  picks its k neighbors by k passes of ``np.argmax`` over a copy of
-  the block, each writing ``-inf`` over the cell it picked. ``argmax``
+  picks its k neighbors by k passes of ``np.argmax`` over the block,
+  each writing ``-inf`` over the cell it picked, and puts the picked
+  scores back after the last pass. ``argmax``
   returns the lowest index among equal maxima (+-0.0 equal), which is
   the full stable ranking's tie order, so the k picks are exactly its
   first k columns. A row holding NaN, or with fewer than k scores above
-  ``-inf``, is ranked by ``rank_by_score`` instead. The passes cost k N
+  ``-inf``, is ranked in full instead. The passes cost k N
   per row, against N log N for a sort: fine for the small k of kNN.
 
 Methods score and this module ranks. A ``RankedList`` holds the score
@@ -66,8 +96,11 @@ under is its only name.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,11 +176,74 @@ class RankedList:
         object.__setattr__(self, "gallery_order", gallery_order)
 
 
-def _row_blocks(n_rows: int, width: int) -> Iterator[slice]:
-    """Consecutive row slices of at most ``_BLOCK_CELLS`` cells each."""
+def _row_blocks(n_rows: int, width: int, even: bool = False) -> Iterator[slice]:
+    """Consecutive row slices of at most ``_BLOCK_CELLS`` cells each.
+
+    With ``even``, as many slices, of near-equal heights.
+    """
     height = max(1, _BLOCK_CELLS // max(width, 1))
+    if even and n_rows:
+        height = -(-n_rows // -(-n_rows // height))
     for start in range(0, n_rows, height):
         yield slice(start, min(start + height, n_rows))
+
+
+def _on_lanes(
+    blocks: Sequence[slice],
+    work: Callable[..., None],
+    buffers: Sequence[Tuple[int, object]] = (),
+    two_lanes: bool = True,
+) -> None:
+    """Call ``work(rows, *scratch)`` once for each block of ``blocks``, on two lanes.
+
+    Lane 0 is the calling thread and lane 1 a helper thread; each takes
+    the next block left until none is. ``buffers`` are (width, dtype)
+    pairs: every lane gets one array of the tallest block's height per
+    pair, allocated here, on the calling thread, and ``scratch`` is their
+    first ``len(rows)`` rows. A second lane runs only for two blocks or
+    more, when this process may run on more than one CPU, and unless
+    ``two_lanes`` is false. An error from either lane is raised here,
+    after both have stopped.
+    """
+    if not blocks:
+        return
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    lanes = 2 if two_lanes and len(blocks) > 1 and cpus > 1 else 1
+    height = max(rows.stop - rows.start for rows in blocks)
+    pending = deque(blocks)
+
+    def drain(arrays: List[np.ndarray]) -> None:
+        while True:
+            try:
+                rows = pending.popleft()
+            except IndexError:
+                return
+            work(rows, *(array[: rows.stop - rows.start] for array in arrays))
+
+    scratch = [[np.empty((height, width), dtype) for width, dtype in buffers] for _ in range(lanes)]
+    if lanes == 1:
+        drain(scratch[0])
+        return
+    failed: List[BaseException] = []
+
+    def helper() -> None:
+        try:
+            drain(scratch[1])
+        except BaseException as exc:
+            pending.clear()
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name="xmodal-lane-1")
+    thread.start()
+    try:
+        drain(scratch[0])
+    except BaseException:
+        pending.clear()
+        raise
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _tied(ranked: np.ndarray) -> np.ndarray:
@@ -164,10 +260,26 @@ def rank_by_score(scores: np.ndarray) -> np.ndarray:
     """Gallery order: descending score, ties by ascending index.
 
     Sorts along the last axis, so a score row gives one ranking and a
-    block of rows gives one ranking per row. NaN ranks last. Integer
-    scores are sorted as integers (by radix up to 16 bits).
+    block of rows gives one ranking per row, in row blocks on two lanes
+    (``_on_lanes``). NaN ranks last. Integer scores are sorted as
+    integers (by radix up to 16 bits).
     """
-    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")
+    scores = np.asarray(scores)
+    if scores.ndim != 2:
+        return np.argsort(-scores, axis=-1, kind="stable")
+    orders = np.empty(scores.shape, dtype=np.intp)
+
+    def rank_block(rows: slice, negated: np.ndarray) -> None:
+        np.negative(scores[rows], out=negated)
+        # argsort's output is the one array a lane allocates itself: in
+        # slices of 16 rows it stays small in the helper thread's heap.
+        for start in range(0, negated.shape[0], 16):
+            part = slice(start, start + 16)
+            orders[rows][part] = negated[part].argsort(axis=1, kind="stable")
+
+    # Rows rank alone, so any partition gives the same orders.
+    _on_lanes(list(_row_blocks(*scores.shape, even=True)), rank_block, [(scores.shape[1], scores.dtype)])
+    return orders
 
 
 def _inverse_ranks(orders: np.ndarray) -> np.ndarray:
@@ -177,16 +289,17 @@ def _inverse_ranks(orders: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _search_ranks(scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """1-based rank of ``scores[i, columns[i, j]]`` in ``rank_by_score(scores)[i]``.
+def _search_ranks(negated: np.ndarray, columns: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    """1-based rank of ``-negated[i, columns[i, j]]`` in ``rank_by_score(-negated)[i]``.
 
-    Sorts each row's negated scores by value and finds, by a binary search
-    over the flattened sorted block, the number of entries strictly below
-    each looked-up value. That is the rank minus one in a row of distinct
+    Sorts each row of the negated scores by value, into ``ranked`` (of
+    ``negated``'s shape), and finds, by a binary search over the
+    flattened sorted block, the number of entries strictly below each
+    looked-up value. That is the rank minus one in a row of distinct
     non-NaN scores; the other rows are ranked in full.
     """
-    negated = -scores
-    ranked = np.sort(negated, axis=1)
+    ranked[...] = negated
+    ranked.sort(axis=1)
     width = ranked.shape[1]
     flat = ranked.ravel()
     values = np.take_along_axis(negated, columns, axis=1)
@@ -202,16 +315,20 @@ def _search_ranks(scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
     ranks = lower - row_start + (flat[lower] < values) + 1
     tied = _tied(ranked)
     if tied.any():
-        ranks[tied] = np.take_along_axis(_inverse_ranks(rank_by_score(scores[tied])), columns[tied], axis=1)
+        orders = np.argsort(negated[tied], axis=1, kind="stable")
+        ranks[tied] = np.take_along_axis(_inverse_ranks(orders), columns[tied], axis=1)
     return ranks
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """``rank_by_score(scores)[:, :k]`` by k passes of ``np.argmax``.
 
-    Each pass takes every row's highest remaining score, the lowest index
-    among equal ones, and writes ``-inf`` over it in a copy of the block.
-    Rows that this would get wrong go to ``rank_by_score``: a first pick
+    ``scores`` is a writable float64 block. Each pass takes every row's
+    highest remaining score, the lowest index among equal ones, and
+    writes ``-inf`` over it in the block; the picked scores go back, last
+    pass first, before any other use of the block, so it ends as it
+    began, bit for bit. Rows that this would get wrong are ranked in
+    full, as ``rank_by_score`` ranks them: a first pick
     of NaN (``argmax`` returns the first NaN, the full sort ranks NaN
     last), and a last pick of ``-inf`` (fewer than k scores above it, so
     a pass may pick a cell already taken). The passes read k N cells per
@@ -219,18 +336,20 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     items beats a partition-based selection at k = 40 and loses to it by
     k = 80. Every config in the repository uses k = 3 or 5.
     """
-    block = np.array(scores, dtype=np.float64)
-    rows = np.arange(block.shape[0])
-    picks = np.empty((block.shape[0], k), dtype=np.int64)
-    picked = np.empty((block.shape[0], k))
+    rows = np.arange(scores.shape[0])
+    picks = np.empty((scores.shape[0], k), dtype=np.int64)
+    picked = np.empty((scores.shape[0], k))
     for j in range(k):
-        column = np.argmax(block, axis=1)
+        column = np.argmax(scores, axis=1)
         picks[:, j] = column
-        picked[:, j] = block[rows, column]
-        block[rows, column] = -np.inf
+        picked[:, j] = scores[rows, column]
+        scores[rows, column] = -np.inf
+    # A later pass may have picked a cell that an earlier one took.
+    for j in reversed(range(k)):
+        scores[rows, picks[:, j]] = picked[:, j]
     fallback = np.isnan(picked[:, 0]) | (picked[:, -1] == -np.inf)
     if fallback.any():
-        picks[fallback] = rank_by_score(scores[fallback])[:, :k]
+        picks[fallback] = np.argsort(-scores[fallback], axis=1, kind="stable")[:, :k]
     return picks
 
 
@@ -249,15 +368,19 @@ def _ap_from_ranks(ranks: np.ndarray, limit: int, denom) -> np.ndarray:
 
 
 def _map_report(
-    ranks_of: Callable[[slice, np.ndarray], np.ndarray],
+    ranks_of: Callable[..., np.ndarray],
     query_labels: np.ndarray,
     gallery_labels: np.ndarray,
     k: Optional[int],
+    buffers: Sequence[Tuple[int, object]] = (),
+    two_lanes: bool = True,
 ) -> EvalReport:
     """mAP of the queries labelled ``query_labels``, one row each.
 
-    ``ranks_of(rows, columns)`` gives the 1-based rank of gallery item
-    ``columns[i, j]`` in the ranking of query ``rows.start + i``.
+    ``ranks_of(rows, columns, *scratch)`` gives the 1-based rank of
+    gallery item ``columns[i, j]`` in the ranking of query
+    ``rows.start + i``; ``scratch`` are its lane's ``buffers``, and
+    ``two_lanes`` says whether a second lane may run (``_on_lanes``).
     """
     classes, counts = np.unique(gallery_labels, return_counts=True)
     # members[c]: the columns of class c, ascending, padded with column 0.
@@ -268,13 +391,16 @@ def _map_report(
     totals = np.where(classes[slot] == query_labels, counts[slot], 0)
     limit = gallery_labels.size if k is None else k
     ap = np.empty(query_labels.size)
-    for rows in _row_blocks(query_labels.size, gallery_labels.size):
+
+    def score_block(rows: slice, *scratch: np.ndarray) -> None:
         total = totals[rows]
-        ranks = ranks_of(rows, members[slot[rows]])
+        ranks = ranks_of(rows, members[slot[rows]], *scratch)
         ranks[np.arange(members.shape[1]) >= total[:, None]] = limit + 1
         denom = total if k is None else np.minimum(total, k)
         # Queries with nothing relevant are dropped; 1 only spares them 0/0.
         ap[rows] = _ap_from_ranks(ranks, limit, np.maximum(denom, 1))
+
+    _on_lanes(list(_row_blocks(query_labels.size, gallery_labels.size)), score_block, buffers, two_lanes)
     scored = totals > 0
     per_query = ap[scored].tolist()
     if not per_query:
@@ -301,10 +427,12 @@ def map_retrieval(queries: EmbeddingSet, gallery: EmbeddingSet, k: Optional[int]
         raise EmptyGalleryError("cannot rank an empty gallery")
     scores = _cosine_rows(queries, gallery)
 
-    def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
-        return _search_ranks(scores(rows), columns)
+    def ranks_of(rows: slice, columns: np.ndarray, negated: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+        np.negative(scores(rows, out=negated), out=negated)
+        return _search_ranks(negated, columns, ranked)
 
-    return _map_report(ranks_of, queries.labels, gallery.labels, k)
+    width = gallery.n_items
+    return _map_report(ranks_of, queries.labels, gallery.labels, k, [(width, np.float64), (width, np.float64)])
 
 
 def map_from_ranked(
@@ -338,7 +466,9 @@ def map_from_ranked(
     def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
         return ranks[row_of[rows, None], columns]
 
-    return _map_report(ranks_of, query_labels, gallery_labels[ranked.gallery_order], k)
+    # Each block is a small gather from ``ranks``: a second lane would
+    # only queue for the GIL.
+    return _map_report(ranks_of, query_labels, gallery_labels[ranked.gallery_order], k, two_lanes=False)
 
 
 def chance_map_oracle(n_per_class: int, n_classes: int, trials: int = 1000, seed: int = 0) -> float:
@@ -392,10 +522,10 @@ def knn_classify(queries: EmbeddingSet, reference: EmbeddingSet, k: int) -> Eval
     if k > usable:
         raise KTooLargeError(f"k={k} but only {usable} usable reference items")
     scores = _cosine_rows(queries, reference)
-    per_query: List[float] = []
-    # A block row also holds a k-by-k vote table.
-    for rows in _row_blocks(queries.n_items, max(reference.n_items, k * k)):
-        block = scores(rows)
+    correct = np.empty(queries.n_items)
+
+    def classify_block(rows: slice, block: np.ndarray) -> None:
+        scores(rows, out=block)
         if exclude_self:
             block[np.arange(block.shape[0]), np.arange(rows.start, rows.stop)] = -np.inf
         neighbor_labels = reference.labels[_top_k(block, k)]
@@ -403,9 +533,12 @@ def knn_classify(queries: EmbeddingSet, reference: EmbeddingSet, k: int) -> Eval
         # most-voted class is the prediction, so vote ties go by rank.
         votes = (neighbor_labels[:, :, None] == neighbor_labels[:, None, :]).sum(axis=2)
         first = np.argmax(votes == votes.max(axis=1, keepdims=True), axis=1)
-        prediction = neighbor_labels[np.arange(first.size), first]
-        per_query.extend((prediction == queries.labels[rows]).astype(np.float64).tolist())
-    return EvalReport(per_query=tuple(per_query), k=k, metadata={"exclude_self": exclude_self})
+        correct[rows] = neighbor_labels[np.arange(first.size), first] == queries.labels[rows]
+
+    # A block row also holds a k-by-k vote table.
+    blocks = list(_row_blocks(queries.n_items, max(reference.n_items, k * k)))
+    _on_lanes(blocks, classify_block, [(reference.n_items, np.float64)])
+    return EvalReport(per_query=tuple(correct.tolist()), k=k, metadata={"exclude_self": exclude_self})
 
 
 def class_prototypes(embedding_set: EmbeddingSet) -> EmbeddingSet:

@@ -19,8 +19,8 @@ scores what :func:`load_trained` reads back, each blob checked against
 that list before any row is drawn.
 
 A stage draws only the world rows it reads: :func:`prepare_world` takes
-each command's sides and prompts from one table, ``_DRAWS``, and is the
-only code that turns the split into rows.
+each command's sides, prompts and student text from one table,
+``_DRAWS``, and is the only code that turns the split into rows.
 
 ``_SUMMARY_BLOCKS`` is the one list of reports, keyed ``<metric>.<method>``:
 a method table builds each method's eval audio and a metric table scores it,
@@ -140,7 +140,8 @@ class PreparedWorld:
 
     ``world`` holds the student text, the teacher text rows and the audio
     and image rows that the command draws (``_DRAWS``); a side holds no
-    row of a channel that the command does not draw for it.
+    row of a channel that the command does not draw for it, and a world
+    whose command draws no student text holds none of it.
     """
 
     world: World
@@ -171,25 +172,27 @@ def _blob_shapes(config: RunConfig) -> Dict[str, Dict[str, Tuple[int, ...]]]:
 _SIDES = ("train", "eval")
 
 # What each command draws: (audio sides, image sides, every prompt
-# variant or only the canonical variant 0). train reads the train clips
-# and every prompt; eval the eval clips and images and the canonical
+# variant or only the canonical variant 0, the student text or none).
+# train reads the train clips, every prompt and the student text, for
+# the text map; eval the eval clips and images and the canonical
 # prompts, because its tables come from train; baseline every clip, for
-# the audio prototypes, with the eval images and the canonical prompts;
-# gen and run every row, because they write every .xmeb.
+# the audio prototypes, with the eval images, the canonical prompts and
+# the student text; gen and run every row, because they write every .xmeb.
 _DRAWS = {
-    "gen": (_SIDES, _SIDES, True),
-    "train": (("train",), (), True),
-    "eval": (("eval",), ("eval",), False),
-    "baseline": (_SIDES, ("eval",), False),
-    "run": (_SIDES, _SIDES, True),
+    "gen": (_SIDES, _SIDES, True, True),
+    "train": (("train",), (), True, True),
+    "eval": (("eval",), ("eval",), False, False),
+    "baseline": (_SIDES, ("eval",), False, True),
+    "run": (_SIDES, _SIDES, True, True),
 }
 
 
 def prepare_world(config: RunConfig, command: str) -> PreparedWorld:
     """Split and generate the rows that ``command`` draws (``_DRAWS``):
-    the audio rows of its audio sides, the image rows of its image sides
-    and every teacher prompt variant or only the canonical ones. A side
-    not among a channel's sides holds no row of that channel.
+    the audio rows of its audio sides, the image rows of its image sides,
+    every teacher prompt variant or only the canonical ones, and the
+    student text or none of it. A side not among a channel's sides holds
+    no row of that channel.
 
     The split permutations are drawn once, before any row values. The
     world holds the sorted union of the drawn sides' audio rows and of
@@ -198,7 +201,7 @@ def prepare_world(config: RunConfig, command: str) -> PreparedWorld:
     row key, so a row drawn alone is bit-equal to the same row of the
     whole world.
     """
-    audio_sides, image_sides, every_prompt = _DRAWS[command]
+    audio_sides, image_sides, every_prompt, student_text = _DRAWS[command]
     sides = [
         SideRows(
             rows.audio if name in audio_sides else rows.audio[:0],
@@ -214,6 +217,7 @@ def prepare_world(config: RunConfig, command: str) -> PreparedWorld:
         image_rows=image_rows,
         audio_rows=audio_rows,
         teacher_rows=None if every_prompt else canonical,
+        with_student_text=student_text,
     )
     train_view, eval_view = (
         replace(

@@ -116,9 +116,11 @@ def _key_table() -> Dict[str, Tuple[Optional[str], str, Callable[[str], object]]
         (None, RunConfig, "output_dir", "output_dir"),
     ]
     converters = {int: _int64, float: float, str: str, Optional[Tuple[float, ...]]: _float_list}
+    # One get_type_hints per class: each call compiles every annotation string of it.
+    hints = {cls: get_type_hints(cls) for cls in dict.fromkeys(cls for _, cls, _, _ in entries)}
     table = {}
     for section, cls, name, key in entries:
-        kind = get_type_hints(cls)[name]
+        kind = hints[cls][name]
         if kind not in converters:
             raise TypeError(f"config key {key} has type {kind}, which no converter reads")
         table[key] = (section, name, converters[kind])

@@ -22,8 +22,9 @@ channels and holds a subset of the audio and image rows.
 The split is drawn first, from the config alone: :func:`split_rows`
 gives each side's row positions. :func:`generate_world` then draws every
 row, or only the audio, image and teacher text rows it is given, each
-bit-equal to the same row of the whole world. So a stage draws only the
-rows it reads, and drawing fewer rows moves no bit of the rest.
+bit-equal to the same row of the whole world, and the student text or
+none of it. So a stage draws only the rows it reads, and drawing fewer
+rows moves no bit of the rest.
 ``pipeline.prepare_world`` is the one place that turns the split into
 sides.
 
@@ -140,7 +141,8 @@ class World:
     Audio, image and teacher text rows are in ascending world position:
     all of them on a whole generated world, the drawn rows on a world
     drawn with row selections, and the side's audio and image rows on a
-    split side. Student text and centres are always whole.
+    split side. Centres are always whole, and student text is whole or
+    holds no row.
     """
 
     config: WorldConfig
@@ -186,6 +188,7 @@ def generate_world(
     image_rows: Optional[np.ndarray] = None,
     audio_rows: Optional[np.ndarray] = None,
     teacher_rows: Optional[np.ndarray] = None,
+    with_student_text: bool = True,
 ) -> World:
     """Generate the world deterministically from its config.
 
@@ -196,7 +199,9 @@ def generate_world(
     image, audio and teacher text channels, each bit-equal to the same
     row of the whole world, in that order; ``None`` draws them all. The
     world does not record which rows it holds: image row ``i`` is
-    ``image_rows[i]``, and likewise for the other two.
+    ``image_rows[i]``, and likewise for the other two. With
+    ``with_student_text`` false the student text holds no row, and its
+    streams are not drawn.
     """
     seed = config.seed
     d_t = config.d_teacher
@@ -249,17 +254,18 @@ def generate_world(
         modality=Modality.AUDIO,
     )
 
-    student_anchors = _norm_relative_rows(
-        seed, "student_anchor", genus_keys, config.sigma_family, config.d_student
-    )
-    student_offsets = _norm_relative_rows(
-        seed, "student_text", species_keys, config.sigma_genus, config.d_student
-    )
-    student_text = EmbeddingSet(
-        matrix=_unit_rows(student_anchors[species_genus] + student_offsets, species_keys, "student text"),
-        labels=np.arange(n_species, dtype=np.int64),
-        modality=Modality.STUDENT_TEXT,
-    )
+    if with_student_text:
+        student_anchors = _norm_relative_rows(
+            seed, "student_anchor", genus_keys, config.sigma_family, config.d_student
+        )
+        student_offsets = _norm_relative_rows(
+            seed, "student_text", species_keys, config.sigma_genus, config.d_student
+        )
+        student_rows = _unit_rows(student_anchors[species_genus] + student_offsets, species_keys, "student text")
+        student_labels = np.arange(n_species, dtype=np.int64)
+    else:
+        student_rows, student_labels = np.empty((0, config.d_student)), np.empty(0, dtype=np.int64)
+    student_text = EmbeddingSet(student_rows, student_labels, Modality.STUDENT_TEXT)
 
     return World(
         config=config,

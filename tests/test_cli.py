@@ -506,8 +506,9 @@ class TestRowsEachStageDraws:
 
     @pytest.mark.parametrize("command", ["gen", "train", "eval", "baseline"])
     def test_each_stage_draws_its_clips_and_prompts(self, config_path, command):
-        # Each command draws the clips of its audio sides and every prompt
-        # variant or only the canonical ones, as the draw table says.
+        # Each command draws the clips of its audio sides, every prompt
+        # variant or only the canonical ones, and the student text or none
+        # of it, as the draw table says.
         if command in ("eval", "baseline"):
             run_cli("train", "--config", str(config_path))
         extra = ["--kind", "text_mapping"] if command == "baseline" else []
@@ -515,12 +516,15 @@ class TestRowsEachStageDraws:
         config = self.config_of(config_path)
         whole = generate_world(config.world)
         split = dict(zip(("train", "eval"), split_rows(config.world, config.eval.holdout_fraction, config.world.seed)))
-        sides, _, every_prompt = _DRAWS[command]
+        sides, _, every_prompt, student_text = _DRAWS[command]
         canonical = np.arange(config.world.n_species) * config.world.variant_count
         prompts = np.arange(whole.teacher_text.n_items) if every_prompt else canonical
         audio = np.sort(np.concatenate([split[side].audio for side in sides]))
         assert [n for name, n in draws if name == "audio"] == [audio.size]
         assert [n for name, n in draws if name == "teacher_text"] == [prompts.size]
+        student_draws = [(name, n) for name, n in draws if name.startswith("student_")]
+        expected = [("student_anchor", config.world.n_genera), ("student_text", config.world.n_species)]
+        assert student_draws == (expected if student_text else [])
 
         def assert_rows_of(held, whole_set, rows):
             assert held.matrix.tobytes() == whole_set.matrix[rows].tobytes()
@@ -529,6 +533,7 @@ class TestRowsEachStageDraws:
         assert_rows_of(prepared.world.audio_features, whole.audio_features, audio)
         assert_rows_of(prepared.world.teacher_text, whole.teacher_text, prompts)
         assert_rows_of(prepared.teacher_prototypes, whole.teacher_text, canonical)
+        assert_rows_of(prepared.world.student_text, whole.student_text, slice(None) if student_text else slice(0))
         for name, view in (("train", prepared.train_view), ("eval", prepared.eval_view)):
             rows = split[name].audio if name in sides else np.empty(0, np.int64)
             assert_rows_of(view.audio_features, whole.audio_features, rows)

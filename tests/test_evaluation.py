@@ -1,9 +1,11 @@
 """Retrieval and classification metrics against hand-computed oracles."""
 
+import contextlib
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -234,7 +236,7 @@ def assert_ranks_invert_rank_by_score(scores, data):
         [data.draw(st.lists(column, min_size=n_columns, max_size=n_columns)) for _ in range(n_rows)]
     ).reshape(n_rows, n_columns)
     inverse = np.argsort(rank_by_score(scores), axis=1) + 1
-    ranks = evaluation._search_ranks(scores, columns)
+    ranks = evaluation._search_ranks(-scores, columns, np.empty_like(scores))
     assert np.array_equal(ranks, np.take_along_axis(inverse, columns, axis=1))
 
 
@@ -269,7 +271,8 @@ class TestSearchRanks:
         # equal: only the NaN test sends them to the full ranking.
         scores = np.array([[np.nan, 0.0, np.inf], [np.nan, np.nan, 1.0], [np.nan, -np.inf, np.nan]])
         columns = np.tile(np.arange(3), (3, 1))
-        assert evaluation._search_ranks(scores, columns).tolist() == [[3, 2, 1], [2, 3, 1], [2, 1, 3]]
+        ranks = evaluation._search_ranks(-scores, columns, np.empty_like(scores))
+        assert ranks.tolist() == [[3, 2, 1], [2, 3, 1], [2, 1, 3]]
 
 
 def ap_of_flags(flags, k=None) -> float:
@@ -916,7 +919,11 @@ class TestBatchedMatchesNaiveOracles:
         # Python's sort has no order for NaN keys, so the full stable
         # argsort is the reference here.
         scores = np.array(rows)
-        assert evaluation._top_k(scores, k).tolist() == rank_by_score(scores)[:, :k].tolist()
+        before = scores.tobytes()
+        picks = evaluation._top_k(scores, k)
+        # The passes put every picked score back, NaN and -0.0 too.
+        assert scores.tobytes() == before
+        assert picks.tolist() == rank_by_score(scores)[:, :k].tolist()
 
     def test_top_k_sends_a_row_holding_nan_to_the_full_sort(self):
         # argmax would pick the NaN first; the full sort ranks it last.
@@ -1033,12 +1040,18 @@ class TestScoreRowBlocks:
     def test_blocks_hold_the_bits_of_the_whole_product(self, dim, width):
         # The premise of the benchmark's pinned eval_wide digests, which
         # were recorded when both metrics ranked rows of the whole product.
+        # A block written into a lane buffer holds the same bits as a
+        # fresh one.
         clips = gaussian_set(1920, dim, 0)
         gallery = gaussian_set(width, dim, 1)
         whole = similarity_matrix(clips, gallery)
         scores = _cosine_rows(clips, gallery)
-        for rows in evaluation._row_blocks(clips.n_items, width):
+        blocks = list(evaluation._row_blocks(clips.n_items, width))
+        buffer = np.empty((blocks[0].stop, width))
+        for rows in blocks:
             assert np.array_equal(scores(rows), whole[rows])
+            block = buffer[: rows.stop - rows.start]
+            assert scores(rows, out=block) is block and np.array_equal(block, whole[rows])
 
     @pytest.mark.parametrize("dim", [20, 32])
     def test_reports_equal_one_whole_block(self, dim):
@@ -1048,3 +1061,196 @@ class TestScoreRowBlocks:
         with mock.patch.object(evaluation, "_BLOCK_CELLS", clips.n_items**2):
             whole = map_retrieval(clips, images), knn_classify(clips, clips, 5)
         assert blocked == whole
+
+
+def on_cpus(n_cpus):
+    """This process may run on ``n_cpus`` CPUs, as ``_on_lanes`` reads it."""
+    return mock.patch.object(evaluation.os, "sched_getaffinity", return_value=set(range(n_cpus)), create=True)
+
+
+@contextlib.contextmanager
+def lane_one_takes_a_block(helper):
+    """Patch the private ``evaluation.<helper>``, which every block calls once,
+    so that while a helper thread runs, the calling thread's blocks wait
+    until lane 1 has called it. Yields the names of the calling threads."""
+    original = getattr(evaluation, helper)
+    called = threading.Event()
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        if threading.current_thread() is not threading.main_thread():
+            called.set()
+        elif any(thread.name == "xmodal-lane-1" for thread in threading.enumerate()):
+            assert called.wait(timeout=30)
+        return original(*args, **kwargs)
+
+    with mock.patch.object(evaluation, helper, spy):
+        yield threads
+
+
+def outcome(call):
+    """``call()``'s report as bits, or its error's type and message."""
+    try:
+        report = call()
+    except NoRelevantItemsError as exc:
+        return type(exc), str(exc)
+    return np.array(report.per_query).tobytes(), np.float64(report.value).tobytes(), report.k, report.metadata
+
+
+def nan_rows(data, items):
+    """``items`` with a drawn subset of rows holding a NaN: their scores are NaN."""
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=items.n_items, max_size=items.n_items)))
+    matrix = items.matrix.copy()
+    matrix[mask, 0] = np.nan
+    return EmbeddingSet(matrix, items.labels, items.modality)
+
+
+class TestLanes:
+    # Palette rows tie often and NaN rows score NaN, so lane 1 takes the
+    # tie fallbacks too. The block budget is patched down so calls split
+    # into many blocks; forcing one CPU gives the one-lane run of the
+    # same partition, and forcing two makes lane 1 take at least one block.
+
+    @given(st.data(), BLOCK_CELLS)
+    @settings(max_examples=100, deadline=None)
+    def test_map_on_two_lanes_equals_one_lane(self, data, cells):
+        queries = nan_rows(data, data.draw(exact_sets(QUERY_LABELS, max_size=16)))
+        gallery = data.draw(exact_sets(GALLERY_LABELS))
+        k = data.draw(st.none() | st.integers(1, gallery.n_items + 3))
+        running = threading.active_count()
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            with on_cpus(1), lane_one_takes_a_block("_search_ranks") as one_lane:
+                one = outcome(lambda: map_retrieval(queries, gallery, k=k))
+            with on_cpus(2), lane_one_takes_a_block("_search_ranks") as two_lanes:
+                two = outcome(lambda: map_retrieval(queries, gallery, k=k))
+            blocks = len(list(evaluation._row_blocks(queries.n_items, gallery.n_items)))
+        assert two == one
+        assert set(one_lane) == {"MainThread"}
+        assert ("xmodal-lane-1" in two_lanes) == (blocks > 1)
+        assert threading.active_count() == running
+
+    @given(st.data(), BLOCK_CELLS)
+    @settings(max_examples=100, deadline=None)
+    def test_knn_on_two_lanes_equals_one_lane(self, data, cells):
+        queries = nan_rows(data, data.draw(exact_sets(GALLERY_LABELS, min_size=2, max_size=16)))
+        reference = queries if data.draw(st.booleans(), label="self") else data.draw(exact_sets(GALLERY_LABELS))
+        k = data.draw(st.integers(1, reference.n_items - (reference is queries)))
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            with on_cpus(1):
+                one = outcome(lambda: knn_classify(queries, reference, k))
+            with on_cpus(2), lane_one_takes_a_block("_top_k") as two_lanes:
+                two = outcome(lambda: knn_classify(queries, reference, k))
+            blocks = len(list(evaluation._row_blocks(queries.n_items, max(reference.n_items, k * k))))
+        assert two == one
+        assert ("xmodal-lane-1" in two_lanes) == (blocks > 1)
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([np.inf, 1.0, 0.0, -0.0, -1.0, -np.inf, np.nan]), min_size=6, max_size=6),
+            min_size=1,
+            max_size=12,
+        ),
+        BLOCK_CELLS,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ranking_on_two_lanes_equals_one_lane(self, rows, cells):
+        scores = np.array(rows)
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
+            with on_cpus(1):
+                one = rank_by_score(scores)
+            with on_cpus(2):
+                two = rank_by_score(scores)
+        assert two.tobytes() == one.tobytes()
+        assert one.tolist() == [np.argsort(-np.array(row), kind="stable").tolist() for row in rows]
+
+    @pytest.mark.parametrize("failing", ["MainThread", "xmodal-lane-1"])
+    def test_an_error_in_either_lane_is_raised_after_both_stop(self, failing):
+        clips, images = gaussian_set(64, 8, 0), gaussian_set(32, 8, 1)
+        search_ranks = evaluation._search_ranks
+        # Each lane's first block waits for the other's, so both take one.
+        both_lanes = threading.Barrier(2, timeout=30)
+        arrived = set()
+
+        def breaking(*args):
+            name = threading.current_thread().name
+            if name not in arrived:
+                arrived.add(name)
+                both_lanes.wait()
+            if name == failing:
+                raise ZeroVectorError(f"{name} broke")
+            return search_ranks(*args)
+
+        running = threading.active_count()
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", 32 * 8), on_cpus(2):
+            with mock.patch.object(evaluation, "_search_ranks", breaking):
+                with pytest.raises(ZeroVectorError, match=f"^{failing} broke$"):
+                    map_retrieval(clips, images)
+        assert threading.active_count() == running
+
+    def test_concurrent_calls_under_a_short_switch_interval(self):
+        # Four callers, each with its own two lanes, on two cores: every
+        # block runs exactly once and every report is the one-lane report.
+        clips, images = gaussian_set(192, 8, 0, n_classes=12), gaussian_set(96, 8, 1, n_classes=12)
+        calls = {"map": lambda: map_retrieval(clips, images, k=10), "knn": lambda: knn_classify(clips, clips, 3)}
+        search_ranks, top_k = evaluation._search_ranks, evaluation._top_k
+        blocks = []
+
+        def counted(original):
+            def spy(*args):
+                blocks.append(threading.current_thread().name)
+                return original(*args)
+
+            return spy
+
+        results, switch_interval = [], sys.getswitchinterval()
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", 96 * 4):
+            with on_cpus(1):
+                expected = {name: outcome(call) for name, call in calls.items()}
+            blocks_per_round = len(list(evaluation._row_blocks(192, 96))) + len(list(evaluation._row_blocks(192, 192)))
+            with on_cpus(2), mock.patch.object(evaluation, "_search_ranks", counted(search_ranks)), mock.patch.object(
+                evaluation, "_top_k", counted(top_k)
+            ):
+                sys.setswitchinterval(1e-6)
+                try:
+                    callers = [
+                        threading.Thread(target=lambda: results.extend((n, outcome(c)) for n, c in calls.items()))
+                        for _ in range(4)
+                    ]
+                    for caller in callers:
+                        caller.start()
+                    for caller in callers:
+                        caller.join(timeout=60)
+                        assert not caller.is_alive()
+                finally:
+                    sys.setswitchinterval(switch_interval)
+        assert len(results) == 8 and all(report == expected[name] for name, report in results)
+        assert len(blocks) == 4 * blocks_per_round
+        assert "xmodal-lane-1" in blocks
+
+    def test_the_default_run_starts_no_thread(self):
+        # Every metric of the default world is one block.
+        from xmodal.pipeline import run_experiment
+        from xmodal.runconfig import parse_config
+
+        with mock.patch.object(threading.Thread, "start", autospec=True) as start:
+            run_experiment(parse_config(""), write=False)
+        assert start.call_count == 0
+
+
+def test_eval_wide_evaluation_stays_within_its_traced_memory_bound(monkeypatch):
+    # On one lane, evaluate_trained on the benchmark's eval_wide world
+    # (seed 7, 1920 clips x 960 images) peaked at 4.74 MB traced. Lane 0's
+    # buffers take the place of the fresh score, negated and sorted blocks
+    # that one lane allocated; lane 1's two map_retrieval buffers, of 136
+    # rows x 960 float64 each (2.09 MB), are new. Two lanes read 5.76-6.00 MB.
+    from test_pipeline import perfbench_module
+    from xmodal.pipeline import evaluate_trained, prepare_world, train_stage
+    from xmodal.runconfig import parse_config
+
+    config = parse_config(perfbench_module("workloads", monkeypatch).EVAL_WIDE_CONFIG)
+    _, trained = train_stage(config, prepare_world(config, "train"), None)
+    prepared = prepare_world(config, "eval")
+    lane_buffers = 2 * 136 * 960 * 8 / 2**20
+    with on_cpus(2):
+        assert traced_peak_mb(lambda: evaluate_trained(config, prepared, trained)) < 4.74 + lane_buffers

@@ -449,7 +449,7 @@ def test_prepare_world_holds_each_side_at_its_split_rows(world, command, monkeyp
     whole = generate_world(config.world)
     split = dict(zip(("train", "eval"), split_rows(config.world, config.eval.holdout_fraction, config.world.seed)))
     views = {"train": prepared.train_view, "eval": prepared.eval_view}
-    audio_sides, image_sides, _ = _DRAWS[command]
+    audio_sides, image_sides, _, _ = _DRAWS[command]
     for channel, drawn_sides, rows_of in (
         ("audio_features", audio_sides, lambda rows: rows.audio),
         ("images", image_sides, lambda rows: rows.images),

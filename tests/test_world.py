@@ -143,8 +143,10 @@ class TestMatchesPerRowReference:
     @given(WORLD_CONFIGS, st.data())
     @settings(max_examples=40, deadline=None)
     def test_selected_rows(self, config, data):
-        # Rows drawn alone are the whole world's rows at those positions.
+        # Rows drawn alone are the whole world's rows at those positions;
+        # skipping the student text moves no bit of the rest.
         whole = generate_world(config)
+        with_student_text = data.draw(st.booleans(), label="with_student_text")
         selected = {}
         for name in ("images", "audio_features", "teacher_text"):
             n_rows = getattr(whole, name).n_items
@@ -155,13 +157,15 @@ class TestMatchesPerRowReference:
             image_rows=selected["images"],
             audio_rows=selected["audio_features"],
             teacher_rows=selected["teacher_text"],
+            with_student_text=with_student_text,
         )
+        selected["student_text"] = np.arange(whole.n_species if with_student_text else 0)
         for name, rows in selected.items():
             held, full = getattr(world, name), getattr(whole, name)
             assert held.matrix.shape == (rows.size, full.matrix.shape[1])
             assert held.matrix.tobytes() == full.matrix[rows].tobytes(), name
             assert held.labels.tolist() == full.labels[rows].tolist(), name
-        assert world.student_text.matrix.tobytes() == whole.student_text.matrix.tobytes()
+        assert world.species_centres.tobytes() == whole.species_centres.tobytes()
 
     def test_zero_row_is_named(self):
         # All-zero draws leave every species centre at the origin.
