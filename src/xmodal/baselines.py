@@ -20,9 +20,10 @@ also has access to:
   by scoring each image with the cosine between the two predicted class
   prototypes. A misclassification in either stage propagates to the
   ranking. Every score is a cell of the (predicted classes x classes)
-  cosine table, handed over as minus the cell's dense rank in its row,
-  a small signed integer that NumPy radix-sorts; equal ranks are
-  exactly equal cosines, so the order and its ties are the float sort's.
+  cosine table. It is handed over as a key that no other column of its
+  row shares, minus (the cell's dense rank in its row times the gallery
+  size plus the column): the order of the keys is the stable float
+  sort's, ties broken by column, and the ranking never meets a tie.
 
 Both classify-then-look-up baselines score and do not rank: each returns
 one ``RankedList``, a score row per distinct predicted class and, for
@@ -142,18 +143,23 @@ def cascaded_zero_shot_baseline(
     presorted = np.argsort(-image_conf, kind="stable")
     image_class = np.searchsorted(teacher_prototypes.labels, image_pred[presorted])
     # An image's score is one cell of its predicted class's row of the
-    # cosine table, so it sorts as minus that cell's dense rank in the
-    # row: equal values (+-0.0 too, and every NaN) share one, and NaN
-    # ranks last, as in a float sort. Small signed keys sort by radix;
-    # float cosines full of ties would take a timsort. (Any kind of sort
-    # of the row gives the same ranks; the stable one is the float sort
-    # that evaluation already runs, so no other sort code is paged in.)
+    # cosine table, so it sorts as that cell's dense rank in the row:
+    # equal values (+-0.0 too, and every NaN) share one, and NaN ranks
+    # last, as in a float sort. The key -(dense rank * width + column)
+    # breaks a tie by column, as the stable sort does, so every key of a
+    # row is distinct and the rank search never falls back to a full
+    # sort. The keys take the smallest signed type that holds
+    # -n_classes * width, so none is the type's least value.
     negated = -proto_cos[classes]
     by_value = np.argsort(negated, axis=1, kind="stable")
     ordered = np.take_along_axis(negated, by_value, axis=1)
     steps = (ordered[:, 1:] != ordered[:, :-1]) & ~np.isnan(ordered[:, :-1])
-    ranks = np.zeros(negated.shape, dtype=np.min_scalar_type(-negated.shape[1]))
+    width = image_class.size
+    ranks = np.zeros(negated.shape, dtype=np.min_scalar_type(-negated.shape[1] * max(width, 1)))
     np.cumsum(steps, axis=1, dtype=ranks.dtype, out=ranks[:, 1:])
-    scores = np.empty_like(ranks)
-    np.put_along_axis(scores, by_value, -ranks, axis=1)
-    return RankedList(clip_class, scores[:, image_class], presorted)
+    dense = np.empty_like(ranks)
+    np.put_along_axis(dense, by_value, ranks, axis=1)
+    keys = np.take(dense, image_class, axis=1)
+    keys *= width
+    keys += np.arange(width, dtype=keys.dtype)
+    return RankedList(clip_class, np.negative(keys, out=keys), presorted)

@@ -2,10 +2,10 @@
 
 All rankings are by descending cosine similarity with ties broken by
 ascending gallery index, so every metric is deterministic. That order is
-defined once, by ``rank_by_score``: one stable ``argsort`` of the negated
-scores, which the fallbacks below run on their own rows. Truncated mean
-average precision (mAP@K) normalizes each query by min(total relevant,
-K), the standard convention.
+one stable ``argsort`` of the negated scores, which the fallbacks below
+run on their own rows. Truncated mean average precision (mAP@K)
+normalizes each query by min(total relevant, K), the standard
+convention.
 
 Metrics work on row blocks of the score matrix, not query by query, and
 never hold the whole matrix. A block holds at most ``_BLOCK_CELLS``
@@ -23,10 +23,8 @@ one-lane partition, so every result is the same bit for bit whichever
 lane ran a block, and whether a second lane ran at all. A second lane
 runs only when the call covers two blocks or more and the process may
 run on more than one CPU; the default world's metrics are one block
-each, so they start no thread. ``map_retrieval``'s and
-``knn_classify``'s blocks, and the row blocks of ``rank_by_score``, go
-on two lanes. ``map_from_ranked``'s blocks are small gathers, which
-would only queue for the GIL, so they stay on one lane. Three rules
+each, so they start no thread. The blocks of ``map_retrieval``,
+``map_from_ranked`` and ``knn_classify`` go on two lanes. Three rules
 keep the lanes apart:
 
 * lane 1 runs NumPy and this package's private helpers only. A public
@@ -35,10 +33,9 @@ keep the lanes apart:
 * lane 1 gets long calls that release the GIL (GEMM, sort, ``argsort``,
   ``argmax`` passes), not loops of small gathers;
 * the calling thread allocates each lane's block-sized buffers (the
-  GEMM output, negated in place, and the sorted copy) once per call.
+  score rows, negated in place, and their sorted copy) once per call.
   An array that the helper thread allocates lands in a heap of its own,
-  which the process keeps; ``rank_by_score`` sorts 16 rows per
-  ``argsort`` there, so its output stays small.
+  which the process keeps.
 
 With an unpinned multi-threaded BLAS, both lanes call it at once; each
 call still computes its block with the same kernel, so the bits are
@@ -52,8 +49,8 @@ unchanged. Within a block:
   rank. A row of distinct non-NaN scores has exactly one descending
   order, so the count is exact there. Rows whose sorted scores hold an
   equal adjacent pair (``==``, which also catches tied infinities and
-  +-0.0) or a NaN are ranked in full and read through the inverse
-  permutation. The search costs R log N per query for R relevant
+  +-0.0) or a NaN are ranked in full, once each, and read through the
+  inverse permutation. The search costs R log N per query for R relevant
   items in a gallery of N, so with very few large classes (two in 960
   items, R = 480) it costs a block more than one full ``argsort`` would;
 * average precision has one core for its three callers (``map_retrieval``,
@@ -76,8 +73,11 @@ unchanged. Within a block:
 Methods score and this module ranks. A ``RankedList`` holds the score
 rows of one classify-then-look-up method (one per predicted class), the
 gallery order its columns follow, and for every query the row that
-scores it. ``map_from_ranked`` ranks and inverts every row once and
-reports the queries in query order.
+scores it. ``map_from_ranked`` ranks them through ``map_retrieval``'s
+blocks: each query block gathers the distinct rows its queries read
+into its lane's buffer, and the rank search reads each query's ranks
+from the sorted copy of its row. So no array of the whole gallery's
+order is built, and ``per_query`` is in query order.
 
 A per-class table (prototypes, a mapped text table) has one row per class,
 labels strictly ascending; ``check_class_table`` checks it on entry.
@@ -149,7 +149,8 @@ class RankedList:
     Query ``i`` is scored by row ``row_of[i]`` of ``scores``, and column
     ``j`` scores gallery item ``gallery_order[j]``. Ranking negates the
     scores in their dtype, so integer ones must be signed and above the
-    type's least value, which negates to itself.
+    type's least value, which negates to itself. The rows are stored
+    C-contiguous, so a block gathers each of them as one run of memory.
     """
 
     row_of: np.ndarray
@@ -172,18 +173,13 @@ class RankedList:
         if gallery_order.shape != (width,) or not np.array_equal(np.sort(gallery_order), np.arange(width)):
             raise InvalidConfigError(f"gallery_order must be a permutation of the {width} columns")
         object.__setattr__(self, "row_of", row_of)
-        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "scores", np.ascontiguousarray(scores))
         object.__setattr__(self, "gallery_order", gallery_order)
 
 
-def _row_blocks(n_rows: int, width: int, even: bool = False) -> Iterator[slice]:
-    """Consecutive row slices of at most ``_BLOCK_CELLS`` cells each.
-
-    With ``even``, as many slices, of near-equal heights.
-    """
+def _row_blocks(n_rows: int, width: int) -> Iterator[slice]:
+    """Consecutive row slices of at most ``_BLOCK_CELLS`` cells each."""
     height = max(1, _BLOCK_CELLS // max(width, 1))
-    if even and n_rows:
-        height = -(-n_rows // -(-n_rows // height))
     for start in range(0, n_rows, height):
         yield slice(start, min(start + height, n_rows))
 
@@ -192,7 +188,6 @@ def _on_lanes(
     blocks: Sequence[slice],
     work: Callable[..., None],
     buffers: Sequence[Tuple[int, object]] = (),
-    two_lanes: bool = True,
 ) -> None:
     """Call ``work(rows, *scratch)`` once for each block of ``blocks``, on two lanes.
 
@@ -201,14 +196,13 @@ def _on_lanes(
     pairs: every lane gets one array of the tallest block's height per
     pair, allocated here, on the calling thread, and ``scratch`` is their
     first ``len(rows)`` rows. A second lane runs only for two blocks or
-    more, when this process may run on more than one CPU, and unless
-    ``two_lanes`` is false. An error from either lane is raised here,
-    after both have stopped.
+    more, when this process may run on more than one CPU. An error from
+    either lane is raised here, after both have stopped.
     """
     if not blocks:
         return
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    lanes = 2 if two_lanes and len(blocks) > 1 and cpus > 1 else 1
+    lanes = 2 if len(blocks) > 1 and cpus > 1 else 1
     height = max(rows.stop - rows.start for rows in blocks)
     pending = deque(blocks)
 
@@ -256,32 +250,6 @@ def _tied(ranked: np.ndarray) -> np.ndarray:
     return (ranked[..., 1:] == ranked[..., :-1]).any(axis=-1) | np.isnan(ranked[..., -1:]).any(axis=-1)
 
 
-def rank_by_score(scores: np.ndarray) -> np.ndarray:
-    """Gallery order: descending score, ties by ascending index.
-
-    Sorts along the last axis, so a score row gives one ranking and a
-    block of rows gives one ranking per row, in row blocks on two lanes
-    (``_on_lanes``). NaN ranks last. Integer scores are sorted as
-    integers (by radix up to 16 bits).
-    """
-    scores = np.asarray(scores)
-    if scores.ndim != 2:
-        return np.argsort(-scores, axis=-1, kind="stable")
-    orders = np.empty(scores.shape, dtype=np.intp)
-
-    def rank_block(rows: slice, negated: np.ndarray) -> None:
-        np.negative(scores[rows], out=negated)
-        # argsort's output is the one array a lane allocates itself: in
-        # slices of 16 rows it stays small in the helper thread's heap.
-        for start in range(0, negated.shape[0], 16):
-            part = slice(start, start + 16)
-            orders[rows][part] = negated[part].argsort(axis=1, kind="stable")
-
-    # Rows rank alone, so any partition gives the same orders.
-    _on_lanes(list(_row_blocks(*scores.shape, even=True)), rank_block, [(scores.shape[1], scores.dtype)])
-    return orders
-
-
 def _inverse_ranks(orders: np.ndarray) -> np.ndarray:
     """1-based rank of every item: ``ranks[i, orders[i, j]] == j + 1``."""
     ranks = np.empty_like(orders)
@@ -289,21 +257,23 @@ def _inverse_ranks(orders: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _search_ranks(negated: np.ndarray, columns: np.ndarray, ranked: np.ndarray) -> np.ndarray:
-    """1-based rank of ``-negated[i, columns[i, j]]`` in ``rank_by_score(-negated)[i]``.
+def _search_ranks(negated: np.ndarray, columns: np.ndarray, ranked: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """1-based rank of gallery item ``columns[i, j]`` in the ranking of row ``row[i]``.
 
-    Sorts each row of the negated scores by value, into ``ranked`` (of
-    ``negated``'s shape), and finds, by a binary search over the
-    flattened sorted block, the number of entries strictly below each
-    looked-up value. That is the rank minus one in a row of distinct
-    non-NaN scores; the other rows are ranked in full.
+    ``negated`` holds C-contiguous negated score rows, and query ``i``
+    reads row ``row[i]``, so several queries may share one. Sorts each
+    row by value, into ``ranked`` (of ``negated``'s shape), and finds,
+    by a binary search over the flattened sorted block, the number of
+    entries strictly below each looked-up value. That is the rank minus
+    one in a row of distinct non-NaN scores; the other rows are ranked
+    in full, once each, by the stable ``argsort`` that defines the order.
     """
     ranked[...] = negated
     ranked.sort(axis=1)
     width = ranked.shape[1]
     flat = ranked.ravel()
-    values = np.take_along_axis(negated, columns, axis=1)
-    row_start = np.arange(0, flat.size, width)[:, None]
+    row_start = (row * width)[:, None]
+    values = negated.ravel()[row_start + columns]
     # Branchless lower bound: the answer lies in [lower, lower + size]
     # and each step halves ``size``, so every row takes the same steps.
     lower = np.repeat(row_start, columns.shape[1], axis=1)
@@ -314,21 +284,23 @@ def _search_ranks(negated: np.ndarray, columns: np.ndarray, ranked: np.ndarray) 
         size -= half
     ranks = lower - row_start + (flat[lower] < values) + 1
     tied = _tied(ranked)
-    if tied.any():
-        orders = np.argsort(negated[tied], axis=1, kind="stable")
-        ranks[tied] = np.take_along_axis(_inverse_ranks(orders), columns[tied], axis=1)
+    fallback = tied[row]
+    if fallback.any():
+        tied_rows = np.flatnonzero(tied)
+        inverse = _inverse_ranks(np.argsort(negated[tied_rows], axis=1, kind="stable"))
+        ranks[fallback] = inverse[np.searchsorted(tied_rows, row[fallback])[:, None], columns[fallback]]
     return ranks
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """``rank_by_score(scores)[:, :k]`` by k passes of ``np.argmax``.
+    """The first k columns of each row's ranking, by k passes of ``np.argmax``.
 
     ``scores`` is a writable float64 block. Each pass takes every row's
     highest remaining score, the lowest index among equal ones, and
     writes ``-inf`` over it in the block; the picked scores go back, last
     pass first, before any other use of the block, so it ends as it
     began, bit for bit. Rows that this would get wrong are ranked in
-    full, as ``rank_by_score`` ranks them: a first pick
+    full, by the stable ``argsort`` of their negated scores: a first pick
     of NaN (``argmax`` returns the first NaN, the full sort ranks NaN
     last), and a last pick of ``-inf`` (fewer than k scores above it, so
     a pass may pick a cell already taken). The passes read k N cells per
@@ -373,14 +345,13 @@ def _map_report(
     gallery_labels: np.ndarray,
     k: Optional[int],
     buffers: Sequence[Tuple[int, object]] = (),
-    two_lanes: bool = True,
 ) -> EvalReport:
     """mAP of the queries labelled ``query_labels``, one row each.
 
     ``ranks_of(rows, columns, *scratch)`` gives the 1-based rank of
     gallery item ``columns[i, j]`` in the ranking of query
-    ``rows.start + i``; ``scratch`` are its lane's ``buffers``, and
-    ``two_lanes`` says whether a second lane may run (``_on_lanes``).
+    ``rows.start + i``; ``scratch`` are its lane's ``buffers``
+    (``_on_lanes``).
     """
     classes, counts = np.unique(gallery_labels, return_counts=True)
     # members[c]: the columns of class c, ascending, padded with column 0.
@@ -400,7 +371,7 @@ def _map_report(
         # Queries with nothing relevant are dropped; 1 only spares them 0/0.
         ap[rows] = _ap_from_ranks(ranks, limit, np.maximum(denom, 1))
 
-    _on_lanes(list(_row_blocks(query_labels.size, gallery_labels.size)), score_block, buffers, two_lanes)
+    _on_lanes(list(_row_blocks(query_labels.size, gallery_labels.size)), score_block, buffers)
     scored = totals > 0
     per_query = ap[scored].tolist()
     if not per_query:
@@ -429,7 +400,7 @@ def map_retrieval(queries: EmbeddingSet, gallery: EmbeddingSet, k: Optional[int]
 
     def ranks_of(rows: slice, columns: np.ndarray, negated: np.ndarray, ranked: np.ndarray) -> np.ndarray:
         np.negative(scores(rows, out=negated), out=negated)
-        return _search_ranks(negated, columns, ranked)
+        return _search_ranks(negated, columns, ranked, np.arange(len(columns)))
 
     width = gallery.n_items
     return _map_report(ranks_of, queries.labels, gallery.labels, k, [(width, np.float64), (width, np.float64)])
@@ -445,8 +416,9 @@ def map_from_ranked(
 
     Query ``i`` is ranked by row ``ranked.row_of[i]`` and scored with
     ``query_labels[i]``, so the labels must have the shape of ``row_of``.
-    Every row is ranked and inverted once, and each query reads the ranks
-    of its relevant items from its row. ``per_query`` is in query order.
+    The queries go in ``map_retrieval``'s blocks; each block negates the
+    distinct rows its queries read, in its lane's buffer, and searches
+    the ranks of their relevant items. ``per_query`` is in query order.
     """
     if k is not None and k < 1:
         raise InvalidConfigError(f"k must be >= 1, got {k}")
@@ -460,15 +432,18 @@ def map_from_ranked(
         raise EmptyGalleryError("cannot rank an empty gallery")
     if ranked.scores.shape[1] != gallery_labels.size:
         raise InvalidConfigError("every score row must score the whole gallery")
-    ranks = _inverse_ranks(rank_by_score(ranked.scores))
-    row_of = ranked.row_of
+    scores, row_of = ranked.scores, ranked.row_of
 
-    def ranks_of(rows: slice, columns: np.ndarray) -> np.ndarray:
-        return ranks[row_of[rows, None], columns]
+    def ranks_of(rows: slice, columns: np.ndarray, negated: np.ndarray, by_value: np.ndarray) -> np.ndarray:
+        read, row = np.unique(row_of[rows], return_inverse=True)
+        # "clip" lets ``take`` write straight into the buffer; ``read`` is in range.
+        negated = np.take(scores, read, axis=0, out=negated[: read.size], mode="clip")
+        np.negative(negated, out=negated)
+        return _search_ranks(negated, columns, by_value[: read.size], row)
 
-    # Each block is a small gather from ``ranks``: a second lane would
-    # only queue for the GIL.
-    return _map_report(ranks_of, query_labels, gallery_labels[ranked.gallery_order], k, two_lanes=False)
+    width = gallery_labels.size
+    buffers = [(width, scores.dtype), (width, scores.dtype)]
+    return _map_report(ranks_of, query_labels, gallery_labels[ranked.gallery_order], k, buffers)
 
 
 def chance_map_oracle(n_per_class: int, n_classes: int, trials: int = 1000, seed: int = 0) -> float:

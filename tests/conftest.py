@@ -98,6 +98,13 @@ def brute_force_scores(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     return out
 
 
+def rank_by_score(scores) -> np.ndarray:
+    """Gallery order of each score row: descending score, ties by
+    ascending index, NaN last. The metrics' rank search and their
+    fallbacks must give this order's ranks."""
+    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")
+
+
 def _exact_palette() -> np.ndarray:
     """Unit rows of R^4 whose pairwise dot products are exact in any order.
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from xmodal import (
     EmbeddingSet,
+    EmptyGalleryError,
     MissingPrototypeError,
     Modality,
     NonFiniteLossError,
@@ -31,12 +32,12 @@ from xmodal import (
 )
 from xmodal import baselines, evaluation
 from xmodal.embeddings import similarity_matrix
-from xmodal.evaluation import chance_map_oracle, rank_by_score
+from xmodal.evaluation import chance_map_oracle
 from xmodal.pipeline import prepare_world, teacher_prototype_set
 from xmodal.rng import rng_for
 from xmodal.runconfig import parse_config
 
-from conftest import EXACT_PALETTE, SMALL_WORLD, assert_unit_rows, exact_sets
+from conftest import EXACT_PALETTE, SMALL_WORLD, assert_unit_rows, exact_sets, rank_by_score
 from test_acceptance import oracle_ap, oracle_pair_scores, oracle_rank
 
 
@@ -327,8 +328,10 @@ class TestCascadedZeroShot:
         assert ranked.scores.shape == (classes.size, images.n_items) and classes.size > 1
         assert ranked.row_of.tolist() == np.searchsorted(classes, predicted).tolist()
 
-    # Minus a dense rank among n classes fits the smallest signed type
-    # that holds -n: int8 up to 128 classes, int16 from 129.
+    # Keys -(dense rank * N + column) over N images, with dense ranks
+    # below n classes, fit the smallest signed type that holds -n * N: for
+    # one image, int8 up to 128 classes and int16 from 129; for 20 images,
+    # int16 at all three.
     @pytest.mark.parametrize("n_classes, dtype", [(127, np.int8), (128, np.int8), (129, np.int16)])
     def test_scores_are_small_signed_integers(self, n_classes, dtype):
         rng = rng_for(n_classes, "many classes")
@@ -336,9 +339,20 @@ class TestCascadedZeroShot:
         picks = rng.integers(0, n_classes, 40)
         audio = eset(teacher.matrix[picks[:20]], picks[:20])
         images = eset(teacher.matrix[picks[20:]] + 0.1 * rng.standard_normal((20, 6)), picks[20:], Modality.IMAGE)
-        inputs = (audio, images, eset(teacher.matrix, teacher.labels), teacher)
-        assert cascaded_zero_shot_baseline(*inputs).scores.dtype == dtype
-        assert_float_sort_rankings(inputs)
+        for n_images, expected in ((1, dtype), (20, np.int16)):
+            inputs = (audio, images.take(range(n_images)), eset(teacher.matrix, teacher.labels), teacher)
+            assert cascaded_zero_shot_baseline(*inputs).scores.dtype == expected
+            assert_float_sort_rankings(inputs)
+
+    def test_empty_gallery_keeps_signed_keys(self):
+        # No image: the keys' type is still signed, so the record is valid
+        # and ranking it reports the empty gallery.
+        protos = eset(np.eye(3), [0, 1, 2], Modality.TEACHER_TEXT)
+        images = eset(np.zeros((0, 3)), [], Modality.IMAGE)
+        ranked = cascaded_zero_shot_baseline(protos, images, protos, protos)
+        assert ranked.scores.shape == (3, 0) and ranked.scores.dtype == np.int8
+        with pytest.raises(EmptyGalleryError):
+            map_from_ranked(ranked, protos.labels, images.labels)
 
     def test_audio_misclassification_propagates(self):
         # Stage one maps the clip to species B, so B's images rank above
@@ -444,31 +458,28 @@ def cascade_inputs(draw, teacher_rows=None):
     )
 
 
-def float_sort_rankings(audio, images, student_prototypes, teacher):
-    """Each predicted class's gallery order and ranked float scores,
-    ascending class, by a stable float sort of the negated scores over
-    the presorted gallery."""
+def float_sort_orders(audio, images, student_prototypes, teacher):
+    """Each predicted class's gallery order, ascending class, by a stable
+    float sort of the negated scores over the presorted gallery."""
     audio_pred, _ = nearest_prototype(audio, student_prototypes)
     image_pred, image_conf = nearest_prototype(images, teacher)
     proto_cos = baselines.similarity_matrix(teacher, teacher)
     presorted = np.argsort(-image_conf, kind="stable")
     rows = np.searchsorted(teacher.labels, np.unique(audio_pred))
     scores = proto_cos[rows[:, None], np.searchsorted(teacher.labels, image_pred[presorted])]
-    within = np.argsort(-scores, axis=1, kind="stable")
-    return presorted[within], np.take_along_axis(scores, within, axis=1)
+    return presorted[rank_by_score(scores)]
 
 
 def assert_float_sort_rankings(inputs):
-    orders, scores = float_sort_rankings(*inputs)
+    """The cascade's integer keys rank the gallery as the stable float
+    sort of its cosines does, and no two columns of a row share a key,
+    so the rank search never meets a tie."""
     ranked = cascaded_zero_shot_baseline(*inputs)
+    assert ranked.scores.dtype.kind == "i"
     within = rank_by_score(ranked.scores)
-    assert ranked.gallery_order[within].tolist() == orders.tolist()
-    # In rank order, the integer scores tie exactly where the cosines do
-    # (every NaN ties with every NaN).
+    assert ranked.gallery_order[within].tolist() == float_sort_orders(*inputs).tolist()
     keys = np.take_along_axis(ranked.scores, within, axis=1)
-    nan = np.isnan(scores)
-    float_ties = (scores[:, 1:] == scores[:, :-1]) | (nan[:, 1:] & nan[:, :-1])
-    assert np.array_equal(keys[:, 1:] == keys[:, :-1], float_ties)
+    assert (keys[:, 1:] < keys[:, :-1]).all()
 
 
 # Edits of the cascade's cosine table, cell by cell: keep, +0.0, -0.0,
@@ -570,12 +581,12 @@ class TestCascadeMatchesNaiveOracle:
     def test_nan_teacher_prototype(self):
         # Every image scores NaN against the NaN prototype, so every image
         # is predicted as its class, all of its cosines are NaN, and they
-        # share one integer score.
+        # share one dense rank: a row's keys step down by one per column.
         audio = eset(EXACT_PALETTE[[0, 8, 16, 2]], [0, 1, 2, 0])
         images = eset(EXACT_PALETTE[[8, 0, 16, 1, 9]], [1, 0, 2, 0, 1], Modality.IMAGE)
         student = eset(EXACT_PALETTE[[0, 8, 16]], [0, 1, 2])
         teacher_rows = [[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
         teacher = eset(teacher_rows, [0, 1, 2], Modality.TEACHER_TEXT)
         ranked = cascaded_zero_shot_baseline(audio, images, student, teacher)
-        assert (ranked.scores == ranked.scores[:, :1]).all()
+        assert (ranked.scores == ranked.scores[:, :1] - np.arange(images.n_items)).all()
         assert_float_sort_rankings((audio, images, student, teacher))

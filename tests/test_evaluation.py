@@ -39,10 +39,9 @@ from xmodal import (
 )
 from xmodal import evaluation
 from xmodal.embeddings import _cosine_rows, similarity_matrix
-from xmodal.evaluation import rank_by_score
 from xmodal.rng import rng_for
 
-from conftest import EXACT_PALETTE, brute_force_scores, exact_sets
+from conftest import EXACT_PALETTE, brute_force_scores, exact_sets, rank_by_score
 from test_acceptance import oracle_ap, oracle_knn_loo, oracle_map, oracle_pair_scores, oracle_rank
 from test_cli import SMALL_CONFIG
 
@@ -103,6 +102,15 @@ class TestRankedList:
         # scores, keep their dtype.
         for scores in (np.int8([[-127, 0, 127]]), np.int16([[-32767, 0, 1]]), np.float32([[-1.0, 0.0, 1.0]])):
             assert RankedList([0], scores, [0, 1, 2]).scores.dtype == scores.dtype
+
+    def test_fortran_ordered_scores_are_stored_c_contiguous(self):
+        # A column gather, as the cascade's scores[:, image_class] was,
+        # comes out Fortran-ordered: each row is then strided through the
+        # whole matrix, and a block gathers its rows one cell at a time.
+        scores = np.arange(12, dtype=np.int16).reshape(3, 4)[:, [3, 1, 0, 2]]
+        assert scores.flags.f_contiguous and not scores.flags.c_contiguous
+        stored = RankedList([0, 2], scores, [0, 1, 2, 3]).scores
+        assert stored.flags.c_contiguous and stored.dtype == np.int16 and np.array_equal(stored, scores)
 
     def test_order_must_be_permutation(self):
         with pytest.raises(InvalidConfigError, match="permutation of the 3 columns"):
@@ -170,6 +178,8 @@ class TestRankedList:
 
 
 class TestRankByScore:
+    # The tests' ranking oracle, conftest.rank_by_score, against the
+    # acceptance gate's Python sort and its own rules for NaN and integers.
     def test_descending_with_index_ties(self):
         assert rank_by_score(np.array([0.1, 0.9, 0.5])).tolist() == [1, 2, 0]
         assert rank_by_score(np.array([0.5, 0.9, 0.5])).tolist() == [1, 0, 2]
@@ -227,17 +237,20 @@ class TestRankByScore:
 
 
 def assert_ranks_invert_rank_by_score(scores, data):
-    """_search_ranks at drawn columns (repeats allowed) against the inverse
-    permutation of rank_by_score, row by row."""
+    """_search_ranks for queries that read drawn rows (several may share
+    one, and a row may go unread) at drawn columns (repeats allowed),
+    against the inverse permutation of rank_by_score."""
     n_rows, width = scores.shape
+    n_queries = data.draw(st.integers(1, 2 * n_rows), label="queries")
+    row = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n_queries, max_size=n_queries)))
     n_columns = data.draw(st.integers(1, 8), label="columns")
     column = st.integers(0, width - 1)
     columns = np.array(
-        [data.draw(st.lists(column, min_size=n_columns, max_size=n_columns)) for _ in range(n_rows)]
-    ).reshape(n_rows, n_columns)
+        [data.draw(st.lists(column, min_size=n_columns, max_size=n_columns)) for _ in range(n_queries)]
+    ).reshape(n_queries, n_columns)
     inverse = np.argsort(rank_by_score(scores), axis=1) + 1
-    ranks = evaluation._search_ranks(-scores, columns, np.empty_like(scores))
-    assert np.array_equal(ranks, np.take_along_axis(inverse, columns, axis=1))
+    ranks = evaluation._search_ranks(-scores, columns, np.empty_like(scores), row)
+    assert np.array_equal(ranks, inverse[row[:, None], columns])
 
 
 class TestSearchRanks:
@@ -271,8 +284,17 @@ class TestSearchRanks:
         # equal: only the NaN test sends them to the full ranking.
         scores = np.array([[np.nan, 0.0, np.inf], [np.nan, np.nan, 1.0], [np.nan, -np.inf, np.nan]])
         columns = np.tile(np.arange(3), (3, 1))
-        ranks = evaluation._search_ranks(-scores, columns, np.empty_like(scores))
+        ranks = evaluation._search_ranks(-scores, columns, np.empty_like(scores), np.arange(3))
         assert ranks.tolist() == [[3, 2, 1], [2, 3, 1], [2, 1, 3]]
+
+    def test_queries_sharing_a_row(self):
+        # Row 0 ties (0.5 twice) and row 1 does not; queries 0, 2 and 4
+        # read row 1, queries 1 and 3 read row 0, and row 2 goes unread.
+        scores = np.array([[0.5, 0.9, 0.5, 0.1], [0.2, 0.4, 0.3, 0.1], [np.nan, 0.0, 0.0, 1.0]])
+        row = np.array([1, 0, 1, 0, 1])
+        columns = np.array([[0, 1], [0, 2], [3, 2], [1, 3], [1, 1]])
+        ranks = evaluation._search_ranks(-scores, columns, np.empty_like(scores), row)
+        assert ranks.tolist() == [[3, 1], [2, 3], [4, 2], [1, 4], [1, 1]]
 
 
 def ap_of_flags(flags, k=None) -> float:
@@ -896,15 +918,13 @@ class TestBatchedMatchesNaiveOracles:
             max_size=9,
         ),
         st.integers(1, 5),
-        BLOCK_CELLS,
     )
     @settings(max_examples=100, deadline=None)
-    def test_ranking_and_top_k(self, rows, k, cells):
+    def test_ranking_and_top_k(self, rows, k):
         scores = np.array(rows)
         expected = [oracle_rank(row) for row in rows]
-        with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
-            assert rank_by_score(scores).tolist() == expected
-            assert evaluation._top_k(scores, k).tolist() == [order[:k] for order in expected]
+        assert rank_by_score(scores).tolist() == expected
+        assert evaluation._top_k(scores, k).tolist() == [order[:k] for order in expected]
 
     @given(
         st.lists(
@@ -1026,13 +1046,19 @@ class TestScoreRowBlocks:
     # leave-one-out over the 1920 clips, in the raw audio (20) and the
     # teacher (32) dimensions.
 
-    @pytest.mark.parametrize("metric", ["knn", "map"])
+    @pytest.mark.parametrize("metric", ["knn", "map", "map_from_ranked"])
     def test_metrics_never_hold_the_whole_score_matrix(self, metric):
         # The whole float64 matrices are 29.5 MB (1920 x 1920) and 14.7 MB
         # (1920 x 960); one row block and its temporaries take a few MB.
+        # map_from_ranked reads 1920 distinct shared rows of 960, built
+        # before the call; ranking and inverting them all at once took
+        # two int64 arrays of 14.7 MB each.
         clips = gaussian_set(1920, 32, 0)
         images = gaussian_set(960, 32, 1)
         calls = {"knn": lambda: knn_classify(clips, clips, 5), "map": lambda: map_retrieval(clips, images)}
+        if metric == "map_from_ranked":
+            ranked = RankedList(np.arange(clips.n_items), similarity_matrix(clips, images), np.arange(images.n_items))
+            calls[metric] = lambda: map_from_ranked(ranked, clips.labels, images.labels)
         assert traced_peak_mb(calls[metric]) < 8.0
 
     @pytest.mark.parametrize("dim", [20, 32])
@@ -1135,7 +1161,9 @@ class TestLanes:
     def test_knn_on_two_lanes_equals_one_lane(self, data, cells):
         queries = nan_rows(data, data.draw(exact_sets(GALLERY_LABELS, min_size=2, max_size=16)))
         reference = queries if data.draw(st.booleans(), label="self") else data.draw(exact_sets(GALLERY_LABELS))
-        k = data.draw(st.integers(1, reference.n_items - (reference is queries)))
+        # A drawn reference equal to the queries is the same set too, and
+        # leaves one neighbor fewer.
+        k = data.draw(st.integers(1, reference.n_items - evaluation._same_set(queries, reference)))
         with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
             with on_cpus(1):
                 one = outcome(lambda: knn_classify(queries, reference, k))
@@ -1145,24 +1173,40 @@ class TestLanes:
         assert two == one
         assert ("xmodal-lane-1" in two_lanes) == (blocks > 1)
 
-    @given(
-        st.lists(
-            st.lists(st.sampled_from([np.inf, 1.0, 0.0, -0.0, -1.0, -np.inf, np.nan]), min_size=6, max_size=6),
-            min_size=1,
-            max_size=12,
-        ),
-        BLOCK_CELLS,
-    )
+    # Shared rows are palette floats, so they tie and hold NaN, or
+    # cascade-style integer keys -(dense rank * N + column), distinct in
+    # each row; queries share them through a drawn row_of.
+    @given(st.data(), BLOCK_CELLS)
     @settings(max_examples=100, deadline=None)
-    def test_ranking_on_two_lanes_equals_one_lane(self, rows, cells):
-        scores = np.array(rows)
+    def test_map_from_ranked_on_two_lanes_equals_one_lane(self, data, cells):
+        n_gallery = data.draw(st.integers(1, 8), label="gallery")
+        n_rows = data.draw(st.integers(1, 4), label="rows")
+        if data.draw(st.booleans(), label="integer keys"):
+            dense = st.lists(st.integers(0, 3), min_size=n_gallery, max_size=n_gallery)
+            ranks = np.array([data.draw(dense) for _ in range(n_rows)], dtype=np.int16).reshape(n_rows, n_gallery)
+            scores = -(ranks * n_gallery + np.arange(n_gallery, dtype=np.int16))
+        else:
+            value = st.sampled_from([np.inf, 1.0, 0.0, -0.0, -1.0, -np.inf, np.nan])
+            row = st.lists(value, min_size=n_gallery, max_size=n_gallery)
+            scores = np.array([data.draw(row) for _ in range(n_rows)]).reshape(n_rows, n_gallery)
+        n_queries = data.draw(st.integers(1, 16), label="queries")
+        row_of = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n_queries, max_size=n_queries))
+        gallery_order = data.draw(st.permutations(range(n_gallery)), label="gallery order")
+        ranked = RankedList(row_of, scores, gallery_order)
+        query_labels = np.array(data.draw(st.lists(QUERY_LABELS, min_size=n_queries, max_size=n_queries)))
+        gallery_labels = np.array(data.draw(st.lists(GALLERY_LABELS, min_size=n_gallery, max_size=n_gallery)))
+        k = data.draw(st.none() | st.integers(1, n_gallery + 3), label="k")
+        running = threading.active_count()
         with mock.patch.object(evaluation, "_BLOCK_CELLS", cells):
-            with on_cpus(1):
-                one = rank_by_score(scores)
-            with on_cpus(2):
-                two = rank_by_score(scores)
-        assert two.tobytes() == one.tobytes()
-        assert one.tolist() == [np.argsort(-np.array(row), kind="stable").tolist() for row in rows]
+            with on_cpus(1), lane_one_takes_a_block("_search_ranks") as one_lane:
+                one = outcome(lambda: map_from_ranked(ranked, query_labels, gallery_labels, k=k))
+            with on_cpus(2), lane_one_takes_a_block("_search_ranks") as two_lanes:
+                two = outcome(lambda: map_from_ranked(ranked, query_labels, gallery_labels, k=k))
+            blocks = len(list(evaluation._row_blocks(n_queries, n_gallery)))
+        assert two == one
+        assert set(one_lane) == {"MainThread"}
+        assert ("xmodal-lane-1" in two_lanes) == (blocks > 1)
+        assert threading.active_count() == running
 
     @pytest.mark.parametrize("failing", ["MainThread", "xmodal-lane-1"])
     def test_an_error_in_either_lane_is_raised_after_both_stop(self, failing):

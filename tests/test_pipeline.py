@@ -23,7 +23,7 @@ from xmodal import (
 )
 from xmodal import cli, evaluation, pipeline
 from xmodal.embeddings import similarity_matrix
-from xmodal.evaluation import nearest_prototype, rank_by_score
+from xmodal.evaluation import nearest_prototype
 from xmodal.pipeline import (
     _DRAWS,
     BASELINES,
@@ -46,6 +46,7 @@ from xmodal.runconfig import RunConfig, adapter_config_for, canonical_config_tex
 from xmodal.storage import save_params
 from xmodal.trainer import adapter_forward, init_params, train_adapter
 
+from conftest import rank_by_score
 from test_acceptance import oracle_ap
 from test_evaluation import gaussian_set, traced_peak_mb
 
@@ -398,9 +399,10 @@ def test_default_pins_are_the_benchmark_reference():
 @pytest.mark.parametrize("world", ["default", "eval_wide"])
 def test_text_mapping_map_matches_a_python_oracle(world, monkeypatch):
     # Each clip is ranked by the mapped text row of its predicted species.
-    # A plain Python AP over rank_by_score of those rows' similarities
-    # gives every per-query value of the report, bit for bit, on the
-    # default world and the benchmark's eval_wide world, both at seed 7.
+    # A plain Python AP over the stable order (conftest.rank_by_score) of
+    # those rows' similarities gives every per-query value of the report,
+    # bit for bit, on the default world and the benchmark's eval_wide
+    # world, both at seed 7.
     # The oracle scores the rows of the distinct predicted species, as
     # the baseline does, so it holds whichever BLAS kernel runs the
     # product.
